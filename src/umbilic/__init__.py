@@ -48,24 +48,24 @@ from .mass import (  # noqa: F401
     symbolic_mass_cancellation,
 )
 from .obstruction import (  # noqa: F401
+    NotUmbilical,
     ObstructionReport,
     c_theta,
     dim6_check,
     expansion_coefficients,
     integrated_identity,
     script_R_series,
+    umbilical_decompose,
 )
 from .quadrature import QuadratureRule, default_degree, sphere_area  # noqa: F401
 from .surface import (  # noqa: F401
     CylinderCurvatures,
     GraphSurface,
-    NotUmbilical,
     PlaneCurve,
     PointGeometry,
     RhoIdentityResiduals,
     cylinder_inversion_curvatures,
     intrinsic_scalar_curvature,
     point_geometry,
-    umbilical_decompose,
     verify_rho_identities,
 )

@@ -28,9 +28,10 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .numdiff import power_law_fit
-from .obstruction import _decompose_umbilical
+from .obstruction import umbilical_decompose
 from .polyjet import Jet, MultiPoly, SphericalSeries
-from .surface import GraphSurface, umbilical_decompose
+from .quadrature import sphere_directions
+from .surface import GraphSurface
 
 GRAPH_X = "graph_x"
 INVERTED_Y = "inverted_y"
@@ -151,18 +152,13 @@ def chart_for(S: GraphSurface, flag: str) -> Chart:
             raise ChartRequirementError(
                 "the corrected chart needs an explicit jet surface"
             )
-        H, parts = umbilical_decompose(S)
-        if isinstance(H, MultiPoly):
+        H, parts = umbilical_decompose(S.f_jet.poly)
+        if H.param_names():
             raise ChartRequirementError(
                 "the corrected chart needs a numeric mean curvature"
             )
-        A3 = parts.get(3)
-        if A3 is not None and not A3.is_zero:
-            raise ChartRequirementError(
-                "the corrected chart requires the cubic coefficient of the "
-                "height function to vanish"
-            )
-        return Chart.corrected(S.n, float(H))
+        _require_no_cubic(parts)
+        return Chart.corrected(S.n, float(H.constant_term()))
     raise ValueError(f"unknown chart flag {flag!r}")
 
 
@@ -264,8 +260,8 @@ def _require_no_cubic(parts: Dict[int, MultiPoly]) -> None:
     A3 = parts.get(3)
     if A3 is not None and not A3.is_zero:
         raise ChartRequirementError(
-            "the expansion requires the cubic coefficient of the height "
-            "function to vanish"
+            "the corrected chart and the series at infinity require the "
+            "cubic coefficient of the height function to vanish"
         )
 
 
@@ -276,7 +272,7 @@ def _series_pieces(poly: MultiPoly, LO: int):
     The height series carries two extra orders because it is only used
     squared and multiplied by the square of the radius."""
     n = poly.n
-    Hp, parts = _decompose_umbilical(poly)
+    Hp, parts = umbilical_decompose(poly)
     _require_no_cubic(parts)
     parts_all = poly.homogeneous_parts()
     f_terms = [(-2 * k, P) for k, P in parts_all.items()]
@@ -376,7 +372,7 @@ def ghat_asymptotic_series(
         for i in range(n)
     ]
     a_ser = SphericalSeries.canonicalize(n, [(-2, c_poly)], LO, 0)
-    inv_base = sub.base.invert_unit(at_infinity=True)
+    inv_base = sub.power(-1)
     gamma = a_ser * inv_base
     # dy/dz = phi (I - gamma zhat zhat^T): conjugate via the radial vector.
     u = []
@@ -433,7 +429,7 @@ def ghat_radial_trace_series(
     srr = sub(S_rr)
     stt = sub(S_tr)
     a_ser = SphericalSeries.canonicalize(n, [(-2, c_poly)], LO, 0)
-    inv_base = sub.base.invert_unit(at_infinity=True)
+    inv_base = sub.power(-1)
     # The Jacobian scales the radial direction by phi (1 - gamma), whose
     # square is 1/(1+a); the trace picks up tr(G J^2).
     g_tt = inv_base * srr
@@ -442,16 +438,6 @@ def ghat_radial_trace_series(
 
 
 # -- numeric decay-order estimation -------------------------------------------
-
-
-def decay_directions(n: int, count: int = 32, seed: int = 0) -> np.ndarray:
-    """Deterministic angular grid: the signed coordinate axes plus seeded
-    pseudo-random unit directions."""
-    axes = np.vstack([np.eye(n), -np.eye(n)])
-    rng = np.random.default_rng(seed)
-    extra = rng.standard_normal((count, n))
-    extra /= np.linalg.norm(extra, axis=1)[:, None]
-    return np.vstack([axes, extra])
 
 
 @dataclass
@@ -505,14 +491,12 @@ def decay_order_estimate(
     if len(radii) < 2:
         raise ValueError("at least two radii are required")
     n = S.n
-    dirs = decay_directions(n, seed=seed)
+    dirs = sphere_directions(n, seed=seed)
     h_max, dh_max, ddh_max = [], [], []
     for r in radii:
         pts = r * dirs
         h = fd_scale * r
         base = ghat_deviation_batch(S, chart, pts)
-        plus = []
-        minus = []
         d1 = 0.0
         d2 = 0.0
         for k in range(n):
@@ -520,8 +504,6 @@ def decay_order_estimate(
             e[k] = h
             p = ghat_deviation_batch(S, chart, pts + e)
             m = ghat_deviation_batch(S, chart, pts - e)
-            plus.append(p)
-            minus.append(m)
             d1 = max(d1, float(np.max(np.abs((p - m) / (2.0 * h)))))
             d2 = max(d2, float(np.max(np.abs((p - 2.0 * base + m) / (h * h)))))
         for k in range(n):

@@ -5,43 +5,48 @@ L^1-integrability classifier with a numeric annulus probe."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import obstruction
 from .numdiff import power_law_fit
 from .polyjet import SphericalSeries
-from .surface import GraphSurface, point_geometry
+from .quadrature import sphere_area, sphere_directions
+from .surface import GraphSurface, PointGeometry, point_geometry
 
 INTEGRABLE = "integrable"
 NOT_INTEGRABLE = "not_integrable"
 INCONCLUSIVE = "inconclusive"
 
 
-def conformal_scalar(S: GraphSurface, x) -> float:
-    """Scalar curvature of rho^{-2} g at the surface point over x:
-    rho^2 (R_g + 4(n-1) H eta / rho + 4 n (n-1) eta^2 / rho^2)."""
+def _conformal_scalar_at(S: GraphSurface, x) -> Tuple[float, PointGeometry]:
+    """The conformal scalar at x together with the point geometry it used."""
     x = np.asarray(x, dtype=float)
     if float(x @ x) == 0.0:
         raise ValueError("the conformal factor is singular at the origin")
     n = S.n
     geo = point_geometry(S, x)
-    return geo.rho**2 * (
+    scalar = geo.rho**2 * (
         geo.R_g
         + 4.0 * (n - 1) * geo.H * geo.eta / geo.rho
         + 4.0 * n * (n - 1) * geo.eta**2 / geo.rho**2
     )
+    return scalar, geo
+
+
+def conformal_scalar(S: GraphSurface, x) -> float:
+    """Scalar curvature of rho^{-2} g at the surface point over x:
+    rho^2 (R_g + 4(n-1) H eta / rho + 4 n (n-1) eta^2 / rho^2)."""
+    return _conformal_scalar_at(S, x)[0]
 
 
 def curvature_density_factor(S: GraphSurface, x) -> float:
     """Density of (scalar curvature) x (volume) of the conformal metric
     against the original volume element: rho^{2-n} (R_g + ...)."""
-    x = np.asarray(x, dtype=float)
-    geo = point_geometry(S, x)
-    return geo.rho ** (-S.n) * conformal_scalar(S, x)
+    scalar, geo = _conformal_scalar_at(S, x)
+    return geo.rho ** (-S.n) * scalar
 
 
 @dataclass
@@ -93,16 +98,6 @@ class IntegrabilityProbe:
     verdict: str
 
 
-def probe_directions(n: int, count: int = 32, seed: int = 0) -> np.ndarray:
-    """Deterministic unit directions: the coordinate axes plus seeded
-    pseudo-random points."""
-    axes = np.vstack([np.eye(n), -np.eye(n)])
-    rng = np.random.default_rng(seed)
-    extra = rng.standard_normal((count, n))
-    extra /= np.linalg.norm(extra, axis=1)[:, None]
-    return np.vstack([axes, extra])
-
-
 def integrability_probe(
     S: GraphSurface,
     radii: Sequence[float] = (1e-1, 10**-1.75, 10**-2.5, 10**-3.25, 1e-4),
@@ -112,8 +107,8 @@ def integrability_probe(
     scales like s^{k+3-n}; the annulus integral converges iff the log-log
     slope exceeds -1.  Slopes within 0.1 of -1 are treated as divergent
     (marginal orders diverge logarithmically)."""
-    dirs = probe_directions(S.n)
-    area = obstruction.sphere_area(S.n)
+    dirs = sphere_directions(S.n, seed=seed)
+    area = sphere_area(S.n)
     shells = []
     for s in sorted(radii, reverse=True):
         vals = [abs(curvature_density_factor(S, s * d)) for d in dirs]

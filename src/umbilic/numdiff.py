@@ -81,8 +81,6 @@ def metric_derivatives(metric: Callable, x, h: float):
     g0 = np.asarray(metric(x), dtype=float)
     dg = np.empty((n, n, n))
     ddg = np.empty((n, n, n, n))
-    plus = []
-    minus = []
     for k in range(n):
         xp = x.copy()
         xm = x.copy()
@@ -90,8 +88,6 @@ def metric_derivatives(metric: Callable, x, h: float):
         xm[k] -= h
         gp = np.asarray(metric(xp), dtype=float)
         gm = np.asarray(metric(xm), dtype=float)
-        plus.append(gp)
-        minus.append(gm)
         dg[k] = (gp - gm) / (2.0 * h)
         ddg[k, k] = (gp - 2.0 * g0 + gm) / h**2
     for k in range(n):

@@ -20,7 +20,6 @@ statement is certified as a polynomial identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -33,8 +32,9 @@ from .polyjet import (
 )
 
 
-class NotUmbilicalJet(ValueError):
-    """Quadratic part of the jet is not a multiple of |x|^2."""
+class NotUmbilical(ValueError):
+    """The height function does not vanish to second order at the origin,
+    or its quadratic part is not a multiple of |x|^2."""
 
 
 # -- spherical function helpers ------------------------------------------------
@@ -49,23 +49,25 @@ def on_sphere(P: MultiPoly) -> SphericalSeries:
     return SphericalSeries.canonicalize(P.n, [(-d, P)], 0, 0)
 
 
-def _decompose_umbilical(poly: MultiPoly) -> Tuple[MultiPoly, Dict[int, MultiPoly]]:
-    """Split f = (H/2n)|x|^2 + sum_k A_k; H returned as zero-degree poly."""
+def umbilical_decompose(poly: MultiPoly) -> Tuple[MultiPoly, Dict[int, MultiPoly]]:
+    """Split f = (H/2n)|x|^2 + sum_{k>=3} A_k into (H, {k: A_k}).
+
+    H is a spatial-constant MultiPoly: a number, or an expression in the
+    parameters (e.g. the symbolic mean curvature H).  Raises NotUmbilical
+    when f does not vanish to second order at the origin or its quadratic
+    part is not a multiple of |x|^2.
+    """
     n = poly.n
     parts = poly.homogeneous_parts()
-    if not parts.get(0, MultiPoly.zero(n)).is_zero or not parts.get(
-        1, MultiPoly.zero(n)
-    ).is_zero:
-        raise NotUmbilicalJet("f must vanish to second order at the origin")
-    quad = parts.get(2, MultiPoly.zero(n))
-    if quad.is_zero:
-        Hp = MultiPoly.zero(n)
-    else:
-        c = poly_divexact(quad, MultiPoly.x_norm_sq(n))
+    if 0 in parts or 1 in parts:
+        raise NotUmbilical("f must vanish to second order at the origin")
+    H = MultiPoly.zero(n)
+    if 2 in parts:
+        c = poly_divexact(parts[2], MultiPoly.x_norm_sq(n))
         if c is None or c.degree() > 0:
-            raise NotUmbilicalJet("quadratic part is not a multiple of |x|^2")
-        Hp = c.scale(2 * n)
-    return Hp, {k: p for k, p in parts.items() if k >= 3}
+            raise NotUmbilical("quadratic part is not a multiple of |x|^2")
+        H = c.scale(2 * n)
+    return H, {k: p for k, p in parts.items() if k >= 3}
 
 
 # -- building blocks of the expansion ----------------------------------------------
@@ -75,19 +77,7 @@ def _series_quotient(P: MultiPoly, rho: MultiPoly, W: int) -> SphericalSeries:
     """P / rho through total order W, for P with min degree >= 2 and
     rho = |x|^2 (1 + tail) with tail of positive order."""
     n = P.n
-    one = SphericalSeries.one(n, None, W)
-    tail = SphericalSeries.canonicalize(n, [(-2, rho)], None, W) - one
-    if not tail.is_zero and tail.leading_order() < 1:
-        raise ValueError("rho must equal |x|^2 to leading order")
-    inv = one
-    power = one
-    sign = 1
-    while True:
-        power = power * tail
-        if power.is_zero:
-            break
-        sign = -sign
-        inv = inv + power.scale(sign)
+    inv = SphericalSeries.canonicalize(n, [(-2, rho)], None, W).power_unit(-1)
     num = SphericalSeries.canonicalize(n, [(-2, P)], None, W)
     return num * inv
 
@@ -125,7 +115,7 @@ def _hess_data(f: Jet, W: int):
     s2 = MultiPoly.zero(n)
     for gi in grad:
         s2 = s2 + gi * gi
-    winv = Jet.of(MultiPoly.const(n, 1) + s2.truncate(W), W).invert_unit()
+    winv = Jet.of(MultiPoly.const(n, 1) + s2.truncate(W), W).power_unit(-1)
     return n, grad, hess, jw, winv
 
 
@@ -170,7 +160,7 @@ def _hess_norm_jet(f: Jet, W: int) -> Jet:
 def script_R_series(f: Jet, W: int = 3) -> SphericalSeries:
     """The exact expansion of Q through total order W for an umbilical jet."""
     n = f.n
-    _decompose_umbilical(f.poly)  # validates umbilicity
+    umbilical_decompose(f.poly)  # validates umbilicity
     q = eta_over_rho_series(f, W)
     G = metric_trace_hessian_series(f, W)
     B2 = hessian_norm_series(f, W)
@@ -300,11 +290,6 @@ def sphere_integral_series(s: SphericalSeries) -> MultiPoly:
     return total
 
 
-def sphere_area(n: int) -> float:
-    """|S^{n-1}| = 2 pi^{n/2} / Gamma(n/2)."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
 def integrated_identity(A3: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
     """Both sides of the integrated obstruction identity, in units of the
     sphere area: the integral of the obstruction function equals
@@ -426,7 +411,7 @@ def expansion_coefficients(f: Jet, W: int = 3) -> ObstructionReport:
     first two cancel identically, compare the order-2 coefficient with the
     obstruction function, and run the integral and dimension-6 follow-ups."""
     n = f.n
-    _, parts = _decompose_umbilical(f.poly)
+    _, parts = umbilical_decompose(f.poly)
     A3 = parts.get(3, MultiPoly.zero(n))
     series = script_R_series(f, W)
     c0 = series.coefficient(0)

@@ -221,11 +221,6 @@ class MultiPoly:
             return -1
         return max(sum(e) for e, _ in self.terms)
 
-    def min_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return min(sum(e) for e, _ in self.terms)
-
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e, _ in self.terms}
         return len(degs) <= 1
@@ -511,20 +506,6 @@ class Jet:
             raise ValueError("jet is not a unit with constant part 1")
         return s
 
-    def invert_unit(self) -> "Jet":
-        """Inverse of a jet with constant part exactly 1 (geometric series)."""
-        s = self._unit_correction()
-        out = MultiPoly.const(self.n, 1)
-        power = MultiPoly.const(self.n, 1)
-        sign = 1
-        for _ in range(self.order):
-            power = (power * s).truncate(self.order)
-            if power.is_zero:
-                break
-            sign = -sign
-            out = out + power.scale(sign)
-        return Jet(out, self.order)
-
     def power_unit(self, exponent) -> "Jet":
         """Binomial series (1 + s)^exponent for a jet 1 + s; exponent rational."""
         e = _as_fraction(exponent)
@@ -692,9 +673,6 @@ class SphericalSeries:
             self.order_max,
         )
 
-    def scale_poly(self, P: MultiPoly) -> "SphericalSeries":
-        return self * SphericalSeries.from_poly(P)
-
     def shift(self, k: int) -> "SphericalSeries":
         """Multiply by r^k (k may be negative)."""
         return SphericalSeries(
@@ -730,7 +708,7 @@ class SphericalSeries:
     # -- units ---------------------------------------------------------------
 
     def _unit_split(self, at_infinity: bool):
-        """Split c * r^m0 * (1 + s) at the dominant end; return (c, m0, s)."""
+        """Split r^m0 * (1 + s) at the dominant end; return (m0, s)."""
         if not self.terms:
             raise ValueError("zero series is not invertible")
         w0 = self.leading_order(at_infinity)
@@ -738,42 +716,23 @@ class SphericalSeries:
         if len(lead) != 1 or lead[0][1].degree() != 0:
             raise ValueError("leading term is not a constant multiple of r^m")
         m0, P0 = lead[0]
-        c = P0.constant_term()
-        if c == 0 or len(P0.terms) != 1:
-            raise ValueError("leading coefficient must be a nonzero rational")
+        if P0.constant_term() != 1 or len(P0.terms) != 1:
+            raise ValueError("power_unit requires unit leading coefficient 1")
         if at_infinity and self.order_min is None:
             raise ValueError("series at infinity needs a finite order_min")
         if not at_infinity and self.order_max is None:
             raise ValueError("series at the origin needs a finite order_max")
-        s = (self.shift(-m0)).scale(Fraction(1) / c) - SphericalSeries.one(
+        s = self.shift(-m0) - SphericalSeries.one(
             self.n,
             None if self.order_min is None else self.order_min - m0,
             None if self.order_max is None else self.order_max - m0,
         )
-        return c, m0, s
-
-    def invert_unit(self, at_infinity: bool = False) -> "SphericalSeries":
-        """Multiplicative inverse when the dominant term is c * r^m0."""
-        c, m0, s = self._unit_split(at_infinity)
-        lo = None if self.order_min is None else self.order_min - m0
-        hi = None if self.order_max is None else self.order_max - m0
-        out = SphericalSeries.one(self.n, lo, hi)
-        power = SphericalSeries.one(self.n, lo, hi)
-        sign = 1
-        while True:
-            power = power * s
-            if power.is_zero:
-                break
-            sign = -sign
-            out = out + power.scale(sign)
-        return out.scale(Fraction(1) / c).shift(-m0)
+        return m0, s
 
     def power_unit(self, exponent, at_infinity: bool = False) -> "SphericalSeries":
         """Binomial series for (r^m0 * (1 + s))^exponent; needs unit constant 1."""
         e = _as_fraction(exponent)
-        c, m0, s = self._unit_split(at_infinity)
-        if c != 1:
-            raise ValueError("power_unit requires unit leading coefficient 1")
+        m0, s = self._unit_split(at_infinity)
         shift_total = e * m0
         if shift_total.denominator != 1:
             raise ValueError("fractional radial power in result")
@@ -798,9 +757,6 @@ class SphericalSeries:
             (m - order, P) for m, P in self.terms if m + P.degree() == order
         ]
         return SphericalSeries.canonicalize(self.n, picked, 0, 0)
-
-    def order_coefficients(self) -> Dict[int, "SphericalSeries"]:
-        return {w: self.coefficient(w) for w in self.orders()}
 
     def radial_derivative(self) -> "SphericalSeries":
         """d/dr at fixed direction: r^w P(theta) -> w r^(w-1) P(theta)."""

@@ -22,6 +22,16 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+def sphere_directions(n: int, count: int = 32, seed: int = 0) -> np.ndarray:
+    """Deterministic direction grid on S^{n-1}: the signed coordinate axes
+    plus `count` seeded pseudo-random unit directions."""
+    axes = np.vstack([np.eye(n), -np.eye(n)])
+    rng = np.random.default_rng(seed)
+    extra = rng.standard_normal((count, n))
+    extra /= np.linalg.norm(extra, axis=1)[:, None]
+    return np.vstack([axes, extra])
+
+
 @dataclass
 class QuadratureRule:
     """Nodes and positive weights on S^{n-1} with sum(weights) = |S^{n-1}|."""

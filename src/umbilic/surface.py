@@ -18,16 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import numdiff
-from .polyjet import Jet, MultiPoly, poly_divexact, poly_from_json, poly_to_json
-
-
-class NotUmbilical(ValueError):
-    """The quadratic part of f is not a scalar multiple of |x|^2."""
+from .polyjet import Jet, MultiPoly, poly_from_json, poly_to_json
 
 
 # -- fast batched polynomial evaluation -----------------------------------------
@@ -336,7 +332,7 @@ def _verify_rho_symbolic(S: GraphSurface) -> RhoIdentityResiduals:
     grad = [fj.diff(i).rejet(D) for i in range(n)]
     hess = [[fj.diff(i).diff(j).rejet(D) for j in range(n)] for i in range(n)]
     grad_sq = sum((grad[i] * grad[i] for i in range(n)), Jet.const(n, 0, D))
-    w = (Jet.const(n, 1, D) + grad_sq).invert_unit()
+    w = (Jet.const(n, 1, D) + grad_sq).power_unit(-1)
 
     xdotgrad = sum((xs[i] * grad[i] for i in range(n)), Jet.const(n, 0, D))
     u = fj - xdotgrad  # eta * sqrt(1+|grad f|^2)
@@ -393,33 +389,6 @@ def _verify_rho_symbolic(S: GraphSurface) -> RhoIdentityResiduals:
     res3 = lap_lhs - (Jet.const(n, 2 * n, D) + 2 * u * w * tr_hess)
 
     return RhoIdentityResiduals(mag(res1), res2_max, mag(res3), exact=True)
-
-
-# -- umbilical decomposition ------------------------------------------------------
-
-
-def umbilical_decompose(S: GraphSurface):
-    """Split a symbolic f into (H, {k: A_k}) with f = (H/2n)|x|^2 + sum A_k.
-
-    H is returned as a Fraction when numeric, else as the spatial-constant
-    MultiPoly (e.g. the symbolic parameter H).  Raises NotUmbilical when the
-    quadratic part is not a multiple of |x|^2.
-    """
-    if not S.symbolic:
-        raise ValueError("umbilical decomposition needs a symbolic surface")
-    n = S.n
-    parts = S.f_jet.poly.homogeneous_parts()
-    quad = parts.get(2, MultiPoly.zero(n))
-    if quad.is_zero:
-        H = Fraction(0)
-    else:
-        q = poly_divexact(quad, MultiPoly.x_norm_sq(n))
-        if q is None or q.degree() > 0:
-            raise NotUmbilical(f"quadratic part {quad!r} is not radial")
-        q = q.scale(2 * n)
-        H = q.constant_term() if not q.param_names() else q
-    higher = {k: p for k, p in parts.items() if k >= 3}
-    return H, higher
 
 
 # -- inverted-cylinder principal curvatures -----------------------------------------

@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 
 import json
-import os
+from fractions import Fraction
 
 import pytest
 
 from umbilic import cli
+from umbilic.polyjet import MultiPoly
 from umbilic.surface import GraphSurface
 
 
@@ -70,6 +71,25 @@ def test_verify_requires_surface(capsys):
     code, _, err = run(["verify", "--n", "3"], capsys)
     assert code == 2
     assert "error" in err
+
+
+def test_non_umbilical_surface_is_usage_error(tmp_path, capsys):
+    # quadratic part x1^2/2 + x2^2 + x3^2/2 is not a multiple of |x|^2
+    x1, x2, x3 = (MultiPoly.var(3, i) for i in range(3))
+    poly = (x1 * x1 + x3 * x3).scale(Fraction(1, 2)) + x2 * x2
+    path = tmp_path / "anisotropic.json"
+    path.write_text(json.dumps(GraphSurface.polynomial(poly).to_json()))
+    for argv in (
+        ["mass", "--chart", "y"],
+        ["mass", "--chart", "z"],
+        ["decay", "--chart", "z"],
+        ["verify"],
+        ["expand"],
+        ["ctheta"],
+    ):
+        code, _, err = run(argv + ["--poly", str(path)], capsys)
+        assert code == 2, argv
+        assert err.startswith("error: "), argv
 
 
 def test_unknown_subcommand_exits_two():
@@ -232,10 +252,3 @@ def test_float_formatting_seventeen_digits():
     assert "0.33333333333333331" in text
     assert "0.10000000000000001" in text
     assert json.loads(text) == {"x": 1.0 / 3.0, "frac": [0.1]}
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("UMBILIC_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    cli._cap_threads()
-    assert os.environ["OMP_NUM_THREADS"] == "2"

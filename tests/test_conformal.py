@@ -116,8 +116,13 @@ def test_probe_agrees_with_classifier_cubic():
     # at n = 5.
     for n, expected in ((5, conformal.INTEGRABLE), (6, conformal.NOT_INTEGRABLE)):
         S = GraphSurface.cubic_x1(n)
-        probe = conformal.integrability_probe(S)
-        assert probe.verdict == expected
+        shells = []
+        for seed in (0, 1, 7):
+            probe = conformal.integrability_probe(S, seed=seed)
+            assert probe.verdict == expected
+            shells.append(probe.shell_values)
+        # the seed moves the random directions, hence the shell averages
+        assert shells[0] != shells[1]
         L = conformal.leading_order_of_R(S)
         assert conformal.classify_integrability(n, L) == expected
 

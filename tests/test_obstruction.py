@@ -244,7 +244,7 @@ def test_expansion_quartic_no_cubic():
 
 def test_script_R_rejects_non_umbilical():
     n = 3
-    with pytest.raises(ob.NotUmbilicalJet):
+    with pytest.raises(ob.NotUmbilical):
         ob.script_R_series(Jet.of(MultiPoly.var(n, 0) ** 2, 6))
 
 

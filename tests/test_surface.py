@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umbilic.obstruction import NotUmbilical, umbilical_decompose
 from umbilic.polyjet import Jet, MultiPoly
 from umbilic.surface import (
     GraphSurface,
-    NotUmbilical,
     PlaneCurve,
     cylinder_inversion_curvatures,
     intrinsic_scalar_curvature,
     point_geometry,
-    umbilical_decompose,
     verify_rho_identities,
 )
 
@@ -161,8 +160,8 @@ def test_umbilical_decompose_basic():
     A4 = MultiPoly.var(n, 1) ** 4
     f = MultiPoly.x_norm_sq(n).scale(H / (2 * n)) + A3 + A4
     S = GraphSurface.polynomial(f, order=6)
-    h, parts = umbilical_decompose(S)
-    assert h == H
+    h, parts = umbilical_decompose(S.f_jet.poly)
+    assert h == MultiPoly.const(n, H)
     assert parts[3] == A3
     assert parts[4] == A4
     assert set(parts) == {3, 4}
@@ -173,7 +172,7 @@ def test_umbilical_decompose_symbolic_H():
     Hp = MultiPoly.param(n, "H")
     f = MultiPoly.x_norm_sq(n) * Hp.scale(Fraction(1, 2 * n))
     S = GraphSurface.polynomial(f, order=6)
-    h, parts = umbilical_decompose(S)
+    h, parts = umbilical_decompose(S.f_jet.poly)
     assert h == Hp
     assert parts == {}
 
@@ -183,7 +182,7 @@ def test_umbilical_decompose_rejects_anisotropic():
     f = MultiPoly.var(n, 0) ** 2  # x1^2 is not a multiple of |x|^2
     S = GraphSurface.polynomial(f, order=6)
     with pytest.raises(NotUmbilical):
-        umbilical_decompose(S)
+        umbilical_decompose(S.f_jet.poly)
 
 
 def test_umbilical_decompose_sphere():
@@ -191,8 +190,8 @@ def test_umbilical_decompose_sphere():
     n = 3
     R = Fraction(2)
     S = GraphSurface.sphere(n, R, order=7)
-    h, parts = umbilical_decompose(S)
-    assert h == Fraction(n) / R
+    h, parts = umbilical_decompose(S.f_jet.poly)
+    assert h == MultiPoly.const(n, Fraction(n) / R)
     assert 3 not in parts
     assert parts[4] == (MultiPoly.x_norm_sq(n) ** 2).scale(Fraction(1, 8) / R**3)
 
@@ -252,13 +251,9 @@ def test_surface_builtins():
     for name in ("flat", "sphere", "quartic_x1", "cubic_x1"):
         S = GraphSurface.builtin(name, 3)
         assert S.symbolic
-        h, _ = umbilical_decompose(S)
-        if name in ("flat", "cubic_x1"):
-            pass
-        elif name == "sphere":
-            assert h == 3
-        elif name == "quartic_x1":
-            assert h == 3  # quadratic part |x|^2/2 means H = n
+        h, _ = umbilical_decompose(S.f_jet.poly)
+        # the unit sphere and the |x|^2/2 quadratic part both give H = n
+        assert h == MultiPoly.const(3, 0 if name == "flat" else 3)
 
 
 def test_batch_matches_pointwise():
