@@ -13,9 +13,11 @@ the cubic coefficient of the height function vanishes.
 
 The module computes the components of the rescaled metric rho^{-2} g in
 each chart, both numerically (with the deviation from the flat metric in
-closed form, so no precision is lost to cancellation at large radius) and
-as an exact symbolic descending series in the radius.  A least-squares
-decay-order estimator certifies the asymptotic flatness orders.
+closed form: in the inverted chart no precision is lost to cancellation at
+large radius, in the corrected chart O(t^-2) pieces cancel to the O(t^-4)
+deviation) and as an exact symbolic descending series in the radius.  A
+least-squares decay-order estimator certifies the asymptotic flatness
+orders.
 """
 
 from __future__ import annotations
@@ -171,59 +173,65 @@ def chart_for(S: GraphSurface, flag: str) -> Chart:
 # with s = |y|^2 and f, grad f evaluated at x = y/s.  The deviation from
 # the flat metric is assembled from the small quantities s f^2 and v
 # directly, so its relative accuracy does not degrade as |y| grows.
+#
+# The corrected chart has dy/dz = phi P with phi^2 = 1 + a, a = c/t^2 and
+# P = I - gamma zhat zhat^T, gamma = a/(1+a).  Conjugating g^y by it gives
+#
+#   g^z - I = A I - k conf zhat zhat^T + (1+a) conf w w^T,   w = P v,
+#
+# with conf = (1 + s f^2)^{-2}, A = (1+a) (conf - 1) + a and
+# k = (1+a) gamma (2 - gamma) = a (2+a)/(1+a).  A and k are O(t^-2) and
+# cancel to the O(t^-4) deviation, so in this chart the relative error
+# grows like t^2 times the rounding error.
 
 
-def _deviation_inverted(S: GraphSurface, ys: np.ndarray) -> np.ndarray:
-    n = S.n
+def _inverted_pieces(S: GraphSurface, ys: np.ndarray):
+    """conf - 1, conf, v and yhat of the inverted-chart closed form."""
     s = np.sum(ys * ys, axis=1)
     if np.any(s <= 0.0):
         raise ChartDomainError("chart points must be nonzero")
-    xs = ys / s[:, None]
-    fv = S.f_value_batch(xs)
-    gr = S.f_grad_batch(xs)
+    fv, gr = S.f_derivatives_batch(ys / s[:, None])
     eps = s * fv * fv
     conf = 1.0 / ((1.0 + eps) * (1.0 + eps))
     confm1 = -eps * (2.0 + eps) * conf  # (1+eps)^{-2} - 1 without rounding
     yhat = ys / np.sqrt(s)[:, None]
     dots = np.sum(yhat * gr, axis=1)
     v = gr - 2.0 * dots[:, None] * yhat
-    out = confm1[:, None, None] * np.eye(n)[None, :, :]
-    out += conf[:, None, None] * v[:, :, None] * v[:, None, :]
+    return confm1, conf, v, yhat
+
+
+def _assemble(diag: np.ndarray, coefs, vecs) -> np.ndarray:
+    """diag I + sum_k coefs[k] vecs[k] vecs[k]^T, shape (N, n, n), from one
+    stacked (N, n, K) @ (N, K, n) product."""
+    V = np.stack(vecs, axis=1)
+    out = (np.stack(coefs, axis=1)[:, :, None] * V).transpose(0, 2, 1) @ V
+    N, n = out.shape[:2]
+    out.reshape(N, n * n)[:, :: n + 1] += diag[:, None]
     return out
 
 
+def _deviation_inverted(S: GraphSurface, ys: np.ndarray) -> np.ndarray:
+    confm1, conf, v, _ = _inverted_pieces(S, ys)
+    return _assemble(confm1, [conf], [v])
+
+
 def _deviation_corrected(S: GraphSurface, chart: Chart, zs: np.ndarray) -> np.ndarray:
-    n = S.n
     t2 = np.sum(zs * zs, axis=1)
     if np.any(t2 <= 0.0):
         raise ChartDomainError("chart points must be nonzero")
     a = chart.c / t2
-    phi = np.sqrt(1.0 + a)
-    hy = _deviation_inverted(S, phi[:, None] * zs)
-    zhat = zs / np.sqrt(t2)[:, None]
+    confm1, conf, v, zhat = _inverted_pieces(S, np.sqrt(1.0 + a)[:, None] * zs)
     gamma = a / (1.0 + a)
-    # dy/dz = phi (I - gamma zhat zhat^T) is symmetric; conjugate the
-    # inverted-chart metric and add the exact flat-part correction
-    # (dy/dz)^2 - I = a I - (2a - a^2/(1+a)) zhat zhat^T.
-    u = np.einsum("pij,pj->pi", hy, zhat)
-    q = np.einsum("pi,pi->p", u, zhat)
-    zz = zhat[:, :, None] * zhat[:, None, :]
-    mid = (
-        hy
-        - gamma[:, None, None] * (zhat[:, :, None] * u[:, None, :] + u[:, :, None] * zhat[:, None, :])
-        + (gamma * gamma * q)[:, None, None] * zz
-    )
-    out = ((1.0 + a))[:, None, None] * mid
-    out += a[:, None, None] * np.eye(n)[None, :, :]
-    out -= (2.0 * a - a * a / (1.0 + a))[:, None, None] * zz
-    return out
+    w = v - (gamma * np.sum(zhat * v, axis=1))[:, None] * zhat
+    k = (1.0 + a) * gamma * (2.0 - gamma)
+    A = (1.0 + a) * confm1 + a
+    return _assemble(A, [-k * conf, (1.0 + a) * conf], [zhat, w])
 
 
 def _deviation_graph(S: GraphSurface, xs: np.ndarray) -> np.ndarray:
     n = S.n
     s = np.sum(xs * xs, axis=1)
-    fv = S.f_value_batch(xs)
-    gr = S.f_grad_batch(xs)
+    fv, gr = S.f_derivatives_batch(xs)
     rho = s + fv * fv
     if np.any(rho <= 0.0):
         raise ChartDomainError("the rescaled metric is singular at the point")
@@ -233,8 +241,10 @@ def _deviation_graph(S: GraphSurface, xs: np.ndarray) -> np.ndarray:
 
 def ghat_deviation_batch(S: GraphSurface, chart: Chart, pts: np.ndarray) -> np.ndarray:
     """Components of (rescaled metric - identity) at chart points, shape
-    (N, n, n), accurate in a relative sense even where the deviation is
-    tiny."""
+    (N, n, n).  In the inverted chart they keep their relative accuracy
+    at any radius; in the corrected chart O(t^-2) pieces cancel to the
+    O(t^-4) deviation, so the relative error grows like t^2 times the
+    rounding error."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if chart.kind == INVERTED_Y:
         return _deviation_inverted(S, pts)

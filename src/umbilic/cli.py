@@ -192,12 +192,14 @@ def cmd_mass(args) -> int:
         chart = _chart(S, args.chart)
         chart_kind = chart.kind
         surface_json = S.to_json()
+        cancellation = None
         if S.symbolic:
-            cancellation = mass.symbolic_mass_cancellation(
-                S.f_jet, chart_kind
-            ).to_json()
-        else:
-            cancellation = None
+            try:
+                cancellation = mass.symbolic_mass_cancellation(
+                    S.f_jet, chart_kind
+                ).to_json()
+            except ChartRequirementError:
+                pass  # the certificate needs a vanishing cubic; the sweep does not
         source = S
 
     radii = _radii(args)
@@ -294,6 +296,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=int, default=7, help="jet truncation order")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
+
+
+def _add_format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
@@ -314,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("mass", help="mass sweep and extrapolation")
     _add_surface_flags(pm)
     _add_common_flags(pm)
+    _add_format_flag(pm)
     pm.add_argument("--fixture", help="use a reference metric, e.g. schwarzschild")
     pm.add_argument("--m", type=float, default=1.0, help="fixture mass")
     pm.add_argument("--chart", choices=["y", "z"], default="y")
@@ -329,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("decay", help="fit the metric deviation decay order")
     _add_surface_flags(pd)
     _add_common_flags(pd)
+    _add_format_flag(pd)
     pd.add_argument("--chart", choices=["y", "z"], default="y")
     pd.add_argument("--radii", help="comma-separated sweep radii")
     pd.set_defaults(fn=cmd_decay)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,27 +30,45 @@ from .polyjet import Jet, MultiPoly, poly_from_json, poly_to_json
 
 
 class BatchPoly:
-    """Vectorized float evaluator for a parameter-free MultiPoly."""
+    """Vectorized float evaluator for a list of K parameter-free MultiPolys.
 
-    def __init__(self, P: MultiPoly):
-        if P.param_names():
+    All polynomials share one monomial table.  A call raises the points to
+    every power x_i^e that occurs (one `**`), forms each monomial as the
+    product of its nonzero-exponent factors (padded with x_0^0 = 1 to the
+    widest support), and returns the (N, K) values from one matrix product.
+    """
+
+    def __init__(self, polys: Sequence[MultiPoly]):
+        if any(P.param_names() for P in polys):
             raise ValueError("batch evaluation needs numeric coefficients")
-        self.n = P.n
-        exps = []
-        coeffs = []
-        for (e, _), c in P.terms.items():
-            exps.append(e)
-            coeffs.append(float(c))
-        self.exps = np.array(exps, dtype=np.int64).reshape(-1, P.n)
-        self.coeffs = np.array(coeffs)
+        column: dict = {}
+        for P in polys:
+            for e, _ in P.terms:
+                column.setdefault(e, len(column))
+        self.coeffs = np.zeros((len(column), len(polys)))
+        for k, P in enumerate(polys):
+            for (e, _), c in P.terms.items():
+                self.coeffs[column[e], k] = float(c)
+        # factor table rows: x_0^0 first, then every (i, e) with e > 0 in use
+        factor = {(0, 0): 0}
+        supports = [
+            [factor.setdefault((i, ei), len(factor)) for i, ei in enumerate(e) if ei]
+            for e in column
+        ]
+        width = max([1] + [len(f) for f in supports])
+        self.var = np.array([i for i, _ in factor], dtype=np.intp)
+        self.exp = np.array([e for _, e in factor], dtype=float)[:, None]
+        self.rows = np.array(
+            [f + [0] * (width - len(f)) for f in supports], dtype=np.intp
+        ).reshape(-1, width)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.coeffs.size == 0:
-            return np.zeros(pts.shape[0])
-        # (N, T) monomial values
-        mono = np.prod(pts[:, None, :] ** self.exps[None, :, :], axis=2)
-        return mono @ self.coeffs
+            return np.zeros((pts.shape[0], self.coeffs.shape[1]))
+        table = pts.T[self.var] ** self.exp  # (factors, N)
+        mono = table[self.rows].prod(axis=1)  # (T, N)
+        return mono.T @ self.coeffs
 
 
 # -- the surface ------------------------------------------------------------
@@ -162,59 +180,50 @@ class GraphSurface:
 
     # -- derivative access ----------------------------------------------------
 
-    def _sym(self, key: str):
-        if key not in self._cache:
-            p = self.f_jet.poly
-            if key == "grad":
-                self._cache[key] = [BatchPoly(p.diff(i)) for i in range(self.n)]
-            elif key == "hess":
-                self._cache[key] = [
-                    [BatchPoly(p.diff(i).diff(j)) for j in range(self.n)]
-                    for i in range(self.n)
-                ]
-            elif key == "val":
-                self._cache[key] = BatchPoly(p)
-        return self._cache[key]
+    def _sym(self, order: int) -> BatchPoly:
+        """The evaluator of [f], [f, grad f] or [f, grad f, Hess f] (the
+        Hessian row-major) for derivative order 0, 1 or 2."""
+        if order not in self._cache:
+            polys = [self.f_jet.poly]
+            if order > 0:
+                polys += [polys[0].diff(i) for i in range(self.n)]
+            if order > 1:
+                polys += [g.diff(j) for g in polys[1:] for j in range(self.n)]
+            self._cache[order] = BatchPoly(polys)
+        return self._cache[order]
 
     def f_value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
         if self.symbolic:
-            return float(self._sym("val")(x[None, :])[0])
-        return float(self.f_num(x))
+            return float(self._sym(0)(x)[0, 0])
+        return float(self.f_num(np.asarray(x, dtype=float)))
 
     def f_grad(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
         if self.symbolic:
-            g = self._sym("grad")
-            return np.array([float(gi(x[None, :])[0]) for gi in g])
+            return self._sym(1)(x)[0, 1:]
+        x = np.asarray(x, dtype=float)
         h = self.fd_step * max(1.0, float(np.linalg.norm(x)))
         return numdiff.gradient(self.f_num, x, h)
 
     def f_hess(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
         if self.symbolic:
-            hs = self._sym("hess")
-            return np.array(
-                [[float(hs[i][j](x[None, :])[0]) for j in range(self.n)]
-                 for i in range(self.n)]
-            )
+            return self._sym(2)(x)[0, self.n + 1:].reshape(self.n, self.n)
+        x = np.asarray(x, dtype=float)
         scale = max(1.0, float(np.linalg.norm(x)))
         h2 = 0.1 * math.sqrt(self.fd_step) * scale
         return numdiff.hessian(self.f_num, x, h2)
 
-    # Batched variants (used by chart pull-backs and quadrature).
-
-    def f_value_batch(self, pts: np.ndarray) -> np.ndarray:
+    def f_derivatives_batch(self, pts: np.ndarray, order: int = 1) -> tuple:
+        """f, grad f and (for order 2) Hess f at the rows of pts, shaped
+        (N,), (N, n) and (N, n, n): one evaluator call on a symbolic
+        surface, per-point finite differences on a numeric one."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        N, n = pts.shape
         if self.symbolic:
-            return self._sym("val")(pts)
-        return np.array([float(self.f_num(p)) for p in np.atleast_2d(pts)])
-
-    def f_grad_batch(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        if self.symbolic:
-            g = self._sym("grad")
-            return np.stack([gi(pts) for gi in g], axis=1)
-        return np.stack([self.f_grad(p) for p in pts], axis=0)
+            parts = np.split(self._sym(order)(pts), [1, n + 1], axis=1)
+        else:
+            fns = (self.f_value, self.f_grad, self.f_hess)
+            parts = [np.array([fn(p) for p in pts]) for fn in fns[: order + 1]]
+        return tuple(v.reshape((N,) + (n,) * k) for k, v in enumerate(parts[: order + 1]))
 
 
 # -- pointwise geometry -------------------------------------------------------
@@ -230,14 +239,17 @@ class PointGeometry:
     rho: float
     eta: float
     w: float  # sqrt(1 + |grad f|^2)
+    f: float
+    grad: np.ndarray
+    hess: np.ndarray
 
 
 def point_geometry(S: GraphSurface, x) -> PointGeometry:
-    """Metric, second fundamental form, curvatures, rho and eta at x."""
+    """Metric, second fundamental form, curvatures, rho and eta at x, with
+    the f, grad f and Hess f they were computed from."""
     x = np.asarray(x, dtype=float)
-    f = S.f_value(x)
-    grad = S.f_grad(x)
-    hess = S.f_hess(x)
+    fs, grads, hesses = S.f_derivatives_batch(x, 2)
+    f, grad, hess = float(fs[0]), grads[0], hesses[0]
     w2 = 1.0 + float(grad @ grad)
     w = math.sqrt(w2)
     g = np.eye(S.n) + np.outer(grad, grad)
@@ -249,7 +261,7 @@ def point_geometry(S: GraphSurface, x) -> PointGeometry:
     R_g = H * H - II_norm_sq
     rho = float(x @ x) + f * f
     eta = (f - float(x @ grad)) / w
-    return PointGeometry(g, g_inv, II, H, R_g, rho, eta, w)
+    return PointGeometry(g, g_inv, II, H, R_g, rho, eta, w, f, grad, hess)
 
 
 def intrinsic_scalar_curvature(S: GraphSurface, x, h: float = 1e-3) -> float:
@@ -292,9 +304,7 @@ def verify_rho_identities(S: GraphSurface, x) -> RhoIdentityResiduals:
 def _verify_rho_numeric(S: GraphSurface, x) -> RhoIdentityResiduals:
     x = np.asarray(x, dtype=float)
     geo = point_geometry(S, x)
-    f = S.f_value(x)
-    grad = S.f_grad(x)
-    hess = S.f_hess(x)
+    f, grad, hess = geo.f, geo.grad, geo.hess
 
     rho_grad = 2.0 * x + 2.0 * f * grad
     rho_hess = 2.0 * np.eye(S.n) + 2.0 * np.outer(grad, grad) + 2.0 * f * hess

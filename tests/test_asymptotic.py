@@ -327,6 +327,27 @@ def test_series_residual_slope():
     assert slope <= -5.8
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_corrected_radial_minus_trace_matches_series(n):
+    # g_tt - tr of the corrected-chart pull-back against the exact series
+    # (window -7, its constant 1 - n removed exactly) at every default mass
+    # radius.  Series truncation sets the error at t <= 100; beyond that the
+    # cancelling O(t^-2) pieces leave about 4e-10 at t = 1000.
+    from umbilic.mass import DEFAULT_RADII
+    from umbilic.quadrature import sphere_directions
+
+    S = GraphSurface.quartic_x1(n)
+    ch = asym.chart_for(S, "z")
+    gtt, tr = asym.ghat_radial_trace_series(S.f_jet, asym.CORRECTED_Z, -7)
+    series = gtt - tr + SphericalSeries.one(n, -7, 0).scale(n - 1)
+    dirs = sphere_directions(n, count=64, seed=3)
+    for t, tol in zip(DEFAULT_RADII, (1e-3, 1e-5, 1e-7, 1e-8, 1e-8)):
+        dev = asym.ghat_deviation_batch(S, ch, t * dirs)
+        num = np.einsum("pij,pi,pj->p", dev, dirs, dirs) - np.einsum("pii->p", dev)
+        ref = np.array([series.evaluate(list(t * d)) for d in dirs])
+        assert np.max(np.abs(num - ref)) <= tol * np.max(np.abs(ref))
+
+
 # -- decay-order estimation -------------------------------------------------------
 
 

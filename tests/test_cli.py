@@ -165,6 +165,20 @@ def test_mass_bad_radii(capsys):
     assert code == 2
 
 
+def test_mass_nonzero_cubic_runs_without_certificate(capsys):
+    # the exact certificate needs a vanishing cubic, the inverted-chart
+    # sweep does not: report a null certificate instead of a traceback
+    code, out, _ = run(
+        ["mass", "--builtin", "cubic_x1", "--n", "4", "--chart", "y",
+         "--radii", "10,31.6,100,1000", "--quad-deg", "6"],
+        capsys,
+    )
+    assert code in (0, 1)
+    d = load(out)
+    assert d["symbolic_cancellation"] is None
+    assert [e["radius"] for e in d["sweeps"]] == [10.0, 31.6, 100.0, 1000.0]
+
+
 # -- decay ----------------------------------------------------------------------
 
 
@@ -252,3 +266,12 @@ def test_float_formatting_seventeen_digits():
     assert "0.33333333333333331" in text
     assert "0.10000000000000001" in text
     assert json.loads(text) == {"x": 1.0 / 3.0, "frac": [0.1]}
+
+
+@pytest.mark.parametrize("command", ["verify", "expand", "ctheta"])
+def test_format_rejected_where_unused(command, capsys):
+    # only mass and decay read --format; elsewhere argparse rejects it
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--builtin", "cubic_x1", "--n", "4", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err

@@ -257,10 +257,73 @@ def test_surface_builtins():
 
 
 def test_batch_matches_pointwise():
-    S = GraphSurface.quartic_x1(3)
+    # symbolic surfaces batch through the shared evaluator, numeric ones
+    # loop over the pointwise finite differences
+    sym = GraphSurface.quartic_x1(3)
     pts = RNG.uniform(-0.3, 0.3, size=(8, 3))
-    vals = S.f_value_batch(pts)
-    grads = S.f_grad_batch(pts)
-    for i, p in enumerate(pts):
-        assert vals[i] == pytest.approx(S.f_value(p), abs=1e-14)
-        assert np.max(np.abs(grads[i] - S.f_grad(p))) < 1e-14
+    for S in (sym, GraphSurface(3, f_num=sym.f_value)):
+        vals, grads, hesses = S.f_derivatives_batch(pts, 2)
+        assert vals.shape == (8,) and grads.shape == (8, 3) and hesses.shape == (8, 3, 3)
+        for order in (0, 1):
+            lower = S.f_derivatives_batch(pts, order)
+            assert len(lower) == order + 1
+            for a, b in zip(lower, (vals, grads)):
+                assert np.max(np.abs(a - b)) < 1e-14
+        for i, p in enumerate(pts):
+            assert vals[i] == pytest.approx(S.f_value(p), abs=1e-14)
+            assert np.max(np.abs(grads[i] - S.f_grad(p))) < 1e-14
+            assert np.max(np.abs(hesses[i] - S.f_hess(p))) < 1e-14
+
+
+def random_mixed(n, rng, n_terms=10):
+    """Terms of degree 2..6 whose supports mix one to four variables."""
+    p = MultiPoly.zero(n)
+    for _ in range(n_terms):
+        e = [0] * n
+        for i in rng.choice(n, size=int(rng.integers(1, 5)), replace=True):
+            e[i] += 1
+        e[int(rng.integers(0, n))] += 2 if sum(e) < 2 else int(rng.integers(0, 3))
+        c = Fraction(int(rng.choice([-5, -3, -1, 2, 4, 7])), int(rng.integers(1, 9)))
+        p = p + MultiPoly(n, {(tuple(e), ()): Fraction(1)}).scale(c)
+    return p
+
+
+EVALUATOR_CASES = [(name, n) for name in ("flat", "sphere", "quartic_x1", "cubic_x1")
+                   for n in range(3, 8)] + [("mixed", 4), ("mixed", 6)]
+
+
+@pytest.mark.parametrize("name,n", EVALUATOR_CASES)
+def test_batch_evaluator_matches_exact(name, n):
+    # f, grad f and Hess f from the shared evaluator against exact
+    # MultiPoly.evaluate at seeded points with denominator 64, to 1e-13
+    # relative to each column's largest exact value; the sphere jets have
+    # hundreds of terms, so their exact check samples every tenth point.
+    rng = np.random.default_rng(1000 * n + len(name))
+    if name == "mixed":
+        S = GraphSurface.polynomial(random_mixed(n, rng))
+        assert max(sum(1 for ei in e if ei) for e, _ in S.f_jet.poly.terms) > 1
+    else:
+        S = GraphSurface.builtin(name, n)
+    p = S.f_jet.poly
+    grad = [p.diff(i) for i in range(n)]
+    polys = [p] + grad + [g.diff(j) for g in grad for j in range(n)]
+    num = rng.integers(-19, 20, size=(1000, n))
+    pts = num / 64.0
+    checked = range(0, 1000, 10 if name == "sphere" else 1)
+    exact = np.array(
+        [[float(q.evaluate([Fraction(int(k), 64) for k in num[r]])) for q in polys]
+         for r in checked]
+    )
+    scale = np.max(np.abs(exact), axis=0)
+
+    def assert_close(got, want):
+        k = got.shape[1]
+        assert np.all(np.abs(got - want[:, :k]) <= 1e-13 * scale[:k])
+
+    for order in (0, 1, 2):
+        parts = S.f_derivatives_batch(pts, order)
+        flat = np.concatenate([v.reshape(1000, -1) for v in parts], axis=1)
+        assert flat.shape == (1000, [1, n + 1, 1 + n + n * n][order])
+        assert_close(flat[list(checked)], exact)
+    one = np.concatenate([[S.f_value(pts[0])], S.f_grad(pts[0]), S.f_hess(pts[0]).ravel()])
+    assert_close(one[None, :], exact[:1])
