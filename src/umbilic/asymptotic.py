@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .numdiff import power_law_fit
+from .numdiff import RADIAL_STEP, metric_derivatives, power_law_fit
 from .obstruction import umbilical_decompose
 from .polyjet import Jet, MultiPoly, SphericalSeries
 from .quadrature import sphere_directions
@@ -492,47 +492,23 @@ def decay_order_estimate(
     chart: Chart,
     radii: Sequence[float],
     seed: int = 0,
-    fd_scale: float = 1e-4,
 ) -> DecayFit:
     """Fit log max|deviation| (and central-difference first and second
-    derivatives in chart coordinates) against log radius on a fixed
-    angular grid.  All magnitudes below 1e-14 reports tau_hat = inf."""
+    derivatives in chart coordinates, step numdiff.RADIAL_STEP times the
+    radius) against log radius on a fixed angular grid.  Needs two distinct
+    radii; all magnitudes below 1e-14 reports tau_hat = inf."""
     radii = sorted(float(r) for r in radii)
-    if len(radii) < 2:
-        raise ValueError("at least two radii are required")
-    n = S.n
-    dirs = sphere_directions(n, seed=seed)
+    if len(set(radii)) < 2:
+        raise ValueError("at least two distinct radii are required")
+    dirs = sphere_directions(S.n, seed=seed)
     h_max, dh_max, ddh_max = [], [], []
     for r in radii:
-        pts = r * dirs
-        h = fd_scale * r
-        base = ghat_deviation_batch(S, chart, pts)
-        d1 = 0.0
-        d2 = 0.0
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            p = ghat_deviation_batch(S, chart, pts + e)
-            m = ghat_deviation_batch(S, chart, pts - e)
-            d1 = max(d1, float(np.max(np.abs((p - m) / (2.0 * h)))))
-            d2 = max(d2, float(np.max(np.abs((p - 2.0 * base + m) / (h * h)))))
-        for k in range(n):
-            for l in range(k + 1, n):
-                ek = np.zeros(n)
-                ek[k] = h
-                el = np.zeros(n)
-                el[l] = h
-                pp = ghat_deviation_batch(S, chart, pts + ek + el)
-                pm = ghat_deviation_batch(S, chart, pts + ek - el)
-                mp = ghat_deviation_batch(S, chart, pts - ek + el)
-                mm = ghat_deviation_batch(S, chart, pts - ek - el)
-                d2 = max(
-                    d2,
-                    float(np.max(np.abs((pp - pm - mp + mm) / (4.0 * h * h)))),
-                )
+        base, d1, d2 = metric_derivatives(
+            lambda p: ghat_deviation_batch(S, chart, p), r * dirs, RADIAL_STEP * r
+        )
         h_max.append(float(np.max(np.abs(base))))
-        dh_max.append(d1)
-        ddh_max.append(d2)
+        dh_max.append(float(np.max(np.abs(d1))))
+        ddh_max.append(float(np.max(np.abs(d2))))
     if max(h_max) < 1e-14:
         return DecayFit(
             chart.kind, radii, h_max, dh_max, ddh_max,

@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence
 
 from . import asymptotic, conformal, mass, obstruction
 from .asymptotic import ChartRequirementError
+from .numdiff import RADIAL_STEP
 from .obstruction import NotUmbilical
 from .polyjet import MultiPoly, poly_to_json
 from .quadrature import QuadratureRule, default_degree
@@ -125,6 +126,14 @@ def _load_surface(args) -> GraphSurface:
     raise UsageError("one of --builtin or --poly is required")
 
 
+def _usage(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with a ValueError reported as a usage error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
 def _chart(S: GraphSurface, flag: str) -> asymptotic.Chart:
     try:
         return asymptotic.chart_for(S, flag)
@@ -177,36 +186,37 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mass(args) -> int:
+    # check everything the sweep and the extrapolation need before either runs
+    radii = _radii(args)
+    _usage(mass.check_fit_radii, radii)
     if args.fixture:
         if args.fixture != "schwarzschild":
             raise UsageError(f"unknown fixture {args.fixture!r}")
         n = args.n if args.n is not None else 3
-        source: mass.MetricSource = mass.SchwarzschildField(mass=args.m, n=n)
+        source: mass.MetricSource = _usage(mass.SchwarzschildField, mass=args.m, n=n)
+        # the central differences reach in to radius r (1 - RADIAL_STEP)
+        if min(radii) * (1.0 - RADIAL_STEP) <= source.horizon_radius:
+            raise UsageError("radii must lie outside the horizon sphere |y| = |m|/2")
         chart = None
         chart_kind = asymptotic.INVERTED_Y
         surface_json: object = f"schwarzschild(m={args.m})"
-        cancellation = None
     else:
-        S = _load_surface(args)
-        n = S.n
-        chart = _chart(S, args.chart)
+        source = _load_surface(args)
+        n = source.n
+        chart = _chart(source, args.chart)
         chart_kind = chart.kind
-        surface_json = S.to_json()
-        cancellation = None
-        if S.symbolic:
-            try:
-                cancellation = mass.symbolic_mass_cancellation(
-                    S.f_jet, chart_kind
-                ).to_json()
-            except ChartRequirementError:
-                pass  # the certificate needs a vanishing cubic; the sweep does not
-        source = S
+        surface_json = source.to_json()
+    deg = default_degree(n) if args.quad_deg is None else args.quad_deg
+    rule = _usage(QuadratureRule.sphere, n, deg)
 
-    radii = _radii(args)
-    if len(radii) < 4:
-        raise UsageError("at least four radii are required for extrapolation")
-    deg = args.quad_deg if args.quad_deg else default_degree(n)
-    rule = QuadratureRule.sphere(n, deg)
+    cancellation = None
+    if chart is not None and source.symbolic:
+        try:
+            cancellation = mass.symbolic_mass_cancellation(
+                source.f_jet, chart_kind
+            ).to_json()
+        except ChartRequirementError:
+            pass  # the certificate needs a vanishing cubic; the sweep does not
     sweep = mass.mass_sweep(source, chart, radii, args.formula, rule)
     fit = mass.extrapolate_mass(sweep)
 
@@ -231,7 +241,10 @@ def cmd_mass(args) -> int:
 def cmd_decay(args) -> int:
     S = _load_surface(args)
     chart = _chart(S, args.chart)
-    fit = asymptotic.decay_order_estimate(S, chart, _radii(args), seed=args.seed)
+    radii = _radii(args)
+    if len(set(radii)) < 2:
+        raise UsageError("at least two distinct radii are required")
+    fit = asymptotic.decay_order_estimate(S, chart, radii, seed=args.seed)
     expected = EXPECTED_DECAY[chart.kind]
     ok = fit.tau_hat >= expected - DECAY_TOLERANCE
     out = {

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 from scipy.optimize import least_squares
 
-from . import asymptotic
+from . import asymptotic, numdiff
 from .asymptotic import CORRECTED_Z, INVERTED_Y, Chart
 from .obstruction import sphere_integral_series
 from .polyjet import Jet, MultiPoly, SphericalSeries, poly_to_json
@@ -53,15 +53,27 @@ def mass_normalization(n: int) -> float:
 class SchwarzschildField:
     """The conformally flat reference metric (1 + m/(2|y|))^4 delta on
     R^3 minus a ball, whose mass is exactly m.  Used as a calibration
-    fixture independent of any surface."""
+    fixture independent of any surface.  In other dimensions the
+    calibrated metric has a different power, so only n = 3 is accepted."""
 
     mass: float = 1.0
     n: int = 3
 
+    def __post_init__(self):
+        if self.n != 3:
+            raise ValueError(
+                f"the Schwarzschild fixture is calibrated on R^3 only, not n = {self.n}"
+            )
+
+    @property
+    def horizon_radius(self) -> float:
+        """Points must lie outside the horizon sphere |y| = |m|/2."""
+        return 0.5 * abs(self.mass)
+
     def deviation_batch(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.linalg.norm(pts, axis=1)
-        if np.any(r <= 0.5 * abs(self.mass)):
+        if np.any(r <= self.horizon_radius):
             raise ValueError("points must lie outside the horizon sphere")
         u = self.mass / (2.0 * r)
         # (1+u)^4 - 1 expanded so tiny deviations keep relative accuracy
@@ -116,28 +128,22 @@ def adm_mass_standard(
     chart: Optional[Chart],
     r: float,
     rule: QuadratureRule,
-    fd_scale: float = 1e-4,
 ) -> MassEstimate:
     """The normalized flux integral at radius r with central-difference
-    metric derivatives (step 1e-4 times the radius)."""
+    metric derivatives (step numdiff.RADIAL_STEP times the radius)."""
     n = rule.n
     r = float(r)
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    h = fd_scale * r
     pts = r * rule.nodes
     g = np.eye(n)[None, :, :] + _deviation(source, chart, pts)
     ginv = np.linalg.inv(g)
-    dg = np.empty((pts.shape[0], n, n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        plus = _deviation(source, chart, pts + e)
-        minus = _deviation(source, chart, pts - e)
-        dg[:, k, :, :] = (plus - minus) / (2.0 * h)
+    _, dg, _ = numdiff.metric_derivatives(
+        lambda p: _deviation(source, chart, p), pts, numdiff.RADIAL_STEP * r, order=1
+    )
     # flux_i = g^{jk} (d_k g_ij - d_i g_jk)
-    flux = np.einsum("pjk,pkij->pi", ginv, dg) - np.einsum(
-        "pjk,pijk->pi", ginv, dg
+    flux = np.einsum("pjk,kpij->pi", ginv, dg) - np.einsum(
+        "pjk,ipjk->pi", ginv, dg
     )
     vals = np.einsum("pi,pi->p", flux, rule.nodes)
     value = mass_normalization(n) * r ** (n - 1) * rule.integrate(vals)
@@ -150,28 +156,24 @@ def adm_mass_lee_parker(
     chart: Optional[Chart],
     t: float,
     rule: QuadratureRule,
-    fd_scale: float = 1e-4,
 ) -> MassEstimate:
     """The radial-form integral at radius t: the radial component is
     assembled as sum g_ab nu_a nu_b and the radial derivative is a central
-    difference along each ray."""
+    difference along each ray (step numdiff.RADIAL_STEP times the radius)."""
     n = rule.n
     t = float(t)
     if t <= 0.0:
         raise ValueError("radius must be positive")
-    h = fd_scale * t
 
-    def radial_pair(rr: float):
-        dev = _deviation(source, chart, rr * rule.nodes)
+    def radial_pair(s):
+        # (g_rr - tr, n g_rr - tr) on the sphere of radius s[0]
+        dev = _deviation(source, chart, s[0] * rule.nodes)
         grr = np.einsum("pij,pi,pj->p", dev, rule.nodes, rule.nodes)
         tr = np.einsum("pii->p", dev)
-        return grr, tr
+        return np.stack([grr - tr, n * grr - tr])
 
-    grr0, tr0 = radial_pair(t)
-    grr_p, tr_p = radial_pair(t + h)
-    grr_m, tr_m = radial_pair(t - h)
-    ddr = ((grr_p - tr_p) - (grr_m - tr_m)) / (2.0 * h)
-    vals = ddr + (n * grr0 - tr0) / t
+    F0, dF, _ = numdiff.metric_derivatives(radial_pair, [t], numdiff.RADIAL_STEP * t)
+    vals = dF[0, 0] + F0[1] / t
     value = mass_normalization(n) * t ** (n - 1) * rule.integrate(vals)
     kind = chart.kind if chart is not None else INVERTED_Y
     return MassEstimate(t, value, LEE_PARKER, kind, rule.degree, len(rule.weights))
@@ -214,11 +216,20 @@ class MassExtrapolation:
         }
 
 
+def check_fit_radii(radii: Sequence[float]) -> None:
+    """Raise ValueError unless extrapolate_mass can fit the radii: at least
+    four distinct ones, spanning about 1.5 decades (the gate sits slightly
+    below, so schedules like {10, 30, 100, 300} qualify)."""
+    if len(set(radii)) < 4:
+        raise ValueError("at least four distinct radii are required")
+    if max(radii) / min(radii) < 10.0**1.4:
+        raise ValueError("radii must span at least 1.5 decades")
+
+
 def extrapolate_mass(estimates: Sequence[MassEstimate]) -> MassExtrapolation:
     """Nonlinear least squares for m_inf + a r^{-p}: a grid over p with the
     linear subproblem solved exactly, then a local refinement."""
-    if len(estimates) < 4:
-        raise ValueError("at least four radii are required")
+    check_fit_radii([e.radius for e in estimates])
     formulas = {e.formula for e in estimates}
     charts = {e.chart_kind for e in estimates}
     if len(formulas) != 1 or len(charts) != 1:
@@ -226,10 +237,6 @@ def extrapolate_mass(estimates: Sequence[MassEstimate]) -> MassExtrapolation:
     est = sorted(estimates, key=lambda e: e.radius)
     rs = np.array([e.radius for e in est])
     vs = np.array([e.value for e in est])
-    # nominal requirement: about 1.5 decades; the gate sits slightly below
-    # so schedules like {10, 30, 100, 300} qualify
-    if rs[-1] / rs[0] < 10.0**1.4:
-        raise ValueError("radii must span at least 1.5 decades")
     formula, chart_kind = formulas.pop(), charts.pop()
 
     sst = float(np.sum((vs - np.mean(vs)) ** 2))

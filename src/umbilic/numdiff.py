@@ -1,115 +1,80 @@
-"""Finite-difference helpers: derivatives of scalar fields and curvature of
-a numerically given metric.
+"""Finite-difference helpers: derivatives of array-valued fields and
+curvature of a numerically given metric.
 
-Central differences with one Richardson extrapolation step are the default;
-second derivatives use a larger step than first derivatives because their
-roundoff error scales like eps/h^2.
+`metric_derivatives` is the one central-difference stencil; every finite
+difference in the package goes through it.  `gradient` and `hessian` add
+one Richardson extrapolation step; second derivatives use a larger step
+than first derivatives because their roundoff error scales like eps/h^2.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
-
-def _central(f: Callable, x: np.ndarray, i: int, h: float) -> float:
-    xp = x.copy()
-    xm = x.copy()
-    xp[i] += h
-    xm[i] -= h
-    return (f(xp) - f(xm)) / (2.0 * h)
+# Relative step of the radial central differences: h = RADIAL_STEP * radius.
+RADIAL_STEP = 1e-4
 
 
-def gradient(f: Callable, x, h: float = 1e-5, richardson: bool = True) -> np.ndarray:
-    """Central-difference gradient, Richardson-extrapolated once by default."""
-    x = np.asarray(x, dtype=float)
-    g1 = np.array([_central(f, x, i, h) for i in range(x.size)])
-    if not richardson:
-        return g1
-    g2 = np.array([_central(f, x, i, h / 2.0) for i in range(x.size)])
-    return (4.0 * g2 - g1) / 3.0
+def metric_derivatives(F: Callable, x, h: float, order: int = 2):
+    """Central differences of an array-valued field F at x with step h.
 
-
-def hessian(f: Callable, x, h: float = 3e-4, richardson: bool = True) -> np.ndarray:
-    """Central-difference Hessian (step chosen for the eps/h^2 tradeoff)."""
-    x = np.asarray(x, dtype=float)
-
-    def hess_at(step: float) -> np.ndarray:
-        n = x.size
-        out = np.empty((n, n))
-        f0 = f(x)
-        for i in range(n):
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += step
-            xm[i] -= step
-            out[i, i] = (f(xp) - 2.0 * f0 + f(xm)) / step**2
-        for i in range(n):
-            for j in range(i + 1, n):
-                xpp = x.copy()
-                xpm = x.copy()
-                xmp = x.copy()
-                xmm = x.copy()
-                xpp[[i, j]] += step
-                xmm[[i, j]] -= step
-                xpm[i] += step
-                xpm[j] -= step
-                xmp[i] -= step
-                xmp[j] += step
-                out[i, j] = out[j, i] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (
-                    4.0 * step**2
-                )
-        return out
-
-    h1 = hess_at(h)
-    if not richardson:
-        return h1
-    h2 = hess_at(h / 2.0)
-    return (4.0 * h2 - h1) / 3.0
-
-
-def metric_derivatives(metric: Callable, x, h: float):
-    """First and second coordinate derivatives of a matrix field.
-
-    metric(x) -> (n, n) array.  Returns (g, dg, ddg) with dg[k, i, j] =
-    d_k g_ij and ddg[k, l, i, j] = d_k d_l g_ij.
+    x is one point (n,) or a batch (N, n), the last axis the coordinate,
+    and F(x) is an array of any shape.  Returns (F0, dF, ddF) with the
+    derivative axes first: dF[k] = d_k F and ddF[k, l] = d_k d_l F.
+    order=1 evaluates F at the 2n points x +- h e_k and returns
+    F0 = ddF = None; order=2 also evaluates F(x) and the 2n(n-1) mixed
+    points x +- h e_k +- h e_l.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    g0 = np.asarray(metric(x), dtype=float)
-    dg = np.empty((n, n, n))
-    ddg = np.empty((n, n, n, n))
+    n = x.shape[-1]
+
+    def at(*steps) -> np.ndarray:
+        y = x.copy()
+        for k, step in steps:
+            y[..., k] += step
+        return np.asarray(F(y), dtype=float)
+
+    F0 = at() if order == 2 else None
+    dF = ddF = None
     for k in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h
-        xm[k] -= h
-        gp = np.asarray(metric(xp), dtype=float)
-        gm = np.asarray(metric(xm), dtype=float)
-        dg[k] = (gp - gm) / (2.0 * h)
-        ddg[k, k] = (gp - 2.0 * g0 + gm) / h**2
-    for k in range(n):
-        for l in range(k + 1, n):
-            xpp = x.copy()
-            xpm = x.copy()
-            xmp = x.copy()
-            xmm = x.copy()
-            xpp[[k, l]] += h
-            xmm[[k, l]] -= h
-            xpm[k] += h
-            xpm[l] -= h
-            xmp[k] -= h
-            xmp[l] += h
-            mixed = (
-                np.asarray(metric(xpp), dtype=float)
-                - np.asarray(metric(xpm), dtype=float)
-                - np.asarray(metric(xmp), dtype=float)
-                + np.asarray(metric(xmm), dtype=float)
+        Fp, Fm = at((k, h)), at((k, -h))
+        if dF is None:
+            dF = np.empty((n,) + Fp.shape)
+            if order == 2:
+                ddF = np.empty((n, n) + Fp.shape)
+        dF[k] = (Fp - Fm) / (2.0 * h)
+        if order == 2:
+            ddF[k, k] = (Fp - 2.0 * F0 + Fm) / h**2
+    if order == 2:
+        for k, l in combinations(range(n), 2):
+            ddF[k, l] = ddF[l, k] = (
+                at((k, h), (l, h))
+                - at((k, h), (l, -h))
+                - at((k, -h), (l, h))
+                + at((k, -h), (l, -h))
             ) / (4.0 * h**2)
-            ddg[k, l] = ddg[l, k] = mixed
-    return g0, dg, ddg
+    return F0, dF, ddF
+
+
+def _richardson(F: Callable, x, h: float, order: int) -> np.ndarray:
+    """The order-th derivative, extrapolated once: (4 D(h/2) - D(h)) / 3."""
+    coarse = metric_derivatives(F, x, h, order)[order]
+    fine = metric_derivatives(F, x, h / 2.0, order)[order]
+    return (4.0 * fine - coarse) / 3.0
+
+
+def gradient(f: Callable, x, h: float = 1e-5) -> np.ndarray:
+    """Richardson-extrapolated central-difference gradient, d_k f first."""
+    return _richardson(f, x, h, 1)
+
+
+def hessian(f: Callable, x, h: float = 3e-4) -> np.ndarray:
+    """Richardson-extrapolated central-difference Hessian (step chosen for
+    the eps/h^2 tradeoff)."""
+    return _richardson(f, x, h, 2)
 
 
 def christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:

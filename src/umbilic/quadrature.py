@@ -45,6 +45,8 @@ class QuadratureRule:
     def sphere(n: int, degree: int = 32) -> "QuadratureRule":
         if n < 2:
             raise ValueError("sphere quadrature needs n >= 2")
+        if degree < 0:
+            raise ValueError("quadrature degree must be nonnegative")
         m = degree // 2 + 1  # Gauss points per polar angle
         # Azimuth count: even (so odd monomials cancel exactly by symmetry)
         # and > degree (trapezoid exactness for trigonometric polynomials).

@@ -163,6 +163,36 @@ def test_mass_bad_radii(capsys):
         ["mass", "--builtin", "sphere", "--n", "3", "--radii", "ten"], capsys
     )
     assert code == 2
+    # each of these is refused before any sweep runs, with exit 2 and an
+    # error line instead of a traceback
+    for argv in (
+        ["--builtin", "sphere", "--n", "3", "--radii", "10,20,30,40", "--quad-deg", "6"],
+        ["--builtin", "sphere", "--n", "3", "--quad-deg", "-2"],
+        ["--fixture", "schwarzschild", "--m", "1.0", "--radii", "0.2,1,10,100"],
+        ["--fixture", "schwarzschild", "--m", "1.0", "--radii", "10,10,10,1000"],
+    ):
+        code, out, err = run(["mass"] + argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:"), argv
+
+
+def test_mass_quad_deg_zero_is_not_the_default(capsys):
+    argv = ["mass", "--fixture", "schwarzschild", "--m", "0.5", "--quad-deg"]
+    code, out, _ = run(argv + ["0"], capsys)
+    assert code in (0, 1)
+    assert {e["quad_degree"] for e in load(out)["sweeps"]} == {0}
+
+
+def test_mass_schwarzschild_fixture_needs_n3(capsys):
+    code, out, err = run(
+        ["mass", "--fixture", "schwarzschild", "--n", "4", "--m", "1.0",
+         "--quad-deg", "8"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "R^3" in err
 
 
 def test_mass_nonzero_cubic_runs_without_certificate(capsys):
@@ -209,6 +239,16 @@ def test_decay_quartic_corrected_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "radius,max_h,max_dh,max_ddh"
     assert len(lines) == 6
+
+
+def test_decay_needs_two_distinct_radii(capsys):
+    for radii in ("100", "100,100"):
+        code, out, err = run(
+            ["decay", "--builtin", "sphere", "--n", "3", "--radii", radii], capsys
+        )
+        assert code == 2, radii
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_decay_sphere_inverted(capsys):

@@ -74,6 +74,27 @@ def test_schwarzschild_horizon_guard():
         src.deviation_batch(np.array([[0.5, 0.0, 0.0]]))
 
 
+def test_schwarzschild_only_on_r3():
+    # (1 + m/2r)^4 delta is the calibrated metric only on R^3
+    assert mm.SchwarzschildField(mass=1.0, n=3).n == 3
+    for n in (2, 4, 5):
+        with pytest.raises(ValueError):
+            mm.SchwarzschildField(mass=1.0, n=n)
+
+
+def test_fit_radii_checked_before_any_sweep():
+    mm.check_fit_radii([10.0, 30.0, 100.0, 300.0])
+    for radii in (
+        [10.0, 100.0, 1000.0],
+        [10.0, 10.0, 10.0, 1000.0],
+        [10.0, 20.0, 30.0, 40.0],
+    ):
+        with pytest.raises(ValueError):
+            mm.check_fit_radii(radii)
+        with pytest.raises(ValueError):
+            mm.extrapolate_mass(fake_estimates(radii, [1.0, 2.0, 3.0, 4.0]))
+
+
 def test_surface_source_requires_chart():
     S = GraphSurface.sphere(3)
     rule = QuadratureRule.sphere(3, 8)

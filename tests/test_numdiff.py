@@ -1,0 +1,149 @@
+"""The central-difference stencil: exactness on low-degree polynomials,
+batch and single-point agreement, evaluation counts, array-valued fields,
+and the Richardson-extrapolated gradient and Hessian built on it."""
+
+import numpy as np
+import pytest
+
+from umbilic.numdiff import gradient, hessian, metric_derivatives
+
+RNG = np.random.default_rng(20250101)
+
+
+class Cubic:
+    """F(x) = a.x + x.B.x + C[x, x, x] for each output component, with the
+    output shape `shape` and B, C symmetric in their coordinate axes; x is
+    (n,) or (N, n)."""
+
+    def __init__(self, n, shape=(), rng=RNG):
+        self.shape = shape
+        self.a = rng.normal(size=shape + (n,))
+        B = rng.normal(size=shape + (n, n))
+        self.B = (B + np.swapaxes(B, -1, -2)) / 2.0
+        C = rng.normal(size=shape + (n, n, n))
+        k = len(shape)
+        perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+        axes = lambda p: tuple(range(k)) + tuple(k + i for i in p)  # noqa: E731
+        self.C = sum(np.transpose(C, axes(p)) for p in perms) / 6.0
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        X = np.atleast_2d(x)
+        out = (
+            np.einsum("...i,pi->p...", self.a, X)
+            + np.einsum("...ij,pi,pj->p...", self.B, X, X)
+            + np.einsum("...ijk,pi,pj,pk->p...", self.C, X, X, X)
+        )
+        return out if x.ndim == 2 else out[0]
+
+    def grad(self, x):
+        """d_k F at a single point, derivative axis first."""
+        g = (
+            self.a
+            + 2.0 * np.einsum("...kj,j->...k", self.B, x)
+            + 3.0 * np.einsum("...kij,i,j->...k", self.C, x, x)
+        )
+        return np.moveaxis(g, -1, 0)
+
+    def hess(self, x):
+        """d_k d_l F at a single point, derivative axes first."""
+        H = 2.0 * self.B + 6.0 * np.einsum("...kli,i->...kl", self.C, x)
+        return np.moveaxis(np.moveaxis(H, -1, 0), -1, 0)
+
+
+def quadratic(n, shape=()):
+    F = Cubic(n, shape)
+    F.C[...] = 0.0
+    return F
+
+
+class Counted:
+    def __init__(self, F):
+        self.F = F
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.F(x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_first_derivatives_exact_on_quadratics(n):
+    F = quadratic(n)
+    x = RNG.uniform(-1, 1, n)
+    F0, dF, ddF = metric_derivatives(F, x, 0.1, order=1)
+    assert F0 is None and ddF is None
+    assert dF.shape == (n,)
+    assert np.max(np.abs(dF - F.grad(x))) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_second_derivatives_exact_on_cubics(n):
+    F = Cubic(n)
+    x = RNG.uniform(-1, 1, n)
+    F0, dF, ddF = metric_derivatives(F, x, 0.1)
+    assert F0 == pytest.approx(F(x), abs=0.0)
+    assert ddF.shape == (n, n)
+    assert np.max(np.abs(ddF - F.hess(x))) < 1e-9
+    assert np.array_equal(ddF, ddF.T)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_evaluation_counts(order):
+    for n in (1, 2, 3, 4, 6):
+        F = Counted(Cubic(n))
+        metric_derivatives(F, np.zeros(n), 1e-3, order=order)
+        expect = 2 * n if order == 1 else 1 + 2 * n + 2 * n * (n - 1)
+        assert F.calls == expect, n
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_batch_rows_match_single_points_bitwise(order):
+    n, shape = 3, (2,)
+    F = Cubic(n, shape)
+    pts = RNG.uniform(-2, 2, (7, n))
+    h = 1e-3
+    F0, dF, ddF = metric_derivatives(F, pts, h, order=order)
+    assert dF.shape == (n, 7) + shape
+    for p, x in enumerate(pts):
+        s0, sd, sdd = metric_derivatives(F, x, h, order=order)
+        assert np.array_equal(dF[:, p], sd)
+        if order == 2:
+            assert ddF.shape == (n, n, 7) + shape
+            assert np.array_equal(F0[p], s0)
+            assert np.array_equal(ddF[:, :, p], sdd)
+
+
+def test_vector_and_matrix_valued_fields():
+    n = 4
+    for shape in [(3,), (2, 3), (n, n)]:
+        F = Cubic(n, shape)
+        x = RNG.uniform(-1, 1, n)
+        F0, dF, ddF = metric_derivatives(F, x, 0.1)
+        assert F0.shape == shape
+        assert dF.shape == (n,) + shape
+        assert ddF.shape == (n, n) + shape
+        assert np.max(np.abs(ddF - F.hess(x))) < 1e-9
+        G = quadratic(n, shape)
+        _, dG, _ = metric_derivatives(G, x, 0.1, order=1)
+        assert np.max(np.abs(dG - G.grad(x))) < 1e-9
+
+
+def test_richardson_gradient_and_hessian():
+    def f(x):
+        return float(np.exp(x[0]) * np.sin(x[1]) + x[0] * x[2] ** 3)
+
+    x = np.array([0.3, -0.7, 0.5])
+    e0, s1 = np.exp(x[0]), np.sin(x[1])
+    c1 = np.cos(x[1])
+    g = np.array([e0 * s1 + x[2] ** 3, e0 * c1, 3 * x[0] * x[2] ** 2])
+    H = np.array([
+        [e0 * s1, e0 * c1, 3 * x[2] ** 2],
+        [e0 * c1, -e0 * s1, 0.0],
+        [3 * x[2] ** 2, 0.0, 6 * x[0] * x[2]],
+    ])
+    assert np.max(np.abs(gradient(f, x) - g)) < 1e-9
+    assert np.max(np.abs(hessian(f, x) - H)) < 1e-7
+    # the gradient of a matrix field keeps the derivative axis first
+    G = Cubic(3, (3, 3))
+    assert np.max(np.abs(gradient(G, x, 1e-3) - G.grad(x))) < 1e-8
