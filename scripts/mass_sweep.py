@@ -2,10 +2,15 @@
 """Sweep the mass integrals of the inverted builtin surfaces over a radius
 schedule, extrapolate to infinity, and print a table.
 
+Exits 1 when a row breaks its bound: |m_inf| <= 1e-3 for the spheres,
+|m_inf| <= 1e-2 and |p - (8 - n)| <= 0.5 for the quartics, and
+|m_inf - m| <= 1e-3 for the Schwarzschild fixture.
+
 Usage: python3 scripts/mass_sweep.py [--radii 10,31.6,100,316,1000]
 """
 
 import argparse
+import sys
 import time
 
 from umbilic import asymptotic, mass
@@ -30,6 +35,7 @@ def main() -> int:
         else list(mass.DEFAULT_RADII)
     )
 
+    failed = []
     print(f"{'surface':<11} {'n':>2} {'chart':>5} {'formula':>12} "
           f"{'m_inf':>13} {'p':>6} {'R^2':>8} {'time':>7}")
     for name, n, chart_flag, formula in CASES:
@@ -43,6 +49,12 @@ def main() -> int:
             f"{fit.m_inf:>13.3e} {fit.decay_exponent:>6.2f} "
             f"{fit.fit_quality:>8.5f} {time.monotonic() - t0:>6.1f}s"
         )
+        if name == "sphere":
+            ok = abs(fit.m_inf) <= 1e-3
+        else:
+            ok = abs(fit.m_inf) <= 1e-2 and abs(fit.decay_exponent - (8 - n)) <= 0.5
+        if not ok:
+            failed.append(f"{name} n={n} {formula}")
 
     src = mass.SchwarzschildField(mass=1.0)
     from umbilic.quadrature import QuadratureRule
@@ -56,7 +68,11 @@ def main() -> int:
             f"{fit.m_inf:>13.6f} {fit.decay_exponent:>6.2f} "
             f"{fit.fit_quality:>8.5f}"
         )
-    return 0
+        if abs(fit.m_inf - src.mass) > 1e-3:
+            failed.append(f"schwarzschild m={src.mass} {formula}")
+    for row in failed:
+        print(f"FAILED: {row} is outside its bound", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

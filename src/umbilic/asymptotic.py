@@ -15,9 +15,10 @@ The module computes the components of the rescaled metric rho^{-2} g in
 each chart, both numerically (with the deviation from the flat metric in
 closed form: in the inverted chart no precision is lost to cancellation at
 large radius, in the corrected chart O(t^-2) pieces cancel to the O(t^-4)
-deviation) and as an exact symbolic descending series in the radius.  A
-least-squares decay-order estimator certifies the asymptotic flatness
-orders.
+deviation) and as an exact symbolic descending series in the radius.  The
+radial component and the trace, with their exact radial derivatives, also
+come in closed form without the full matrix.  A least-squares decay-order
+estimator certifies the asymptotic flatness orders.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .numdiff import RADIAL_STEP, metric_derivatives, power_law_fit
+from .numdiff import RADIAL_STEP, Dual, metric_derivatives, power_law_fit
 from .obstruction import umbilical_decompose
 from .polyjet import Jet, MultiPoly, SphericalSeries
 from .quadrature import sphere_directions
@@ -185,15 +186,29 @@ def chart_for(S: GraphSurface, flag: str) -> Chart:
 # grows like t^2 times the rounding error.
 
 
+def _conformal(eps):
+    """conf - 1 and conf = (1 + eps)^{-2}, eps = s f^2; the difference is
+    formed without rounding.  eps is an array or a Dual."""
+    conf = 1.0 / ((1.0 + eps) * (1.0 + eps))
+    return -eps * (2.0 + eps) * conf, conf
+
+
+def _corrected_scalars(confm1, a):
+    """gamma, k and A of the corrected-chart closed form from conf - 1 and
+    a = c/t^2 (arrays or Duals; a = 0 gives the inverted chart)."""
+    gamma = a / (1.0 + a)
+    k = (1.0 + a) * gamma * (2.0 - gamma)
+    A = (1.0 + a) * confm1 + a
+    return gamma, k, A
+
+
 def _inverted_pieces(S: GraphSurface, ys: np.ndarray):
     """conf - 1, conf, v and yhat of the inverted-chart closed form."""
     s = np.sum(ys * ys, axis=1)
     if np.any(s <= 0.0):
         raise ChartDomainError("chart points must be nonzero")
     fv, gr = S.f_derivatives_batch(ys / s[:, None])
-    eps = s * fv * fv
-    conf = 1.0 / ((1.0 + eps) * (1.0 + eps))
-    confm1 = -eps * (2.0 + eps) * conf  # (1+eps)^{-2} - 1 without rounding
+    confm1, conf = _conformal(s * fv * fv)
     yhat = ys / np.sqrt(s)[:, None]
     dots = np.sum(yhat * gr, axis=1)
     v = gr - 2.0 * dots[:, None] * yhat
@@ -221,10 +236,8 @@ def _deviation_corrected(S: GraphSurface, chart: Chart, zs: np.ndarray) -> np.nd
         raise ChartDomainError("chart points must be nonzero")
     a = chart.c / t2
     confm1, conf, v, zhat = _inverted_pieces(S, np.sqrt(1.0 + a)[:, None] * zs)
-    gamma = a / (1.0 + a)
+    gamma, k, A = _corrected_scalars(confm1, a)
     w = v - (gamma * np.sum(zhat * v, axis=1))[:, None] * zhat
-    k = (1.0 + a) * gamma * (2.0 - gamma)
-    A = (1.0 + a) * confm1 + a
     return _assemble(A, [-k * conf, (1.0 + a) * conf], [zhat, w])
 
 
@@ -251,6 +264,56 @@ def ghat_deviation_batch(S: GraphSurface, chart: Chart, pts: np.ndarray) -> np.n
     if chart.kind == CORRECTED_Z:
         return _deviation_corrected(S, chart, pts)
     return _deviation_graph(S, pts)
+
+
+def _rowdot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, n) arrays (no (N, n) temporary)."""
+    return np.einsum("pi,pi->p", u, w)
+
+
+def ghat_radial_trace_batch(
+    S: GraphSurface, chart: Chart, t: float, dirs: np.ndarray
+) -> Tuple[Dual, Dual]:
+    """The radial component g_tt = zhat . (g - I) zhat and the trace
+    tr(g - I) of the deviation on the sphere of chart radius t, at the
+    points t * dirs (unit rows), each a Dual carrying its t-derivative
+    along the rays.  One evaluator call and O(N n) memory.
+
+    With p = zhat . grad f the rank-one form gives zhat . w = -p/(1+a) and
+    |w|^2 = |grad f|^2 - p^2 gamma (2 - gamma), so
+
+      g_tt = A - k conf + conf p^2/(1+a),
+      tr   = n A - k conf + (1+a) conf |w|^2,
+
+    the inverted chart being the case c = 0.  Along a ray x = rho xhat a
+    polynomial P has dP/drho = (E P)(x)/rho, E = x . grad, so the
+    t-derivatives are exact."""
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    n = dirs.shape[1]
+    t = float(t)
+    if t <= 0.0:
+        raise ChartDomainError("chart points must be nonzero")
+    T = Dual(t, 1.0)
+    if chart.kind == GRAPH_X:
+        s, xs, dlog = None, t * dirs, 1.0 / t
+    else:
+        c = chart.c if chart.kind == CORRECTED_Z else 0.0
+        s = T * T + c  # |y|^2; x = yhat / |y| and d rho/dt = -t rho^3
+        xs, dlog = dirs / math.sqrt(s.v), -t / s.v
+    fv, gr, ef, egr = S.f_radial_batch(xs)
+    f = Dual(fv, dlog * ef)
+    p = Dual(_rowdot(dirs, gr), dlog * _rowdot(dirs, egr))
+    G = Dual(_rowdot(gr, gr), 2.0 * dlog * _rowdot(gr, egr))
+    if s is None:
+        rho = T * T + f * f
+        inv = 1.0 / (rho * rho)
+        return (1.0 + p * p) * inv - 1.0, (n + G) * inv - n
+    confm1, conf = _conformal(s * f * f)
+    a = c / (T * T)
+    gamma, k, A = _corrected_scalars(confm1, a)
+    g_tt = A - k * conf + conf * p * p / (1.0 + a)
+    trace = n * A - k * conf + (1.0 + a) * conf * (G - p * p * gamma * (2.0 - gamma))
+    return g_tt, trace
 
 
 def ghat_components(S: GraphSurface, chart: Chart, p) -> np.ndarray:

@@ -3,9 +3,12 @@
 Two flux integrals at finite radius, extrapolated to infinity:
 
   standard_adm   g^{jk} (d_k g_ij - d_i g_jk) nu^i over the coordinate
-                 sphere, the textbook ADM surface integral;
+                 sphere, the textbook ADM surface integral, with the metric
+                 derivatives from central differences;
   lee_parker     the radial form  d_r(g_rr - sum_a g_aa)
-                 + r^{-1} (n g_rr - sum_a g_aa).
+                 + r^{-1} (n g_rr - sum_a g_aa), with g_rr, the trace and
+                 the exact radial derivative in closed form from one
+                 evaluation per radius (no finite difference).
 
 Both are normalized by [2(n-1) |S^{n-1}|]^{-1}, calibrated so the
 conformally flat reference metric (1 + m/(2|y|))^4 delta in dimension 3
@@ -23,13 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from . import asymptotic, numdiff
 from .asymptotic import CORRECTED_Z, INVERTED_Y, Chart
+from .numdiff import Dual
 from .obstruction import sphere_integral_series
 from .polyjet import Jet, MultiPoly, SphericalSeries, poly_to_json
 from .quadrature import QuadratureRule, default_degree, sphere_area
@@ -70,15 +74,26 @@ class SchwarzschildField:
         """Points must lie outside the horizon sphere |y| = |m|/2."""
         return 0.5 * abs(self.mass)
 
+    def _excess(self, r):
+        """(1 + m/2r)^4 - 1, expanded so tiny deviations keep relative
+        accuracy; r is an array or a Dual."""
+        u = self.mass / (2.0 * r)
+        return u * (4.0 + u * (6.0 + u * (4.0 + u)))
+
     def deviation_batch(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.linalg.norm(pts, axis=1)
         if np.any(r <= self.horizon_radius):
             raise ValueError("points must lie outside the horizon sphere")
-        u = self.mass / (2.0 * r)
-        # (1+u)^4 - 1 expanded so tiny deviations keep relative accuracy
-        fac = u * (4.0 + u * (6.0 + u * (4.0 + u)))
-        return fac[:, None, None] * np.eye(self.n)[None, :, :]
+        return self._excess(r)[:, None, None] * np.eye(self.n)[None, :, :]
+
+    def radial_trace_batch(self, t: float, dirs: np.ndarray) -> Tuple[Dual, Dual]:
+        """g_rr and tr of the deviation at the points t * dirs, with their
+        t-derivatives: the excess and n times it, the same on every ray."""
+        if t <= self.horizon_radius:
+            raise ValueError("points must lie outside the horizon sphere")
+        fac = self._excess(Dual(float(t), 1.0)) * np.ones(len(dirs))
+        return fac, self.n * fac
 
 
 MetricSource = Union[GraphSurface, SchwarzschildField]
@@ -90,6 +105,20 @@ def _deviation(source: MetricSource, chart: Optional[Chart], pts: np.ndarray):
             raise ValueError("a chart is required for surface sources")
         return asymptotic.ghat_deviation_batch(source, chart, pts)
     return source.deviation_batch(pts)
+
+
+def lee_parker_pair(
+    source: MetricSource, chart: Optional[Chart], t: float, dirs: np.ndarray
+) -> Tuple[Dual, Dual]:
+    """(g_rr - tr, n g_rr - tr) of the deviation at the points t * dirs
+    (unit rows), each a Dual carrying its t-derivative along the rays."""
+    if isinstance(source, GraphSurface):
+        if chart is None:
+            raise ValueError("a chart is required for surface sources")
+        g_rr, tr = asymptotic.ghat_radial_trace_batch(source, chart, t, dirs)
+    else:
+        g_rr, tr = source.radial_trace_batch(t, dirs)
+    return g_rr - tr, np.shape(dirs)[-1] * g_rr - tr
 
 
 def _source_name(source: MetricSource) -> str:
@@ -157,23 +186,15 @@ def adm_mass_lee_parker(
     t: float,
     rule: QuadratureRule,
 ) -> MassEstimate:
-    """The radial-form integral at radius t: the radial component is
-    assembled as sum g_ab nu_a nu_b and the radial derivative is a central
-    difference along each ray (step numdiff.RADIAL_STEP times the radius)."""
+    """The radial-form integral at radius t: g_rr - tr, n g_rr - tr and the
+    exact t-derivative of the first come in closed form from one
+    evaluation on the rule's nodes (lee_parker_pair)."""
     n = rule.n
     t = float(t)
     if t <= 0.0:
         raise ValueError("radius must be positive")
-
-    def radial_pair(s):
-        # (g_rr - tr, n g_rr - tr) on the sphere of radius s[0]
-        dev = _deviation(source, chart, s[0] * rule.nodes)
-        grr = np.einsum("pij,pi,pj->p", dev, rule.nodes, rule.nodes)
-        tr = np.einsum("pii->p", dev)
-        return np.stack([grr - tr, n * grr - tr])
-
-    F0, dF, _ = numdiff.metric_derivatives(radial_pair, [t], numdiff.RADIAL_STEP * t)
-    vals = dF[0, 0] + F0[1] / t
+    F1, F2 = lee_parker_pair(source, chart, t, rule.nodes)
+    vals = F1.d + F2.v / t
     value = mass_normalization(n) * t ** (n - 1) * rule.integrate(vals)
     kind = chart.kind if chart is not None else INVERTED_Y
     return MassEstimate(t, value, LEE_PARKER, kind, rule.degree, len(rule.weights))

@@ -1,10 +1,12 @@
-"""Finite-difference helpers: derivatives of array-valued fields and
-curvature of a numerically given metric.
+"""Derivative helpers: finite differences of array-valued fields, forward-mode
+dual numbers for closed forms, and curvature of a numerically given metric.
 
 `metric_derivatives` is the one central-difference stencil; every finite
 difference in the package goes through it.  `gradient` and `hessian` add
 one Richardson extrapolation step; second derivatives use a larger step
 than first derivatives because their roundoff error scales like eps/h^2.
+`Dual` carries a closed form's derivative along one parameter exactly,
+with no step to choose.
 """
 
 from __future__ import annotations
@@ -16,6 +18,53 @@ import numpy as np
 
 # Relative step of the radial central differences: h = RADIAL_STEP * radius.
 RADIAL_STEP = 1e-4
+
+
+class Dual:
+    """A value and its derivative along one parameter (forward-mode
+    differentiation): + - * / apply the sum, product and quotient rules.
+    Both parts are floats or numpy arrays and broadcast like them; plain
+    numbers and arrays act as constants."""
+
+    __slots__ = ("v", "d")
+    __array_ufunc__ = None  # ndarray <op> Dual defers to the reflected method
+
+    def __init__(self, v, d):
+        self.v = v
+        self.d = d
+
+    def __add__(self, o):
+        if isinstance(o, Dual):
+            return Dual(self.v + o.v, self.d + o.d)
+        return Dual(self.v + o, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dual(-self.v, -self.d)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __rsub__(self, o):
+        return (-self) + o
+
+    def __mul__(self, o):
+        if isinstance(o, Dual):
+            return Dual(self.v * o.v, self.d * o.v + self.v * o.d)
+        return Dual(self.v * o, self.d * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, Dual):
+            q = self.v / o.v
+            return Dual(q, (self.d - q * o.d) / o.v)
+        return Dual(self.v / o, self.d / o)
+
+    def __rtruediv__(self, o):
+        q = o / self.v
+        return Dual(q, -q * self.d / self.v)
 
 
 def metric_derivatives(F: Callable, x, h: float, order: int = 2):

@@ -192,6 +192,19 @@ class GraphSurface:
             self._cache[order] = BatchPoly(polys)
         return self._cache[order]
 
+    def _sym_radial(self) -> BatchPoly:
+        """The evaluator of [f, grad f, E f, E grad f], E = x . grad the
+        Euler operator (each monomial times its degree): 2(n+1) columns on
+        one monomial table, no Hessian."""
+        if "radial" not in self._cache:
+            polys = [self.f_jet.poly] + [self.f_jet.poly.diff(i) for i in range(self.n)]
+            euler = [
+                MultiPoly.make(self.n, {k: c * sum(k[0]) for k, c in P.terms.items()})
+                for P in polys
+            ]
+            self._cache["radial"] = BatchPoly(polys + euler)
+        return self._cache["radial"]
+
     def f_value(self, x) -> float:
         if self.symbolic:
             return float(self._sym(0)(x)[0, 0])
@@ -224,6 +237,20 @@ class GraphSurface:
             fns = (self.f_value, self.f_grad, self.f_hess)
             parts = [np.array([fn(p) for p in pts]) for fn in fns[: order + 1]]
         return tuple(v.reshape((N,) + (n,) * k) for k, v in enumerate(parts[: order + 1]))
+
+    def f_radial_batch(self, pts: np.ndarray) -> tuple:
+        """f, grad f, x . grad f and (x . grad) grad f at the rows of pts,
+        shaped (N,), (N, n), (N,) and (N, n).  Along the ray x = rho xhat
+        the last two are rho times the rho-derivatives of the first two.
+        One evaluator call on a symbolic surface; on a numeric one they
+        come from per-point finite differences of grad f and Hess f."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        n = pts.shape[1]
+        if self.symbolic:
+            f, gr, ef, egr = np.split(self._sym_radial()(pts), [1, n + 1, n + 2], axis=1)
+            return f[:, 0], gr, ef[:, 0], egr
+        f, gr, hess = self.f_derivatives_batch(pts, 2)
+        return f, gr, np.sum(pts * gr, axis=1), np.einsum("pij,pj->pi", hess, pts)
 
 
 # -- pointwise geometry -------------------------------------------------------

@@ -11,8 +11,10 @@ import pytest
 
 from umbilic import asymptotic as asym
 from umbilic import mass as mm
+from umbilic import numdiff
+from umbilic.obstruction import sphere_integral_series
 from umbilic.polyjet import Jet, MultiPoly
-from umbilic.quadrature import QuadratureRule
+from umbilic.quadrature import QuadratureRule, default_degree, sphere_area
 from umbilic.surface import GraphSurface
 
 
@@ -72,6 +74,8 @@ def test_schwarzschild_horizon_guard():
     src = mm.SchwarzschildField(mass=2.0)
     with pytest.raises(ValueError):
         src.deviation_batch(np.array([[0.5, 0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        src.radial_trace_batch(0.5, np.eye(3))
 
 
 def test_schwarzschild_only_on_r3():
@@ -145,6 +149,87 @@ def test_formulas_agree_on_quartic():
     std = mm.adm_mass_standard(S, ch, 100.0, rule)
     lp = mm.adm_mass_lee_parker(S, ch, 100.0, rule)
     assert abs(std.value - lp.value) < 1e-3
+
+
+def deviation_pair(source, chart, dirs):
+    """(g_rr - tr, n g_rr - tr) of the full (N, n, n) deviation on the
+    sphere of radius s[0], contracted directly."""
+    n = dirs.shape[1]
+
+    def pair(s):
+        if chart is None:
+            dev = source.deviation_batch(s[0] * dirs)
+        else:
+            dev = asym.ghat_deviation_batch(source, chart, s[0] * dirs)
+        grr = np.einsum("pij,pi,pj->p", dev, dirs, dirs)
+        tr = np.einsum("pii->p", dev)
+        return np.stack([grr - tr, n * grr - tr])
+
+    return pair
+
+
+@pytest.mark.parametrize(
+    "case", ["sphere3_y", "quartic6_z", "flat4_y", "schwarzschild"]
+)
+def test_lee_parker_pair_matches_central_difference(case):
+    # at t = 10 the central difference of the contracted deviation is
+    # still accurate; the closed form must reproduce it
+    if case == "schwarzschild":
+        src, ch = mm.SchwarzschildField(mass=0.5), None
+    else:
+        name, n, flag = {
+            "sphere3_y": ("sphere", 3, "y"),
+            "quartic6_z": ("quartic_x1", 6, "z"),
+            "flat4_y": ("flat", 4, "y"),
+        }[case]
+        src = GraphSurface.builtin(name, n)
+        ch = asym.chart_for(src, flag)
+    dirs = QuadratureRule.sphere(src.n, 8).nodes
+    t = 10.0
+    F1, F2 = mm.lee_parker_pair(src, ch, t, dirs)
+    F0, dF, _ = numdiff.metric_derivatives(
+        deviation_pair(src, ch, dirs), [t], numdiff.RADIAL_STEP * t
+    )
+    val = np.stack([F1.v, F2.v])
+    der = np.stack([F1.d, F2.d])
+    if case == "flat4_y":
+        assert not np.any(val) and not np.any(der)
+        return
+    assert np.max(np.abs(val - F0)) <= 1e-6 * np.max(np.abs(F0))
+    assert np.max(np.abs(der - dF[0])) <= 1e-6 * np.max(np.abs(dF[0]))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_lee_parker_matches_exact_series(n):
+    # m(r) from the exact integrand series (window -7) against the numeric
+    # sweep in the corrected chart; r = 10 is left out because the
+    # uncertified O(t^-9) terms account for 1.7% there
+    S = GraphSurface.quartic_x1(n)
+    series = mm.mass_integrand_series(S.f_jet, asym.CORRECTED_Z, -7)
+    coefs = {
+        w: float(sphere_integral_series(series.coefficient(w)).constant_term())
+        for w in series.orders()
+    }
+    assert coefs == {-7: {6: 45 / 32, 7: 9355 / 8008}[n]}
+    ch = asym.chart_for(S, "z")
+    rule = QuadratureRule.sphere(n, default_degree(n))
+    radii = [10.0**1.5, 100.0, 10.0**2.5, 1000.0]
+    for e in mm.mass_sweep(S, ch, radii, mm.LEE_PARKER, rule):
+        r = e.radius
+        exact = mm.mass_normalization(n) * sphere_area(n) * sum(
+            c * r ** (n - 1 + w) for w, c in coefs.items()
+        )
+        assert abs(e.value - exact) <= 1e-2 * abs(exact), (r, e.value, exact)
+
+
+def test_lee_parker_numeric_sphere_matches_symbolic():
+    # the f_num surface takes x . grad f and Hess f x from finite
+    # differences instead of the Euler evaluator
+    ch = asym.Chart.inverted(3)
+    rule = QuadratureRule.sphere(3, default_degree(3))
+    sym = mm.adm_mass_lee_parker(GraphSurface.sphere(3), ch, 100.0, rule).value
+    num = mm.adm_mass_lee_parker(GraphSurface.sphere_numeric(3), ch, 100.0, rule).value
+    assert num == pytest.approx(sym, rel=1e-6)
 
 
 def test_estimate_json_fields():

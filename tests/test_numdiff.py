@@ -5,7 +5,7 @@ and the Richardson-extrapolated gradient and Hessian built on it."""
 import numpy as np
 import pytest
 
-from umbilic.numdiff import gradient, hessian, metric_derivatives
+from umbilic.numdiff import Dual, gradient, hessian, metric_derivatives
 
 RNG = np.random.default_rng(20250101)
 
@@ -147,3 +147,24 @@ def test_richardson_gradient_and_hessian():
     # the gradient of a matrix field keeps the derivative axis first
     G = Cubic(3, (3, 3))
     assert np.max(np.abs(gradient(G, x, 1e-3) - G.grad(x))) < 1e-8
+
+
+def test_dual_carries_exact_derivative():
+    # q(t) = (3 - t)(1 + t^2)^{-2} / (t + 2) + 5 t on arrays and scalars,
+    # with plain floats and arrays as constants on either side
+    t = np.linspace(0.5, 4.0, 9)
+    T = Dual(t, np.ones_like(t))
+    q = (3.0 - T) * (1.0 / ((1.0 + T * T) * (1.0 + T * T))) / (T + 2.0) + 5.0 * T
+    ref = (3.0 - t) / ((1.0 + t * t) ** 2 * (t + 2.0)) + 5.0 * t
+    dref = (
+        -1.0 / ((1.0 + t * t) ** 2 * (t + 2.0))
+        - (3.0 - t) * 4.0 * t / ((1.0 + t * t) ** 3 * (t + 2.0))
+        - (3.0 - t) / ((1.0 + t * t) ** 2 * (t + 2.0) ** 2)
+        + 5.0
+    )
+    assert np.allclose(q.v, ref, rtol=1e-14, atol=0.0)
+    assert np.allclose(q.d, dref, rtol=1e-13, atol=1e-15)
+    # an ndarray on the left defers to the Dual instead of broadcasting it
+    mixed = np.ones(3) * Dual(2.0, 1.0) - np.arange(3.0)
+    assert isinstance(mixed, Dual)
+    assert list(mixed.v) == [2.0, 1.0, 0.0] and list(mixed.d) == [1.0, 1.0, 1.0]

@@ -288,6 +288,22 @@ def test_batch_matches_pointwise():
             assert np.max(np.abs(hesses[i] - S.f_hess(p))) < 1e-14
 
 
+def test_radial_evaluator_is_x_dot_grad():
+    # [f, grad f, E f, E grad f] from one evaluator: E f = x . grad f and
+    # E grad f = Hess f x, on a symbolic and (through the Hessian) an f_num
+    # surface
+    pts = RNG.uniform(-0.3, 0.3, size=(16, 5))
+    sym = GraphSurface.polynomial(random_mixed(5, RNG), name="mixed")
+    for S in (sym, GraphSurface.quartic_x1(5), GraphSurface(5, f_num=sym.f_value)):
+        f, gr, hess = S.f_derivatives_batch(pts, 2)
+        rf, rgr, ef, egr = S.f_radial_batch(pts)
+        assert rf.shape == ef.shape == (16,) and rgr.shape == egr.shape == (16, 5)
+        assert np.max(np.abs(rf - f)) < 1e-14
+        assert np.max(np.abs(rgr - gr)) < 1e-14
+        assert np.max(np.abs(ef - np.sum(pts * gr, axis=1))) < 1e-13
+        assert np.max(np.abs(egr - np.einsum("pij,pj->pi", hess, pts))) < 1e-13
+
+
 def random_mixed(n, rng, n_terms=10):
     """Terms of degree 2..6 whose supports mix one to four variables."""
     p = MultiPoly.zero(n)
