@@ -1,11 +1,13 @@
 """Exact multivariate polynomial, truncated-jet, and radial-series algebra.
 
-Everything here is exact rational arithmetic (``fractions.Fraction``).  A
-monomial carries two parts: spatial exponents in the coordinates x_1..x_n,
-and powers of named scalar parameters (the mean curvature ``H``, generic
-coefficient symbols, ...).  Parameters never count toward the spatial degree
-used for truncation and homogeneity, so identities proved by these classes
-hold as polynomial identities in the parameters.
+Everything here is exact.  A polynomial keeps integer numerators over one
+positive common denominator, in lowest terms, and reads its coefficients
+back as ``fractions.Fraction``; the arithmetic itself runs on Python ints.
+A monomial carries two parts: spatial exponents in the coordinates
+x_1..x_n, and powers of named scalar parameters (the mean curvature ``H``,
+generic coefficient symbols, ...).  Parameters never count toward the
+spatial degree used for truncation and homogeneity, so identities proved by
+these classes hold as polynomial identities in the parameters.
 
 Three layers:
 
@@ -21,9 +23,14 @@ Three layers:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import math
+import zlib
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache
+from itertools import repeat
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 # A parameter monomial: sorted tuple of (name, power), power >= 1.
 Params = Tuple[Tuple[str, int], ...]
@@ -34,13 +41,12 @@ Key = Tuple[Exponent, Params]
 _NO_PARAMS: Params = ()
 
 _int_add = int.__add__
+_gcd = math.gcd
+_set = object.__setattr__
 
 
 def _merge_params(a: Params, b: Params) -> Params:
-    if not a:
-        return b
-    if not b:
-        return a
+    """Product of two nonempty parameter monomials."""
     out: Dict[str, int] = dict(a)
     for name, k in b:
         out[name] = out.get(name, 0) + k
@@ -55,35 +61,89 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"exact coefficient required, got {type(c).__name__}")
 
 
-@dataclass(frozen=True)
+def _poly(n: int, num: Dict[Key, int], den: int) -> "MultiPoly":
+    """A polynomial from numerators and denominator already in lowest terms."""
+    p = object.__new__(MultiPoly)
+    _set(p, "n", n)
+    _set(p, "num", num)
+    _set(p, "den", den)
+    _set(p, "_terms", None)
+    _set(p, "_degree", None)
+    return p
+
+
+def _lowest(n: int, num: Dict[Key, int], den: int) -> "MultiPoly":
+    """A polynomial from nonzero numerators over den > 0, reduced by one gcd."""
+    if not num:
+        return _poly(n, num, 1)
+    g = _gcd(den, *num.values())
+    if g != 1:
+        num = {k: c // g for k, c in num.items()}
+        den //= g
+    return _poly(n, num, den)
+
+
 class MultiPoly:
     """Sparse exact polynomial in n spatial variables plus named parameters.
 
-    ``terms`` maps monomial keys to nonzero Fraction coefficients.  Instances
-    are immutable; all operations return new polynomials in canonical form
-    (no zero coefficients stored).
+    ``num`` maps monomial keys to nonzero integer numerators over the one
+    denominator ``den`` > 0, with gcd(den, numerators) = 1: equal
+    polynomials have equal representations.  ``terms`` is the read-only
+    {key: Fraction} view of the same coefficients.  Instances are
+    immutable; every operation returns a new polynomial in lowest terms.
+
+    ``MultiPoly(n, terms)`` takes a {key: Fraction or int} mapping, drops
+    zero coefficients and rejects inexact ones with ``TypeError``.
     """
 
-    n: int
-    terms: Mapping[Key, Fraction] = field(default_factory=dict)
+    __slots__ = ("n", "num", "den", "_terms", "_degree")
+
+    def __init__(self, n: int, terms: Optional[Mapping[Key, Fraction]] = None):
+        coeffs = []
+        den = 1
+        for k, c in (terms or {}).items():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"exact coefficient required, got {type(c).__name__}")
+            if c:
+                coeffs.append((k, c))
+                den = math.lcm(den, c.denominator)
+        # Each coefficient is in lowest terms, so these are too.
+        _set(self, "n", n)
+        _set(self, "num", {k: c.numerator * (den // c.denominator) for k, c in coeffs})
+        _set(self, "den", den)
+        _set(self, "_terms", None)
+        _set(self, "_degree", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MultiPoly is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def terms(self) -> Mapping[Key, Fraction]:
+        """The coefficients as a read-only {key: Fraction} mapping."""
+        if self._terms is None:
+            den = self.den
+            terms = {k: Fraction(c, den) for k, c in self.num.items()}
+            _set(self, "_terms", MappingProxyType(terms))
+        return self._terms
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def make(n: int, terms: Mapping[Key, Fraction]) -> "MultiPoly":
-        clean = {k: c for k, c in terms.items() if c != 0}
-        return MultiPoly(n, clean)
+        return MultiPoly(n, terms)
 
     @staticmethod
     def zero(n: int) -> "MultiPoly":
-        return MultiPoly(n, {})
+        return _poly(n, {}, 1)
 
     @staticmethod
     def const(n: int, c) -> "MultiPoly":
         c = _as_fraction(c)
         if c == 0:
             return MultiPoly.zero(n)
-        return MultiPoly(n, {((0,) * n, _NO_PARAMS): c})
+        return _poly(n, {((0,) * n, _NO_PARAMS): c.numerator}, c.denominator)
 
     @staticmethod
     def var(n: int, i: int) -> "MultiPoly":
@@ -91,21 +151,21 @@ class MultiPoly:
             raise ValueError(f"variable index {i} out of range for n={n}")
         e = [0] * n
         e[i] = 1
-        return MultiPoly(n, {(tuple(e), _NO_PARAMS): Fraction(1)})
+        return _poly(n, {(tuple(e), _NO_PARAMS): 1}, 1)
 
     @staticmethod
     def param(n: int, name: str, power: int = 1) -> "MultiPoly":
-        return MultiPoly(n, {((0,) * n, ((name, power),)): Fraction(1)})
+        return _poly(n, {((0,) * n, ((name, power),)): 1}, 1)
 
     @staticmethod
     def x_norm_sq(n: int) -> "MultiPoly":
         """The radial polynomial |x|^2 = x_1^2 + ... + x_n^2."""
-        terms = {}
+        num = {}
         for i in range(n):
             e = [0] * n
             e[i] = 2
-            terms[(tuple(e), _NO_PARAMS)] = Fraction(1)
-        return MultiPoly(n, terms)
+            num[(tuple(e), _NO_PARAMS)] = 1
+        return _poly(n, num, 1)
 
     # -- ring structure ------------------------------------------------------
 
@@ -115,17 +175,26 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        da, db = self.den, other.den
+        g = _gcd(da, db)
+        fa, fb = db // g, da // g
+        out = dict(self.num) if fa == 1 else {k: c * fa for k, c in self.num.items()}
+        b = other.num if fb == 1 else {k: c * fb for k, c in other.num.items()}
+        get = out.get
+        for k, c in b.items():
+            s = get(k, 0) + c
+            if s:
                 out[k] = s
-        return MultiPoly(self.n, out)
+            else:
+                del out[k]
+        return _lowest(self.n, out, da * fa)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.n, {k: -c for k, c in self.terms.items()})
+        return _poly(self.n, {k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -133,12 +202,13 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check(other)
-            out: Dict[Key, Fraction] = {}
+            out: Dict[Key, int] = {}
             get = out.get
-            b_items = list(other.terms.items())
-            for (ea, pa), ca in self.terms.items():
+            b_items = list(other.num.items())
+            for (ea, pa), ca in self.num.items():
                 for (eb, pb), cb in b_items:
-                    k = (tuple(map(_int_add, ea, eb)), _merge_params(pa, pb))
+                    params = _merge_params(pa, pb) if pa and pb else pa or pb
+                    k = (tuple(map(_int_add, ea, eb)), params)
                     v = get(k)
                     if v is None:
                         out[k] = ca * cb
@@ -148,7 +218,7 @@ class MultiPoly:
                             out[k] = s
                         else:
                             del out[k]
-            return MultiPoly(self.n, out)
+            return _lowest(self.n, out, self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -159,17 +229,18 @@ class MultiPoly:
         the discarded term pairs instead of computing and dropping them."""
         self._check(other)
         b_items = sorted(
-            ((sum(e), (e, p), c) for (e, p), c in other.terms.items()),
+            ((sum(e), (e, p), c) for (e, p), c in other.num.items()),
             key=lambda t: t[0],
         )
-        out: Dict[Key, Fraction] = {}
+        out: Dict[Key, int] = {}
         get = out.get
-        for (ea, pa), ca in self.terms.items():
+        for (ea, pa), ca in self.num.items():
             da = sum(ea)
             for db, (eb, pb), cb in b_items:
                 if da + db > max_degree:
                     break
-                k = (tuple(map(_int_add, ea, eb)), _merge_params(pa, pb))
+                params = _merge_params(pa, pb) if pa and pb else pa or pb
+                k = (tuple(map(_int_add, ea, eb)), params)
                 v = get(k)
                 if v is None:
                     out[k] = ca * cb
@@ -179,13 +250,14 @@ class MultiPoly:
                         out[k] = s
                     else:
                         del out[k]
-        return MultiPoly(self.n, out)
+        return _lowest(self.n, out, self.den * other.den)
 
     def scale(self, c) -> "MultiPoly":
         c = _as_fraction(c)
         if c == 0:
             return MultiPoly.zero(self.n)
-        return MultiPoly(self.n, {k: c * v for k, v in self.terms.items()})
+        p = c.numerator
+        return _lowest(self.n, {k: p * v for k, v in self.num.items()}, self.den * c.denominator)
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
@@ -203,47 +275,56 @@ class MultiPoly:
         return (
             isinstance(other, MultiPoly)
             and self.n == other.n
-            and dict(self.terms) == dict(other.terms)
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.den, frozenset(self.num.items())))
 
     # -- structure queries ---------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def degree(self) -> int:
         """Maximal total spatial degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e, _ in self.terms)
+        if self._degree is None:
+            _set(self, "_degree", max((sum(e) for e, _ in self.num), default=-1))
+        return self._degree
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e, _ in self.terms}
+        degs = {sum(e) for e, _ in self.num}
         return len(degs) <= 1
 
     def homogeneous_part(self, d: int) -> "MultiPoly":
-        return MultiPoly(
-            self.n, {k: c for k, c in self.terms.items() if sum(k[0]) == d}
+        return _lowest(
+            self.n, {k: c for k, c in self.num.items() if sum(k[0]) == d}, self.den
         )
 
     def homogeneous_parts(self) -> Dict[int, "MultiPoly"]:
-        out: Dict[int, Dict[Key, Fraction]] = {}
-        for k, c in self.terms.items():
+        out: Dict[int, Dict[Key, int]] = {}
+        for k, c in self.num.items():
             out.setdefault(sum(k[0]), {})[k] = c
-        return {d: MultiPoly(self.n, t) for d, t in sorted(out.items())}
+        if len(out) == 1:
+            parts = {d: self for d in out}
+        else:
+            parts = {d: _lowest(self.n, t, self.den) for d, t in sorted(out.items())}
+        for d, part in parts.items():
+            _set(part, "_degree", d)
+        return parts
 
     def truncate(self, max_degree: int) -> "MultiPoly":
-        return MultiPoly(
-            self.n, {k: c for k, c in self.terms.items() if sum(k[0]) <= max_degree}
+        return _lowest(
+            self.n,
+            {k: c for k, c in self.num.items() if sum(k[0]) <= max_degree},
+            self.den,
         )
 
     def constant_term(self) -> Fraction:
         """Coefficient of the parameter-free constant monomial."""
-        return self.terms.get(((0,) * self.n, _NO_PARAMS), Fraction(0))
+        return Fraction(self.num.get(((0,) * self.n, _NO_PARAMS), 0), self.den)
 
     def spatial_constant_part(self) -> "MultiPoly":
         """All terms of spatial degree zero (may still carry parameters)."""
@@ -251,21 +332,21 @@ class MultiPoly:
 
     def param_names(self) -> set:
         names = set()
-        for (_, p) in self.terms:
+        for (_, p) in self.num:
             names.update(name for name, _ in p)
         return names
 
     # -- calculus ------------------------------------------------------------
 
     def diff(self, i: int) -> "MultiPoly":
-        out: Dict[Key, Fraction] = {}
-        for (e, p), c in self.terms.items():
+        out: Dict[Key, int] = {}
+        for (e, p), c in self.num.items():
             if e[i] == 0:
                 continue
             e2 = list(e)
             e2[i] -= 1
             out[(tuple(e2), p)] = c * e[i]
-        return MultiPoly(self.n, out)
+        return _lowest(self.n, out, self.den)
 
     def grad(self) -> List["MultiPoly"]:
         return [self.diff(i) for i in range(self.n)]
@@ -320,7 +401,7 @@ class MultiPoly:
     # -- display -------------------------------------------------------------
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         bits = []
         for (e, p), c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0])):
@@ -348,6 +429,11 @@ def poly_divexact(P: MultiPoly, Q: MultiPoly) -> Optional[MultiPoly]:
     multiple of Q, the leading term of every intermediate remainder is
     divisible by the leading term of Q, so a single failed leading-term step
     certifies non-divisibility.
+
+    The division runs on numerators: scale * num(P) = quo * num(Q) + rem
+    with an integer scale that grows only when Q's leading numerator does
+    not divide a remainder's leading one, which never happens for a monic Q
+    such as |x|^2.
     """
     if Q.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -358,21 +444,25 @@ def poly_divexact(P: MultiPoly, Q: MultiPoly) -> Optional[MultiPoly]:
     P._check(Q)
 
     # Split P by parameter monomial; divide each purely spatial slice.
-    slices: Dict[Params, Dict[Exponent, Fraction]] = {}
-    for (e, p), c in P.terms.items():
+    slices: Dict[Params, Dict[Exponent, int]] = {}
+    for (e, p), c in P.num.items():
         slices.setdefault(p, {})[e] = c
 
-    q_lead = max(Q.terms, key=_grlex_key)
+    q_lead = max(Q.num, key=_grlex_key)
     q_lead_e = q_lead[0]
-    q_lead_c = Q.terms[q_lead]
-    q_rest = [(qe, qc) for (qe, _), qc in Q.terms.items() if qe != q_lead_e]
+    q_lead_c = Q.num[q_lead]
+    q_rest = [(qe, qc) for (qe, _), qc in Q.num.items() if qe != q_lead_e]
 
     def heap_key(e: Exponent):
         # negated graded lexicographic order for the min-heap
         return (-sum(e), tuple(-x for x in e), e)
 
-    result: Dict[Key, Fraction] = {}
+    scale = 1
+    result: Dict[Key, int] = {}
     for pmono, rem in slices.items():
+        if scale != 1:
+            for k in rem:
+                rem[k] *= scale
         heap = [heap_key(e) for e in rem]
         heapq.heapify(heap)
         while heap:
@@ -381,36 +471,140 @@ def poly_divexact(P: MultiPoly, Q: MultiPoly) -> Optional[MultiPoly]:
             if c is None:
                 continue  # cancelled by an earlier reduction step
             diff = tuple(a - b for a, b in zip(lead_e, q_lead_e))
-            if any(d < 0 for d in diff):
+            if min(diff) < 0:
                 return None
-            coeff = c / q_lead_c
+            coeff, r = divmod(c, q_lead_c)
+            if r:
+                m = abs(q_lead_c) // _gcd(c, q_lead_c)
+                scale *= m
+                for part in (rem, result):
+                    for k in part:
+                        part[k] *= m
+                coeff = c * m // q_lead_c
             result[(diff, pmono)] = coeff
+            get = rem.get
             for qe, qc in q_rest:
-                k = tuple(a + b for a, b in zip(diff, qe))
-                if k in rem:
-                    s = rem[k] - coeff * qc
-                    if s == 0:
-                        del rem[k]
-                    else:
-                        rem[k] = s
-                else:
+                k = tuple(map(_int_add, diff, qe))
+                s = get(k)
+                if s is None:
                     rem[k] = -coeff * qc
                     heapq.heappush(heap, heap_key(k))
-    return MultiPoly(P.n, result)
+                else:
+                    s -= coeff * qc
+                    if s:
+                        rem[k] = s
+                    else:
+                        del rem[k]
+    qd = Q.den
+    return _lowest(P.n, {k: c * qd for k, c in result.items()}, scale * P.den)
+
+
+# -- the isotropic cone test -----------------------------------------------------
+#
+# If |x|^2 divides P, then P vanishes wherever |x|^2 does.  Since |x|^2 is
+# primitive, Gauss's lemma makes the quotient of P's integer numerators an
+# integer polynomial too, so the numerators vanish modulo a prime at every
+# point of the cone |x|^2 = 0 over that prime field, whatever values the
+# parameters take.  A nonzero value therefore proves non-divisibility; only
+# a zero is left to the exact division (Schwartz, J. ACM 27, 1980: a
+# polynomial that does not vanish on the cone is zero at a generic cone
+# point with probability of the order of its degree over the prime).
+
+CONE_PRIME = 1_000_000_009  # prime and = 1 (mod 4), so the cone has points besides 0
+
+
+def _crc(text: str) -> int:
+    return zlib.crc32(text.encode())
+
+
+class _Cone:
+    """A fixed point of |x|^2 = 0 mod CONE_PRIME with no zero coordinate,
+    and the values of the monomials met so far at that point.
+
+    The point is the second meeting point of the cone with the line through
+    (1, i, 0, ..., 0), i^2 = -1, in a direction w drawn from the CRC of a
+    label: v + t w with t = -2 (v . w) / (w . w).  For n = 1 the cone is
+    the origin alone."""
+
+    MAX_MONOMIALS = 1 << 16  # the memo starts over past this many entries
+
+    def __init__(self, n: int):
+        self.monomials: Dict[Exponent, int] = {}
+        if n < 2:
+            self.point = (0,) * n
+            return
+        p = CONE_PRIME
+        g = 2
+        while pow(g, (p - 1) // 2, p) != p - 1:
+            g += 1
+        v = [1, pow(g, (p - 1) // 4, p)] + [0] * (n - 2)
+        salt = 0
+        while True:
+            w = [_crc(f"cone {n} {salt} {j}") % p for j in range(n)]
+            vw = sum(a * b for a, b in zip(v, w)) % p
+            ww = sum(b * b for b in w) % p
+            if vw and ww:
+                t = -2 * vw * pow(ww, -1, p) % p
+                self.point = tuple((a + t * b) % p for a, b in zip(v, w))
+                if all(self.point):
+                    return
+            salt += 1
+
+    def monomial(self, e: Exponent) -> int:
+        if len(self.monomials) >= self.MAX_MONOMIALS:
+            self.monomials.clear()
+        v = math.prod(map(pow, self.point, e, repeat(CONE_PRIME))) % CONE_PRIME
+        self.monomials[e] = v
+        return v
+
+
+@lru_cache(maxsize=None)
+def _cone(n: int) -> _Cone:
+    return _Cone(n)
+
+
+@lru_cache(maxsize=4096)
+def _params_value(params: Params) -> int:
+    """A parameter monomial mod CONE_PRIME, each name at a fixed value
+    taken from its CRC (not from the salted built-in hash)."""
+    v = 1
+    for name, k in params:
+        v = v * pow(_crc(f"param {name}"), k, CONE_PRIME)
+    return v % CONE_PRIME
+
+
+def cone_value(P: MultiPoly) -> int:
+    """P's integer numerators at the fixed cone point for P.n, with each
+    parameter at a fixed value of its name, modulo CONE_PRIME.  Nonzero
+    proves that |x|^2 does not divide P."""
+    cone = _cone(P.n)
+    known = cone.monomials.get
+    total = 0
+    for (e, params), c in P.num.items():
+        v = known(e)
+        if v is None:
+            v = cone.monomial(e)
+        if params:
+            v *= _params_value(params)
+        total += c * v
+    return total % CONE_PRIME
 
 
 def extract_radial_factors(P: MultiPoly) -> Tuple[int, MultiPoly]:
-    """Write P = |x|^(2k) * P' with P' not divisible by |x|^2; return (k, P')."""
+    """Write P = |x|^(2k) * P' with P' not divisible by |x|^2; return (k, P').
+
+    Each division is attempted only when P vanishes at the cone point."""
     if P.is_zero:
         return 0, P
     r2 = MultiPoly.x_norm_sq(P.n)
     k = 0
-    while True:
+    while cone_value(P) == 0:
         q = poly_divexact(P, r2)
         if q is None:
-            return k, P
+            break
         P = q
         k += 1
+    return k, P
 
 
 # -- truncated jets ------------------------------------------------------------
@@ -568,7 +762,7 @@ class SphericalSeries:
                 if order_max is not None and w > order_max:
                     continue
                 buckets.setdefault((w, m & 1), []).append((m, Pd))
-        out: List[Tuple[int, MultiPoly]] = []
+        out: List[Tuple[int, int, MultiPoly]] = []
         r2 = None
         for (w, _parity), entries in buckets.items():
             m0 = min(m for m, _ in entries)
@@ -583,9 +777,9 @@ class SphericalSeries:
             if merged.is_zero:
                 continue
             k, core = extract_radial_factors(merged)
-            out.append((m0 + 2 * k, core))
-        out.sort(key=lambda t: (t[0] + t[1].degree(), t[0]))
-        return SphericalSeries(n, tuple(out), order_min, order_max)
+            out.append((w, m0 + 2 * k, core))
+        out.sort(key=lambda t: t[:2])
+        return SphericalSeries(n, tuple((m, P) for _, m, P in out), order_min, order_max)
 
     @staticmethod
     def zero(n: int, order_min=None, order_max=None) -> "SphericalSeries":
@@ -716,7 +910,7 @@ class SphericalSeries:
         if len(lead) != 1 or lead[0][1].degree() != 0:
             raise ValueError("leading term is not a constant multiple of r^m")
         m0, P0 = lead[0]
-        if P0.constant_term() != 1 or len(P0.terms) != 1:
+        if P0.constant_term() != 1 or len(P0.num) != 1:
             raise ValueError("power_unit requires unit leading coefficient 1")
         if at_infinity and self.order_min is None:
             raise ValueError("series at infinity needs a finite order_min")

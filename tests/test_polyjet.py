@@ -1,7 +1,12 @@
 """Exact algebra layer: polynomials, jets, spherical series."""
 
+import heapq
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +17,7 @@ from umbilic.polyjet import (
     Jet,
     MultiPoly,
     SphericalSeries,
+    cone_value,
     extract_radial_factors,
     poly_divexact,
     poly_from_json,
@@ -414,3 +420,379 @@ def test_poly_json_plain():
     data = poly_to_json(p)
     assert all(len(e["exp"]) == n for e in data)
     assert poly_from_json(data, n) == p
+
+
+# -- the integer kernel against a Fraction-dict oracle -----------------------
+#
+# The oracle is the earlier kernel: one Fraction per term, written on plain
+# {key: Fraction} dicts.  The integer kernel must give the same values and
+# the same term order (which fixes the columns of the float evaluator).
+
+
+def _o_merge(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    out = dict(a)
+    for name, k in b:
+        out[name] = out.get(name, 0) + k
+    return tuple(sorted(out.items()))
+
+
+def o_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, Fraction(0)) + c
+        if s == 0:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def o_neg(a):
+    return {k: -c for k, c in a.items()}
+
+
+def o_mul(a, b, max_degree=None):
+    """The product; truncated, it walks b by ascending degree and stops early."""
+    b_items = list(b.items())
+    if max_degree is not None:
+        b_items.sort(key=lambda kv: sum(kv[0][0]))
+    out = {}
+    for (ea, pa), ca in a.items():
+        for (eb, pb), cb in b_items:
+            if max_degree is not None and sum(ea) + sum(eb) > max_degree:
+                break
+            k = (tuple(x + y for x, y in zip(ea, eb)), _o_merge(pa, pb))
+            s = out.get(k, Fraction(0)) + ca * cb
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
+def o_scale(a, c):
+    return {k: c * v for k, v in a.items()} if c else {}
+
+
+def o_diff(a, i):
+    out = {}
+    for (e, p), c in a.items():
+        if e[i]:
+            e2 = list(e)
+            e2[i] -= 1
+            out[(tuple(e2), p)] = c * e[i]
+    return out
+
+
+def o_truncate(a, d):
+    return {k: c for k, c in a.items() if sum(k[0]) <= d}
+
+
+def o_homogeneous_parts(a):
+    out = {}
+    for k, c in a.items():
+        out.setdefault(sum(k[0]), {})[k] = c
+    return dict(sorted(out.items()))
+
+
+def o_subs(a, values):
+    out = {}
+    for (e, p), c in a.items():
+        rest = []
+        for name, k in p:
+            if name in values:
+                c = c * values[name] ** k
+            else:
+                rest.append((name, k))
+        if c == 0:
+            continue
+        key = (e, tuple(rest))
+        s = out.get(key, Fraction(0)) + c
+        if s == 0:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
+def o_divexact(a, q):
+    slices = {}
+    for (e, p), c in a.items():
+        slices.setdefault(p, {})[e] = c
+    q_lead = max(q, key=lambda k: (sum(k[0]), k[0], k[1]))
+    q_lead_e, q_lead_c = q_lead[0], q[q_lead]
+    q_rest = [(qe, qc) for (qe, _), qc in q.items() if qe != q_lead_e]
+
+    def heap_key(e):
+        return (-sum(e), tuple(-v for v in e), e)
+
+    result = {}
+    for pmono, rem in slices.items():
+        heap = [heap_key(e) for e in rem]
+        heapq.heapify(heap)
+        while heap:
+            lead_e = heapq.heappop(heap)[2]
+            c = rem.pop(lead_e, None)
+            if c is None:
+                continue
+            d = tuple(x - y for x, y in zip(lead_e, q_lead_e))
+            if any(v < 0 for v in d):
+                return None
+            coeff = c / q_lead_c
+            result[(d, pmono)] = coeff
+            for qe, qc in q_rest:
+                k = tuple(x + y for x, y in zip(d, qe))
+                if k in rem:
+                    s = rem[k] - coeff * qc
+                    if s == 0:
+                        del rem[k]
+                    else:
+                        rem[k] = s
+                else:
+                    rem[k] = -coeff * qc
+                    heapq.heappush(heap, heap_key(k))
+    return result
+
+
+PARAM_NAMES = ("H", "a_012", "b")
+DENOMINATORS = (1, 1, 2, 3, 4, 6, 9, 10, 35, 128)
+
+
+def seeded_poly(rng, n, nterms=None, max_deg=4, params=True):
+    """Rational polynomial with mixed denominators, sometimes with
+    parameters; few distinct monomials, so sums and products cancel."""
+    terms = {}
+    for _ in range(rng.randint(0, 7) if nterms is None else nterms):
+        e = [0] * n
+        for _ in range(rng.randint(0, max_deg)):
+            e[rng.randrange(min(n, 4))] += 1
+        p = ()
+        if params and rng.random() < 0.4:
+            p = tuple(sorted({name: rng.randint(1, 2)
+                              for name in rng.sample(PARAM_NAMES, rng.randint(1, 2))}.items()))
+        terms[(tuple(e), p)] = Fraction(rng.randint(-12, 12), rng.choice(DENOMINATORS))
+    return MultiPoly(n, terms)
+
+
+def assert_canonical(P):
+    assert P.den > 0
+    assert all(type(c) is int and c != 0 for c in P.num.values())
+    assert math.gcd(P.den, *P.num.values()) == 1
+    assert P.num or P.den == 1
+    assert dict(P.terms) == {k: Fraction(c, P.den) for k, c in P.num.items()}
+
+
+def same(P, oracle):
+    """Equal coefficients in the same term order, in lowest terms."""
+    assert_canonical(P)
+    assert list(P.terms.items()) == list(oracle.items())
+
+
+def test_constructor_is_canonical():
+    n = 3
+    zero_coeff = MultiPoly(n, {((1, 0, 0), ()): Fraction(0)})
+    assert zero_coeff.is_zero
+    assert zero_coeff == MultiPoly.zero(n)
+    assert hash(zero_coeff) == hash(MultiPoly.zero(n))
+    assert zero_coeff.degree() == -1
+    mixed = MultiPoly(n, {((1, 0, 0), ()): Fraction(0), ((0, 2, 0), ()): Fraction(3, 6)})
+    assert mixed == (x(n, 1) * x(n, 1)).scale(Fraction(1, 2)) and mixed.degree() == 2
+    for bad in (0.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            MultiPoly(n, {((1, 0, 0), ()): bad})
+        with pytest.raises(TypeError):
+            MultiPoly.make(n, {((1, 0, 0), ()): bad})
+
+
+def test_polynomials_are_immutable():
+    p = x(3, 0)
+    with pytest.raises(AttributeError):
+        p.den = 2
+    with pytest.raises(TypeError):
+        p.terms[((1, 0, 0), ())] = Fraction(2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(3, 9), st.integers(0, 2**32 - 1))
+def test_integer_kernel_matches_fraction_oracle(n, seed):
+    rng = random.Random(seed)
+    a, b = seeded_poly(rng, n), seeded_poly(rng, n)
+    if rng.random() < 0.3:
+        b = b - a  # forces cancellation in a + b
+    ta, tb = dict(a.terms), dict(b.terms)
+    same(a + b, o_add(ta, tb))
+    same(a - b, o_add(ta, o_neg(tb)))
+    same(-a, o_neg(ta))
+    same(a * b, o_mul(ta, tb))
+    D = rng.randint(0, 6)
+    same(a.mul_truncated(b, D), o_mul(ta, tb, D))
+    c = Fraction(rng.randint(-7, 7), rng.choice(DENOMINATORS))
+    same(a.scale(c), o_scale(ta, c))
+    i = rng.randrange(n)
+    same(a.diff(i), o_diff(ta, i))
+    same(a.truncate(D), o_truncate(ta, D))
+    parts = a.homogeneous_parts()
+    oparts = o_homogeneous_parts(ta)
+    assert list(parts) == list(oparts)
+    for d in parts:
+        same(parts[d], oparts[d])
+        same(a.homogeneous_part(d), oparts[d])
+    assert a.constant_term() == ta.get(((0,) * n, ()), 0)
+    values = {"H": Fraction(rng.randint(-3, 3), rng.randint(1, 4)), "b": Fraction(2, 3)}
+    same(a.subs_params(values), o_subs(ta, values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 9), st.integers(0, 2**32 - 1))
+def test_divexact_matches_fraction_oracle(n, seed):
+    rng = random.Random(seed)
+    a = seeded_poly(rng, n)
+    q = seeded_poly(rng, n, nterms=rng.randint(1, 3), max_deg=2, params=False)
+    if q.is_zero:
+        q = MultiPoly.const(n, Fraction(-3, 4))
+    r2 = MultiPoly.x_norm_sq(n)
+    for divisor in (q, r2, r2.scale(Fraction(-5, 3))):
+        for P in (a * divisor, a * divisor + seeded_poly(rng, n), a):
+            got = poly_divexact(P, divisor)
+            want = o_divexact(dict(P.terms), dict(divisor.terms))
+            if want is None:
+                assert got is None
+            else:
+                same(got, want)
+        assert poly_divexact(a * divisor, divisor) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 9), st.integers(0, 2**32 - 1))
+def test_equal_values_have_equal_representations(n, seed):
+    rng = random.Random(seed)
+    a, b, c = (seeded_poly(rng, n) for _ in range(3))
+    s = Fraction(rng.randint(1, 9), rng.choice(DENOMINATORS))
+    pairs = [
+        ((a + b) * c, a * c + b * c),
+        ((a * b).scale(s), a.scale(s) * b),
+        (a.scale(s).scale(1 / s), a),
+        ((a + b) - b, a),
+        (MultiPoly(n, dict(a.terms)), a),
+        (a.diff(0) + b.diff(0), (a + b).diff(0)),
+    ]
+    for u, v in pairs:
+        assert_canonical(u)
+        assert u == v
+        assert hash(u) == hash(v)
+
+
+def _to_sympy(P, syms):
+    import sympy
+
+    expr = sympy.Integer(0)
+    for (e, p), c in P.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, k in zip(syms, e):
+            term *= s**k
+        for name, k in p:
+            term *= sympy.Symbol(name) ** k
+        expr += term
+    return sympy.expand(expr)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_against_sympy(seed):
+    import sympy
+
+    rng = random.Random(300 + seed)
+    n = 3 + seed
+    syms = sympy.symbols(f"x0:{n}")
+    a, b = seeded_poly(rng, n, nterms=5), seeded_poly(rng, n, nterms=4)
+    assert sympy.expand(_to_sympy(a * b, syms) - _to_sympy(a, syms) * _to_sympy(b, syms)) == 0
+    assert sympy.expand(_to_sympy(a + b, syms) - _to_sympy(a, syms) - _to_sympy(b, syms)) == 0
+    r2 = MultiPoly.x_norm_sq(n)
+    gens = list(syms) + sorted({sympy.Symbol(nm) for nm in a.param_names()}, key=str)
+    quo, rem = sympy.div(_to_sympy(a * r2 * r2, syms), _to_sympy(r2, syms), *gens)
+    assert rem == 0
+    assert sympy.expand(quo - _to_sympy(poly_divexact(a * r2 * r2, r2), syms)) == 0
+
+
+# -- the cone test ------------------------------------------------------------
+
+
+def division_only(P):
+    """extract_radial_factors without the cone test."""
+    r2 = MultiPoly.x_norm_sq(P.n)
+    k = 0
+    while not P.is_zero:
+        q = poly_divexact(P, r2)
+        if q is None:
+            break
+        P, k = q, k + 1
+    return k, P
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 9), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_cone_test_never_rejects_a_multiple(n, k, seed):
+    rng = random.Random(seed)
+    Q = seeded_poly(rng, n, max_deg=5)
+    if rng.random() < 0.5:
+        Q = Q.homogeneous_part(max(Q.degree(), 0))
+    if Q.is_zero:
+        Q = MultiPoly.param(n, "H") + x(n, 0)
+    P = MultiPoly.x_norm_sq(n) ** k * Q
+    if k:
+        assert cone_value(P) == 0
+    kq, core = extract_radial_factors(Q)
+    assert extract_radial_factors(P) == (k + kq, core) == division_only(P)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cone_point_is_isotropic(n):
+    r2 = MultiPoly.x_norm_sq(n)
+    assert cone_value(r2) == 0
+    assert cone_value(r2 * MultiPoly.param(n, "H") + r2 * r2) == 0
+    assert extract_radial_factors(r2 * x(n, 0)) == (1, x(n, 0))
+    if n > 1:
+        assert cone_value(x(n, 0) * x(n, 0)) != 0
+        assert cone_value(r2 + x(n, n - 1)) != 0
+
+
+_CONE_SCRIPT = """
+import json, random
+from fractions import Fraction
+from umbilic import polyjet
+from umbilic.obstruction import script_R_series
+from umbilic.polyjet import Jet, MultiPoly
+
+calls = [0]
+divide = polyjet.poly_divexact
+def counted(P, Q):
+    calls[0] += 1
+    return divide(P, Q)
+polyjet.poly_divexact = counted
+
+n = 4
+H = MultiPoly.param(n, "H")
+r2 = MultiPoly.x_norm_sq(n)
+A3 = MultiPoly(n, {(tuple(int(i == j) + int(i == 0) + int(i == 2) for i in range(n)), ()): Fraction(j + 1, 3)
+                   for j in range(n)})
+polys = [r2 * H + MultiPoly.var(n, 0) ** 3, A3 * MultiPoly.param(n, "a_0123", 2), r2 * A3]
+script_R_series(Jet.of(r2 * H.scale(Fraction(1, 2 * n)) + A3, 7))
+print(json.dumps({"cone": [polyjet.cone_value(P) for P in polys], "divexact_calls": calls[0]}))
+"""
+
+
+def test_cone_test_is_deterministic_across_hash_seeds():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for hash_seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _CONE_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(json.loads(proc.stdout))
+    assert outs[0] == outs[1]
+    assert outs[0]["cone"][2] == 0 and all(outs[0]["cone"][:2])
+    assert outs[0]["divexact_calls"] > 0
