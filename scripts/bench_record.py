@@ -1,15 +1,17 @@
 """Record the benchmark of two source trees in alternating pairs.
 
     python3 scripts/bench_record.py --base ../parent --change . \
-        --base-label 2384163 --change-label int-kernel --pairs 10 --seed 1101
+        --base-label 2384163 --change-label int-kernel --seed 1101
 
-For each workload, pair i runs `perfbench/run.py --workload W --seed S+i
---seconds 30 --trace 0` once in each tree, untraced; the base tree goes
-first on even pairs and second on odd ones, so slow stretches of a shared
-host fall on both sides.  Each tree gets `BENCH_<label>.json` in --out-dir:
-the machine, the versions, every run's end-to-end metrics, and per metric
-the median and quartiles over the runs.  A table on stdout compares the
-two: medians, quartiles, and how many pairs the change won.
+For each workload of BENCHMARK.json, pair i of ten runs `perfbench/run.py
+--workload W --seed S+i --seconds T --trace 0` once in each tree, untraced,
+with T the benchmark's run_seconds; the base tree goes first on even pairs
+and second on odd ones, so slow stretches of a shared host fall on both
+sides.  A run that exits with neither 0 nor 1 (no result) stops the script.
+Each tree gets `BENCH_<label>.json` at the repository root: the machine,
+the versions, every run's end-to-end metrics, and per metric the median and
+quartiles over the runs.  A table on stdout compares the two: medians,
+quartiles, and how many pairs the change won.
 """
 
 from __future__ import annotations
@@ -22,21 +24,23 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("exact", "mass", "pointwise")
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+SECONDS = BENCHMARK["run_seconds"]
+PAIRS = 10
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    try:
-        result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
     report = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
-    ran = proc.returncode in (0, 1) and report.is_file()  # exit 2: no result
-    machine = json.loads(report.read_text())["machine"] if ran else {}
+    if proc.returncode not in (0, 1) or not report.is_file():
+        sys.exit(f"{' '.join(cmd)} in {tree} gave no result (exit {proc.returncode}):\n"
+                 f"{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    machine = json.loads(report.read_text())["machine"]
     return {
         "seed": seed,
         "exit": proc.returncode,
@@ -90,33 +94,29 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="source tree of the change")
     ap.add_argument("--base-label", required=True)
     ap.add_argument("--change-label", required=True)
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1101, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--out-dir", type=Path, default=Path(__file__).resolve().parents[1])
     args = ap.parse_args(argv)
 
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     labels = {"base": args.base_label, "change": args.change_label}
     runs = {side: {} for side in trees}
-    for workload in args.workloads:
-        for i in range(args.pairs):
+    for workload in WORKLOADS:
+        for i in range(PAIRS):
             seed = args.seed + i
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                r = run_once(trees[side], workload, seed, args.seconds)
+                r = run_once(trees[side], workload, seed)
                 runs[side].setdefault(workload, []).append(r)
                 print(f"# {workload} seed {seed} {labels[side]}: exit {r['exit']}, "
                       f"wall_s {r['metrics'].get('wall_s')}", file=sys.stderr)
         compare(workload, runs["base"][workload], runs["change"][workload])
 
     for side, other in (("base", "change"), ("change", "base")):
-        machine = next((r["machine"] for w in runs[side].values() for r in w if r["machine"]), {})
+        machine = next(r["machine"] for w in runs[side].values() for r in w)
         record = {
             "label": labels[side],
             "compared_with": labels[other],
-            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS:g} --trace 0",
             "order": "alternating pairs: base first on even pairs, change first on odd ones",
             "machine": dict(machine, platform=platform.platform()),
             "workloads": {
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
                 for w, rs in runs[side].items()
             },
         }
-        path = args.out_dir / f"BENCH_{labels[side]}.json"
+        path = ROOT / f"BENCH_{labels[side]}.json"
         path.write_text(json.dumps(record, indent=1) + "\n")
         print(f"# wrote {path}", file=sys.stderr)
     return 0
