@@ -4,7 +4,10 @@ schedule, extrapolate to infinity, and print a table.
 
 Exits 1 when a row breaks its bound: |m_inf| <= 1e-3 for the spheres,
 |m_inf| <= 1e-2 and |p - (8 - n)| <= 0.5 for the quartics, and
-|m_inf - m| <= 1e-3 for the Schwarzschild fixture.
+|m_inf - m| <= 1e-3 for the Schwarzschild fixture.  When the largest radius
+is at least 1000, each sphere's standard value there must also match the
+Lee-Parker value to 1e-6 relative: the two integrands differ at second
+order in the deviation, about 5e-7 at r = 1000.
 
 Usage: python3 scripts/mass_sweep.py [--radii 10,31.6,100,316,1000]
 """
@@ -14,6 +17,7 @@ import sys
 import time
 
 from umbilic import asymptotic, mass
+from umbilic.quadrature import QuadratureRule, default_degree
 from umbilic.surface import GraphSurface
 
 CASES = [
@@ -41,8 +45,9 @@ def main() -> int:
     for name, n, chart_flag, formula in CASES:
         S = GraphSurface.builtin(name, n)
         chart = asymptotic.chart_for(S, chart_flag)
+        rule = QuadratureRule.sphere(n, default_degree(n))
         t0 = time.monotonic()
-        sweep = mass.mass_sweep(S, chart, radii, formula)
+        sweep = mass.mass_sweep(S, chart, radii, formula, rule)
         fit = mass.extrapolate_mass(sweep)
         print(
             f"{name:<11} {n:>2} {chart_flag:>5} {formula:>12} "
@@ -55,10 +60,16 @@ def main() -> int:
             ok = abs(fit.m_inf) <= 1e-2 and abs(fit.decay_exponent - (8 - n)) <= 0.5
         if not ok:
             failed.append(f"{name} n={n} {formula}")
+        far = sweep[-1]
+        if name == "sphere" and far.radius >= 1000.0:
+            lp = mass.adm_mass_lee_parker(S, chart, far.radius, rule).value
+            gap = abs(far.value - lp) / abs(lp)
+            print(f"{'':<11} {n:>2} {chart_flag:>5} {'std vs LP':>12} {gap:>13.3e}"
+                  f"   at r = {far.radius:g}")
+            if gap > 1e-6:
+                failed.append(f"{name} n={n} standard vs lee_parker at r={far.radius:g}")
 
     src = mass.SchwarzschildField(mass=1.0)
-    from umbilic.quadrature import QuadratureRule
-
     rule = QuadratureRule.sphere(3, 8)
     for formula in (mass.STANDARD, mass.LEE_PARKER):
         sweep = mass.mass_sweep(src, None, radii, formula, rule)

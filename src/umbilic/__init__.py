@@ -24,6 +24,7 @@ from .asymptotic import (  # noqa: F401
     ghat_asymptotic_series,
     ghat_components,
     ghat_deviation_batch,
+    ghat_deviation_derivatives,
     ghat_radial_trace_series,
     inverse_conformal_profile,
 )

@@ -1,9 +1,8 @@
 """Coordinate charts at infinity for the inverted graph hypersurface.
 
 The surface is inverted through the distinguished point, so a neighborhood
-of that point maps to a neighborhood of infinity.  Three charts appear:
+of that point maps to a neighborhood of infinity.  Two charts appear:
 
-  graph_x     the original graph coordinates x (near the point),
   inverted_y  y = x |x|^{-2} (the inversion itself),
   corrected_z z = y sqrt(1 - c / |y|^2) with c = H^2 / (2 n^2),
 
@@ -26,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,10 +35,9 @@ from .polyjet import Jet, MultiPoly, SphericalSeries
 from .quadrature import sphere_directions
 from .surface import GraphSurface
 
-GRAPH_X = "graph_x"
 INVERTED_Y = "inverted_y"
 CORRECTED_Z = "corrected_z"
-_KINDS = (GRAPH_X, INVERTED_Y, CORRECTED_Z)
+_KINDS = (INVERTED_Y, CORRECTED_Z)
 
 
 class ChartDomainError(ValueError):
@@ -66,10 +64,6 @@ class Chart:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown chart kind {self.kind!r}")
-
-    @staticmethod
-    def graph(n: int) -> "Chart":
-        return Chart(GRAPH_X, n)
 
     @staticmethod
     def inverted(n: int) -> "Chart":
@@ -102,8 +96,6 @@ class Chart:
     def to_x_batch(self, pts: np.ndarray) -> np.ndarray:
         """Map chart points to graph coordinates x."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == GRAPH_X:
-            return pts
         s = np.sum(pts * pts, axis=1)
         if np.any(s <= 0.0):
             raise ChartDomainError("chart points must be nonzero")
@@ -119,8 +111,6 @@ class Chart:
     def from_x_batch(self, xs: np.ndarray) -> np.ndarray:
         """Map graph coordinates x to chart points."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if self.kind == GRAPH_X:
-            return xs
         s = np.sum(xs * xs, axis=1)
         if np.any(s <= 0.0):
             raise ChartDomainError("the distinguished point maps to infinity")
@@ -140,14 +130,12 @@ class Chart:
 
 
 def chart_for(S: GraphSurface, flag: str) -> Chart:
-    """Resolve a chart flag ('x'/'y'/'z' or a kind name) for a surface.
+    """Resolve a chart flag ('y'/'z' or a kind name) for a surface.
 
     The corrected chart demands a symbolic surface with numeric mean
     curvature and vanishing cubic coefficient; violations raise
     ChartRequirementError (a usage error, not a verification failure).
     """
-    if flag in ("x", GRAPH_X):
-        return Chart.graph(S.n)
     if flag in ("y", INVERTED_Y):
         return Chart.inverted(S.n)
     if flag in ("z", CORRECTED_Z):
@@ -184,6 +172,11 @@ def chart_for(S: GraphSurface, flag: str) -> Chart:
 # k = (1+a) gamma (2 - gamma) = a (2+a)/(1+a).  A and k are O(t^-2) and
 # cancel to the O(t^-4) deviation, so in this chart the relative error
 # grows like t^2 times the rounding error.
+#
+# Both charts share one pull-back: _inverse_point maps chart points to x,
+# _rank_one_form builds the diagonal and rank-one terms from f and grad f.
+# Run on Duals along e_k, the same two functions give the exact chart
+# derivative d_k (g - I) from f, grad f and Hess f at x.
 
 
 def _conformal(eps):
@@ -202,68 +195,95 @@ def _corrected_scalars(confm1, a):
     return gamma, k, A
 
 
-def _inverted_pieces(S: GraphSurface, ys: np.ndarray):
-    """conf - 1, conf, v and yhat of the inverted-chart closed form."""
-    s = np.sum(ys * ys, axis=1)
-    if np.any(s <= 0.0):
+def _sqrt(u):
+    """The square root of an array or of a Dual."""
+    return u.sqrt() if isinstance(u, Dual) else np.sqrt(u)
+
+
+def _inverse_point(chart: Chart, zs):
+    """a = c/t^2, y, s = |y|^2 and x = y/s at the chart points zs (a = 0
+    in the inverted chart, where y = z).  zs is an (N, n) array, or a Dual
+    carrying the derivative along one coordinate direction at points an
+    array call has already checked."""
+    t2 = (zs * zs).sum(axis=1)
+    if isinstance(zs, np.ndarray) and np.any(t2 <= 0.0):
         raise ChartDomainError("chart points must be nonzero")
-    fv, gr = S.f_derivatives_batch(ys / s[:, None])
-    confm1, conf = _conformal(s * fv * fv)
-    yhat = ys / np.sqrt(s)[:, None]
-    dots = np.sum(yhat * gr, axis=1)
-    v = gr - 2.0 * dots[:, None] * yhat
-    return confm1, conf, v, yhat
+    if chart.kind == INVERTED_Y:
+        return 0.0, zs, t2, zs / t2[:, None]
+    a = chart.c / t2
+    ys = _sqrt(1.0 + a)[:, None] * zs
+    s = (ys * ys).sum(axis=1)
+    return a, ys, s, ys / s[:, None]
 
 
-def _assemble(diag: np.ndarray, coefs, vecs) -> np.ndarray:
-    """diag I + sum_k coefs[k] vecs[k] vecs[k]^T, shape (N, n, n), from one
+def _rank_one_form(chart: Chart, a, ys, s, f, gr):
+    """diag, coefs and vecs with g - I = diag I + sum_m coefs[m] vecs[m]
+    vecs[m]^T, from _inverse_point's a, y and s and from f and grad f at
+    x = y/s.  All are arrays, or all Duals along one direction."""
+    confm1, conf = _conformal(s * f * f)
+    yhat = ys / _sqrt(s)[:, None]
+    v = gr - 2.0 * (yhat * gr).sum(axis=1)[:, None] * yhat
+    if chart.kind == INVERTED_Y:
+        return confm1, [conf], [v]
+    gamma, k, A = _corrected_scalars(confm1, a)
+    w = v - (gamma * (yhat * v).sum(axis=1))[:, None] * yhat
+    return A, [-k * conf, (1.0 + a) * conf], [yhat, w]
+
+
+def _assemble(diag: np.ndarray, lefts, rights) -> np.ndarray:
+    """diag I + sum_m lefts[m] rights[m]^T, shape (N, n, n), from one
     stacked (N, n, K) @ (N, K, n) product."""
-    V = np.stack(vecs, axis=1)
-    out = (np.stack(coefs, axis=1)[:, :, None] * V).transpose(0, 2, 1) @ V
+    out = np.stack(lefts, axis=2) @ np.stack(rights, axis=1)
     N, n = out.shape[:2]
     out.reshape(N, n * n)[:, :: n + 1] += diag[:, None]
     return out
 
 
-def _deviation_inverted(S: GraphSurface, ys: np.ndarray) -> np.ndarray:
-    confm1, conf, v, _ = _inverted_pieces(S, ys)
-    return _assemble(confm1, [conf], [v])
-
-
-def _deviation_corrected(S: GraphSurface, chart: Chart, zs: np.ndarray) -> np.ndarray:
-    t2 = np.sum(zs * zs, axis=1)
-    if np.any(t2 <= 0.0):
-        raise ChartDomainError("chart points must be nonzero")
-    a = chart.c / t2
-    confm1, conf, v, zhat = _inverted_pieces(S, np.sqrt(1.0 + a)[:, None] * zs)
-    gamma, k, A = _corrected_scalars(confm1, a)
-    w = v - (gamma * np.sum(zhat * v, axis=1))[:, None] * zhat
-    return _assemble(A, [-k * conf, (1.0 + a) * conf], [zhat, w])
-
-
-def _deviation_graph(S: GraphSurface, xs: np.ndarray) -> np.ndarray:
-    n = S.n
-    s = np.sum(xs * xs, axis=1)
-    fv, gr = S.f_derivatives_batch(xs)
-    rho = s + fv * fv
-    if np.any(rho <= 0.0):
-        raise ChartDomainError("the rescaled metric is singular at the point")
-    gg = np.eye(n)[None, :, :] + gr[:, :, None] * gr[:, None, :]
-    return gg / (rho * rho)[:, None, None] - np.eye(n)[None, :, :]
+def _assemble_form(diag: np.ndarray, coefs, vecs) -> np.ndarray:
+    """diag I + sum_m coefs[m] vecs[m] vecs[m]^T, shape (N, n, n)."""
+    return _assemble(diag, [c[:, None] * u for c, u in zip(coefs, vecs)], vecs)
 
 
 def ghat_deviation_batch(S: GraphSurface, chart: Chart, pts: np.ndarray) -> np.ndarray:
     """Components of (rescaled metric - identity) at chart points, shape
-    (N, n, n).  In the inverted chart they keep their relative accuracy
-    at any radius; in the corrected chart O(t^-2) pieces cancel to the
-    O(t^-4) deviation, so the relative error grows like t^2 times the
-    rounding error."""
+    (N, n, n), from one order-1 evaluator call.  In the inverted chart
+    they keep their relative accuracy at any radius; in the corrected
+    chart O(t^-2) pieces cancel to the O(t^-4) deviation, so the relative
+    error grows like t^2 times the rounding error."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if chart.kind == INVERTED_Y:
-        return _deviation_inverted(S, pts)
-    if chart.kind == CORRECTED_Z:
-        return _deviation_corrected(S, chart, pts)
-    return _deviation_graph(S, pts)
+    a, ys, s, xs = _inverse_point(chart, pts)
+    f, gr = S.f_derivatives_batch(xs)
+    return _assemble_form(*_rank_one_form(chart, a, ys, s, f, gr))
+
+
+def ghat_deviation_derivatives(
+    S: GraphSurface, chart: Chart, pts: np.ndarray
+) -> Tuple[np.ndarray, Callable[[int], np.ndarray]]:
+    """The deviation at chart points, shape (N, n, n), and a function that
+    maps k to its exact chart derivative d_k (g - I), shape (N, n, n).
+
+    One order-2 evaluator call gives f, grad f and Hess f at x; each d_k
+    pushes Duals along e_k through the same closed form (forward mode), with
+    df = grad f . d_k x and d grad f = Hess f d_k x.  Derivatives are
+    formed one direction at a time, so no (n, N, n, n) array is built."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    a, ys, s, xs = _inverse_point(chart, pts)
+    f, gr, hess = S.f_derivatives_batch(xs, order=2)
+    dev = _assemble_form(*_rank_one_form(chart, a, ys, s, f, gr))
+
+    def derivative(k: int) -> np.ndarray:
+        e = np.zeros_like(pts)
+        e[:, k] = 1.0
+        a_k, ys_k, s_k, xs_k = _inverse_point(chart, Dual(pts, e))
+        f_k = Dual(f, (gr * xs_k.d).sum(axis=1))
+        gr_k = Dual(gr, np.einsum("pij,pj->pi", hess, xs_k.d))
+        diag, coefs, vecs = _rank_one_form(chart, a_k, ys_k, s_k, f_k, gr_k)
+        # product rule: d(c u u^T) = q u^T + u q^T with q = c du + (dc/2) u
+        u = [w.v for w in vecs]
+        q = [c.v[:, None] * w.d + 0.5 * c.d[:, None] * w.v for c, w in zip(coefs, vecs)]
+        return _assemble(diag.d, q + u, u + q)
+
+    return dev, derivative
 
 
 def _rowdot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -294,20 +314,13 @@ def ghat_radial_trace_batch(
     if t <= 0.0:
         raise ChartDomainError("chart points must be nonzero")
     T = Dual(t, 1.0)
-    if chart.kind == GRAPH_X:
-        s, xs, dlog = None, t * dirs, 1.0 / t
-    else:
-        c = chart.c if chart.kind == CORRECTED_Z else 0.0
-        s = T * T + c  # |y|^2; x = yhat / |y| and d rho/dt = -t rho^3
-        xs, dlog = dirs / math.sqrt(s.v), -t / s.v
+    c = chart.c if chart.kind == CORRECTED_Z else 0.0
+    s = T * T + c  # |y|^2; x = yhat / |y| and d rho/dt = -t rho^3
+    xs, dlog = dirs / math.sqrt(s.v), -t / s.v
     fv, gr, ef, egr = S.f_radial_batch(xs)
     f = Dual(fv, dlog * ef)
     p = Dual(_rowdot(dirs, gr), dlog * _rowdot(dirs, egr))
     G = Dual(_rowdot(gr, gr), 2.0 * dlog * _rowdot(gr, egr))
-    if s is None:
-        rho = T * T + f * f
-        inv = 1.0 / (rho * rho)
-        return (1.0 + p * p) * inv - 1.0, (n + G) * inv - n
     confm1, conf = _conformal(s * f * f)
     a = c / (T * T)
     gamma, k, A = _corrected_scalars(confm1, a)

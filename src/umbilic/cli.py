@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence
 
 from . import asymptotic, conformal, mass, obstruction
 from .asymptotic import ChartRequirementError
-from .numdiff import RADIAL_STEP
 from .obstruction import NotUmbilical
 from .polyjet import MultiPoly, poly_to_json
 from .quadrature import QuadratureRule, default_degree
@@ -194,8 +193,8 @@ def cmd_mass(args) -> int:
             raise UsageError(f"unknown fixture {args.fixture!r}")
         n = args.n if args.n is not None else 3
         source: mass.MetricSource = _usage(mass.SchwarzschildField, mass=args.m, n=n)
-        # the central differences reach in to radius r (1 - RADIAL_STEP)
-        if min(radii) * (1.0 - RADIAL_STEP) <= source.horizon_radius:
+        # both formulas evaluate on the sphere of radius r only
+        if min(radii) <= source.horizon_radius:
             raise UsageError("radii must lie outside the horizon sphere |y| = |m|/2")
         chart = None
         chart_kind = asymptotic.INVERTED_Y

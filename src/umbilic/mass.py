@@ -4,7 +4,8 @@ Two flux integrals at finite radius, extrapolated to infinity:
 
   standard_adm   g^{jk} (d_k g_ij - d_i g_jk) nu^i over the coordinate
                  sphere, the textbook ADM surface integral, with the metric
-                 derivatives from central differences;
+                 and its exact coordinate derivatives in closed form from
+                 one order-2 evaluation per radius (no finite difference);
   lee_parker     the radial form  d_r(g_rr - sum_a g_aa)
                  + r^{-1} (n g_rr - sum_a g_aa), with g_rr, the trace and
                  the exact radial derivative in closed form from one
@@ -26,12 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from . import asymptotic, numdiff
+from . import asymptotic
 from .asymptotic import CORRECTED_Z, INVERTED_Y, Chart
 from .numdiff import Dual
 from .obstruction import sphere_integral_series
@@ -87,6 +88,21 @@ class SchwarzschildField:
             raise ValueError("points must lie outside the horizon sphere")
         return self._excess(r)[:, None, None] * np.eye(self.n)[None, :, :]
 
+    def deviation_derivatives(
+        self, pts: np.ndarray
+    ) -> Tuple[np.ndarray, Callable[[int], np.ndarray]]:
+        """The deviation and a function that maps k to its exact derivative
+        d_k (g - I) = excess'(r) (y_k / r) I."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        dev = self.deviation_batch(pts)
+        r = np.linalg.norm(pts, axis=1)
+
+        def derivative(k: int) -> np.ndarray:
+            d = self._excess(Dual(r, pts[:, k] / r)).d
+            return d[:, None, None] * np.eye(self.n)[None, :, :]
+
+        return dev, derivative
+
     def radial_trace_batch(self, t: float, dirs: np.ndarray) -> Tuple[Dual, Dual]:
         """g_rr and tr of the deviation at the points t * dirs, with their
         t-derivatives: the excess and n times it, the same on every ray."""
@@ -99,12 +115,12 @@ class SchwarzschildField:
 MetricSource = Union[GraphSurface, SchwarzschildField]
 
 
-def _deviation(source: MetricSource, chart: Optional[Chart], pts: np.ndarray):
+def _deviation_derivatives(source: MetricSource, chart: Optional[Chart], pts: np.ndarray):
     if isinstance(source, GraphSurface):
         if chart is None:
             raise ValueError("a chart is required for surface sources")
-        return asymptotic.ghat_deviation_batch(source, chart, pts)
-    return source.deviation_batch(pts)
+        return asymptotic.ghat_deviation_derivatives(source, chart, pts)
+    return source.deviation_derivatives(pts)
 
 
 def lee_parker_pair(
@@ -158,23 +174,23 @@ def adm_mass_standard(
     r: float,
     rule: QuadratureRule,
 ) -> MassEstimate:
-    """The normalized flux integral at radius r with central-difference
-    metric derivatives (step numdiff.RADIAL_STEP times the radius)."""
+    """The normalized flux integral at radius r.  The metric and its exact
+    coordinate derivatives come in closed form from one evaluation on the
+    rule's nodes (ghat_deviation_derivatives), with no finite difference;
+    each d_k g is contracted into nu_i g^{jk} (d_k g_ij - d_i g_jk) as
+    soon as it is formed."""
     n = rule.n
     r = float(r)
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    pts = r * rule.nodes
-    g = np.eye(n)[None, :, :] + _deviation(source, chart, pts)
-    ginv = np.linalg.inv(g)
-    _, dg, _ = numdiff.metric_derivatives(
-        lambda p: _deviation(source, chart, p), pts, numdiff.RADIAL_STEP * r, order=1
-    )
-    # flux_i = g^{jk} (d_k g_ij - d_i g_jk)
-    flux = np.einsum("pjk,kpij->pi", ginv, dg) - np.einsum(
-        "pjk,ipjk->pi", ginv, dg
-    )
-    vals = np.einsum("pi,pi->p", flux, rule.nodes)
+    nu = rule.nodes
+    dev, derivative = _deviation_derivatives(source, chart, r * nu)
+    ginv = np.linalg.inv(np.eye(n)[None, :, :] + dev)
+    vals = np.zeros(len(nu))
+    for k in range(n):
+        dg = derivative(k)
+        vals += np.einsum("pi,pij,pj->p", nu, dg, ginv[:, :, k])
+        vals -= nu[:, k] * np.einsum("pjl,pjl->p", ginv, dg)
     value = mass_normalization(n) * r ** (n - 1) * rule.integrate(vals)
     kind = chart.kind if chart is not None else INVERTED_Y
     return MassEstimate(r, value, STANDARD, kind, rule.degree, len(rule.weights))

@@ -6,7 +6,8 @@ difference in the package goes through it.  `gradient` and `hessian` add
 one Richardson extrapolation step; second derivatives use a larger step
 than first derivatives because their roundoff error scales like eps/h^2.
 `Dual` carries a closed form's derivative along one parameter exactly,
-with no step to choose.
+with no step to choose; both mass fluxes take their metric derivatives
+from it, so `RADIAL_STEP` now serves only the decay-order fits.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Relative step of the radial central differences: h = RADIAL_STEP * radius.
+# Relative step of the decay fits' central differences: h = RADIAL_STEP * radius.
 RADIAL_STEP = 1e-4
 
 
@@ -24,7 +25,8 @@ class Dual:
     """A value and its derivative along one parameter (forward-mode
     differentiation): + - * / apply the sum, product and quotient rules.
     Both parts are floats or numpy arrays and broadcast like them; plain
-    numbers and arrays act as constants."""
+    numbers and arrays act as constants.  Indexing, sum and sqrt act on
+    both parts as on an array, so array code runs on Duals unchanged."""
 
     __slots__ = ("v", "d")
     __array_ufunc__ = None  # ndarray <op> Dual defers to the reflected method
@@ -65,6 +67,16 @@ class Dual:
     def __rtruediv__(self, o):
         q = o / self.v
         return Dual(q, -q * self.d / self.v)
+
+    def __getitem__(self, index):
+        return Dual(self.v[index], self.d[index])
+
+    def sum(self, axis=None):
+        return Dual(np.sum(self.v, axis=axis), np.sum(self.d, axis=axis))
+
+    def sqrt(self):
+        r = np.sqrt(self.v)
+        return Dual(r, self.d / (2.0 * r))
 
 
 def metric_derivatives(F: Callable, x, h: float, order: int = 2):

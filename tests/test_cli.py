@@ -177,6 +177,19 @@ def test_mass_bad_radii(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_mass_schwarzschild_horizon_guard(capsys):
+    # both formulas evaluate on the sphere of radius r only, so radii down
+    # to just outside the horizon |y| = |m|/2 = 1 run
+    argv = ["mass", "--fixture", "schwarzschild", "--m", "2.0", "--quad-deg", "8",
+            "--radii"]
+    code, out, err = run(argv + ["1.0,10,100,1000"], capsys)
+    assert code == 2
+    assert out == "" and "horizon" in err
+    code, out, _ = run(argv + ["1.00005,10,100,1000"], capsys)
+    assert code in (0, 1)
+    assert load(out)["sweeps"][0]["radius"] == 1.00005
+
+
 def test_mass_quad_deg_zero_is_not_the_default(capsys):
     argv = ["mass", "--fixture", "schwarzschild", "--m", "0.5", "--quad-deg"]
     code, out, _ = run(argv + ["0"], capsys)

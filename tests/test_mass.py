@@ -232,6 +232,94 @@ def test_lee_parker_numeric_sphere_matches_symbolic():
     assert num == pytest.approx(sym, rel=1e-6)
 
 
+# -- the standard flux in closed form ---------------------------------------------
+
+
+def derivative_case(case):
+    """(source, chart, deviation function, chart radii) of a derivative check."""
+    if case == "schwarzschild":
+        src = mm.SchwarzschildField(mass=0.5)
+        return src, None, src.deviation_batch, (10.0, 1000.0)
+    name, n, flag = {
+        "sphere3_y": ("sphere", 3, "y"),
+        "sphere5_y": ("sphere", 5, "y"),
+        "cubic4_y": ("cubic_x1", 4, "y"),
+        "quartic6_z": ("quartic_x1", 6, "z"),
+        "flat4_y": ("flat", 4, "y"),
+    }[case]
+    src = GraphSurface.builtin(name, n)
+    ch = asym.chart_for(src, flag)
+    # the corrected chart's O(t^-2) cancellation costs the reference t^2
+    # times the rounding error, so it stops at r = 31.6
+    radii = (10.0, 10.0**1.5) if flag == "z" else (10.0, 1000.0)
+    return src, ch, lambda p: asym.ghat_deviation_batch(src, ch, p), radii
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["sphere3_y", "sphere5_y", "cubic4_y", "quartic6_z", "flat4_y", "schwarzschild"],
+)
+def test_standard_derivative_matches_richardson(case):
+    # the closed-form d_k g against a Richardson-extrapolated central
+    # difference of the deviation (step 1e-3 r).  Measured: <= 2.8e-12 of
+    # the largest entry in chart y and for the fixture, 4.3e-11 (r = 10)
+    # and 4.7e-10 (r = 31.6) in chart z, where the reference's own error
+    # dominates
+    src, ch, F, radii = derivative_case(case)
+    n = src.n
+    dirs = QuadratureRule.sphere(n, 6).nodes
+    for r in radii:
+        pts = r * dirs
+        dev, derivative = mm._deviation_derivatives(src, ch, pts)
+        assert np.array_equal(dev, F(pts))
+        dg = np.stack([derivative(k) for k in range(n)])
+        if case == "flat4_y":
+            assert not np.any(dev) and not np.any(dg)
+            continue
+        ref = numdiff._richardson(F, pts, 1e-3 * r, 1)
+        assert np.max(np.abs(dg - ref)) <= 1e-9 * np.max(np.abs(ref)), r
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_standard_matches_lee_parker_far(n):
+    # the two integrands differ at second order in the deviation, ~5e-7
+    # relative at r = 1000 (measured 5.0e-7); a central difference adds
+    # up to 3.7e-6 there
+    S = GraphSurface.sphere(n)
+    ch = asym.Chart.inverted(n)
+    rule = QuadratureRule.sphere(n, default_degree(n))
+    std = mm.adm_mass_standard(S, ch, 1000.0, rule).value
+    lp = mm.adm_mass_lee_parker(S, ch, 1000.0, rule).value
+    assert abs(std - lp) <= 1e-6 * abs(lp)
+
+
+def test_standard_numeric_sphere_matches_symbolic():
+    # the f_num surface takes Hess f from finite differences of f instead of
+    # the evaluator; measured 9.4e-7 relative
+    ch = asym.Chart.inverted(3)
+    rule = QuadratureRule.sphere(3, default_degree(3))
+    sym = mm.adm_mass_standard(GraphSurface.sphere(3), ch, 10.0, rule).value
+    num = mm.adm_mass_standard(GraphSurface.sphere_numeric(3), ch, 10.0, rule).value
+    assert num == pytest.approx(sym, rel=1e-5)
+
+
+def test_standard_flux_takes_no_finite_difference(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the standard flux took a finite difference")
+
+    monkeypatch.setattr(numdiff, "metric_derivatives", refuse)
+    monkeypatch.setattr(asym, "metric_derivatives", refuse)
+    S3 = GraphSurface.sphere(3)
+    Q6 = GraphSurface.quartic_x1(6)
+    for src, ch in (
+        (S3, asym.chart_for(S3, "y")),
+        (Q6, asym.chart_for(Q6, "z")),
+        (mm.SchwarzschildField(mass=0.5), None),
+    ):
+        rule = QuadratureRule.sphere(src.n, 6)
+        assert math.isfinite(mm.adm_mass_standard(src, ch, 100.0, rule).value)
+
+
 def test_estimate_json_fields():
     e = mm.MassEstimate(10.0, 0.25, mm.STANDARD, asym.INVERTED_Y, 8, 128)
     d = e.to_json()

@@ -168,3 +168,17 @@ def test_dual_carries_exact_derivative():
     mixed = np.ones(3) * Dual(2.0, 1.0) - np.arange(3.0)
     assert isinstance(mixed, Dual)
     assert list(mixed.v) == [2.0, 1.0, 0.0] and list(mixed.d) == [1.0, 1.0, 1.0]
+
+
+def test_dual_array_methods():
+    # rows x(t) = (t, 2t, t^2): |x| = t sqrt(5 + t^2) with its t-derivative,
+    # through indexing, sum and sqrt exactly as array code spells them
+    t = np.linspace(0.5, 4.0, 9)
+    X = Dual(np.stack([t, 2.0 * t, t * t], axis=1),
+             np.stack([np.ones_like(t), 2.0 * np.ones_like(t), 2.0 * t], axis=1))
+    norm = (X * X).sum(axis=1).sqrt()
+    assert np.allclose(norm.v, t * np.sqrt(5.0 + t * t), rtol=1e-15, atol=0.0)
+    assert np.allclose(norm.d, (5.0 + 2.0 * t * t) / np.sqrt(5.0 + t * t), rtol=1e-14)
+    col = (X / norm[:, None])[:, 2]
+    assert np.allclose(col.v, t / np.sqrt(5.0 + t * t), rtol=1e-15)
+    assert np.allclose(col.d, 5.0 / (5.0 + t * t) ** 1.5, rtol=1e-14)
