@@ -21,8 +21,6 @@ from .asymptotic import (  # noqa: F401
     DecayFit,
     chart_for,
     decay_order_estimate,
-    ghat_asymptotic_series,
-    ghat_components,
     ghat_deviation_batch,
     ghat_deviation_derivatives,
     ghat_radial_trace_series,

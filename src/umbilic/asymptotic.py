@@ -11,13 +11,13 @@ the order-2 deviation of the metric, improving the decay rate to 4 when
 the cubic coefficient of the height function vanishes.
 
 The module computes the components of the rescaled metric rho^{-2} g in
-each chart, both numerically (with the deviation from the flat metric in
-closed form: in the inverted chart no precision is lost to cancellation at
-large radius, in the corrected chart O(t^-2) pieces cancel to the O(t^-4)
-deviation) and as an exact symbolic descending series in the radius.  The
-radial component and the trace, with their exact radial derivatives, also
-come in closed form without the full matrix.  A least-squares decay-order
-estimator certifies the asymptotic flatness orders.
+each chart numerically, with the deviation from the flat metric in closed
+form: in the inverted chart no precision is lost to cancellation at large
+radius, in the corrected chart O(t^-2) pieces cancel to the O(t^-4)
+deviation.  The radial component and the trace, with their exact radial
+derivatives, also come in closed form without the full matrix, and as
+exact symbolic descending series in the radius.  A least-squares
+decay-order estimator certifies the asymptotic flatness orders.
 """
 
 from __future__ import annotations
@@ -329,12 +329,6 @@ def ghat_radial_trace_batch(
     return g_tt, trace
 
 
-def ghat_components(S: GraphSurface, chart: Chart, p) -> np.ndarray:
-    """The full n x n matrix of the rescaled metric in the chart at p."""
-    p = np.asarray(p, dtype=float)
-    return np.eye(S.n) + ghat_deviation_batch(S, chart, p[None, :])[0]
-
-
 # -- symbolic descending series ----------------------------------------------
 #
 # All series are exact SphericalSeries in the chart radius with windowed
@@ -352,8 +346,9 @@ def _require_no_cubic(parts: Dict[int, MultiPoly]) -> None:
 
 
 def _series_pieces(poly: MultiPoly, LO: int):
-    """Height function and its gradient at x = y / |y|^2 as descending
-    series in |y|, plus the correction constant c = H^2/(2 n^2).
+    """n, the unit series, the conformal factor (1 + |y|^2 f^2)^{-2}, the
+    gradient of the height function at x = y / |y|^2, all as descending
+    series in |y|, and the correction constant c = H^2/(2 n^2).
 
     The height series carries two extra orders because it is only used
     squared and multiplied by the square of the radius."""
@@ -367,25 +362,11 @@ def _series_pieces(poly: MultiPoly, LO: int):
     for i in range(n):
         g_terms = [(-2 * (k - 1), P.diff(i)) for k, P in parts_all.items()]
         grads.append(SphericalSeries.canonicalize(n, g_terms, LO, 0))
-    c_poly = (Hp * Hp).scale(Fraction(1, 2 * n * n))
-    return n, f_ser, grads, c_poly
-
-
-def _y_metric_pieces(poly: MultiPoly, LO: int):
-    """Conformal factor (1 + |y|^2 f^2)^{-2} and the reflected gradient
-    v = (I - 2 yhat yhat^T) grad f as descending series."""
-    n, f_ser, grads, c_poly = _series_pieces(poly, LO)
     one = SphericalSeries.one(n, LO, 0)
     eps = (f_ser * f_ser).shift(2).with_window(LO, 0)
     conf = (one + eps).power_unit(-2, at_infinity=True)
-    rad = [
-        SphericalSeries.from_term(-1, MultiPoly.var(n, i), LO, 0) for i in range(n)
-    ]
-    dot = SphericalSeries.zero(n, LO, 0)
-    for i in range(n):
-        dot = dot + rad[i] * grads[i]
-    v = [grads[i] - (dot * rad[i]).scale(2) for i in range(n)]
-    return n, one, conf, v, rad, c_poly
+    c_poly = (Hp * Hp).scale(Fraction(1, 2 * n * n))
+    return n, one, conf, grads, c_poly
 
 
 class _RadialSubstitution:
@@ -422,69 +403,11 @@ def inverse_conformal_profile(
     series in the chart radius (starts 1 - c t^{-2} + ... in the corrected
     chart)."""
     LO = order_min
-    n, one, conf, v, rad, c_poly = _y_metric_pieces(f.poly, LO)
+    n, _, conf, _, c_poly = _series_pieces(f.poly, LO)
     if chart_kind == INVERTED_Y:
         return conf
     sub = _RadialSubstitution(n, c_poly, LO)
     return sub(conf).with_window(order_min, 0)
-
-
-def ghat_asymptotic_series(
-    f: Jet, chart_kind: str = CORRECTED_Z, order_min: int = -5
-) -> List[List[SphericalSeries]]:
-    """Exact descending series of (rescaled metric - identity) components
-    in the chart, through total order order_min.  Requires a vanishing
-    cubic coefficient in the height function."""
-    if chart_kind not in (INVERTED_Y, CORRECTED_Z):
-        raise ValueError("series are available in the inverted charts only")
-    LO = order_min
-    n, one, conf, v, rad, c_poly = _y_metric_pieces(f.poly, LO)
-    confm1 = conf - one
-    hy = [
-        [
-            conf * v[i] * v[j] + (confm1 if i == j else SphericalSeries.zero(n, LO, 0))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    if chart_kind == INVERTED_Y:
-        return [[hy[i][j].with_window(order_min, 0) for j in range(n)] for i in range(n)]
-    sub = _RadialSubstitution(n, c_poly, LO)
-    G = [
-        [
-            sub(hy[i][j]) + (one if i == j else SphericalSeries.zero(n, LO, 0))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    a_ser = SphericalSeries.canonicalize(n, [(-2, c_poly)], LO, 0)
-    inv_base = sub.power(-1)
-    gamma = a_ser * inv_base
-    # dy/dz = phi (I - gamma zhat zhat^T): conjugate via the radial vector.
-    u = []
-    for i in range(n):
-        acc = SphericalSeries.zero(n, LO, 0)
-        for j in range(n):
-            acc = acc + G[i][j] * rad[j]
-        u.append(acc)
-    q = SphericalSeries.zero(n, LO, 0)
-    for i in range(n):
-        q = q + u[i] * rad[i]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = (
-                G[i][j]
-                - gamma * (rad[i] * u[j] + u[i] * rad[j])
-                + gamma * gamma * q * rad[i] * rad[j]
-            )
-            entry = sub.base * entry
-            if i == j:
-                entry = entry - one
-            row.append(entry.with_window(order_min, 0))
-        out.append(row)
-    return out
 
 
 def ghat_radial_trace_series(
@@ -493,22 +416,26 @@ def ghat_radial_trace_series(
     """The radial component g_tt = sum g_ij zhat_i zhat_j and the trace
     sum g_ii of the full rescaled metric, as descending series.
 
-    Uses that the corrected-chart Jacobian phi (I - gamma zhat zhat^T)
-    fixes the radial direction, so only two scalar series are needed; this
-    keeps symbolic runs with generic quartic/quintic coefficients cheap.
+    In the inverted chart g = conf (I + v v^T) with the reflected gradient
+    v = (I - 2 yhat yhat^T) grad f.  The reflection flips the radial part
+    and keeps the norm, yhat . v = -p and |v|^2 = G with p = yhat . grad f
+    and G = |grad f|^2, so g_yy = conf (1 + p^2) and tr g = conf (n + G)
+    follow from the gradient without forming v.  The corrected-chart
+    Jacobian phi (I - gamma zhat zhat^T) fixes the radial direction, so
+    these two scalar series also give g_tt and the trace there; this keeps
+    symbolic runs with generic quartic/quintic coefficients cheap.
     """
     if chart_kind not in (INVERTED_Y, CORRECTED_Z):
         raise ValueError("series are available in the inverted charts only")
     LO = order_min
-    n, one, conf, v, rad, c_poly = _y_metric_pieces(f.poly, LO)
-    dot = SphericalSeries.zero(n, LO, 0)
-    for i in range(n):
-        dot = dot + v[i] * rad[i]
-    S_rr = conf * (one + dot * dot)
-    vv = SphericalSeries.zero(n, LO, 0)
-    for i in range(n):
-        vv = vv + v[i] * v[i]
-    S_tr = conf * (one.scale(n) + vv)
+    n, one, conf, grads, c_poly = _series_pieces(f.poly, LO)
+    p = SphericalSeries.zero(n, LO, 0)
+    G = SphericalSeries.zero(n, LO, 0)
+    for i, g in enumerate(grads):
+        p = p + SphericalSeries.from_term(-1, MultiPoly.var(n, i), LO, 0) * g
+        G = G + g * g
+    S_rr = conf * (one + p * p)
+    S_tr = conf * (one.scale(n) + G)
     if chart_kind == INVERTED_Y:
         return S_rr.with_window(order_min, 0), S_tr.with_window(order_min, 0)
     sub = _RadialSubstitution(n, c_poly, LO)
@@ -517,7 +444,7 @@ def ghat_radial_trace_series(
     a_ser = SphericalSeries.canonicalize(n, [(-2, c_poly)], LO, 0)
     inv_base = sub.power(-1)
     # The Jacobian scales the radial direction by phi (1 - gamma), whose
-    # square is 1/(1+a); the trace picks up tr(G J^2).
+    # square is 1/(1+a); the trace picks up tr(g^y J^2).
     g_tt = inv_base * srr
     trace = sub.base * stt - a_ser * (one.scale(2) + a_ser) * inv_base * srr
     return g_tt.with_window(order_min, 0), trace.with_window(order_min, 0)

@@ -137,12 +137,6 @@ def lee_parker_pair(
     return g_rr - tr, np.shape(dirs)[-1] * g_rr - tr
 
 
-def _source_name(source: MetricSource) -> str:
-    if isinstance(source, GraphSurface):
-        return source.name or "surface"
-    return f"schwarzschild(m={source.mass})"
-
-
 # -- finite-radius estimates ----------------------------------------------------
 
 

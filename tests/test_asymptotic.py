@@ -32,6 +32,56 @@ def pure_quadratic_jet(n: int):
     return Jet.of(MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n)), 7), H
 
 
+def full_matrix_series(f: Jet, chart_kind: str, order_min: int):
+    """Oracle: every component of (rescaled metric - identity) as an exact
+    descending series.  Builds the reflected gradient v = (I - 2 yhat
+    yhat^T) grad f, forms g^y = conf (I + v v^T) entry by entry and, in the
+    corrected chart, conjugates by dy/dz = phi (I - gamma zhat zhat^T)."""
+    LO = order_min
+    n, one, conf, grads, c_poly = asym._series_pieces(f.poly, LO)
+    zero = SphericalSeries.zero(n, LO, 0)
+    rad = [SphericalSeries.from_term(-1, MultiPoly.var(n, i), LO, 0) for i in range(n)]
+    dot = zero
+    for i in range(n):
+        dot = dot + rad[i] * grads[i]
+    v = [grads[i] - (dot * rad[i]).scale(2) for i in range(n)]
+    confm1 = conf - one
+    hy = [
+        [conf * v[i] * v[j] + (confm1 if i == j else zero) for j in range(n)]
+        for i in range(n)
+    ]
+    if chart_kind == asym.INVERTED_Y:
+        return [[hy[i][j].with_window(LO, 0) for j in range(n)] for i in range(n)]
+    sub = asym._RadialSubstitution(n, c_poly, LO)
+    G = [[sub(hy[i][j]) + (one if i == j else zero) for j in range(n)] for i in range(n)]
+    a_ser = SphericalSeries.canonicalize(n, [(-2, c_poly)], LO, 0)
+    gamma = a_ser * sub.power(-1)
+    u = []
+    for i in range(n):
+        acc = zero
+        for j in range(n):
+            acc = acc + G[i][j] * rad[j]
+        u.append(acc)
+    q = zero
+    for i in range(n):
+        q = q + u[i] * rad[i]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            entry = (
+                G[i][j]
+                - gamma * (rad[i] * u[j] + u[i] * rad[j])
+                + gamma * gamma * q * rad[i] * rad[j]
+            )
+            entry = sub.base * entry
+            if i == j:
+                entry = entry - one
+            row.append(entry.with_window(LO, 0))
+        out.append(row)
+    return out
+
+
 # -- chart maps -----------------------------------------------------------------
 
 
@@ -130,7 +180,7 @@ def test_components_match_direct_pullback():
     for _ in range(4):
         z = rng.standard_normal(6)
         z *= 5.0 / np.linalg.norm(z)
-        G = asym.ghat_components(S, ch, z)
+        G = np.eye(S.n) + asym.ghat_deviation_batch(S, ch, z[None, :])[0]
 
         def x_of(p):
             return ch.to_x(p)
@@ -155,7 +205,7 @@ def test_series_rejects_cubic():
     n = 4
     p = MultiPoly.x_norm_sq(n).scale(Fraction(1, 2)) + MultiPoly.var(n, 0) ** 3
     with pytest.raises(asym.ChartRequirementError):
-        asym.ghat_asymptotic_series(Jet.of(p, 7))
+        asym.ghat_radial_trace_series(Jet.of(p, 7))
 
 
 def test_inverse_conformal_profile_quadratic():
@@ -205,7 +255,7 @@ def test_series_leading_order_four():
     # every component of the corrected-chart deviation is O(t^{-4})
     for n in (3, 5):
         f, H = pure_quadratic_jet(n)
-        hz = asym.ghat_asymptotic_series(f, asym.CORRECTED_Z, -5)
+        hz = full_matrix_series(f, asym.CORRECTED_Z, -5)
         for i in range(n):
             for j in range(n):
                 for w in (-1, -2, -3):
@@ -216,7 +266,7 @@ def test_series_order_four_coefficient():
     # h_ij = (3H^4/16n^4) t^{-4} delta_ij - (3H^4/4n^4) t^{-6} z_i z_j + ...
     n = 3
     f, H = pure_quadratic_jet(n)
-    hz = asym.ghat_asymptotic_series(f, asym.CORRECTED_Z, -5)
+    hz = full_matrix_series(f, asym.CORRECTED_Z, -5)
     c4 = (H**4).scale(Fraction(3, 16 * n**4))
     c6 = (H**4).scale(Fraction(-3, 4 * n**4))
     for i in range(n):
@@ -229,22 +279,32 @@ def test_series_order_four_coefficient():
             assert hz[i][j].coefficient(-5).is_zero
 
 
-def test_trace_series_matches_full_matrix():
-    n = 4
+@pytest.mark.parametrize(
+    "n, order_min, generic",
+    [(4, -5, False), (3, -7, True), (4, -5, True)],
+    ids=["x0_quartic_n4_w5", "generic_n3_w7", "generic_n4_w5"],
+)
+def test_trace_series_matches_full_matrix(n, order_min, generic):
+    # the package's g_tt and trace against contractions of the oracle's full
+    # matrix; generic cases carry one parameter per quartic and quintic
+    # monomial, as in criterion 8
     H = MultiPoly.param(n, "H")
-    A4 = MultiPoly.var(n, 0) ** 4
-    poly = MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n)) + A4
+    poly = MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n))
+    if generic:
+        poly = poly + generic_homogeneous(n, 4, "a") + generic_homogeneous(n, 5, "b")
+    else:
+        poly = poly + MultiPoly.var(n, 0) ** 4
     f = Jet.of(poly, 7)
+    one = SphericalSeries.one(n, order_min, 0)
+    rad = [
+        SphericalSeries.from_term(-1, MultiPoly.var(n, i), order_min, 0)
+        for i in range(n)
+    ]
     for kind in (asym.INVERTED_Y, asym.CORRECTED_Z):
-        hz = asym.ghat_asymptotic_series(f, kind, -5)
-        gtt, tr = asym.ghat_radial_trace_series(f, kind, -5)
-        one = SphericalSeries.one(n, -5, 0)
-        rad = [
-            SphericalSeries.from_term(-1, MultiPoly.var(n, i), -5, 0)
-            for i in range(n)
-        ]
-        gtt2 = SphericalSeries.zero(n, -5, 0)
-        tr2 = SphericalSeries.zero(n, -5, 0)
+        hz = full_matrix_series(f, kind, order_min)
+        gtt, tr = asym.ghat_radial_trace_series(f, kind, order_min)
+        gtt2 = SphericalSeries.zero(n, order_min, 0)
+        tr2 = SphericalSeries.zero(n, order_min, 0)
         for i in range(n):
             tr2 = tr2 + hz[i][i] + one
             for j in range(n):
@@ -290,7 +350,7 @@ def test_series_matches_numeric_sphere():
     # numeric components, sphere of radius 1 (H = n, quartic tail).
     n = 3
     S = GraphSurface.sphere(n, Fraction(1), order=11)
-    hz = asym.ghat_asymptotic_series(S.f_jet, asym.CORRECTED_Z, -5)
+    hz = full_matrix_series(S.f_jet, asym.CORRECTED_Z, -5)
     ch = asym.chart_for(S, "z")
     rng = np.random.default_rng(3)
     for t, tol in ((10.0, 1e-3), (100.0, 1e-5)):
@@ -310,7 +370,7 @@ def test_series_residual_slope():
     # the numeric-minus-series residual must decay at least like t^{-6}
     n = 3
     S = GraphSurface.sphere(n, Fraction(1), order=11)
-    hz = asym.ghat_asymptotic_series(S.f_jet, asym.CORRECTED_Z, -5)
+    hz = full_matrix_series(S.f_jet, asym.CORRECTED_Z, -5)
     ch = asym.chart_for(S, "z")
     d = np.array([0.5, -0.7, 0.4])
     d /= np.linalg.norm(d)
