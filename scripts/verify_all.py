@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run the exact identity suite over every builtin surface and a seeded
-random cubic corpus, printing one line per check.
+random cubic corpus, printing one line per check: the curvature-expansion
+identities and the exact squared-distance (rho) identities per builtin,
+then the random cubics.
 
 Usage: python3 scripts/verify_all.py [--seed 0] [--count 5]
 """
@@ -13,7 +15,7 @@ from itertools import combinations_with_replacement
 
 from umbilic import obstruction
 from umbilic.polyjet import Jet, MultiPoly
-from umbilic.surface import GraphSurface
+from umbilic.surface import GraphSurface, verify_rho_identities
 
 
 def random_cubic(n: int, rng: random.Random, width: int = 10) -> MultiPoly:
@@ -46,6 +48,13 @@ def main() -> int:
             print(
                 f"{name:<11} n={n}  identities={'ok' if ok else 'FAIL'}  "
                 f"({time.monotonic() - t0:.2f}s)"
+            )
+            t0 = time.monotonic()
+            worst = verify_rho_identities(S, None).max()
+            failures += worst != 0
+            print(
+                f"{name:<11} n={n}  rho identities={'ok' if worst == 0 else 'FAIL'}  "
+                f"max residual {worst:g}  ({time.monotonic() - t0:.2f}s)"
             )
 
     for n in range(3, 8):

@@ -33,6 +33,7 @@ from .conformal import (  # noqa: F401
     conformal_scalar,
     curvature_density_factor,
     integrability_probe,
+    leading_order,
     leading_order_of_R,
 )
 from .mass import (  # noqa: F401
@@ -60,11 +61,13 @@ from .quadrature import QuadratureRule, default_degree, sphere_area  # noqa: F40
 from .surface import (  # noqa: F401
     CylinderCurvatures,
     GraphSurface,
+    JetGeometry,
     PlaneCurve,
     PointGeometry,
     RhoIdentityResiduals,
     cylinder_inversion_curvatures,
     intrinsic_scalar_curvature,
+    jet_geometry,
     point_geometry,
     verify_rho_identities,
 )

@@ -165,7 +165,7 @@ def cmd_verify(args) -> int:
     if not S.symbolic:
         raise UsageError("verification needs a polynomial surface")
     report = obstruction.expansion_coefficients(S.f_jet, W=args.window)
-    lead = conformal.leading_order_of_R(S, W=args.window)
+    lead = conformal.leading_order(report.series)
     verdict = conformal.classify_integrability(S.n, lead)
 
     # The jet identities are exact and do not depend on a sample point.

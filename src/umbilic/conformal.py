@@ -69,16 +69,21 @@ class LeadingOrder:
         return out
 
 
+def leading_order(series: SphericalSeries) -> LeadingOrder:
+    """The lowest nonvanishing order of an exact curvature series and its
+    coefficient."""
+    if series.is_zero:
+        return LeadingOrder(None, None, True)
+    k = series.leading_order()
+    return LeadingOrder(k, series.coefficient(k), False)
+
+
 def leading_order_of_R(S: GraphSurface, W: int = 3) -> LeadingOrder:
     """Leading order of the expansion of the curvature quantity around the
     umbilical point, from the exact symbolic series through total order W."""
     if not S.symbolic:
         raise ValueError("leading-order extraction needs a symbolic surface")
-    series = obstruction.script_R_series(S.f_jet, W)
-    if series.is_zero:
-        return LeadingOrder(None, None, True)
-    k = series.leading_order()
-    return LeadingOrder(k, series.coefficient(k), False)
+    return leading_order(obstruction.script_R_series(S.f_jet, W))
 
 
 def classify_integrability(n: int, L: LeadingOrder) -> str:

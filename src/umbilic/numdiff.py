@@ -138,19 +138,15 @@ def hessian(f: Callable, x, h: float = 3e-4) -> np.ndarray:
     return _richardson(f, x, h, 2)
 
 
+def _lowered(dg: np.ndarray) -> np.ndarray:
+    """T[..., d, a, b] = d_a g_db + d_b g_da - d_d g_ab from dg[..., k] = d_k g;
+    leading axes (a further derivative) pass through."""
+    return np.einsum("...adb->...dab", dg) + np.einsum("...bda->...dab", dg) - dg
+
+
 def christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma[c, a, b] = 1/2 g^{cd} (d_a g_db + d_b g_da - d_d g_ab)."""
-    ginv = np.linalg.inv(g)
-    n = g.shape[0]
-    gamma = np.empty((n, n, n))
-    for c in range(n):
-        for a in range(n):
-            for b in range(n):
-                s = 0.0
-                for d in range(n):
-                    s += ginv[c, d] * (dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
-                gamma[c, a, b] = 0.5 * s
-    return gamma
+    return 0.5 * np.einsum("cd,dab->cab", np.linalg.inv(g), _lowered(dg))
 
 
 def scalar_curvature_fd(metric: Callable, x, h: float = 1e-3) -> float:
@@ -160,38 +156,21 @@ def scalar_curvature_fd(metric: Callable, x, h: float = 1e-3) -> float:
     + Gamma^c_cd Gamma^d_ab - Gamma^c_ad Gamma^d_cb) assembled from second
     derivatives of the metric components.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    g, dg, ddg = metric_derivatives(metric, x, h)
+    g, dg, ddg = metric_derivatives(metric, np.asarray(x, dtype=float), h)
     ginv = np.linalg.inv(g)
     gamma = christoffel(g, dg)
-
-    # d_k Gamma^c_ab from d(g^{-1}) and ddg.
-    dginv = np.empty((n, n, n))
-    for k in range(n):
-        dginv[k] = -ginv @ dg[k] @ ginv
-    dgamma = np.empty((n, n, n, n))  # [k, c, a, b] = d_k Gamma^c_ab
-    for k in range(n):
-        for c in range(n):
-            for a in range(n):
-                for b in range(n):
-                    s = 0.0
-                    for d in range(n):
-                        s += dginv[k, c, d] * (dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
-                        s += ginv[c, d] * (
-                            ddg[k, a, d, b] + ddg[k, b, d, a] - ddg[k, d, a, b]
-                        )
-                    dgamma[k, c, a, b] = 0.5 * s
-
-    ricci = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            s = 0.0
-            for c in range(n):
-                s += dgamma[c, c, a, b] - dgamma[a, c, c, b]
-                for d in range(n):
-                    s += gamma[c, c, d] * gamma[d, a, b] - gamma[c, a, d] * gamma[d, c, b]
-            ricci[a, b] = s
+    # d_k Gamma^c_ab, with d_k g^{-1} = -g^{-1} (d_k g) g^{-1}.
+    dginv = -np.einsum("ce,kef,fd->kcd", ginv, dg, ginv)
+    dgamma = 0.5 * (
+        np.einsum("kcd,dab->kcab", dginv, _lowered(dg))
+        + np.einsum("cd,kdab->kcab", ginv, _lowered(ddg))
+    )
+    ricci = (
+        np.einsum("ccab->ab", dgamma)
+        - np.einsum("accb->ab", dgamma)
+        + np.einsum("ccd,dab->ab", gamma, gamma)
+        - np.einsum("cad,dcb->ab", gamma, gamma)
+    )
     return float(np.einsum("ab,ab->", ginv, ricci))
 
 

@@ -30,6 +30,7 @@ from .polyjet import (
     SphericalSeries,
     poly_divexact,
 )
+from .surface import JetGeometry, jet_geometry
 
 
 class NotUmbilical(ValueError):
@@ -98,63 +99,26 @@ def eta_over_rho_series(f: Jet, W: int = 3) -> SphericalSeries:
 
 def metric_trace_hessian_series(f: Jet, W: int = 3) -> SphericalSeries:
     """Expansion of G = g^{ab} f_ab = Lap f - (f_ab f_a f_b)/(1+|grad f|^2)."""
-    return SphericalSeries.from_poly(_trace_jet(f, W).poly, None, W)
+    return SphericalSeries.from_poly(jet_geometry(f.poly, W).trace.poly, None, W)
 
 
 def hessian_norm_series(f: Jet, W: int = 3) -> SphericalSeries:
     """Expansion of |B|^2 = g^{am} g^{bn} f_ab f_mn."""
-    return SphericalSeries.from_poly(_hess_norm_jet(f, W).poly, None, W)
+    return SphericalSeries.from_poly(_hessian_norm(jet_geometry(f.poly, W)).poly, None, W)
 
 
-def _hess_data(f: Jet, W: int):
-    poly = f.poly
-    n = f.n
-    grad = [g.truncate(W + 1) for g in poly.grad()]
-    hess = [[grad[i].diff(j).truncate(W) for j in range(n)] for i in range(n)]
-    jw = lambda p: Jet.of(p, W)  # noqa: E731
-    s2 = MultiPoly.zero(n)
-    for gi in grad:
-        s2 = s2 + gi * gi
-    winv = Jet.of(MultiPoly.const(n, 1) + s2.truncate(W), W).power_unit(-1)
-    return n, grad, hess, jw, winv
-
-
-def _trace_jet(f: Jet, W: int) -> Jet:
-    n, grad, hess, jw, winv = _hess_data(f, W)
-    trF = MultiPoly.zero(n)
-    b = MultiPoly.zero(n)
-    for a in range(n):
-        trF = trF + hess[a][a]
-        for c in range(n):
-            b = b + hess[a][c] * grad[a] * grad[c]
-    return jw(trF) - jw(b.truncate(W)) * winv
-
-
-def _hess_norm_jet(f: Jet, W: int) -> Jet:
+def _hessian_norm(geo: JetGeometry) -> Jet:
     # tr((g^{-1} F)^2) = tr F^2 - 2 w |F grad f|^2 + w^2 (grad f . F grad f)^2
     # with w = 1/(1+|grad f|^2), by applying g^{-1} = I - w grad f grad f^T twice.
-    n, grad, hess, jw, winv = _hess_data(f, W)
-    Fg = []
-    for a in range(n):
-        v = MultiPoly.zero(n)
-        for c in range(n):
-            v = v + hess[a][c] * grad[c]
-        Fg.append(v.truncate(W + 1))
-    trF2 = MultiPoly.zero(n)
-    for a in range(n):
-        for c in range(n):
-            trF2 = trF2 + hess[a][c] * hess[c][a]
-    Fg_sq = MultiPoly.zero(n)
-    b = MultiPoly.zero(n)
-    for a in range(n):
-        Fg_sq = Fg_sq + Fg[a] * Fg[a]
-        b = b + grad[a] * Fg[a]
-    bj = jw(b.truncate(W))
-    return (
-        jw(trF2.truncate(W))
-        - 2 * winv * jw(Fg_sq.truncate(W))
-        + winv * winv * bj * bj
+    n, w, hess, Fg = len(geo.grad), geo.inv_w2, geo.hess, geo.hess_grad
+    zero = Jet.const(w.n, 0, w.order)
+    trF2 = sum(
+        ((1 if a == c else 2) * (hess[a][c] * hess[a][c]) for a in range(n) for c in range(a, n)),
+        zero,
     )
+    Fg_sq = sum((v * v for v in Fg), zero)
+    b = sum((geo.grad[a] * Fg[a] for a in range(n)), zero)
+    return trF2 - 2 * w * Fg_sq + w * w * b * b
 
 
 def script_R_series(f: Jet, W: int = 3) -> SphericalSeries:
@@ -162,8 +126,9 @@ def script_R_series(f: Jet, W: int = 3) -> SphericalSeries:
     n = f.n
     umbilical_decompose(f.poly)  # validates umbilicity
     q = eta_over_rho_series(f, W)
-    G = metric_trace_hessian_series(f, W)
-    B2 = hessian_norm_series(f, W)
+    geo = jet_geometry(f.poly, W)
+    G = SphericalSeries.from_poly(geo.trace.poly, None, W)
+    B2 = SphericalSeries.from_poly(_hessian_norm(geo).poly, None, W)
     return (
         (q * q).scale(4 * n * (n - 1))
         + (G * q).scale(4 * (n - 1))
@@ -356,6 +321,7 @@ def dim6_check(A3: MultiPoly) -> Dim6Record:
 class ObstructionReport:
     n: int
     W: int
+    series: SphericalSeries  # script_R_series through order W; not in to_json
     c0: SphericalSeries
     c1: SphericalSeries
     c2: SphericalSeries
@@ -429,6 +395,7 @@ def expansion_coefficients(f: Jet, W: int = 3) -> ObstructionReport:
     return ObstructionReport(
         n,
         W,
+        series,
         c0,
         c1,
         c2,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -291,6 +291,41 @@ def point_geometry(S: GraphSurface, x) -> PointGeometry:
     return PointGeometry(g, g_inv, II, H, R_g, rho, eta, w, f, grad, hess)
 
 
+@dataclass
+class JetGeometry:
+    """Exact graph quantities of f, each a jet truncated at order W.
+
+    With inv_w2 = 1/(1 + |grad f|^2) the inverse metric is
+    g^{-1} = I - inv_w2 grad f grad f^T (Sherman-Morrison), so every
+    g-trace is rational in these jets: tr_g M = tr M - inv_w2 grad f.M grad f.
+    """
+
+    grad: List[Jet]  # grad f
+    hess: List[List[Jet]]  # Hess f; hess[a][b] and hess[b][a] are one jet
+    inv_w2: Jet  # 1/(1 + |grad f|^2)
+    hess_grad: List[Jet]  # Hess f . grad f
+    trace: Jet  # tr_g Hess f = Lap f - inv_w2 grad f . Hess f grad f
+
+
+def jet_geometry(poly: MultiPoly, W: int) -> JetGeometry:
+    """The exact counterpart of `point_geometry`: grad f, Hess f, inv_w2,
+    Hess f . grad f and tr_g Hess f of the polynomial f, truncated at
+    total order W."""
+    n = poly.n
+    zero = Jet.const(n, 0, W)
+    first = poly.grad()
+    grad = [Jet.of(p, W) for p in first]
+    hess = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            hess[a][b] = hess[b][a] = Jet.of(first[a].diff(b), W)
+    inv_w2 = (Jet.const(n, 1, W) + sum((g * g for g in grad), zero)).power_unit(-1)
+    hess_grad = [sum((hess[a][c] * grad[c] for c in range(n)), zero) for a in range(n)]
+    lap = sum((hess[a][a] for a in range(n)), zero)
+    quad = sum((grad[a] * hess_grad[a] for a in range(n)), zero)
+    return JetGeometry(grad, hess, inv_w2, hess_grad, lap - inv_w2 * quad)
+
+
 def intrinsic_scalar_curvature(S: GraphSurface, x, h: float = 1e-3) -> float:
     """Scalar curvature of the induced metric from its Christoffel symbols /
     Riemann tensor, by finite differences of the metric field.  Cross-check
@@ -357,71 +392,55 @@ def _verify_rho_symbolic(S: GraphSurface) -> RhoIdentityResiduals:
     """Exact jet computation; residuals are identically zero jets when the
     identities hold to the truncation order.
 
+    f is certified to its jet order D, its Hessian only to D - 2, and
+    products inherit the weakest certification, so everything is computed
+    at W = D - 2.  Truncating at a total degree is a ring homomorphism, so
+    this gives the same certified residuals as working at D.
+
     Square roots never appear: with w = 1/(1 + |grad f|^2) one has
     eta^2 = (f - x.grad f)^2 w,  eta II_ab = (f - x.grad f) f_ab w, and
     eta H = (f - x.grad f) w tr_g(Hess f), all rational in jets.
     """
-    fj = S.f_jet
-    n, D = S.n, fj.order
-    xs = [Jet.of(MultiPoly.var(n, i), D) for i in range(n)]
-    grad = [fj.diff(i).rejet(D) for i in range(n)]
-    hess = [[fj.diff(i).diff(j).rejet(D) for j in range(n)] for i in range(n)]
-    grad_sq = sum((grad[i] * grad[i] for i in range(n)), Jet.const(n, 0, D))
-    w = (Jet.const(n, 1, D) + grad_sq).power_unit(-1)
+    n, W = S.n, S.f_jet.order - 2
+    geo = jet_geometry(S.f_jet.poly, W)
+    grad, hess, w = geo.grad, geo.hess, geo.inv_w2
+    zero = Jet.const(n, 0, W)
+    f = S.f_jet.rejet(W)
+    xs = [Jet.of(MultiPoly.var(n, i), W) for i in range(n)]
 
-    xdotgrad = sum((xs[i] * grad[i] for i in range(n)), Jet.const(n, 0, D))
-    u = fj - xdotgrad  # eta * sqrt(1+|grad f|^2)
-    rho = Jet.of(MultiPoly.x_norm_sq(n), D) + fj * fj
-    rho_grad = [2 * xs[i] + 2 * fj * grad[i] for i in range(n)]
+    u = f - sum((xs[i] * grad[i] for i in range(n)), zero)  # eta sqrt(1+|grad f|^2)
+    uw = u * w
+    rho = Jet.of(MultiPoly.x_norm_sq(n), W) + f * f
+    rho_grad = [2 * xs[i] + 2 * f * grad[i] for i in range(n)]
+    graddot = sum((grad[i] * rho_grad[i] for i in range(n)), zero)
+    wgd = w * graddot
 
-    # g^{-1} v = v - w (grad f . v) grad f  (Sherman-Morrison).
-    def ginv_apply(v):
-        dot = sum((grad[i] * v[i] for i in range(n)), Jet.const(n, 0, D))
-        return [v[i] - w * dot * grad[i] for i in range(n)]
-
-    # f itself is certified to order D, its Hessian only to D - 2; products
-    # inherit the weakest certification, so residuals are measured there.
-    cert = D - 2
-
-    ginv_rho_grad = ginv_apply(rho_grad)
-    lhs1 = sum((rho_grad[i] * ginv_rho_grad[i] for i in range(n)), Jet.const(n, 0, D))
-    res1 = lhs1 - (4 * rho - 4 * u * u * w)
-
-    # Gamma^c_ab = (g^{-1} grad f)_c f_ab = w grad_c f_ab, so
-    # Hess_ab = rho_ab - w (grad f . grad rho) f_ab.
-    graddot = sum((grad[i] * rho_grad[i] for i in range(n)), Jet.const(n, 0, D))
+    # |grad_g rho|^2 with g^{-1} = I - w grad f grad f^T.
+    lhs1 = sum((r * r for r in rho_grad), zero) - wgd * graddot
+    res1 = lhs1 - (4 * rho - 4 * u * uw)
 
     def mag(j: Jet) -> float:
-        p = j.poly.truncate(cert)
-        if p.is_zero:
-            return 0.0
-        return float(max(abs(c) for c in p.terms.values()))
+        return float(max((abs(c) for c in j.poly.terms.values()), default=0))
 
+    # Gamma^c_ab = (g^{-1} grad f)_c f_ab = w grad_c f_ab, so
+    # Hess_ab = rho_ab - w (grad f . grad rho) f_ab.  The loop also sums
+    # tr rho'' and grad f . rho'' grad f for the Laplacian.
     res2_max = 0.0
-    rho_hess_rows = []
-    for b in range(n):
-        row = []
-        for a in range(n):
-            rho_ab = (
-                Jet.const(n, 2 if a == b else 0, D)
-                + 2 * grad[a] * grad[b]
-                + 2 * fj * hess[a][b]
-            )
-            row.append(rho_ab)
-            cov = rho_ab - w * graddot * hess[a][b]
-            g_ab = Jet.const(n, 1 if a == b else 0, D) + grad[a] * grad[b]
-            res2_max = max(res2_max, mag(cov - 2 * g_ab - 2 * u * w * hess[a][b]))
-        rho_hess_rows.append(row)
+    tr_rho_hess, quad = zero, zero
+    for a in range(n):
+        for b in range(a, n):
+            gg = grad[a] * grad[b]
+            rho_ab = Jet.const(n, 2 if a == b else 0, W) + 2 * gg + 2 * f * hess[a][b]
+            cov = rho_ab - wgd * hess[a][b]
+            g_ab = Jet.const(n, 1 if a == b else 0, W) + gg
+            res2_max = max(res2_max, mag(cov - 2 * g_ab - 2 * uw * hess[a][b]))
+            quad = quad + (1 if a == b else 2) * (rho_ab * gg)
+            if a == b:
+                tr_rho_hess = tr_rho_hess + rho_ab
 
-    # Laplacian: tr(g^{-1} Cov) = tr(g^{-1} rho_hess) - w graddot tr(g^{-1} f'').
-    tr_hess = Jet.const(n, 0, D)
-    for j in range(n):
-        tr_hess = tr_hess + ginv_apply([hess[i][j] for i in range(n)])[j]
-    tr_rho_hess = Jet.const(n, 0, D)
-    for b in range(n):
-        tr_rho_hess = tr_rho_hess + ginv_apply(rho_hess_rows[b])[b]
-    lap_lhs = tr_rho_hess - w * graddot * tr_hess
-    res3 = lap_lhs - (Jet.const(n, 2 * n, D) + 2 * u * w * tr_hess)
+    # Laplacian: tr_g Cov = tr_g rho'' - w graddot tr_g f'', tr_g M = tr M - w grad f.M grad f.
+    lap_lhs = tr_rho_hess - w * quad - wgd * geo.trace
+    res3 = lap_lhs - (Jet.const(n, 2 * n, W) + 2 * uw * geo.trace)
 
     return RhoIdentityResiduals(mag(res1), res2_max, mag(res3), exact=True)
 

@@ -5,7 +5,14 @@ and the Richardson-extrapolated gradient and Hessian built on it."""
 import numpy as np
 import pytest
 
-from umbilic.numdiff import Dual, gradient, hessian, metric_derivatives
+from umbilic.numdiff import (
+    Dual,
+    christoffel,
+    gradient,
+    hessian,
+    metric_derivatives,
+    scalar_curvature_fd,
+)
 
 RNG = np.random.default_rng(20250101)
 
@@ -182,3 +189,51 @@ def test_dual_array_methods():
     col = (X / norm[:, None])[:, 2]
     assert np.allclose(col.v, t / np.sqrt(5.0 + t * t), rtol=1e-15)
     assert np.allclose(col.d, 5.0 / (5.0 + t * t) ** 1.5, rtol=1e-14)
+
+
+# -- curvature of a numeric metric -----------------------------------------------
+
+
+def loop_christoffel(ginv, dg):
+    """Reference: Gamma[c, a, b] summed index by index."""
+    n = ginv.shape[0]
+    gamma = np.zeros((n, n, n))
+    for c, a, b, d in np.ndindex(n, n, n, n):
+        gamma[c, a, b] += 0.5 * ginv[c, d] * (dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
+    return gamma
+
+
+def loop_scalar_curvature(g, dg, ddg):
+    """Reference: R = g^{ab} Ric_ab from Christoffel symbols and their
+    derivatives, summed index by index."""
+    n = g.shape[0]
+    ginv = np.linalg.inv(g)
+    gamma = loop_christoffel(ginv, dg)
+    dgamma = np.array(
+        [loop_christoffel(-ginv @ dg[k] @ ginv, dg) + loop_christoffel(ginv, ddg[k]) for k in range(n)]
+    )
+    R = 0.0
+    for a, b, c in np.ndindex(n, n, n):
+        s = dgamma[c, c, a, b] - dgamma[a, c, c, b]
+        for d in range(n):
+            s += gamma[c, c, d] * gamma[d, a, b] - gamma[c, a, d] * gamma[d, c, b]
+        R += ginv[a, b] * s
+    return R
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_curvature_contractions_match_loops(n):
+    # The einsum contractions sum in another order than the loops, so the
+    # results agree to a few rounding errors of the largest term.
+    rng = np.random.default_rng(60 + n)
+    A, B, C = (rng.standard_normal((n,) * k) for k in (2, 3, 4))
+    a0, a1, a2 = A @ A.T + n * np.eye(n), B + B.transpose(0, 2, 1), C + C.transpose(0, 1, 3, 2)
+
+    def metric(x):
+        return a0 + np.einsum("kij,k->ij", a1, x) + np.einsum("klij,k,l->ij", a2, x, x)
+
+    g, dg, ddg = metric_derivatives(metric, np.zeros(n), 1e-3)
+    ref = loop_christoffel(np.linalg.inv(g), dg)
+    assert np.allclose(christoffel(g, dg), ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+    R = scalar_curvature_fd(metric, np.zeros(n), 1e-3)
+    assert R == pytest.approx(loop_scalar_curvature(g, dg, ddg), rel=1e-12, abs=1e-12)

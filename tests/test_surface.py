@@ -16,6 +16,7 @@ from umbilic.surface import (
     PlaneCurve,
     cylinder_inversion_curvatures,
     intrinsic_scalar_curvature,
+    jet_geometry,
     point_geometry,
     verify_rho_identities,
 )
@@ -148,6 +149,45 @@ def test_rho_identities_symbolic_random(n, seed):
     p = random_cubic(n, np.random.default_rng(seed), n_terms=4)
     S = GraphSurface.polynomial(p, order=6)
     assert verify_rho_identities(S, None).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "name,n,expected", [("sphere", 4, (0.0, 4.0, 24.0)), ("cubic_x1", 5, (0.0, 40.0, 152.0))]
+)
+def test_rho_symbolic_detects_wrong_inverse(monkeypatch, name, n, expected):
+    # With 1 + |grad f|^2 in place of its inverse the exact check must fail,
+    # with these residuals (the gradient identity does not involve the
+    # inverse at the certified order).
+    S = GraphSurface.builtin(name, n)
+    power_unit = Jet.power_unit
+    monkeypatch.setattr(
+        Jet, "power_unit", lambda j, e: j if e == -1 else power_unit(j, e)
+    )
+    res = verify_rho_identities(S, None)
+    assert res.exact
+    assert (res.grad_sq, res.hessian, res.laplacian) == expected
+
+
+@pytest.mark.parametrize("W", [3, 5])
+@pytest.mark.parametrize("name", ["quartic_x1", "cubic_x1"])
+def test_jet_geometry_matches_point_geometry(name, W):
+    n, r = 4, 1e-2
+    S = GraphSurface.builtin(name, n)
+    geo = jet_geometry(S.f_jet.poly, W)
+    rng = np.random.default_rng(31)
+    dirs = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((8, n))])
+    tol = 200 * r ** (W + 1)  # the truncation error O(|x|^(W+1))
+    for d in dirs:
+        x = r * d / np.linalg.norm(d)
+        pg = point_geometry(S, x)
+        at = lambda j: float(j.evaluate(list(x)))  # noqa: E731
+        # g^{-1} = I - w grad f grad f^T has trace n - 1 + w
+        assert at(geo.inv_w2) == pytest.approx(np.trace(pg.g_inv) - (n - 1), abs=tol)
+        assert at(geo.trace) == pytest.approx(np.trace(pg.g_inv @ pg.hess), abs=tol)
+        hess_grad = pg.hess @ pg.grad
+        for a in range(n):
+            assert at(geo.grad[a]) == pytest.approx(pg.grad[a], abs=tol)
+            assert at(geo.hess_grad[a]) == pytest.approx(hess_grad[a], abs=tol)
 
 
 # -- umbilical decomposition -------------------------------------------------------
