@@ -15,6 +15,7 @@ normal normalized so that the sphere tangent at the origin has H = +n/R:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,42 +33,70 @@ from .polyjet import Jet, MultiPoly, poly_from_json, poly_to_json
 class BatchPoly:
     """Vectorized float evaluator for a list of K parameter-free MultiPolys.
 
-    All polynomials share one monomial table.  A call raises the points to
-    every power x_i^e that occurs (one `**`), forms each monomial as the
-    product of its nonzero-exponent factors (padded with x_0^0 = 1 to the
-    widest support), and returns the (N, K) values from one matrix product.
+    A monomial is the sorted tuple of its coordinate rows (x_0^2 x_2 is
+    (1, 1, 3)).  Row 0 of the monomial table is 1, rows 1..n are the
+    coordinates, and the rows after them are the monomials of degree
+    d >= 2 that occur plus the halves they need, grouped by tree level
+    (d <= 2, 4, 8, ...).  Each is the product of its head of degree
+    floor(d/2) and its tail of degree ceil(d/2), both on lower levels.
+    Rows that are only halves carry zero coefficients in the (rows, K)
+    `coeffs`; zero polynomials alone give no rows.  A batch fills each
+    level with one gather and one multiply, no powers; a single point
+    takes one product over each row's coordinate rows, padded with row 0,
+    which is cheaper than three levels at N = 1.  The (N, K) values are
+    one matrix product.
     """
 
     def __init__(self, polys: Sequence[MultiPoly]):
         if any(P.param_names() for P in polys):
             raise ValueError("batch evaluation needs numeric coefficients")
-        column: dict = {}
-        for P in polys:
-            for e, _ in P.terms:
-                column.setdefault(e, len(column))
-        self.coeffs = np.zeros((len(column), len(polys)))
-        for k, P in enumerate(polys):
-            for (e, _), c in P.terms.items():
-                self.coeffs[column[e], k] = float(c)
-        # factor table rows: x_0^0 first, then every (i, e) with e > 0 in use
-        factor = {(0, 0): 0}
-        supports = [
-            [factor.setdefault((i, ei), len(factor)) for i, ei in enumerate(e) if ei]
-            for e in column
-        ]
-        width = max([1] + [len(f) for f in supports])
-        self.var = np.array([i for i, _ in factor], dtype=np.intp)
-        self.exp = np.array([e for _, e in factor], dtype=float)[:, None]
-        self.rows = np.array(
-            [f + [0] * (width - len(f)) for f in supports], dtype=np.intp
-        ).reshape(-1, width)
+        n = polys[0].n if polys else 0
+        terms = [{sum(((i + 1,) * ei for i, ei in enumerate(e)), ()): c
+                  for (e, _), c in P.terms.items()} for P in polys]
+        needed, stack = set(), [m for t in terms for m in t]
+        while stack:
+            m = stack.pop()
+            if len(m) > 1 and m not in needed:
+                needed.add(m)
+                stack += [m[: len(m) // 2], m[len(m) // 2:]]
+
+        def level(m):
+            return (len(m) - 1).bit_length()
+
+        tree = sorted(needed, key=lambda m: (level(m), m))
+        order = [()] + [(i,) for i in range(1, n + 1)] + tree if any(terms) else []
+        row = {m: r for r, m in enumerate(order)}
+        self.coeffs = np.zeros((len(order), len(polys)))
+        for k, t in enumerate(terms):
+            for m, c in t.items():
+                self.coeffs[row[m], k] = float(c)
+        # per level: its row range and the (2, rows) rows of heads and tails
+        self.levels = []
+        start = n + 1
+        for _, group in itertools.groupby(tree, key=level):
+            group = list(group)
+            halves = [[row[m[: len(m) // 2]] for m in group],
+                      [row[m[len(m) // 2:]] for m in group]]
+            self.levels.append((start, start + len(group), np.array(halves, dtype=np.intp)))
+            start += len(group)
+        width = max((len(m) for m in order), default=0)
+        self.factors = np.array(
+            [m + (0,) * (width - len(m)) for m in order], dtype=np.intp
+        ).reshape(len(order), width)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.coeffs.size == 0:
             return np.zeros((pts.shape[0], self.coeffs.shape[1]))
-        table = pts.T[self.var] ** self.exp  # (factors, N)
-        mono = table[self.rows].prod(axis=1)  # (T, N)
+        if pts.shape[0] == 1:
+            x = np.concatenate(([1.0], pts[0]))
+            return x[self.factors].prod(axis=1).dot(self.coeffs)[None, :]
+        mono = np.empty((self.coeffs.shape[0], pts.shape[0]))
+        mono[0] = 1.0
+        mono[1: pts.shape[1] + 1] = pts.T
+        for start, stop, halves in self.levels:
+            head, tail = mono[halves]
+            np.multiply(head, tail, out=mono[start:stop])
         return mono.T @ self.coeffs
 
 

@@ -190,6 +190,20 @@ def test_jet_geometry_matches_point_geometry(name, W):
             assert at(geo.hess_grad[a]) == pytest.approx(hess_grad[a], abs=tol)
 
 
+@pytest.mark.parametrize("R", [1, 2])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_jet_geometry_sphere_trace_exact(n, R):
+    # The sphere has H = tr_g(Hess f) / w = n/R, so tr_g Hess f equals
+    # (n/R) (1 + |grad f|^2)^(1/2) as jets through the certified order D - 2,
+    # every order of the window included (the rho checks see the trace only
+    # through a factor O(|x|^2)).
+    S = GraphSurface.sphere(n, Fraction(R))
+    W = S.f_jet.order - 2
+    geo = jet_geometry(S.f_jet.poly, W)
+    w2 = Jet.const(n, 1, W) + sum((g * g for g in geo.grad), Jet.const(n, 0, W))
+    assert geo.trace == w2.power_unit(Fraction(1, 2)) * Fraction(n, R)
+
+
 # -- umbilical decomposition -------------------------------------------------------
 
 
@@ -357,20 +371,32 @@ def random_mixed(n, rng, n_terms=10):
     return p
 
 
+def deep_poly(n, rng):
+    """random_mixed plus x_0^9 and x_0^3 x_1^4 x_2^5: degree 12, so the
+    evaluator's monomial tree has a fourth level (degrees 9..16)."""
+    deep = {(9,) + (0,) * (n - 1): Fraction(1, 3), (3, 4, 5) + (0,) * (n - 3): Fraction(-2, 5)}
+    return random_mixed(n, rng) + MultiPoly(n, {(e, ()): c for e, c in deep.items()})
+
+
 EVALUATOR_CASES = [(name, n) for name in ("flat", "sphere", "quartic_x1", "cubic_x1")
-                   for n in range(3, 8)] + [("mixed", 4), ("mixed", 6)]
+                   for n in range(3, 8)] + [("mixed", 4), ("mixed", 6), ("mixed", 9), ("deep", 4)]
 
 
 @pytest.mark.parametrize("name,n", EVALUATOR_CASES)
 def test_batch_evaluator_matches_exact(name, n):
-    # f, grad f and Hess f from the shared evaluator against exact
-    # MultiPoly.evaluate at seeded points with denominator 64, to 1e-13
-    # relative to each column's largest exact value; the sphere jets have
-    # hundreds of terms, so their exact check samples every tenth point.
+    # f, grad f and Hess f from the shared evaluator, for batches and (at
+    # eight points) one point at a time, and x . grad f and (x . grad) grad f
+    # from f_radial_batch, against exact MultiPoly.evaluate at seeded points
+    # with denominator 64, to 1e-13 relative to each column's largest exact
+    # value; the sphere jets have hundreds of terms, so their exact check
+    # samples every tenth point.
     rng = np.random.default_rng(1000 * n + len(name))
     if name == "mixed":
         S = GraphSurface.polynomial(random_mixed(n, rng))
         assert max(sum(1 for ei in e if ei) for e, _ in S.f_jet.poly.terms) > 1
+    elif name == "deep":
+        S = GraphSurface.polynomial(deep_poly(n, rng), order=12)
+        assert S.f_jet.poly.degree() == 12
     else:
         S = GraphSurface.builtin(name, n)
     p = S.f_jet.poly
@@ -378,21 +404,28 @@ def test_batch_evaluator_matches_exact(name, n):
     polys = [p] + grad + [g.diff(j) for g in grad for j in range(n)]
     num = rng.integers(-19, 20, size=(1000, n))
     pts = num / 64.0
-    checked = range(0, 1000, 10 if name == "sphere" else 1)
-    exact = np.array(
-        [[float(q.evaluate([Fraction(int(k), 64) for k in num[r]])) for q in polys]
-         for r in checked]
-    )
-    scale = np.max(np.abs(exact), axis=0)
+    checked = list(range(0, 1000, 10 if name == "sphere" else 1))
+    xs = [[Fraction(int(k), 64) for k in num[r]] for r in checked]
+    values = [[q.evaluate(x) for q in polys] for x in xs]
+    # [x . grad f, (x . grad) grad f] from the exact grad f and Hess f
+    radial = [[sum(xi * v[1 + i] for i, xi in enumerate(x))]
+              + [sum(v[1 + n + a * n + j] * xj for j, xj in enumerate(x)) for a in range(n)]
+              for x, v in zip(xs, values)]
+    exact = np.array(values, dtype=float)
+    exact_radial = np.hstack([exact[:, : n + 1], np.array(radial, dtype=float)])
 
-    def assert_close(got, want):
+    def assert_close(got, want, rows=slice(None)):
         k = got.shape[1]
-        assert np.all(np.abs(got - want[:, :k]) <= 1e-13 * scale[:k])
+        scale = np.max(np.abs(want[:, :k]), axis=0)
+        assert np.all(np.abs(got - want[rows, :k]) <= 1e-13 * scale)
 
     for order in (0, 1, 2):
         parts = S.f_derivatives_batch(pts, order)
         flat = np.concatenate([v.reshape(1000, -1) for v in parts], axis=1)
         assert flat.shape == (1000, [1, n + 1, 1 + n + n * n][order])
-        assert_close(flat[list(checked)], exact)
-    one = np.concatenate([[S.f_value(pts[0])], S.f_grad(pts[0]), S.f_hess(pts[0]).ravel()])
-    assert_close(one[None, :], exact[:1])
+        assert_close(flat[checked], exact)
+    f, gr, ef, egr = S.f_radial_batch(pts)
+    assert_close(np.column_stack([f, gr, ef, egr])[checked], exact_radial)
+    for r, i in enumerate(checked[:8]):
+        one = np.concatenate([[S.f_value(pts[i])], S.f_grad(pts[i]), S.f_hess(pts[i]).ravel()])
+        assert_close(one[None, :], exact, [r])
