@@ -12,7 +12,6 @@ from .polyjet import (  # noqa: F401
     poly_divexact,
     poly_from_json,
     poly_to_json,
-    radial_laplacian_term,
 )
 from .asymptotic import (  # noqa: F401
     Chart,
@@ -24,7 +23,6 @@ from .asymptotic import (  # noqa: F401
     ghat_deviation_batch,
     ghat_deviation_derivatives,
     ghat_radial_trace_series,
-    inverse_conformal_profile,
 )
 from .conformal import (  # noqa: F401
     IntegrabilityProbe,

@@ -54,8 +54,8 @@ class ChartRequirementError(ValueError):
 
 @dataclass(frozen=True)
 class Chart:
-    """A named coordinate chart with forward/inverse maps to the graph
-    coordinates x.  H is only used by the corrected chart."""
+    """A named coordinate chart at infinity; _inverse_point maps its points
+    to the graph coordinates x.  H is only used by the corrected chart."""
 
     kind: str
     n: int
@@ -77,56 +77,6 @@ class Chart:
     def c(self) -> float:
         """The radial correction constant H^2 / (2 n^2)."""
         return self.H * self.H / (2.0 * self.n * self.n)
-
-    @property
-    def singular_radius(self) -> float:
-        """Radius in the intermediate inverted coordinates below which the
-        corrected chart is undefined: sqrt(c) = H / (n sqrt(2))."""
-        return math.sqrt(self.c)
-
-    def y_radius(self, t: float) -> float:
-        """Radius in the inverted coordinates of the sphere of chart radius
-        t (identity except for the corrected chart, where r^2 = t^2 + c)."""
-        if self.kind == CORRECTED_Z:
-            return math.sqrt(t * t + self.c)
-        return float(t)
-
-    # -- point maps ----------------------------------------------------------
-
-    def to_x_batch(self, pts: np.ndarray) -> np.ndarray:
-        """Map chart points to graph coordinates x."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        s = np.sum(pts * pts, axis=1)
-        if np.any(s <= 0.0):
-            raise ChartDomainError("chart points must be nonzero")
-        if self.kind == INVERTED_Y:
-            return pts / s[:, None]
-        # corrected: y = z sqrt(1 + c/t^2), |y|^2 = t^2 + c, x = y / |y|^2.
-        scale = np.sqrt(1.0 + self.c / s) / (s + self.c)
-        return pts * scale[:, None]
-
-    def to_x(self, p) -> np.ndarray:
-        return self.to_x_batch(np.asarray(p, dtype=float)[None, :])[0]
-
-    def from_x_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Map graph coordinates x to chart points."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        s = np.sum(xs * xs, axis=1)
-        if np.any(s <= 0.0):
-            raise ChartDomainError("the distinguished point maps to infinity")
-        ys = xs / s[:, None]
-        if self.kind == INVERTED_Y:
-            return ys
-        # |y|^2 = 1/|x|^2 must exceed c for a real square root.
-        fac = 1.0 - self.c * s
-        if np.any(fac <= 0.0):
-            raise ChartDomainError(
-                "point below the singular radius of the corrected chart"
-            )
-        return ys * np.sqrt(fac)[:, None]
-
-    def from_x(self, x) -> np.ndarray:
-        return self.from_x_batch(np.asarray(x, dtype=float)[None, :])[0]
 
 
 def chart_for(S: GraphSurface, flag: str) -> Chart:
@@ -394,20 +344,6 @@ class _RadialSubstitution:
             term = SphericalSeries.from_term(m, P, self.LO, 0)
             out = out + term * self.power(Fraction(w, 2))
         return out
-
-
-def inverse_conformal_profile(
-    f: Jet, chart_kind: str = CORRECTED_Z, order_min: int = -5
-) -> SphericalSeries:
-    """The factor (1 + |y|^2 f^2)^{-2} = |x|^4 rho^{-2} as a descending
-    series in the chart radius (starts 1 - c t^{-2} + ... in the corrected
-    chart)."""
-    LO = order_min
-    n, _, conf, _, c_poly = _series_pieces(f.poly, LO)
-    if chart_kind == INVERTED_Y:
-        return conf
-    sub = _RadialSubstitution(n, c_poly, LO)
-    return sub(conf).with_window(order_min, 0)
 
 
 def ghat_radial_trace_series(

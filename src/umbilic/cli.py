@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 from . import asymptotic, conformal, mass, obstruction
 from .asymptotic import ChartRequirementError
 from .obstruction import NotUmbilical
-from .polyjet import MultiPoly, poly_to_json
+from .polyjet import MultiPoly, poly_to_json, series_to_json
 from .quadrature import QuadratureRule, default_degree
 from .surface import GraphSurface, verify_rho_identities
 
@@ -153,17 +153,11 @@ def _radii(args) -> List[float]:
     return list(mass.DEFAULT_RADII)
 
 
-def _series_json(s) -> list:
-    return [{"radial_power": m, "poly": poly_to_json(P)} for m, P in s.terms]
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
     S = _load_surface(args)
-    if not S.symbolic:
-        raise UsageError("verification needs a polynomial surface")
     report = obstruction.expansion_coefficients(S.f_jet, W=args.window)
     lead = conformal.leading_order(report.series)
     verdict = conformal.classify_integrability(S.n, lead)
@@ -209,7 +203,7 @@ def cmd_mass(args) -> int:
     rule = _usage(QuadratureRule.sphere, n, deg)
 
     cancellation = None
-    if chart is not None and source.symbolic:
+    if chart is not None:
         try:
             cancellation = mass.symbolic_mass_cancellation(
                 source.f_jet, chart_kind
@@ -247,7 +241,7 @@ def cmd_decay(args) -> int:
     expected = EXPECTED_DECAY[chart.kind]
     ok = fit.tau_hat >= expected - DECAY_TOLERANCE
     out = {
-        "surface": S.to_json() if S.symbolic else S.name,
+        "surface": S.to_json(),
         "expected_order": expected,
         "ok": ok,
         "fit": fit.to_json(),
@@ -261,11 +255,9 @@ def cmd_decay(args) -> int:
 
 def cmd_expand(args) -> int:
     S = _load_surface(args)
-    if not S.symbolic:
-        raise UsageError("expansion needs a polynomial surface")
     series = obstruction.script_R_series(S.f_jet, W=args.window)
     coeffs = [
-        {"order": w, "coefficient": _series_json(series.coefficient(w))}
+        {"order": w, "coefficient": series_to_json(series.coefficient(w))}
         for w in range(0, args.window + 1)
     ]
     out = {
@@ -279,15 +271,13 @@ def cmd_expand(args) -> int:
 
 def cmd_ctheta(args) -> int:
     S = _load_surface(args)
-    if not S.symbolic:
-        raise UsageError("the obstruction function needs a polynomial surface")
     _, parts = obstruction.umbilical_decompose(S.f_jet.poly)
     A3 = parts.get(3, MultiPoly.zero(S.n))
     ct = obstruction.c_theta(A3)
     out = {
         "surface": S.to_json(),
         "cubic_coefficient": poly_to_json(A3),
-        "c_theta": _series_json(ct),
+        "c_theta": series_to_json(ct),
         "identically_zero": ct.is_zero,
     }
     _emit(dumps(out) + "\n", args.out)
@@ -306,7 +296,6 @@ def _add_surface_flags(p: argparse.ArgumentParser) -> None:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help="ambient graph dimension")
     p.add_argument("--order", type=int, default=7, help="jet truncation order")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -326,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_flags(pv)
     _add_common_flags(pv)
     pv.add_argument("--window", type=int, default=3, help="expansion window")
+    pv.add_argument("--seed", type=int, default=0, help="ignored; kept for callers that pass it")
     pv.set_defaults(fn=cmd_verify)
 
     pm = sub.add_parser("mass", help="mass sweep and extrapolation")
@@ -350,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(pd)
     pd.add_argument("--chart", choices=["y", "z"], default="y")
     pd.add_argument("--radii", help="comma-separated sweep radii")
+    pd.add_argument("--seed", type=int, default=0, help="direction grid seed")
     pd.set_defaults(fn=cmd_decay)
 
     pe = sub.add_parser("expand", help="dump the curvature expansion")

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import obstruction
 from .numdiff import power_law_fit
-from .polyjet import SphericalSeries
+from .polyjet import SphericalSeries, series_to_json
 from .quadrature import sphere_area, sphere_directions
 from .surface import GraphSurface, PointGeometry, point_geometry
 
@@ -59,13 +59,9 @@ class LeadingOrder:
     is_zero: bool
 
     def to_json(self) -> dict:
-        from .polyjet import poly_to_json
-
         out = {"is_zero": self.is_zero, "k": self.k}
         if self.c is not None:
-            out["c"] = [
-                {"radial_power": m, "poly": poly_to_json(P)} for m, P in self.c.terms
-            ]
+            out["c"] = series_to_json(self.c)
         return out
 
 

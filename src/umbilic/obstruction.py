@@ -29,6 +29,8 @@ from .polyjet import (
     MultiPoly,
     SphericalSeries,
     poly_divexact,
+    poly_to_json,
+    series_to_json,
 )
 from .surface import JetGeometry, jet_geometry
 
@@ -97,16 +99,6 @@ def eta_over_rho_series(f: Jet, W: int = 3) -> SphericalSeries:
     return _series_quotient(u.truncate(W + 2), rho, W)
 
 
-def metric_trace_hessian_series(f: Jet, W: int = 3) -> SphericalSeries:
-    """Expansion of G = g^{ab} f_ab = Lap f - (f_ab f_a f_b)/(1+|grad f|^2)."""
-    return SphericalSeries.from_poly(jet_geometry(f.poly, W).trace.poly, None, W)
-
-
-def hessian_norm_series(f: Jet, W: int = 3) -> SphericalSeries:
-    """Expansion of |B|^2 = g^{am} g^{bn} f_ab f_mn."""
-    return SphericalSeries.from_poly(_hessian_norm(jet_geometry(f.poly, W)).poly, None, W)
-
-
 def _hessian_norm(geo: JetGeometry) -> Jet:
     # tr((g^{-1} F)^2) = tr F^2 - 2 w |F grad f|^2 + w^2 (grad f . F grad f)^2
     # with w = 1/(1+|grad f|^2), by applying g^{-1} = I - w grad f grad f^T twice.
@@ -150,6 +142,16 @@ class ThetaOperators:
     hess_theta_sq: Optional[SphericalSeries]  # only defined for degree 3
 
 
+def _hessian_sq(A: MultiPoly) -> MultiPoly:
+    """|Hess A|^2 = sum_ij (d_i d_j A)^2, each off-diagonal product once."""
+    grad, out = A.grad(), MultiPoly.zero(A.n)
+    for i in range(A.n):
+        for j in range(i, A.n):
+            h = grad[i].diff(j)
+            out = out + (h * h if i == j else (h * h).scale(2))
+    return out
+
+
 def theta_operators(A: MultiPoly) -> ThetaOperators:
     """Spherical Laplacian, tangential gradient norm, and (degree 3 only)
     tangential Hessian norm of A restricted to the unit sphere.
@@ -172,14 +174,9 @@ def theta_operators(A: MultiPoly) -> ThetaOperators:
     grad_theta_sq = on_sphere(grad_sq) - on_sphere(A * A).scale(k * k)
     hess_theta_sq = None
     if k == 3:
-        hsq = MultiPoly.zero(n)
-        for i in range(n):
-            for j in range(n):
-                hij = A.diff(i).diff(j)
-                hsq = hsq + hij * hij
         a_sq = on_sphere(A * A)
         hess_theta_sq = (
-            on_sphere(hsq)
+            on_sphere(_hessian_sq(A))
             - a_sq.scale(9 * (n + 3))
             - grad_theta_sq.scale(8)
             - (on_sphere(A) * lap).scale(6)
@@ -296,13 +293,9 @@ def dim6_check(A3: MultiPoly) -> Dim6Record:
         raise ValueError("degree-3 homogeneous polynomial required")
     r2 = MultiPoly.x_norm_sq(n)
     lap = A3.laplacian()
-    hsq = MultiPoly.zero(n)
-    for i in range(n):
-        for j in range(n):
-            hij = A3.diff(i).diff(j)
-            hsq = hsq + hij * hij
     residual = (
-        r2 * r2 * (lap * lap - hsq) - (r2 * (A3 * lap)).scale(40) + (A3 * A3).scale(480)
+        r2 * r2 * (lap * lap - _hessian_sq(A3))
+        - (r2 * (A3 * lap)).scale(40) + (A3 * A3).scale(480)
     )
     divisible = poly_divexact(A3, r2) is not None if not A3.is_zero else True
     if A3.is_zero:
@@ -341,19 +334,12 @@ class ObstructionReport:
         return ok
 
     def to_json(self) -> dict:
-        from .polyjet import poly_to_json
-
-        def series_json(s: SphericalSeries):
-            return [
-                {"radial_power": m, "poly": poly_to_json(P)} for m, P in s.terms
-            ]
-
         out = {
             "n": self.n,
             "order": self.W,
-            "c0": series_json(self.c0),
-            "c1": series_json(self.c1),
-            "c2": series_json(self.c2),
+            "c0": series_to_json(self.c0),
+            "c1": series_to_json(self.c1),
+            "c2": series_to_json(self.c2),
             "c0_zero": self.c0_zero,
             "c1_zero": self.c1_zero,
             "c2_matches_c_theta": self.c2_matches_c_theta,

@@ -320,10 +320,6 @@ class MultiPoly:
         """Coefficient of the parameter-free constant monomial."""
         return Fraction(self.num.get(((0,) * self.n, _NO_PARAMS), 0), self.den)
 
-    def spatial_constant_part(self) -> "MultiPoly":
-        """All terms of spatial degree zero (may still carry parameters)."""
-        return self.homogeneous_part(0)
-
     def param_names(self) -> set:
         names = set()
         for (_, p) in self.num:
@@ -371,26 +367,6 @@ class MultiPoly:
             x0 = point[0] if len(point) else 0
             return 0 * x0 if not isinstance(x0, (int, Fraction)) else Fraction(0)
         return total
-
-    def subs_params(self, values: Mapping[str, Fraction]) -> "MultiPoly":
-        """Substitute exact values for (some) parameters."""
-        out: Dict[Key, Fraction] = {}
-        for (e, p), c in self.terms.items():
-            rest = []
-            for name, k in p:
-                if name in values:
-                    c = c * _as_fraction(values[name]) ** k
-                else:
-                    rest.append((name, k))
-            if c == 0:
-                continue
-            key = (e, tuple(rest))
-            s = out.get(key, Fraction(0)) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return MultiPoly(self.n, out)
 
     # -- display -------------------------------------------------------------
 
@@ -686,7 +662,7 @@ class Jet:
 
     def _unit_correction(self) -> MultiPoly:
         s = self.poly - MultiPoly.const(self.n, 1)
-        if not s.spatial_constant_part().is_zero:
+        if not s.homogeneous_part(0).is_zero:
             raise ValueError("jet is not a unit with constant part 1")
         return s
 
@@ -956,15 +932,6 @@ class SphericalSeries:
             None if self.order_max is None else self.order_max - 1,
         )
 
-    def subs_params(self, values: Mapping[str, Fraction]) -> "SphericalSeries":
-        """Substitute exact values for parameters in every coefficient."""
-        return SphericalSeries.canonicalize(
-            self.n,
-            [(m, P.subs_params(values)) for m, P in self.terms],
-            self.order_min,
-            self.order_max,
-        )
-
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, point: Sequence[float], params=None) -> float:
@@ -983,29 +950,12 @@ class SphericalSeries:
         return "SphericalSeries(" + (" + ".join(bits) or "0") + win + ")"
 
 
-def radial_laplacian_term(m: int, P: MultiPoly, n: int) -> SphericalSeries:
-    """Euclidean Laplacian of r^m * P for homogeneous P of degree d.
-
-    Delta(r^m P) = m (m + 2d + n - 2) r^(m-2) P + r^m Delta(P).
-    """
-    if not P.is_homogeneous():
-        raise ValueError("P must be homogeneous")
-    if P.n != n:
-        raise ValueError("dimension mismatch")
-    d = max(P.degree(), 0)
-    raw = []
-    if m != 0:
-        raw.append((m - 2, P.scale(m * (m + 2 * d + n - 2))))
-    raw.append((m, P.laplacian()))
-    return SphericalSeries.canonicalize(n, raw)
-
-
 # -- JSON interchange ----------------------------------------------------------
 #
 # Polynomials travel as a list of {"exp": [e1..en] or [e1..en, eH],
 # "num": "...", "den": "..."}.  An exponent list of length n+1 uses the last
 # slot for the power of the curvature parameter H, which has spatial degree
-# zero by convention.
+# zero by convention.  A series is a list of {"radial_power": m, "poly": P}.
 
 
 def poly_to_json(P: MultiPoly) -> list:
@@ -1020,6 +970,10 @@ def poly_to_json(P: MultiPoly) -> list:
             exp.append(dict(p).get("H", 0))
         out.append({"exp": exp, "num": str(c.numerator), "den": str(c.denominator)})
     return out
+
+
+def series_to_json(s: SphericalSeries) -> list:
+    return [{"radial_power": m, "poly": poly_to_json(P)} for m, P in s.terms]
 
 
 def poly_from_json(data: list, n: int) -> MultiPoly:

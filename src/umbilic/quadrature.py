@@ -77,9 +77,6 @@ class QuadratureRule:
         """Weighted sum over the nodes; values[i] = f(nodes[i])."""
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
-    def average(self, values: np.ndarray) -> float:
-        return self.integrate(values) / float(np.sum(self.weights))
-
 
 def default_degree(n: int) -> int:
     """Node-count-aware default quadrature degree per dimension."""

@@ -50,7 +50,7 @@ class BatchPoly:
     def __init__(self, polys: Sequence[MultiPoly]):
         if any(P.param_names() for P in polys):
             raise ValueError("batch evaluation needs numeric coefficients")
-        n = polys[0].n if polys else 0
+        self.n = n = polys[0].n if polys else 0
         terms = [{sum(((i + 1,) * ei for i, ei in enumerate(e)), ()): c
                   for (e, _), c in P.terms.items()} for P in polys]
         needed, stack = set(), [m for t in terms for m in t]
@@ -86,6 +86,8 @@ class BatchPoly:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if pts.shape[1] != self.n:
+            raise ValueError(f"points need {self.n} coordinates, got {pts.shape[1]}")
         if self.coeffs.size == 0:
             return np.zeros((pts.shape[0], self.coeffs.shape[1]))
         if pts.shape[0] == 1:

@@ -321,10 +321,18 @@ def test_float_formatting_seventeen_digits():
     assert json.loads(text) == {"x": 1.0 / 3.0, "frac": [0.1]}
 
 
-@pytest.mark.parametrize("command", ["verify", "expand", "ctheta"])
-def test_format_rejected_where_unused(command, capsys):
-    # only mass and decay read --format; elsewhere argparse rejects it
+@pytest.mark.parametrize("command, flag, value", [
+    ("verify", "--format", "csv"),
+    ("expand", "--format", "csv"),
+    ("ctheta", "--format", "csv"),
+    ("mass", "--seed", "1"),
+    ("expand", "--seed", "1"),
+    ("ctheta", "--seed", "1"),
+], ids=["verify", "expand", "ctheta", "mass-seed", "expand-seed", "ctheta-seed"])
+def test_format_rejected_where_unused(command, flag, value, capsys):
+    # only mass and decay read --format, and only decay reads --seed (verify
+    # accepts and ignores it); elsewhere argparse rejects them
     with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--builtin", "cubic_x1", "--n", "4", "--format", "csv"])
+        cli.main([command, "--builtin", "cubic_x1", "--n", "4", flag, value])
     assert exc.value.code == 2
-    assert "--format" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err

@@ -429,3 +429,14 @@ def test_batch_evaluator_matches_exact(name, n):
     for r, i in enumerate(checked[:8]):
         one = np.concatenate([[S.f_value(pts[i])], S.f_grad(pts[i]), S.f_hess(pts[i]).ravel()])
         assert_close(one[None, :], exact, [r])
+
+
+def test_evaluator_rejects_wrong_coordinate_count():
+    # a point with n + 1 or n - 1 coordinates is refused at the evaluator's
+    # entry, for one point and for a batch, not truncated or failed deep inside
+    S = GraphSurface.quartic_x1(3)
+    for m in (4, 2):
+        with pytest.raises(ValueError, match="coordinates"):
+            S.f_value([0.1, 0.2, 0.3, 0.4][:m])
+        with pytest.raises(ValueError, match="coordinates"):
+            S.f_derivatives_batch(np.full((5, m), 0.1))
