@@ -1,0 +1,77 @@
+"""Run the README's `umbilic` commands in two source trees and compare.
+
+    python3 scripts/readme_diff.py --base ../parent
+
+The commands are the `umbilic ...` lines of the README's code blocks (a
+trailing `# comment` is dropped), so the list has one source.  Each runs as
+`python -m umbilic.cli ...` once in this tree and once in the base tree,
+from that tree's root with its `src` on PYTHONPATH.  For each command the
+script prints "identical", or a unified diff of stdout and stderr and the
+two exit codes.  It exits 1 if any command differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+from typing import List, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_commands(readme: Path) -> List[List[str]]:
+    """The argument lists of the `umbilic` lines inside the README's fenced
+    code blocks, in order."""
+    commands, fenced = [], False
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and re.match(r"umbilic\s", line):
+            commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def run(tree: Path, args: List[str]) -> Tuple[str, str, int]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tree / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run([sys.executable, "-m", "umbilic.cli", *args], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def compare(base: Tuple[str, str, int], change: Tuple[str, str, int]) -> List[str]:
+    """Diff lines between two (stdout, stderr, exit code) results; none if
+    they are identical."""
+    out = []
+    for name, a, b in (("stdout", base[0], change[0]), ("stderr", base[1], change[1])):
+        out += difflib.unified_diff(a.splitlines(), b.splitlines(), f"base {name}",
+                                    f"change {name}", lineterm="")
+    if base[2] != change[2]:
+        out.append(f"exit code: base {base[2]}, change {change[2]}")
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", type=Path, required=True, help="source tree to compare against")
+    args = ap.parse_args(argv)
+    base = args.base.resolve()
+    differ = False
+    for cmd in readme_commands(ROOT / "README.md"):
+        print("umbilic " + shlex.join(cmd))
+        lines = compare(run(base, cmd), run(ROOT, cmd))
+        print("\n".join("  " + line for line in lines) if lines else "  identical")
+        differ = differ or bool(lines)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

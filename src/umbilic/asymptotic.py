@@ -125,8 +125,11 @@ def chart_for(S: GraphSurface, flag: str) -> Chart:
 #
 # Both charts share one pull-back: _inverse_point maps chart points to x,
 # _rank_one_form builds the diagonal and rank-one terms from f and grad f.
-# Run on Duals along e_k, the same two functions give the exact chart
-# derivative d_k (g - I) from f, grad f and Hess f at x.
+# Run on one Dual whose derivative part carries all n chart directions on
+# a leading axis (d[k] along e_k), the same two functions give every exact
+# chart derivative d_k (g - I) from f, grad f and Hess f at x in one
+# forward pass, each value part formed once.  They therefore index and
+# reduce trailing axes only.
 
 
 def _conformal(eps):
@@ -153,45 +156,47 @@ def _sqrt(u):
 def _inverse_point(chart: Chart, zs):
     """a = c/t^2, y, s = |y|^2 and x = y/s at the chart points zs (a = 0
     in the inverted chart, where y = z).  zs is an (N, n) array, or a Dual
-    carrying the derivative along one coordinate direction at points an
-    array call has already checked."""
-    t2 = (zs * zs).sum(axis=1)
-    if isinstance(zs, np.ndarray) and np.any(t2 <= 0.0):
+    with that value part."""
+    t2 = (zs * zs).sum(axis=-1)
+    if np.any((t2.v if isinstance(t2, Dual) else t2) <= 0.0):
         raise ChartDomainError("chart points must be nonzero")
     if chart.kind == INVERTED_Y:
-        return 0.0, zs, t2, zs / t2[:, None]
+        return 0.0, zs, t2, zs / t2[..., None]
     a = chart.c / t2
-    ys = _sqrt(1.0 + a)[:, None] * zs
-    s = (ys * ys).sum(axis=1)
-    return a, ys, s, ys / s[:, None]
+    ys = _sqrt(1.0 + a)[..., None] * zs
+    s = (ys * ys).sum(axis=-1)
+    return a, ys, s, ys / s[..., None]
 
 
 def _rank_one_form(chart: Chart, a, ys, s, f, gr):
     """diag, coefs and vecs with g - I = diag I + sum_m coefs[m] vecs[m]
     vecs[m]^T, from _inverse_point's a, y and s and from f and grad f at
-    x = y/s.  All are arrays, or all Duals along one direction."""
+    x = y/s.  All are arrays, or all Duals."""
     confm1, conf = _conformal(s * f * f)
-    yhat = ys / _sqrt(s)[:, None]
-    v = gr - 2.0 * (yhat * gr).sum(axis=1)[:, None] * yhat
+    yhat = ys / _sqrt(s)[..., None]
+    v = gr - 2.0 * (yhat * gr).sum(axis=-1)[..., None] * yhat
     if chart.kind == INVERTED_Y:
         return confm1, [conf], [v]
     gamma, k, A = _corrected_scalars(confm1, a)
-    w = v - (gamma * (yhat * v).sum(axis=1))[:, None] * yhat
+    w = v - (gamma * (yhat * v).sum(axis=-1))[..., None] * yhat
     return A, [-k * conf, (1.0 + a) * conf], [yhat, w]
 
 
-def _assemble(diag: np.ndarray, lefts, rights) -> np.ndarray:
+def assemble(diag: np.ndarray, lefts, rights, n: int) -> np.ndarray:
     """diag I + sum_m lefts[m] rights[m]^T, shape (N, n, n), from one
-    stacked (N, n, K) @ (N, K, n) product."""
-    out = np.stack(lefts, axis=2) @ np.stack(rights, axis=1)
-    N, n = out.shape[:2]
+    stacked (N, n, K) @ (N, K, n) product; diag I alone when K = 0."""
+    N = len(diag)
+    if lefts:
+        out = np.stack(lefts, axis=2) @ np.stack(rights, axis=1)
+    else:
+        out = np.zeros((N, n, n))
     out.reshape(N, n * n)[:, :: n + 1] += diag[:, None]
     return out
 
 
-def _assemble_form(diag: np.ndarray, coefs, vecs) -> np.ndarray:
+def _assemble_form(diag: np.ndarray, coefs, vecs, n: int) -> np.ndarray:
     """diag I + sum_m coefs[m] vecs[m] vecs[m]^T, shape (N, n, n)."""
-    return _assemble(diag, [c[:, None] * u for c, u in zip(coefs, vecs)], vecs)
+    return assemble(diag, [c[:, None] * u for c, u in zip(coefs, vecs)], vecs, n)
 
 
 def ghat_deviation_batch(S: GraphSurface, chart: Chart, pts: np.ndarray) -> np.ndarray:
@@ -203,37 +208,54 @@ def ghat_deviation_batch(S: GraphSurface, chart: Chart, pts: np.ndarray) -> np.n
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     a, ys, s, xs = _inverse_point(chart, pts)
     f, gr = S.f_derivatives_batch(xs)
-    return _assemble_form(*_rank_one_form(chart, a, ys, s, f, gr))
+    return _assemble_form(*_rank_one_form(chart, a, ys, s, f, gr), pts.shape[1])
+
+
+def ghat_deviation_form(S: GraphSurface, chart: Chart, pts: np.ndarray):
+    """diag, coefs and vecs with g - I = diag I + sum_m coefs[m] vecs[m]
+    vecs[m]^T at the chart points pts, each a Dual whose derivative part
+    holds the n chart derivatives on a leading axis (diag.d[k] = d_k diag,
+    shape (n, N); vecs[m].d has shape (n, N, n)).
+
+    One order-2 evaluator call gives f, grad f and Hess f at x; one forward
+    pass pushes all n directions e_k through the closed form, with
+    df = grad f . d_k x and d grad f = Hess f d_k x.  The value parts are
+    ghat_deviation_batch's arrays, formed by the same arithmetic."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    N, n = pts.shape
+    directions = np.broadcast_to(np.eye(n)[:, None, :], (n, N, n))
+    a, ys, s, xs = _inverse_point(chart, Dual(pts, directions))
+    f, gr, hess = S.f_derivatives_batch(xs.v, order=2)
+    f = Dual(f, (gr * xs.d).sum(axis=-1))
+    gr = Dual(gr, np.einsum("pij,kpj->kpi", hess, xs.d))
+    return _rank_one_form(chart, a, ys, s, f, gr)
+
+
+def form_derivatives(diag, coefs, vecs, n: int) -> Callable[[int], np.ndarray]:
+    """The function that maps k to d_k (g - I), shape (N, n, n), for a
+    deviation form whose derivative parts carry the directions on a
+    leading axis (ghat_deviation_form): slice k only is assembled.  By the
+    product rule d_k (c u u^T) = q[k] u^T + u q[k]^T, q = c du + (dc/2) u."""
+    u = [w.v for w in vecs]
+    q = [c.v[..., None] * w.d + 0.5 * c.d[..., None] * w.v for c, w in zip(coefs, vecs)]
+
+    def derivative(k: int) -> np.ndarray:
+        qk = [w[k] for w in q]
+        return assemble(diag.d[k], qk + u, u + qk, n)
+
+    return derivative
 
 
 def ghat_deviation_derivatives(
     S: GraphSurface, chart: Chart, pts: np.ndarray
 ) -> Tuple[np.ndarray, Callable[[int], np.ndarray]]:
     """The deviation at chart points, shape (N, n, n), and a function that
-    maps k to its exact chart derivative d_k (g - I), shape (N, n, n).
-
-    One order-2 evaluator call gives f, grad f and Hess f at x; each d_k
-    pushes Duals along e_k through the same closed form (forward mode), with
-    df = grad f . d_k x and d grad f = Hess f d_k x.  Derivatives are
-    formed one direction at a time, so no (n, N, n, n) array is built."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    a, ys, s, xs = _inverse_point(chart, pts)
-    f, gr, hess = S.f_derivatives_batch(xs, order=2)
-    dev = _assemble_form(*_rank_one_form(chart, a, ys, s, f, gr))
-
-    def derivative(k: int) -> np.ndarray:
-        e = np.zeros_like(pts)
-        e[:, k] = 1.0
-        a_k, ys_k, s_k, xs_k = _inverse_point(chart, Dual(pts, e))
-        f_k = Dual(f, (gr * xs_k.d).sum(axis=1))
-        gr_k = Dual(gr, np.einsum("pij,pj->pi", hess, xs_k.d))
-        diag, coefs, vecs = _rank_one_form(chart, a_k, ys_k, s_k, f_k, gr_k)
-        # product rule: d(c u u^T) = q u^T + u q^T with q = c du + (dc/2) u
-        u = [w.v for w in vecs]
-        q = [c.v[:, None] * w.d + 0.5 * c.d[:, None] * w.v for c, w in zip(coefs, vecs)]
-        return _assemble(diag.d, q + u, u + q)
-
-    return dev, derivative
+    maps k to its exact chart derivative d_k (g - I), shape (N, n, n),
+    assembled from slice k of ghat_deviation_form's one forward pass."""
+    n = np.shape(pts)[-1]
+    diag, coefs, vecs = ghat_deviation_form(S, chart, pts)
+    dev = _assemble_form(diag.v, [c.v for c in coefs], [w.v for w in vecs], n)
+    return dev, form_derivatives(diag, coefs, vecs, n)
 
 
 def _rowdot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -426,6 +448,13 @@ class DecayFit:
         return rows
 
 
+def check_decay_radii(radii: Sequence[float]) -> None:
+    """Raise ValueError unless decay_order_estimate can fit the radii: at
+    least two distinct ones."""
+    if len(set(radii)) < 2:
+        raise ValueError("at least two distinct radii are required")
+
+
 def decay_order_estimate(
     S: GraphSurface,
     chart: Chart,
@@ -435,10 +464,10 @@ def decay_order_estimate(
     """Fit log max|deviation| (and central-difference first and second
     derivatives in chart coordinates, step numdiff.RADIAL_STEP times the
     radius) against log radius on a fixed angular grid.  Needs two distinct
-    radii; all magnitudes below 1e-14 reports tau_hat = inf."""
+    radii (check_decay_radii); all magnitudes below 1e-14 reports
+    tau_hat = inf."""
     radii = sorted(float(r) for r in radii)
-    if len(set(radii)) < 2:
-        raise ValueError("at least two distinct radii are required")
+    check_decay_radii(radii)
     dirs = sphere_directions(S.n, seed=seed)
     h_max, dh_max, ddh_max = [], [], []
     for r in radii:

@@ -235,8 +235,7 @@ def cmd_decay(args) -> int:
     S = _load_surface(args)
     chart = _chart(S, args.chart)
     radii = _radii(args)
-    if len(set(radii)) < 2:
-        raise UsageError("at least two distinct radii are required")
+    _usage(asymptotic.check_decay_radii, radii)
     fit = asymptotic.decay_order_estimate(S, chart, radii, seed=args.seed)
     expected = EXPECTED_DECAY[chart.kind]
     ok = fit.tau_hat >= expected - DECAY_TOLERANCE

@@ -4,12 +4,19 @@ Two flux integrals at finite radius, extrapolated to infinity:
 
   standard_adm   g^{jk} (d_k g_ij - d_i g_jk) nu^i over the coordinate
                  sphere, the textbook ADM surface integral, with the metric
-                 and its exact coordinate derivatives in closed form from
-                 one order-2 evaluation per radius (no finite difference);
+                 as a diagonal plus rank-one terms, its inverse by
+                 Sherman-Morrison/Woodbury and its exact coordinate
+                 derivatives (all n directions in one forward pass) in
+                 closed form from one order-2 evaluation (no finite
+                 difference, no matrix inverse);
   lee_parker     the radial form  d_r(g_rr - sum_a g_aa)
                  + r^{-1} (n g_rr - sum_a g_aa), with g_rr, the trace and
                  the exact radial derivative in closed form from one
-                 evaluation per radius (no finite difference).
+                 evaluation (no finite difference).
+
+Both fill their integrand over the rule's nodes in blocks of BLOCK_NODES,
+one evaluation per block, so memory stays flat as the rule grows; each
+estimate still makes one quadrature sum over all nodes.
 
 Both are normalized by [2(n-1) |S^{n-1}|]^{-1}, calibrated so the
 conformally flat reference metric (1 + m/(2|y|))^4 delta in dimension 3
@@ -44,6 +51,14 @@ STANDARD = "standard_adm"
 LEE_PARKER = "lee_parker"
 
 DEFAULT_RADII = (10.0, 10.0**1.5, 100.0, 10.0**2.5, 1000.0)
+
+# Nodes per block of a flux integrand.  Both estimates fill their (N,)
+# integrand one block at a time, so temporaries stay cache-sized whatever
+# the rule.  On 2 cores, blocks of 2048..16384 nodes timed within noise of
+# each other on the sphere n = 5 standard and quartic n = 6, 7 Lee-Parker
+# radii and 1024 was 10-50% slower; 4096 keeps the largest temporary, the
+# sphere n = 5 order-2 monomial table, at 7 MB.
+BLOCK_NODES = 4096
 
 
 def mass_normalization(n: int) -> float:
@@ -88,20 +103,24 @@ class SchwarzschildField:
             raise ValueError("points must lie outside the horizon sphere")
         return self._excess(r)[:, None, None] * np.eye(self.n)[None, :, :]
 
+    def deviation_form(self, pts: np.ndarray):
+        """The deviation excess(r) I in the form of
+        asymptotic.ghat_deviation_form, with no rank-one term: diag is a
+        Dual whose derivative part holds d_k excess = excess'(r) y_k / r
+        on a leading axis."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        r = np.linalg.norm(pts, axis=1)
+        if np.any(r <= self.horizon_radius):
+            raise ValueError("points must lie outside the horizon sphere")
+        return self._excess(Dual(r, (pts / r[:, None]).T)), [], []
+
     def deviation_derivatives(
         self, pts: np.ndarray
     ) -> Tuple[np.ndarray, Callable[[int], np.ndarray]]:
         """The deviation and a function that maps k to its exact derivative
         d_k (g - I) = excess'(r) (y_k / r) I."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        dev = self.deviation_batch(pts)
-        r = np.linalg.norm(pts, axis=1)
-
-        def derivative(k: int) -> np.ndarray:
-            d = self._excess(Dual(r, pts[:, k] / r)).d
-            return d[:, None, None] * np.eye(self.n)[None, :, :]
-
-        return dev, derivative
+        form = self.deviation_form(pts)
+        return self.deviation_batch(pts), asymptotic.form_derivatives(*form, self.n)
 
     def radial_trace_batch(self, t: float, dirs: np.ndarray) -> Tuple[Dual, Dual]:
         """g_rr and tr of the deviation at the points t * dirs, with their
@@ -115,12 +134,73 @@ class SchwarzschildField:
 MetricSource = Union[GraphSurface, SchwarzschildField]
 
 
+def _deviation_form(source: MetricSource, chart: Optional[Chart], pts: np.ndarray):
+    if isinstance(source, GraphSurface):
+        if chart is None:
+            raise ValueError("a chart is required for surface sources")
+        return asymptotic.ghat_deviation_form(source, chart, pts)
+    return source.deviation_form(pts)
+
+
 def _deviation_derivatives(source: MetricSource, chart: Optional[Chart], pts: np.ndarray):
+    """The deviation and k -> d_k (g - I) as full (N, n, n) matrices, for
+    checks against finite differences."""
     if isinstance(source, GraphSurface):
         if chart is None:
             raise ValueError("a chart is required for surface sources")
         return asymptotic.ghat_deviation_derivatives(source, chart, pts)
     return source.deviation_derivatives(pts)
+
+
+def inverse_metric(n: int, diag: np.ndarray, coefs, vecs) -> np.ndarray:
+    """(I + diag I + sum_m coefs[m] vecs[m] vecs[m]^T)^{-1}, shape (N, n, n),
+    in closed form for the K <= 2 rank-one terms of a deviation form.
+
+    With alpha = 1 + diag, U = [u_1 .. u_K] and C = diag(c), Woodbury gives
+    g^{-1} = (I - U X U^T) / alpha with X = M^{-1} C, M = alpha I + C U^T U:
+    Sherman-Morrison for chart y (K = 1), a 2 x 2 solve per node for chart
+    z (K = 2), alpha^{-1} I for the fixture (K = 0).  No C^{-1} is needed,
+    so c = 0 (chart z with H = 0) is fine."""
+    alpha = 1.0 + diag
+    K = len(vecs)
+    M = [[coefs[a] * np.einsum("pi,pi->p", vecs[a], vecs[b]) + (alpha if a == b else 0.0)
+          for b in range(K)] for a in range(K)]
+    if K == 1:
+        X = [[coefs[0] / M[0][0]]]
+    if K == 2:
+        det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+        X = [[M[1][1] * coefs[0] / det, -M[0][1] * coefs[1] / det],
+             [-M[1][0] * coefs[0] / det, M[0][0] * coefs[1] / det]]
+    beta = 1.0 / alpha
+    lefts = [-beta[:, None] * sum(X[a][b][:, None] * vecs[a] for a in range(K))
+             for b in range(K)]
+    return asymptotic.assemble(beta, lefts, vecs, n)
+
+
+def _standard_integrand(source: MetricSource, chart: Optional[Chart], r: float,
+                        nu: np.ndarray) -> np.ndarray:
+    """nu_i g^{jk} (d_k g_ij - d_i g_jk) at the points r nu: g^{-1} from
+    the deviation form (inverse_metric), each d_k g assembled from slice k
+    of its one forward pass and contracted as soon as it is formed."""
+    n = nu.shape[1]
+    diag, coefs, vecs = _deviation_form(source, chart, r * nu)
+    ginv = inverse_metric(n, diag.v, [c.v for c in coefs], [w.v for w in vecs])
+    derivative = asymptotic.form_derivatives(diag, coefs, vecs, n)
+    vals = np.zeros(len(nu))
+    for k in range(n):
+        dg = derivative(k)
+        vals += np.einsum("pi,pij,pj->p", nu, dg, ginv[:, :, k])
+        vals -= nu[:, k] * np.einsum("pjl,pjl->p", ginv, dg)
+    return vals
+
+
+def _blocked(integrand: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
+    """The (N,) integrand over the rule's nodes, filled one slice of
+    BLOCK_NODES rows at a time so every temporary stays cache-sized."""
+    vals = np.empty(len(nodes))
+    for lo in range(0, len(nodes), BLOCK_NODES):
+        vals[lo:lo + BLOCK_NODES] = integrand(nodes[lo:lo + BLOCK_NODES])
+    return vals
 
 
 def lee_parker_pair(
@@ -168,23 +248,15 @@ def adm_mass_standard(
     r: float,
     rule: QuadratureRule,
 ) -> MassEstimate:
-    """The normalized flux integral at radius r.  The metric and its exact
-    coordinate derivatives come in closed form from one evaluation on the
-    rule's nodes (ghat_deviation_derivatives), with no finite difference;
-    each d_k g is contracted into nu_i g^{jk} (d_k g_ij - d_i g_jk) as
-    soon as it is formed."""
+    """The normalized flux integral at radius r.  The metric, its inverse
+    and its exact coordinate derivatives come in closed form from one
+    evaluation per block of the rule's nodes (ghat_deviation_form and
+    inverse_metric), with no finite difference."""
     n = rule.n
     r = float(r)
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    nu = rule.nodes
-    dev, derivative = _deviation_derivatives(source, chart, r * nu)
-    ginv = np.linalg.inv(np.eye(n)[None, :, :] + dev)
-    vals = np.zeros(len(nu))
-    for k in range(n):
-        dg = derivative(k)
-        vals += np.einsum("pi,pij,pj->p", nu, dg, ginv[:, :, k])
-        vals -= nu[:, k] * np.einsum("pjl,pjl->p", ginv, dg)
+    vals = _blocked(lambda nu: _standard_integrand(source, chart, r, nu), rule.nodes)
     value = mass_normalization(n) * r ** (n - 1) * rule.integrate(vals)
     kind = chart.kind if chart is not None else INVERTED_Y
     return MassEstimate(r, value, STANDARD, kind, rule.degree, len(rule.weights))
@@ -198,13 +270,17 @@ def adm_mass_lee_parker(
 ) -> MassEstimate:
     """The radial-form integral at radius t: g_rr - tr, n g_rr - tr and the
     exact t-derivative of the first come in closed form from one
-    evaluation on the rule's nodes (lee_parker_pair)."""
+    evaluation per block of the rule's nodes (lee_parker_pair)."""
     n = rule.n
     t = float(t)
     if t <= 0.0:
         raise ValueError("radius must be positive")
-    F1, F2 = lee_parker_pair(source, chart, t, rule.nodes)
-    vals = F1.d + F2.v / t
+
+    def integrand(dirs: np.ndarray) -> np.ndarray:
+        F1, F2 = lee_parker_pair(source, chart, t, dirs)
+        return F1.d + F2.v / t
+
+    vals = _blocked(integrand, rule.nodes)
     value = mass_normalization(n) * t ** (n - 1) * rule.integrate(vals)
     kind = chart.kind if chart is not None else INVERTED_Y
     return MassEstimate(t, value, LEE_PARKER, kind, rule.degree, len(rule.weights))

@@ -5,9 +5,10 @@ dual numbers for closed forms, and curvature of a numerically given metric.
 difference in the package goes through it.  `gradient` and `hessian` add
 one Richardson extrapolation step; second derivatives use a larger step
 than first derivatives because their roundoff error scales like eps/h^2.
-`Dual` carries a closed form's derivative along one parameter exactly,
-with no step to choose; both mass fluxes take their metric derivatives
-from it, so `RADIAL_STEP` now serves only the decay-order fits.
+`Dual` carries a closed form's derivatives exactly, with no step to
+choose, along one parameter or along several directions in one pass; both
+mass fluxes take their metric derivatives from it, so `RADIAL_STEP` now
+serves only the decay-order fits.
 """
 
 from __future__ import annotations
@@ -22,11 +23,15 @@ RADIAL_STEP = 1e-4
 
 
 class Dual:
-    """A value and its derivative along one parameter (forward-mode
-    differentiation): + - * / apply the sum, product and quotient rules.
-    Both parts are floats or numpy arrays and broadcast like them; plain
-    numbers and arrays act as constants.  Indexing, sum and sqrt act on
-    both parts as on an array, so array code runs on Duals unchanged."""
+    """A value and its derivatives (forward-mode differentiation): + - * /
+    apply the sum, product and quotient rules.  Both parts are floats or
+    numpy arrays and broadcast like them; plain numbers and arrays act as
+    constants.  The derivative part may carry several directions at once
+    on extra leading axes, d[k] the derivative along direction k, so one
+    pass computes each value once for all of them.  Indexing, sum and sqrt
+    act on both parts as on an array, so array code runs on Duals
+    unchanged provided it indexes and reduces trailing axes only
+    ([..., None], axis=-1), which the two parts share."""
 
     __slots__ = ("v", "d")
     __array_ufunc__ = None  # ndarray <op> Dual defers to the reflected method

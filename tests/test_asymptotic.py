@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from umbilic import asymptotic as asym
-from umbilic.numdiff import power_law_fit
+from umbilic.numdiff import Dual, power_law_fit
+from umbilic.quadrature import QuadratureRule
 from umbilic.polyjet import Jet, MultiPoly, SphericalSeries
 from umbilic.surface import GraphSurface
 
@@ -183,6 +184,41 @@ def test_components_match_direct_pullback():
         rho = float(x @ x) + S.f_value(x) ** 2
         amb = (np.eye(6) + np.outer(gr, gr)) / rho**2
         assert np.allclose(G, J.T @ amb @ J, rtol=1e-6, atol=1e-9)
+
+
+def one_direction_derivative(S, chart, pts, k):
+    """d_k (g - I) from a forward pass along e_k alone: every value part is
+    recomputed for the one direction, the oracle for the all-directions
+    pass of ghat_deviation_form."""
+    n = pts.shape[1]
+    a, ys, s, xs = asym._inverse_point(chart, pts)
+    f, gr, hess = S.f_derivatives_batch(xs, order=2)
+    e = np.zeros_like(pts)
+    e[:, k] = 1.0
+    a_k, ys_k, s_k, xs_k = asym._inverse_point(chart, Dual(pts, e))
+    f_k = Dual(f, (gr * xs_k.d).sum(axis=1))
+    gr_k = Dual(gr, np.einsum("pij,pj->pi", hess, xs_k.d))
+    diag, coefs, vecs = asym._rank_one_form(chart, a_k, ys_k, s_k, f_k, gr_k)
+    # product rule: d(c u u^T) = q u^T + u q^T with q = c du + (dc/2) u
+    u = [w.v for w in vecs]
+    q = [c.v[:, None] * w.d + 0.5 * c.d[:, None] * w.v for c, w in zip(coefs, vecs)]
+    return asym.assemble(diag.d, q + u, u + q, n)
+
+
+@pytest.mark.parametrize(
+    "name,n,flag", [("sphere", 3, "y"), ("cubic_x1", 4, "y"), ("quartic_x1", 6, "z")]
+)
+def test_all_directions_pass_matches_one_direction(name, n, flag):
+    S = GraphSurface.builtin(name, n)
+    ch = asym.chart_for(S, flag)
+    dirs = QuadratureRule.sphere(n, 6).nodes
+    for r in (10.0, 1000.0):
+        pts = r * dirs
+        dev, derivative = asym.ghat_deviation_derivatives(S, ch, pts)
+        assert np.array_equal(dev, asym.ghat_deviation_batch(S, ch, pts))
+        for k in range(n):
+            ref = one_direction_derivative(S, ch, pts, k)
+            assert np.max(np.abs(derivative(k) - ref)) <= 1e-14 * np.max(np.abs(ref)), (r, k)
 
 
 # -- symbolic series -------------------------------------------------------------
