@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import asymptotic
 from .asymptotic import CORRECTED_Z, INVERTED_Y, Chart
@@ -334,8 +333,12 @@ def check_fit_radii(radii: Sequence[float]) -> None:
 
 
 def extrapolate_mass(estimates: Sequence[MassEstimate]) -> MassExtrapolation:
-    """Nonlinear least squares for m_inf + a r^{-p}: a grid over p with the
-    linear subproblem solved exactly, then a local refinement."""
+    """Least squares for m_inf + a r^{-p}, p in [1e-3, 24], by variable
+    projection: for each p the linear pair (m_inf, a) is solved exactly in
+    closed form, so the sum of squared residuals is a function of p alone.
+    It is scanned on a grid of 48 exponents, then minimized by golden
+    section on the bracket around the best grid point until the bracket is
+    1e-12 of p wide."""
     check_fit_radii([e.radius for e in estimates])
     formulas = {e.formula for e in estimates}
     charts = {e.chart_kind for e in estimates}
@@ -346,35 +349,43 @@ def extrapolate_mass(estimates: Sequence[MassEstimate]) -> MassExtrapolation:
     vs = np.array([e.value for e in est])
     formula, chart_kind = formulas.pop(), charts.pop()
 
-    sst = float(np.sum((vs - np.mean(vs)) ** 2))
     scale = max(np.max(np.abs(vs)), 1e-300)
     if np.ptp(vs) <= 1e-13 * scale:
         # constant series: m_inf is the common value, p is degenerate
         return MassExtrapolation(float(np.mean(vs)), 0.0, 1.0, formula, chart_kind)
+    v_mean = float(np.mean(vs))
+    vc = vs - v_mean
+    sst = float(vc @ vc)
 
-    def linear_fit(p: float):
-        X = np.column_stack([np.ones_like(rs), rs ** (-p)])
-        coef, *_ = np.linalg.lstsq(X, vs, rcond=None)
-        ssr = float(np.sum((X @ coef - vs) ** 2))
-        return coef, ssr
+    def linear_fit(p):
+        """(m_inf, ssr) of the exact fit at each exponent in p: the slope on
+        the centered columns, the residual summed explicitly."""
+        z = rs ** -np.asarray(p, dtype=float)[..., None]
+        z_mean = z.mean(axis=-1)
+        zc = z - z_mean[..., None]
+        a = (zc @ vc) / (zc * zc).sum(axis=-1)
+        res = vc - a[..., None] * zc
+        return v_mean - a * z_mean, (res * res).sum(axis=-1)
 
-    best_p, best_coef, best_ssr = None, None, math.inf
-    for p in np.linspace(0.25, 12.0, 48):
-        coef, ssr = linear_fit(p)
-        if ssr < best_ssr:
-            best_p, best_coef, best_ssr = p, coef, ssr
-
-    def residual(theta):
-        return theta[0] + theta[1] * rs ** (-theta[2]) - vs
-
-    sol = least_squares(
-        residual,
-        x0=[best_coef[0], best_coef[1], best_p],
-        bounds=([-np.inf, -np.inf, 1e-3], [np.inf, np.inf, 24.0]),
-    )
-    m_inf, a, p = sol.x
-    ssr = float(np.sum(sol.fun**2))
-    quality = 1.0 - ssr / sst if sst > 0.0 else 1.0
+    grid = np.linspace(0.25, 12.0, 48)
+    i = int(np.argmin(linear_fit(grid)[1]))
+    lo = grid[i - 1] if i > 0 else 1e-3
+    hi = grid[i + 1] if i + 1 < len(grid) else 24.0
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fc, fd = linear_fit(c)[1], linear_fit(d)[1]
+    while hi - lo > 1e-12 * hi:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - ratio * (hi - lo)
+            fc = linear_fit(c)[1]
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + ratio * (hi - lo)
+            fd = linear_fit(d)[1]
+    p = c if fc <= fd else d
+    m_inf, ssr = linear_fit(p)
+    quality = 1.0 - float(ssr) / sst if sst > 0.0 else 1.0
     return MassExtrapolation(float(m_inf), float(p), quality, formula, chart_kind)
 
 

@@ -3,7 +3,9 @@
 Product rule in spherical coordinates: Gauss-Jacobi nodes in each polar
 angle (the sin-power surface-measure factor is absorbed exactly into the
 Jacobi weight) and a trapezoid rule in the final azimuth, which is exact
-for trigonometric polynomials of degree below the point count.  The rule
+for trigonometric polynomials of degree below the point count.  The
+Gauss-Jacobi rules come from the eigenvalues of the Jacobi matrix
+(Golub-Welsch) polished by one Newton step, in numpy alone.  The rule
 integrates polynomials of total degree <= `degree` essentially to machine
 precision, in any dimension n >= 2.
 """
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 
 def sphere_area(n: int) -> float:
@@ -30,6 +31,40 @@ def sphere_directions(n: int, count: int = 32, seed: int = 0) -> np.ndarray:
     extra = rng.standard_normal((count, n))
     extra /= np.linalg.norm(extra, axis=1)[:, None]
     return np.vstack([axes, extra])
+
+
+def _monic_jacobi(alpha: float, beta: np.ndarray, u: np.ndarray):
+    """P_{m-1}, P_m and P_m' at u, m = len(beta) + 1, for the monic
+    P_k^(alpha, alpha): the recurrence P_{k+1} = u P_k - beta[k-1] P_{k-1},
+    then (1 - u^2) P_m' = c P_{m-1} - m u P_m, c = m(m + 2 alpha)/(2m + 2 alpha - 1)."""
+    p_prev, p = np.zeros_like(u), np.ones_like(u)
+    for b in [0.0] + beta.tolist():
+        p_prev, p = p, u * p - b * p_prev
+    m = len(beta) + 1
+    c = m * (m + 2 * alpha) / (2 * m + 2 * alpha - 1)
+    return p_prev, p, (c * p_prev - m * u * p) / ((1.0 - u) * (1.0 + u))
+
+
+def _gauss_jacobi(m: int, alpha: float):
+    """The m-point Gauss rule for the weight (1 - u^2)^alpha on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix, refined by one Newton step on P_m^(alpha, alpha); the
+    weights are proportional to 1/(P_{m-1} P_m') and sum to
+    mu_0 = 2^(2 alpha + 1) Gamma(alpha + 1)^2 / Gamma(2 alpha + 2).  Nodes
+    and weights are symmetrized about 0, as the rule is.
+    """
+    k = np.arange(1.0, m)
+    beta = k * (k + 2 * alpha) / ((2 * k + 2 * alpha + 1) * (2 * k + 2 * alpha - 1))
+    off = np.sqrt(beta)
+    u = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    _, p, dp = _monic_jacobi(alpha, beta, u)
+    u = u - p / dp
+    p_prev, _, dp = _monic_jacobi(alpha, beta, u)
+    w = 1.0 / (p_prev * dp)
+    u, w = (u - u[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    mu0 = 2.0 ** (2 * alpha + 1) * math.gamma(alpha + 1) ** 2 / math.gamma(2 * alpha + 2)
+    return u, w * (mu0 / w.sum())
 
 
 @dataclass
@@ -59,17 +94,15 @@ class QuadratureRule:
         # measure factor sin(t)^{d-1} for current sphere dimension d.
         dim = 2
         while dim < n:
-            a = (dim - 1) / 2.0  # Jacobi exponent: (1-u^2)^a du, u = cos t
-            u, w = roots_jacobi(m, a - 0.5, a - 0.5)
-            new_nodes = np.empty((len(u) * nodes.shape[0], dim + 1))
-            new_weights = np.empty(len(u) * nodes.shape[0])
+            # u = cos t: sin(t)^(dim-1) dt = (1-u^2)^alpha du, alpha = (dim-2)/2
+            u, w = _gauss_jacobi(m, (dim - 2) / 2.0)
             s = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-            for i, (ui, wi) in enumerate(zip(u, w)):
-                block = slice(i * nodes.shape[0], (i + 1) * nodes.shape[0])
-                new_nodes[block, 0] = ui
-                new_nodes[block, 1:] = s[i] * nodes
-                new_weights[block] = wi * weights
-            nodes, weights = new_nodes, new_weights
+            # one block of the previous nodes per polar node u_i
+            new_nodes = np.empty((len(u), len(nodes), dim + 1))
+            new_nodes[:, :, 0] = u[:, None]
+            np.multiply(s[:, None, None], nodes, out=new_nodes[:, :, 1:])
+            nodes = new_nodes.reshape(-1, dim + 1)
+            weights = np.outer(w, weights).ravel()
             dim += 1
         return QuadratureRule(n, nodes, weights, degree)
 

@@ -44,7 +44,9 @@ class BatchPoly:
     level with one gather and one multiply, no powers; a single point
     takes one product over each row's coordinate rows, padded with row 0,
     which is cheaper than three levels at N = 1.  The (N, K) values are
-    one matrix product.
+    one matrix product, taken as (K, rows) @ (rows, N) and returned as its
+    transpose: at 4096 points the (N, rows) @ (rows, K) form on the
+    transposed table took 2x (sphere n = 3) to 3.5x (n = 5) as long.
     """
 
     def __init__(self, polys: Sequence[MultiPoly]):
@@ -99,7 +101,7 @@ class BatchPoly:
         for start, stop, halves in self.levels:
             head, tail = mono[halves]
             np.multiply(head, tail, out=mono[start:stop])
-        return mono.T @ self.coeffs
+        return (self.coeffs.T @ mono).T
 
 
 # -- the surface ------------------------------------------------------------
@@ -550,10 +552,10 @@ def cylinder_inversion_curvatures(
     # unit normal: the null vector of the tangent rows J[i] = d_i F
     _, _, vt = np.linalg.svd(J, full_matrices=True)
     II = ddF @ vt[-1]
-    I = J @ J.T
-    from scipy.linalg import eigh
-
-    eigs = eigh(II, I, eigvals_only=True)
+    # generalized eigenvalues of (II, I): those of L^{-1} II L^{-T}, I = L L^T
+    L = np.linalg.cholesky(J @ J.T)
+    C = np.linalg.solve(L, np.linalg.solve(L, II).T)
+    eigs = np.linalg.eigvalsh((C + C.T) / 2.0)
     expect = np.sort(np.concatenate([np.full(n - 1, lam), [mu]]))
     if np.sum(np.abs(np.sort(eigs) - expect)) <= np.sum(np.abs(np.sort(-eigs) - expect)):
         sign = 1

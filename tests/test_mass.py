@@ -429,6 +429,16 @@ def test_extrapolate_synthetic_power_law():
     assert fit.fit_quality > 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("m, a, p", [(0.0, 1e-4, 2.37), (1e-9, 1e-4, 2.37), (0.5, 0.3, 1.13)])
+def test_extrapolate_refines_exponent_off_grid(m, a, p):
+    # p is off the 0.25-spaced grid; small-magnitude sweeps must be
+    # refined as well as O(1) ones
+    radii = mm.DEFAULT_RADII
+    fit = mm.extrapolate_mass(fake_estimates(radii, [m + a * r**-p for r in radii]))
+    assert abs(fit.decay_exponent - p) <= 1e-6
+    assert abs(fit.m_inf - m) <= 1e-12 * max(1.0, abs(m))
+
+
 def test_extrapolate_constant_series():
     fit = mm.extrapolate_mass(fake_estimates([10, 30, 100, 300], [5.0] * 4))
     assert fit.m_inf == 5.0

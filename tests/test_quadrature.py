@@ -7,7 +7,7 @@ import pytest
 
 from umbilic.obstruction import sphere_integral_homog
 from umbilic.polyjet import MultiPoly
-from umbilic.quadrature import QuadratureRule, default_degree, sphere_area
+from umbilic.quadrature import QuadratureRule, _gauss_jacobi, default_degree, sphere_area
 
 
 def test_weights_positive_and_sum_to_area():
@@ -43,6 +43,20 @@ def test_exact_on_homogeneous_polynomials():
                 for (e, _), c in P.terms.items()
             )
             assert rule.integrate(vals) == pytest.approx(exact, abs=1e-10, rel=1e-10)
+
+
+def test_gauss_jacobi_matches_scipy_oracle():
+    # scipy is a test-only oracle: the polar rules of n = 3..9 use the
+    # Jacobi exponents alpha = (dim - 2)/2 for dim = 2..n-1, and the
+    # default degrees use up to 17 points
+    from scipy.special import roots_jacobi
+
+    for alpha in np.arange(0.0, 3.5, 0.5):
+        for m in range(1, 18):
+            u, w = _gauss_jacobi(m, alpha)
+            u_ref, w_ref = roots_jacobi(m, alpha, alpha)
+            assert np.max(np.abs(u - u_ref)) <= 1e-15, (m, alpha)
+            assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-12, (m, alpha)
 
 
 def test_odd_monomials_vanish():
