@@ -21,7 +21,6 @@ from .asymptotic import (  # noqa: F401
     chart_for,
     decay_order_estimate,
     ghat_deviation_batch,
-    ghat_deviation_derivatives,
     ghat_radial_trace_series,
 )
 from .conformal import (  # noqa: F401

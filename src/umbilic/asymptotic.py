@@ -246,18 +246,6 @@ def form_derivatives(diag, coefs, vecs, n: int) -> Callable[[int], np.ndarray]:
     return derivative
 
 
-def ghat_deviation_derivatives(
-    S: GraphSurface, chart: Chart, pts: np.ndarray
-) -> Tuple[np.ndarray, Callable[[int], np.ndarray]]:
-    """The deviation at chart points, shape (N, n, n), and a function that
-    maps k to its exact chart derivative d_k (g - I), shape (N, n, n),
-    assembled from slice k of ghat_deviation_form's one forward pass."""
-    n = np.shape(pts)[-1]
-    diag, coefs, vecs = ghat_deviation_form(S, chart, pts)
-    dev = _assemble_form(diag.v, [c.v for c in coefs], [w.v for w in vecs], n)
-    return dev, form_derivatives(diag, coefs, vecs, n)
-
-
 def _rowdot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (N, n) arrays (no (N, n) temporary)."""
     return np.einsum("pi,pi->p", u, w)

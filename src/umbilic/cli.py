@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -100,6 +101,8 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def _load_surface(args) -> GraphSurface:
+    if args.order < 2:
+        raise UsageError(f"--order must be at least 2 (the quadratic part), not {args.order}")
     if getattr(args, "poly", None):
         try:
             with open(args.poly) as fh:
@@ -147,6 +150,8 @@ def _radii(args) -> List[float]:
             vals = [float(tok) for tok in args.radii.split(",")]
         except ValueError:
             raise UsageError(f"bad --radii value {args.radii!r}")
+        if not all(math.isfinite(v) for v in vals):
+            raise UsageError("radii must be finite")
         if any(v <= 0 for v in vals):
             raise UsageError("radii must be positive")
         return vals
@@ -156,7 +161,14 @@ def _radii(args) -> List[float]:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _check_window(args, least: int) -> None:
+    if args.window < least:
+        raise UsageError(f"--window must be at least {least}, not {args.window}")
+
+
 def cmd_verify(args) -> int:
+    # the identities compare the order-2 coefficient with c_theta
+    _check_window(args, 2)
     S = _load_surface(args)
     report = obstruction.expansion_coefficients(S.f_jet, W=args.window)
     lead = conformal.leading_order(report.series)
@@ -253,6 +265,7 @@ def cmd_decay(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    _check_window(args, 0)
     S = _load_surface(args)
     series = obstruction.script_R_series(S.f_jet, W=args.window)
     coeffs = [

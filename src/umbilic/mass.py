@@ -79,6 +79,8 @@ class SchwarzschildField:
     n: int = 3
 
     def __post_init__(self):
+        if not math.isfinite(self.mass):
+            raise ValueError(f"the fixture mass must be finite, not {self.mass}")
         if self.n != 3:
             raise ValueError(
                 f"the Schwarzschild fixture is calibrated on R^3 only, not n = {self.n}"
@@ -95,11 +97,17 @@ class SchwarzschildField:
         u = self.mass / (2.0 * r)
         return u * (4.0 + u * (6.0 + u * (4.0 + u)))
 
-    def deviation_batch(self, pts: np.ndarray) -> np.ndarray:
+    def _radius(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The points as an (N, n) array and their norms, all outside the
+        horizon sphere."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.linalg.norm(pts, axis=1)
         if np.any(r <= self.horizon_radius):
             raise ValueError("points must lie outside the horizon sphere")
+        return pts, r
+
+    def deviation_batch(self, pts: np.ndarray) -> np.ndarray:
+        pts, r = self._radius(pts)
         return self._excess(r)[:, None, None] * np.eye(self.n)[None, :, :]
 
     def deviation_form(self, pts: np.ndarray):
@@ -107,19 +115,8 @@ class SchwarzschildField:
         asymptotic.ghat_deviation_form, with no rank-one term: diag is a
         Dual whose derivative part holds d_k excess = excess'(r) y_k / r
         on a leading axis."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
-        if np.any(r <= self.horizon_radius):
-            raise ValueError("points must lie outside the horizon sphere")
+        pts, r = self._radius(pts)
         return self._excess(Dual(r, (pts / r[:, None]).T)), [], []
-
-    def deviation_derivatives(
-        self, pts: np.ndarray
-    ) -> Tuple[np.ndarray, Callable[[int], np.ndarray]]:
-        """The deviation and a function that maps k to its exact derivative
-        d_k (g - I) = excess'(r) (y_k / r) I."""
-        form = self.deviation_form(pts)
-        return self.deviation_batch(pts), asymptotic.form_derivatives(*form, self.n)
 
     def radial_trace_batch(self, t: float, dirs: np.ndarray) -> Tuple[Dual, Dual]:
         """g_rr and tr of the deviation at the points t * dirs, with their
@@ -135,20 +132,8 @@ MetricSource = Union[GraphSurface, SchwarzschildField]
 
 def _deviation_form(source: MetricSource, chart: Optional[Chart], pts: np.ndarray):
     if isinstance(source, GraphSurface):
-        if chart is None:
-            raise ValueError("a chart is required for surface sources")
         return asymptotic.ghat_deviation_form(source, chart, pts)
     return source.deviation_form(pts)
-
-
-def _deviation_derivatives(source: MetricSource, chart: Optional[Chart], pts: np.ndarray):
-    """The deviation and k -> d_k (g - I) as full (N, n, n) matrices, for
-    checks against finite differences."""
-    if isinstance(source, GraphSurface):
-        if chart is None:
-            raise ValueError("a chart is required for surface sources")
-        return asymptotic.ghat_deviation_derivatives(source, chart, pts)
-    return source.deviation_derivatives(pts)
 
 
 def inverse_metric(n: int, diag: np.ndarray, coefs, vecs) -> np.ndarray:
@@ -193,27 +178,23 @@ def _standard_integrand(source: MetricSource, chart: Optional[Chart], r: float,
     return vals
 
 
-def _blocked(integrand: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
-    """The (N,) integrand over the rule's nodes, filled one slice of
-    BLOCK_NODES rows at a time so every temporary stays cache-sized."""
-    vals = np.empty(len(nodes))
-    for lo in range(0, len(nodes), BLOCK_NODES):
-        vals[lo:lo + BLOCK_NODES] = integrand(nodes[lo:lo + BLOCK_NODES])
-    return vals
-
-
 def lee_parker_pair(
     source: MetricSource, chart: Optional[Chart], t: float, dirs: np.ndarray
 ) -> Tuple[Dual, Dual]:
     """(g_rr - tr, n g_rr - tr) of the deviation at the points t * dirs
     (unit rows), each a Dual carrying its t-derivative along the rays."""
     if isinstance(source, GraphSurface):
-        if chart is None:
-            raise ValueError("a chart is required for surface sources")
         g_rr, tr = asymptotic.ghat_radial_trace_batch(source, chart, t, dirs)
     else:
         g_rr, tr = source.radial_trace_batch(t, dirs)
     return g_rr - tr, np.shape(dirs)[-1] * g_rr - tr
+
+
+def _lee_parker_integrand(source: MetricSource, chart: Optional[Chart], t: float,
+                          dirs: np.ndarray) -> np.ndarray:
+    """d_t (g_rr - tr) + (n g_rr - tr) / t at the points t * dirs."""
+    F1, F2 = lee_parker_pair(source, chart, t, dirs)
+    return F1.d + F2.v / t
 
 
 # -- finite-radius estimates ----------------------------------------------------
@@ -241,6 +222,26 @@ class MassEstimate:
         }
 
 
+def _estimate(formula: str, integrand: Callable, source: MetricSource,
+              chart: Optional[Chart], r: float, rule: QuadratureRule) -> MassEstimate:
+    """The normalized integral of one formula at radius r.  The integrand
+    is filled over the rule's nodes one slice of BLOCK_NODES rows at a
+    time, so every temporary stays cache-sized, and summed once."""
+    n = rule.n
+    r = float(r)
+    if r <= 0.0:
+        raise ValueError("radius must be positive")
+    if chart is None and isinstance(source, GraphSurface):
+        raise ValueError("a chart is required for surface sources")
+    nodes = rule.nodes
+    vals = np.empty(len(nodes))
+    for lo in range(0, len(nodes), BLOCK_NODES):
+        vals[lo:lo + BLOCK_NODES] = integrand(source, chart, r, nodes[lo:lo + BLOCK_NODES])
+    value = mass_normalization(n) * r ** (n - 1) * rule.integrate(vals)
+    kind = chart.kind if chart is not None else INVERTED_Y
+    return MassEstimate(r, value, formula, kind, rule.degree, len(rule.weights))
+
+
 def adm_mass_standard(
     source: MetricSource,
     chart: Optional[Chart],
@@ -251,14 +252,7 @@ def adm_mass_standard(
     and its exact coordinate derivatives come in closed form from one
     evaluation per block of the rule's nodes (ghat_deviation_form and
     inverse_metric), with no finite difference."""
-    n = rule.n
-    r = float(r)
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    vals = _blocked(lambda nu: _standard_integrand(source, chart, r, nu), rule.nodes)
-    value = mass_normalization(n) * r ** (n - 1) * rule.integrate(vals)
-    kind = chart.kind if chart is not None else INVERTED_Y
-    return MassEstimate(r, value, STANDARD, kind, rule.degree, len(rule.weights))
+    return _estimate(STANDARD, _standard_integrand, source, chart, r, rule)
 
 
 def adm_mass_lee_parker(
@@ -270,19 +264,7 @@ def adm_mass_lee_parker(
     """The radial-form integral at radius t: g_rr - tr, n g_rr - tr and the
     exact t-derivative of the first come in closed form from one
     evaluation per block of the rule's nodes (lee_parker_pair)."""
-    n = rule.n
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError("radius must be positive")
-
-    def integrand(dirs: np.ndarray) -> np.ndarray:
-        F1, F2 = lee_parker_pair(source, chart, t, dirs)
-        return F1.d + F2.v / t
-
-    vals = _blocked(integrand, rule.nodes)
-    value = mass_normalization(n) * t ** (n - 1) * rule.integrate(vals)
-    kind = chart.kind if chart is not None else INVERTED_Y
-    return MassEstimate(t, value, LEE_PARKER, kind, rule.degree, len(rule.weights))
+    return _estimate(LEE_PARKER, _lee_parker_integrand, source, chart, t, rule)
 
 
 def mass_sweep(
@@ -292,9 +274,8 @@ def mass_sweep(
     formula: str = STANDARD,
     rule: Optional[QuadratureRule] = None,
 ) -> List[MassEstimate]:
-    n = chart.n if chart is not None else source.n
     if rule is None:
-        rule = QuadratureRule.sphere(n, default_degree(n))
+        rule = QuadratureRule.sphere(source.n, default_degree(source.n))
     fn = {STANDARD: adm_mass_standard, LEE_PARKER: adm_mass_lee_parker}[formula]
     return [fn(source, chart, float(r), rule) for r in sorted(radii)]
 

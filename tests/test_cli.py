@@ -336,3 +336,31 @@ def test_format_rejected_where_unused(command, flag, value, capsys):
         cli.main([command, "--builtin", "cubic_x1", "--n", "4", flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "mass --builtin sphere --n 3 --chart y --radii 10,31.6,100,inf",
+    "mass --fixture schwarzschild --m nan",
+    "decay --builtin sphere --n 3 --radii 10,100,inf",
+    "verify --builtin cubic_x1 --n 5 --window 1",
+    "verify --builtin cubic_x1 --n 5 --window 0",
+    "verify --builtin sphere --n 3 --window -1",
+    "expand --builtin sphere --n 3 --window -1",
+    "mass --builtin sphere --n 3 --chart y --order 1",
+    "verify --builtin flat --n 3 --order 1",
+], ids=["radius-inf", "fixture-nan", "decay-radius-inf", "verify-window-1",
+        "verify-window-0", "verify-window-negative", "expand-window-negative",
+        "mass-order-1", "verify-order-1"])
+def test_out_of_range_values_are_usage_errors(argv, capsys):
+    # each of these used to exit 0 with a NaN or an empty report, exit 1 on
+    # a false identity failure, or die in a traceback
+    code, out, err = run(argv.split(), capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_expand_window_zero(capsys):
+    code, out, _ = run(["expand", "--builtin", "sphere", "--n", "3", "--window", "0"], capsys)
+    assert code == 0
+    assert [c["order"] for c in load(out)["coefficients"]] == [0]

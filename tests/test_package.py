@@ -1,11 +1,15 @@
-"""The package's runtime needs numpy alone: scipy is a test dependency."""
+"""The package's runtime needs numpy alone: scipy is a test dependency.
+CI runs the README's commands verbatim."""
 
+import importlib.util
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_import_loads_no_scipy():
@@ -21,3 +25,27 @@ def test_no_source_file_imports_scipy():
     files = sorted((SRC / "umbilic").rglob("*.py"))
     assert files
     assert [f.name for f in files if pattern.search(f.read_text())] == []
+
+
+def workflow_commands(workflow: Path) -> dict:
+    """Job name -> the argument lists of its `$umbilic ...` lines, read as
+    text so the check needs no YAML parser."""
+    jobs, job = {}, None
+    for line in workflow.read_text().splitlines():
+        header = re.match(r"^  ([\w-]+):\s*$", line)
+        if header:
+            job = header.group(1)
+        command = re.match(r"^\s*\$umbilic\s", line)
+        if command and job is not None:
+            jobs.setdefault(job, []).append(shlex.split(line, comments=True)[1:])
+    return jobs
+
+
+def test_ci_runs_every_readme_command():
+    spec = importlib.util.spec_from_file_location("readme_diff", ROOT / "scripts" / "readme_diff.py")
+    readme_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(readme_diff)
+    readme = readme_diff.readme_commands(ROOT / "README.md")
+    assert len(readme) == 7
+    jobs = workflow_commands(ROOT / ".github" / "workflows" / "tests.yml")
+    assert jobs == {"tests": readme, "runtime-numpy-only": readme}
