@@ -103,6 +103,8 @@ def _emit(text: str, path: Optional[str]) -> None:
 def _load_surface(args) -> GraphSurface:
     if args.order < 2:
         raise UsageError(f"--order must be at least 2 (the quadratic part), not {args.order}")
+    if args.n is not None and args.n < 2:  # the sphere quadrature's lower bound
+        raise UsageError(f"--n must be at least 2, not {args.n}")
     if getattr(args, "poly", None):
         try:
             with open(args.poly) as fh:
@@ -119,10 +121,13 @@ def _load_surface(args) -> GraphSurface:
         if args.n is None:
             raise UsageError("--n is required with --builtin")
         try:
-            return GraphSurface.builtin(
-                args.builtin, args.n, order=args.order,
-                radius=Fraction(args.radius),
-            )
+            radius = Fraction(args.radius)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"bad --radius value {args.radius!r}")
+        if radius <= 0:
+            raise UsageError(f"--radius must be positive, not {args.radius}")
+        try:
+            return GraphSurface.builtin(args.builtin, args.n, order=args.order, radius=radius)
         except ValueError as exc:
             raise UsageError(str(exc))
     raise UsageError("one of --builtin or --poly is required")
@@ -164,6 +169,11 @@ def _radii(args) -> List[float]:
 def _check_window(args, least: int) -> None:
     if args.window < least:
         raise UsageError(f"--window must be at least {least}, not {args.window}")
+    # A_k first enters the expansion at order k - 2
+    if args.order < args.window + 2:
+        raise UsageError(
+            f"--order must be at least --window + 2 = {args.window + 2}, not {args.order}"
+        )
 
 
 def cmd_verify(args) -> int:
@@ -282,6 +292,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_ctheta(args) -> int:
+    if args.order < 3:
+        raise UsageError(f"--order must be at least 3 (the cubic part), not {args.order}")
     S = _load_surface(args)
     _, parts = obstruction.umbilical_decompose(S.f_jet.poly)
     A3 = parts.get(3, MultiPoly.zero(S.n))

@@ -27,6 +27,7 @@ from typing import Dict, Optional, Tuple
 from .polyjet import (
     Jet,
     MultiPoly,
+    Params,
     SphericalSeries,
     poly_divexact,
     poly_to_json,
@@ -44,12 +45,10 @@ class NotUmbilical(ValueError):
 
 
 def on_sphere(P: MultiPoly) -> SphericalSeries:
-    """The restriction of a homogeneous polynomial to the unit sphere, as a
-    canonical total-order-0 series (r^{-deg P} * P)."""
-    if not P.is_homogeneous():
-        raise ValueError("homogeneous polynomial required")
-    d = max(P.degree(), 0)
-    return SphericalSeries.canonicalize(P.n, [(-d, P)], 0, 0)
+    """The restriction of a polynomial to the unit sphere, as a canonical
+    total-order-0 series: each homogeneous part P_d enters as r^{-d} P_d."""
+    parts = P.homogeneous_parts()
+    return SphericalSeries.canonicalize(P.n, [(-d, Pd) for d, Pd in parts.items()], 0, 0)
 
 
 def umbilical_decompose(poly: MultiPoly) -> Tuple[MultiPoly, Dict[int, MultiPoly]]:
@@ -130,16 +129,10 @@ def script_R_series(f: Jet, W: int = 3) -> SphericalSeries:
 
 
 # -- tangential calculus on the sphere ---------------------------------------------
-
-
-@dataclass
-class ThetaOperators:
-    """Tangential derivative data of a homogeneous polynomial restricted to
-    the unit sphere, each a total-order-0 SphericalSeries."""
-
-    lap_theta: SphericalSeries
-    grad_theta_sq: SphericalSeries
-    hess_theta_sq: Optional[SphericalSeries]  # only defined for degree 3
+#
+# A polynomial of mixed degree stands here for its restriction to the unit
+# sphere: on r = 1 every homogeneous part is already its own angular
+# function, so sums and products need no canonical form until the end.
 
 
 def _hessian_sq(A: MultiPoly) -> MultiPoly:
@@ -152,36 +145,31 @@ def _hessian_sq(A: MultiPoly) -> MultiPoly:
     return out
 
 
-def theta_operators(A: MultiPoly) -> ThetaOperators:
-    """Spherical Laplacian, tangential gradient norm, and (degree 3 only)
-    tangential Hessian norm of A restricted to the unit sphere.
+def _cubic_obstruction(A3: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
+    """(C, A^2) for a degree-3 homogeneous A, where C is the obstruction
+    function on r = 1: one polynomial of degrees 2, 4 and 6.
 
-    Identities used, with k = deg A:
-      Lap_theta A(theta) = [Lap A]|_{r=1} - k(n+k-2) A(theta)
-      |grad_theta A|^2   = [|grad A|^2]|_{r=1} - k^2 A^2
-    and for k = 3 the tangential Hessian norm is solved from
-      r^{-2} |Hess A|^2 = 9(n+3) A^2 + 8 |grad_theta A|^2
-                          + 6 A Lap_theta A + |Hess_theta A|^2.
+    On r = 1, with k = deg A = 3,
+      Lap_theta A       = Lap A - k(n+k-2) A
+      |grad_theta A|^2  = |grad A|^2 - k^2 A^2
+      |Hess_theta A|^2  = |Hess A|^2 - 9(n+3) A^2 - 8 |grad_theta A|^2
+                          - 6 A Lap_theta A.
+    Substituted into c_theta, the gradient terms cancel and
+      C = 16n(n-1) A^2 - 8(n-1) A Lap A + (Lap A)^2 - |Hess A|^2,
+    whose homogenization at n = 6 is `dim6_check`'s residual.
     """
-    if not A.is_homogeneous():
-        raise ValueError("homogeneous polynomial required")
-    n = A.n
-    k = max(A.degree(), 0)
-    lap = on_sphere(A.laplacian()) - on_sphere(A).scale(k * (n + k - 2))
-    grad_sq = MultiPoly.zero(n)
-    for g in A.grad():
-        grad_sq = grad_sq + g * g
-    grad_theta_sq = on_sphere(grad_sq) - on_sphere(A * A).scale(k * k)
-    hess_theta_sq = None
-    if k == 3:
-        a_sq = on_sphere(A * A)
-        hess_theta_sq = (
-            on_sphere(_hessian_sq(A))
-            - a_sq.scale(9 * (n + 3))
-            - grad_theta_sq.scale(8)
-            - (on_sphere(A) * lap).scale(6)
-        )
-    return ThetaOperators(lap, grad_theta_sq, hess_theta_sq)
+    if A3.degree() != 3 or not A3.is_homogeneous():
+        raise ValueError("degree-3 homogeneous polynomial required")
+    n = A3.n
+    a_sq = A3 * A3
+    lap = A3.laplacian()
+    c = (
+        a_sq.scale(16 * n * (n - 1))
+        - (A3 * lap).scale(8 * (n - 1))
+        + lap * lap
+        - _hessian_sq(A3)
+    )
+    return c, a_sq
 
 
 def c_theta(A3: MultiPoly) -> SphericalSeries:
@@ -190,18 +178,7 @@ def c_theta(A3: MultiPoly) -> SphericalSeries:
     + (Lap_theta A)^2 - |Hess_theta A|^2, as a total-order-0 series."""
     if A3.is_zero:
         return SphericalSeries.zero(A3.n, 0, 0)
-    if A3.degree() != 3 or not A3.is_homogeneous():
-        raise ValueError("degree-3 homogeneous polynomial required")
-    n = A3.n
-    ops = theta_operators(A3)
-    a = on_sphere(A3)
-    return (
-        (a * a).scale((n - 1) * (n - 6))
-        - (a * ops.lap_theta).scale(2 * (n - 4))
-        - ops.grad_theta_sq.scale(8)
-        + ops.lap_theta * ops.lap_theta
-        - ops.hess_theta_sq
-    )
+    return on_sphere(_cubic_obstruction(A3)[0])
 
 
 # -- exact sphere integrals --------------------------------------------------------
@@ -215,30 +192,36 @@ def _double_factorial(k: int) -> int:
     return out
 
 
-def sphere_integral_homog(P: MultiPoly) -> MultiPoly:
-    """Average of a homogeneous polynomial over the unit sphere, times the
-    sphere area |S^{n-1}|, i.e. the exact integral in units of |S^{n-1}|.
+def sphere_integral(P: MultiPoly) -> MultiPoly:
+    """Average of a polynomial over the unit sphere, i.e. its exact integral
+    in units of the sphere area |S^{n-1}|.  Any degrees may mix: on the unit
+    sphere each monomial integrates on its own.
 
     Monomial moments: for all exponents even,
         avg(x^a) = prod_i (a_i - 1)!! / prod_{j=1}^{|a|/2} (n + 2j - 2),
     and zero whenever any exponent is odd.  Parameters pass through, so the
-    result is a zero-degree polynomial in the parameters.
+    result is a zero-degree polynomial in the parameters.  The numerators
+    are summed as integers per parameter monomial and half-degree |a|/2,
+    which fixes the denominator.
     """
     n = P.n
-    total = MultiPoly.zero(n)
-    zero_exp = (0,) * n
-    for (e, params), c in P.terms.items():
-        if any(ei % 2 for ei in e):
+    sums: Dict[Tuple[Params, int], int] = {}
+    for (e, params), c in P.num.items():
+        if any(ei & 1 for ei in e):
             continue
-        s = sum(e) // 2
-        num = 1
         for ei in e:
-            num *= _double_factorial(ei - 1)
-        den = 1
+            if ei > 2:
+                c *= _double_factorial(ei - 1)
+        key = (params, sum(e) // 2)
+        sums[key] = sums.get(key, 0) + c
+    totals: Dict[Params, Fraction] = {}
+    for (params, s), c in sums.items():
+        den = P.den
         for j in range(1, s + 1):
             den *= n + 2 * j - 2
-        total = total + MultiPoly(n, {(zero_exp, params): c * Fraction(num, den)})
-    return total
+        totals[params] = totals.get(params, 0) + Fraction(c, den)
+    zero_exp = (0,) * n
+    return MultiPoly(n, {(zero_exp, params): c for params, c in totals.items()})
 
 
 def sphere_integral_series(s: SphericalSeries) -> MultiPoly:
@@ -248,7 +231,7 @@ def sphere_integral_series(s: SphericalSeries) -> MultiPoly:
         raise ValueError("series must be concentrated at total order 0")
     total = MultiPoly.zero(s.n)
     for _, P in s.terms:
-        total = total + sphere_integral_homog(P)
+        total = total + sphere_integral(P)
     return total
 
 
@@ -259,13 +242,10 @@ def integrated_identity(A3: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
     n = A3.n
     if A3.is_zero:
         return MultiPoly.zero(n), MultiPoly.zero(n)
-    lhs = sphere_integral_series(c_theta(A3))
-    ops = theta_operators(A3)
-    a_sq = on_sphere(A3 * A3)
-    rhs_int = sphere_integral_series(
-        a_sq.scale(n - 1) + ops.grad_theta_sq.scale(3)
-    )
-    return lhs, rhs_int.scale(n - 6)
+    c, a_sq = _cubic_obstruction(A3)
+    grad_theta_sq = sum((g * g for g in A3.grad()), MultiPoly.zero(n)) - a_sq.scale(9)
+    rhs = sphere_integral(a_sq.scale(n - 1) + grad_theta_sq.scale(3))
+    return sphere_integral(c), rhs.scale(n - 6)
 
 
 # -- the dimension-6 chain ------------------------------------------------------
@@ -301,9 +281,9 @@ def dim6_check(A3: MultiPoly) -> Dim6Record:
     if A3.is_zero:
         harmonic = True
     else:
-        sq = A3 * A3  # degree 6
-        lap_theta_sq = on_sphere(sq.laplacian()) - on_sphere(sq).scale(6 * (n + 4))
-        harmonic = lap_theta_sq.is_zero
+        # Lap_theta of the degree-6 square on r = 1
+        sq = A3 * A3
+        harmonic = on_sphere(sq.laplacian() - sq.scale(6 * (n + 4))).is_zero
     return Dim6Record(residual, residual.is_zero, divisible, harmonic)
 
 

@@ -348,9 +348,19 @@ def test_format_rejected_where_unused(command, flag, value, capsys):
     "expand --builtin sphere --n 3 --window -1",
     "mass --builtin sphere --n 3 --chart y --order 1",
     "verify --builtin flat --n 3 --order 1",
+    "verify --builtin sphere --n 3 --radius 0",
+    "verify --builtin sphere --n 3 --radius -1",
+    "ctheta --builtin flat --n 0",
+    "verify --builtin sphere --n 1",
+    "verify --builtin cubic_x1 --n 6 --order 2",
+    "verify --builtin cubic_x1 --n 6 --order 4",
+    "expand --builtin cubic_x1 --n 4 --order 4",
+    "ctheta --builtin cubic_x1 --n 6 --order 2",
 ], ids=["radius-inf", "fixture-nan", "decay-radius-inf", "verify-window-1",
         "verify-window-0", "verify-window-negative", "expand-window-negative",
-        "mass-order-1", "verify-order-1"])
+        "mass-order-1", "verify-order-1", "sphere-radius-0", "sphere-radius-negative",
+        "ctheta-n-0", "verify-n-1", "verify-order-2", "verify-order-4",
+        "expand-order-4", "ctheta-order-2"])
 def test_out_of_range_values_are_usage_errors(argv, capsys):
     # each of these used to exit 0 with a NaN or an empty report, exit 1 on
     # a false identity failure, or die in a traceback
@@ -358,6 +368,20 @@ def test_out_of_range_values_are_usage_errors(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_smallest_order_for_the_window(capsys):
+    # with the default window 3, order 5 is the first that keeps A_5, the
+    # last part the order-3 coefficient reads
+    code, out, _ = run(["verify", "--builtin", "cubic_x1", "--n", "6", "--order", "5"], capsys)
+    assert code == 0
+    assert load(out)["integrability"] == {"n": 6, "k": 2, "verdict": "not_integrable"}
+
+
+def test_dimension_two_is_accepted(capsys):
+    code, out, _ = run(["mass", "--builtin", "sphere", "--n", "2", "--chart", "y"], capsys)
+    assert code == 0
+    assert load(out)["surface"]["n"] == 2
 
 
 def test_expand_window_zero(capsys):

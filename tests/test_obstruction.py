@@ -4,12 +4,14 @@ dimension-6 divisibility chain."""
 
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from umbilic.polyjet import Jet, MultiPoly, SphericalSeries, poly_divexact
 from umbilic import obstruction as ob
+import series_oracle as so
 from umbilic.surface import GraphSurface, jet_geometry, point_geometry
 
 RNG = np.random.default_rng(411)
@@ -25,6 +27,18 @@ def random_cubic_form(n, rng, n_terms=8):
         c = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
         p = p + MultiPoly(n, {(tuple(e), ()): Fraction(1)}).scale(c)
     return p.homogeneous_part(3)
+
+
+def generic_cubic(n):
+    """The cubic whose every coefficient is its own symbol: an identity that
+    holds for it holds for every cubic."""
+    out = MultiPoly.zero(n)
+    for combo in combinations_with_replacement(range(n), 3):
+        mono = MultiPoly.param(n, "a_" + "".join(str(i) for i in combo))
+        for i in combo:
+            mono = mono * MultiPoly.var(n, i)
+        out = out + mono
+    return out
 
 
 def umbilical_jet(n, A3, A4=None, symbolic_H=True, order=7):
@@ -124,7 +138,7 @@ def test_series_matches_pointwise_curvature():
         assert abs(direct - approx) < 2e4 * r**5
 
 
-# -- theta operators ---------------------------------------------------------------
+# -- theta operators (the series-ring oracle) ---------------------------------------------------------------
 
 
 def sphere_fd_laplacian(P, theta, h=1e-3):
@@ -155,10 +169,10 @@ def test_lap_theta_linear_harmonic():
     # degree-1 restriction: Lap_theta x1 = -(n-1) x1 on the sphere
     n = 6
     A = MultiPoly.var(n, 0)
-    ops = ob.theta_operators(A)
+    ops = so.theta_operators(A)
     assert ops.lap_theta == ob.on_sphere(A).scale(-(n - 1))
     # and the radial lift |x|^2 x1 restricts identically
-    lifted = ob.theta_operators(MultiPoly.x_norm_sq(n) * A)
+    lifted = so.theta_operators(MultiPoly.x_norm_sq(n) * A)
     assert lifted.lap_theta == ops.lap_theta
 
 
@@ -166,7 +180,7 @@ def test_lap_theta_cubic_hand_value():
     # A = x1^3, n=3: Lap_theta = 6 theta_1 - 12 theta_1^3 on the sphere.
     n = 3
     A = MultiPoly.var(n, 0) ** 3
-    ops = ob.theta_operators(A)
+    ops = so.theta_operators(A)
     expect = ob.on_sphere(
         (MultiPoly.x_norm_sq(n) * MultiPoly.var(n, 0)).scale(6)
         + (MultiPoly.var(n, 0) ** 3).scale(-12)
@@ -178,7 +192,7 @@ def test_lap_theta_cubic_hand_value():
 def test_lap_theta_fd_oracle(n):
     rng = np.random.default_rng(50 + n)
     A = random_cubic_form(n, rng)
-    ops = ob.theta_operators(A)
+    ops = so.theta_operators(A)
     for _ in range(4):
         theta = random_direction(n, rng)
         fd = sphere_fd_laplacian(A, theta)
@@ -190,7 +204,7 @@ def test_grad_theta_sq_projection_oracle(n):
     # |grad_theta A|^2 = |(I - theta theta^T) grad A|^2 at |x| = 1.
     rng = np.random.default_rng(80 + n)
     A = random_cubic_form(n, rng)
-    ops = ob.theta_operators(A)
+    ops = so.theta_operators(A)
     for _ in range(5):
         theta = random_direction(n, rng)
         g = np.array([float(d.evaluate(list(theta))) for d in A.grad()])
@@ -206,7 +220,7 @@ def test_hess_theta_sq_radial_lift():
     # norm (n-1) A(theta)^2.
     n = 6
     A = MultiPoly.x_norm_sq(n) * MultiPoly.var(n, 0)
-    ops = ob.theta_operators(A)
+    ops = so.theta_operators(A)
     expect = ob.on_sphere(MultiPoly.var(n, 0) ** 2).scale(n - 1)
     assert ops.hess_theta_sq == expect
 
@@ -256,12 +270,12 @@ def test_script_R_rejects_non_umbilical():
 def test_sphere_moments_hand_values():
     n = 3
     x1 = MultiPoly.var(n, 0)
-    assert ob.sphere_integral_homog(x1).is_zero
-    assert ob.sphere_integral_homog(x1 * x1).constant_term() == Fraction(1, 3)
-    assert ob.sphere_integral_homog(x1 ** 4).constant_term() == Fraction(1, 5)
+    assert ob.sphere_integral(x1).is_zero
+    assert ob.sphere_integral(x1 * x1).constant_term() == Fraction(1, 3)
+    assert ob.sphere_integral(x1 ** 4).constant_term() == Fraction(1, 5)
     # cross terms: avg(x1^2 x2^2) on S^2 = 1/15
     x2 = MultiPoly.var(n, 1)
-    assert ob.sphere_integral_homog(
+    assert ob.sphere_integral(
         x1 * x1 * x2 * x2
     ).constant_term() == Fraction(1, 15)
 
@@ -275,8 +289,8 @@ def test_sphere_moments_sum_rule():
     lhs = MultiPoly.zero(n)
     for i in range(n):
         xi = MultiPoly.var(n, i)
-        lhs = lhs + ob.sphere_integral_homog(xi * xi * P)
-    assert lhs == ob.sphere_integral_homog(P)
+        lhs = lhs + ob.sphere_integral(xi * xi * P)
+    assert lhs == ob.sphere_integral(P)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -289,7 +303,7 @@ def test_sphere_moments_monte_carlo(n):
     for _ in range(4):
         P = random_cubic_form(n, rng)
         P = P * P
-        exact = float(ob.sphere_integral_homog(P).constant_term())
+        exact = float(ob.sphere_integral(P).constant_term())
         vals = np.zeros(len(pts))
         for (e, _), c in P.terms.items():
             term = np.full(len(pts), float(c))
@@ -334,6 +348,59 @@ def test_c_theta_zero_impossible_off_dim6():
             if A3.is_zero:
                 continue
             assert not ob.c_theta(A3).is_zero
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
+def test_integrated_identity_generic_cubic(n):
+    # a polynomial identity in the coefficient symbols, so it certifies the
+    # integrated identity for every cubic, not just a sample
+    lhs, rhs = ob.integrated_identity(generic_cubic(n))
+    assert lhs == rhs
+    assert lhs.is_zero == (n == 6)
+
+
+@pytest.mark.parametrize("A", [
+    MultiPoly.var(4, 0) ** 4,
+    MultiPoly.var(4, 0) ** 3 + MultiPoly.var(4, 1) ** 2,
+], ids=["quartic", "non-homogeneous"])
+def test_cubic_calculus_rejects_other_inputs(A):
+    with pytest.raises(ValueError, match="degree-3 homogeneous"):
+        ob.integrated_identity(A)
+    with pytest.raises(ValueError, match="degree-3 homogeneous"):
+        ob.c_theta(A)
+
+
+# -- the plain-polynomial calculus against the series-ring oracle -------------------
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
+def test_c_theta_and_identity_match_series_oracle(n):
+    rng = np.random.default_rng(700 + n)
+    for A3 in [random_cubic_form(n, rng) for _ in range(4)] + [MultiPoly.zero(n)]:
+        assert ob.c_theta(A3) == so.c_theta(A3)
+        assert ob.integrated_identity(A3) == so.integrated_identity(A3)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_generic_cubic_matches_series_oracle(n):
+    A3 = generic_cubic(n)
+    assert ob.c_theta(A3) == so.c_theta(A3)
+    assert ob.integrated_identity(A3) == so.integrated_identity(A3)
+
+
+def test_sphere_integral_mixed_degrees_matches_oracle():
+    # on r = 1 a mixed-degree polynomial integrates part by part
+    n = 5
+    rng = np.random.default_rng(12)
+    H = MultiPoly.param(n, "H")
+    A, B = random_cubic_form(n, rng), random_cubic_form(n, rng)
+    parts = [A * B, (A.laplacian() * B).scale(3) + H * A * A.laplacian(),
+             H * H * A.laplacian() * B.laplacian()]
+    P = parts[0] + parts[1] + parts[2]
+    assert len(P.homogeneous_parts()) == 3
+    assert ob.sphere_integral(P) == sum(
+        (so.sphere_integral_homog(Q) for Q in parts), MultiPoly.zero(n))
+    assert ob.sphere_integral_series(ob.on_sphere(P)) == ob.sphere_integral(P)
 
 
 # -- dimension-6 chain ------------------------------------------------------------

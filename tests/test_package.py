@@ -1,6 +1,8 @@
 """The package's runtime needs numpy alone: scipy is a test dependency.
-CI runs the README's commands verbatim."""
+CI runs the README's commands verbatim, and every function the benchmark
+traces exists."""
 
+import importlib
 import importlib.util
 import re
 import shlex
@@ -49,3 +51,17 @@ def test_ci_runs_every_readme_command():
     assert len(readme) == 7
     jobs = workflow_commands(ROOT / ".github" / "workflows" / "tests.yml")
     assert jobs == {"tests": readme, "runtime-numpy-only": readme}
+
+
+def test_benchmark_trace_targets_resolve():
+    # perfbench/tracing.py wraps these names from outside the package, so
+    # renaming or deleting one silently drops a per-layer metric
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, path, _ in tracing.TARGETS:
+        obj = importlib.import_module(f"umbilic.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), f"umbilic.{module}.{path}"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from umbilic.obstruction import sphere_integral_homog
+from umbilic.obstruction import sphere_integral
 from umbilic.polyjet import MultiPoly
 from umbilic.quadrature import QuadratureRule, _gauss_jacobi, default_degree, sphere_area
 
@@ -37,7 +37,7 @@ def test_exact_on_homogeneous_polynomials():
         rule = QuadratureRule.sphere(n, 12)
         for deg in (2, 3, 4, 6):
             P = random_homogeneous(n, deg, rng)
-            exact = float(sphere_integral_homog(P).constant_term()) * sphere_area(n)
+            exact = float(sphere_integral(P).constant_term()) * sphere_area(n)
             vals = sum(
                 float(c) * np.prod([rule.nodes[:, i] ** k for i, k in enumerate(e) if k], axis=0)
                 for (e, _), c in P.terms.items()
