@@ -438,9 +438,14 @@ class DecayFit:
 
 def check_decay_radii(radii: Sequence[float]) -> None:
     """Raise ValueError unless decay_order_estimate can fit the radii: at
-    least two distinct ones."""
+    least two distinct ones, none so large that the square of its stencil
+    step RADIAL_STEP * r overflows float64."""
     if len(set(radii)) < 2:
         raise ValueError("at least two distinct radii are required")
+    step = RADIAL_STEP * max(abs(float(r)) for r in radii)
+    if math.isinf(step * step):
+        raise ValueError(f"radius {step / RADIAL_STEP:g} is too large: "
+                         "its stencil step squared overflows float64")
 
 
 def decay_order_estimate(
@@ -453,7 +458,8 @@ def decay_order_estimate(
     derivatives in chart coordinates, step numdiff.RADIAL_STEP times the
     radius) against log radius on a fixed angular grid.  Needs two distinct
     radii (check_decay_radii); all magnitudes below 1e-14 reports
-    tau_hat = inf."""
+    tau_hat = inf.  Otherwise a magnitude that underflows to 0 (or is not
+    finite) at some radius raises ValueError: its logarithm cannot be fit."""
     radii = sorted(float(r) for r in radii)
     check_decay_radii(radii)
     dirs = sphere_directions(S.n, seed=seed)
@@ -470,6 +476,11 @@ def decay_order_estimate(
             chart.kind, radii, h_max, dh_max, ddh_max,
             -math.inf, -math.inf, -math.inf, math.inf, 1.0,
         )
+    for name, mags in (("h", h_max), ("dh", dh_max), ("ddh", ddh_max)):
+        for r, m in zip(radii, mags):
+            if not 0.0 < m < math.inf:
+                raise ValueError(f"max |{name}| is {m!r} at radius {r:g}, outside the "
+                                 "float64 range a log-log fit needs; use smaller radii")
     slope_h, _, r2 = power_law_fit(radii, h_max)
     slope_dh, _, _ = power_law_fit(radii, dh_max)
     slope_ddh, _, _ = power_law_fit(radii, ddh_max)

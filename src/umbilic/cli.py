@@ -221,6 +221,7 @@ def cmd_mass(args) -> int:
         chart = _chart(source, args.chart)
         chart_kind = chart.kind
         surface_json = source.to_json()
+    _usage(mass.check_sweep_radii, radii, n)
     deg = default_degree(n) if args.quad_deg is None else args.quad_deg
     rule = _usage(QuadratureRule.sphere, n, deg)
 
@@ -258,7 +259,9 @@ def cmd_decay(args) -> int:
     chart = _chart(S, args.chart)
     radii = _radii(args)
     _usage(asymptotic.check_decay_radii, radii)
-    fit = asymptotic.decay_order_estimate(S, chart, radii, seed=args.seed)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, not {args.seed}")
+    fit = _usage(asymptotic.decay_order_estimate, S, chart, radii, seed=args.seed)
     expected = EXPECTED_DECAY[chart.kind]
     ok = fit.tau_hat >= expected - DECAY_TOLERANCE
     out = {

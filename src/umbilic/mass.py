@@ -229,8 +229,7 @@ def _estimate(formula: str, integrand: Callable, source: MetricSource,
     time, so every temporary stays cache-sized, and summed once."""
     n = rule.n
     r = float(r)
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
+    check_sweep_radii([r], n)
     if chart is None and isinstance(source, GraphSurface):
         raise ValueError("a chart is required for surface sources")
     nodes = rule.nodes
@@ -301,6 +300,18 @@ class MassExtrapolation:
             "formula": self.formula,
             "chart": self.chart_kind,
         }
+
+
+def check_sweep_radii(radii: Sequence[float], n: int) -> None:
+    """Raise ValueError unless every radius is positive and its area
+    factor r^(n-1) in the normalized flux integral is a float64."""
+    for r in radii:
+        if r <= 0.0:
+            raise ValueError("radius must be positive")
+        try:
+            float(r) ** (n - 1)
+        except OverflowError:
+            raise ValueError(f"radius {r:g} is too large: r^{n - 1} overflows float64") from None
 
 
 def check_fit_radii(radii: Sequence[float]) -> None:

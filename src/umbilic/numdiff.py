@@ -2,9 +2,14 @@
 dual numbers for closed forms, and curvature of a numerically given metric.
 
 `metric_derivatives` is the one central-difference stencil; every finite
-difference in the package goes through it.  `gradient` and `hessian` add
-one Richardson extrapolation step; second derivatives use a larger step
-than first derivatives because their roundoff error scales like eps/h^2.
+difference in the package goes through it.  On a batch of points it calls
+the field once per stencil group (the centre, each pair +-h e_k, each
+quadruple +-h e_k +-h e_l) on the group's points stacked, so a field that
+maps rows to rows pays its per-call overhead 1 + n + n(n-1)/2 times
+instead of 1 + 2n^2; a single point is evaluated one point per call.
+`gradient` and `hessian` add one Richardson extrapolation step; second
+derivatives use a larger step than first derivatives because their
+roundoff error scales like eps/h^2.
 `Dual` carries a closed form's derivatives exactly, with no step to
 choose, along one parameter or along several directions in one pass; both
 mass fluxes take their metric derivatives from it, so `RADIAL_STEP` now
@@ -14,7 +19,7 @@ serves only the decay-order fits.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -93,20 +98,30 @@ def metric_derivatives(F: Callable, x, h: float, order: int = 2):
     order=1 evaluates F at the 2n points x +- h e_k and returns
     F0 = ddF = None; order=2 also evaluates F(x) and the 2n(n-1) mixed
     points x +- h e_k +- h e_l.
+
+    The points come in groups: the centre, the pair x +- h e_k for each k,
+    and the four x +- h e_k +- h e_l for each k < l.  At a single point F
+    is called once per point.  For a batch F must map rows to rows (F of
+    an (M, n) array is M results stacked on the first axis), and it is
+    called once per group on the group's points stacked, so a batch costs
+    1 + n + n(n-1)/2 calls at order 2 and n at order 1.  Each group is
+    folded into dF and ddF as it returns.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
+    e = np.eye(n)
 
-    def at(*steps) -> np.ndarray:
-        y = x.copy()
-        for k, step in steps:
-            y[..., k] += step
-        return np.asarray(F(y), dtype=float)
+    def at(*offsets) -> List[np.ndarray]:
+        """F at x + h * offset for each offset."""
+        ys = [x + h * o for o in offsets]
+        if x.ndim == 1:
+            return [np.asarray(F(y), dtype=float) for y in ys]
+        return np.split(np.asarray(F(np.concatenate(ys)), dtype=float), len(ys))
 
-    F0 = at() if order == 2 else None
+    F0 = at(0.0)[0] if order == 2 else None
     dF = ddF = None
     for k in range(n):
-        Fp, Fm = at((k, h)), at((k, -h))
+        Fp, Fm = at(e[k], -e[k])
         if dF is None:
             dF = np.empty((n,) + Fp.shape)
             if order == 2:
@@ -116,12 +131,8 @@ def metric_derivatives(F: Callable, x, h: float, order: int = 2):
             ddF[k, k] = (Fp - 2.0 * F0 + Fm) / h**2
     if order == 2:
         for k, l in combinations(range(n), 2):
-            ddF[k, l] = ddF[l, k] = (
-                at((k, h), (l, h))
-                - at((k, h), (l, -h))
-                - at((k, -h), (l, h))
-                + at((k, -h), (l, -h))
-            ) / (4.0 * h**2)
+            Fpp, Fpm, Fmp, Fmm = at(e[k] + e[l], e[k] - e[l], e[l] - e[k], -e[k] - e[l])
+            ddF[k, l] = ddF[l, k] = (Fpp - Fpm - Fmp + Fmm) / (4.0 * h**2)
     return F0, dF, ddF
 
 

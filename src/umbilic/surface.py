@@ -41,10 +41,12 @@ class BatchPoly:
     floor(d/2) and its tail of degree ceil(d/2), both on lower levels.
     Rows that are only halves carry zero coefficients in the (rows, K)
     `coeffs`; zero polynomials alone give no rows.  A batch fills each
-    level with one gather and one multiply, no powers; a single point
-    takes one product over each row's coordinate rows, padded with row 0,
-    which is cheaper than three levels at N = 1.  The (N, K) values are
-    one matrix product, taken as (K, rows) @ (rows, N) and returned as its
+    level with one gather and one multiply, no powers; a single point,
+    (n,) or (1, n), takes one product over each row's coordinate rows,
+    padded with row 0, which is cheaper than three levels at N = 1.  The
+    two multiply in different orders, so a point's values agree with its
+    batch row to rounding, not bit for bit.  The (N, K) values are one
+    matrix product, taken as (K, rows) @ (rows, N) and returned as its
     transpose: at 4096 points the (N, rows) @ (rows, K) form on the
     transposed table took 2x (sphere n = 3) to 3.5x (n = 5) as long.
     """
@@ -87,14 +89,16 @@ class BatchPoly:
         ).reshape(len(order), width)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if pts.shape[1] != self.n:
-            raise ValueError(f"points need {self.n} coordinates, got {pts.shape[1]}")
+        pts = np.asarray(pts, dtype=float)
+        if pts.shape[-1] != self.n:
+            raise ValueError(f"points need {self.n} coordinates, got {pts.shape[-1]}")
+        if pts.ndim == 1 or pts.shape[0] == 1:
+            x = np.empty(self.n + 1)
+            x[0] = 1.0
+            x[1:] = pts.reshape(self.n)
+            return np.multiply.reduce(x[self.factors], axis=1).dot(self.coeffs)[None, :]
         if self.coeffs.size == 0:
             return np.zeros((pts.shape[0], self.coeffs.shape[1]))
-        if pts.shape[0] == 1:
-            x = np.concatenate(([1.0], pts[0]))
-            return x[self.factors].prod(axis=1).dot(self.coeffs)[None, :]
         mono = np.empty((self.coeffs.shape[0], pts.shape[0]))
         mono[0] = 1.0
         mono[1: pts.shape[1] + 1] = pts.T

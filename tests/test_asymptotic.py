@@ -3,14 +3,15 @@ series at infinity, and the numeric decay-order estimator."""
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from umbilic import asymptotic as asym
-from umbilic.numdiff import Dual, power_law_fit
-from umbilic.quadrature import QuadratureRule
+from umbilic.mass import DEFAULT_RADII
+from umbilic.numdiff import RADIAL_STEP, Dual, power_law_fit
+from umbilic.quadrature import QuadratureRule, sphere_directions
 from umbilic.polyjet import Jet, MultiPoly, SphericalSeries
 from umbilic.surface import GraphSurface
 
@@ -418,9 +419,6 @@ def test_corrected_radial_minus_trace_matches_series(n):
     # (window -7, its constant 1 - n removed exactly) at every default mass
     # radius.  Series truncation sets the error at t <= 100; beyond that the
     # cancelling O(t^-2) pieces leave about 4e-10 at t = 1000.
-    from umbilic.mass import DEFAULT_RADII
-    from umbilic.quadrature import sphere_directions
-
     S = GraphSurface.quartic_x1(n)
     ch = asym.chart_for(S, "z")
     gtt, tr = asym.ghat_radial_trace_series(S.f_jet, asym.CORRECTED_Z, -7)
@@ -479,3 +477,58 @@ def test_decay_fit_serialization():
     rows = fit.csv_rows()
     assert rows[0] == ["radius", "max_h", "max_dh", "max_ddh"]
     assert len(rows) == 4
+
+
+def decay_oracle(S, chart, radii, seed=0):
+    """decay_order_estimate's JSON with the stencil spelt out point set by
+    point set: one ghat_deviation_batch call per shifted copy of the grid."""
+    radii = sorted(float(r) for r in radii)
+    dirs, n, mags = sphere_directions(S.n, seed=seed), S.n, ([], [], [])
+    for r in radii:
+        x, h = r * dirs, RADIAL_STEP * r
+
+        def at(*steps):
+            y = x.copy()
+            for k, step in steps:
+                y[:, k] += step
+            return asym.ghat_deviation_batch(S, chart, y)
+
+        F0 = at()
+        d1 = [(at((k, h)) - at((k, -h))) / (2.0 * h) for k in range(n)]
+        d2 = [(at((k, h)) - 2.0 * F0 + at((k, -h))) / h**2 for k in range(n)]
+        d2 += [(at((k, h), (l, h)) - at((k, h), (l, -h)) - at((k, -h), (l, h))
+                + at((k, -h), (l, -h))) / (4.0 * h**2) for k, l in combinations(range(n), 2)]
+        for out, parts in zip(mags, ([F0], d1, d2)):
+            out.append(max(float(np.max(np.abs(p))) for p in parts))
+    (s_h, _, r2), (s_dh, _, _), (s_ddh, _, _) = (power_law_fit(radii, m) for m in mags)
+    return {"chart": chart.kind, "radii": radii, "max_h": mags[0], "max_dh": mags[1],
+            "max_ddh": mags[2], "slope_h": s_h, "slope_dh": s_dh, "slope_ddh": s_ddh,
+            "tau_hat": -s_h, "r_squared": r2}
+
+
+@pytest.mark.parametrize("builtin, n, flag", [
+    ("sphere", 4, "y"), ("cubic_x1", 5, "y"), ("quartic_x1", 6, "z"),
+])
+def test_decay_fit_matches_point_set_oracle(builtin, n, flag):
+    # the stencil groups its points into one deviation call per group; the
+    # fit must not move by a single bit
+    S = GraphSurface.builtin(builtin, n)
+    chart = asym.chart_for(S, flag)
+    fit = asym.decay_order_estimate(S, chart, DEFAULT_RADII, seed=2)
+    assert fit.to_json() == decay_oracle(S, chart, DEFAULT_RADII, seed=2)
+
+
+def test_decay_radii_out_of_float64_range():
+    S = GraphSurface.sphere(3)
+    chart = asym.chart_for(S, "y")
+    # the stencil step squared overflows
+    with pytest.raises(ValueError, match="too large"):
+        asym.check_decay_radii([10.0, 1e200])
+    with pytest.raises(ValueError, match="too large"):
+        asym.decay_order_estimate(S, chart, [10.0, 1e200])
+    # the second derivative underflows to 0: no log-log fit, no NaN slope
+    with pytest.raises(ValueError, match=r"max \|ddh\| is 0.0 at radius 1e\+100"):
+        asym.decay_order_estimate(S, chart, [10.0, 1e100])
+    # the flat sentinel is unchanged at any radius the stencil can take
+    fit = asym.decay_order_estimate(GraphSurface.flat(3), chart, [10.0, 1e100])
+    assert fit.tau_hat == math.inf

@@ -356,11 +356,16 @@ def test_format_rejected_where_unused(command, flag, value, capsys):
     "verify --builtin cubic_x1 --n 6 --order 4",
     "expand --builtin cubic_x1 --n 4 --order 4",
     "ctheta --builtin cubic_x1 --n 6 --order 2",
+    "decay --builtin sphere --n 3 --seed -1",
+    "decay --builtin sphere --n 3 --radii 10,1e100",
+    "decay --builtin sphere --n 3 --radii 10,1e200",
+    "mass --builtin sphere --n 3 --chart y --radii 10,31.6,100,316,1e160",
 ], ids=["radius-inf", "fixture-nan", "decay-radius-inf", "verify-window-1",
         "verify-window-0", "verify-window-negative", "expand-window-negative",
         "mass-order-1", "verify-order-1", "sphere-radius-0", "sphere-radius-negative",
         "ctheta-n-0", "verify-n-1", "verify-order-2", "verify-order-4",
-        "expand-order-4", "ctheta-order-2"])
+        "expand-order-4", "ctheta-order-2", "decay-seed-negative", "decay-ddh-underflow",
+        "decay-step-overflow", "mass-area-overflow"])
 def test_out_of_range_values_are_usage_errors(argv, capsys):
     # each of these used to exit 0 with a NaN or an empty report, exit 1 on
     # a false identity failure, or die in a traceback
@@ -368,6 +373,13 @@ def test_out_of_range_values_are_usage_errors(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_ignores_negative_seed(capsys):
+    # only decay reads --seed; verify accepts any integer and ignores it
+    code, out, _ = run(["verify", "--builtin", "sphere", "--n", "3", "--seed", "-1"], capsys)
+    assert code == 0
+    assert load(out)["ok"] is True
 
 
 def test_verify_smallest_order_for_the_window(capsys):

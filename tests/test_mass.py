@@ -100,6 +100,19 @@ def test_fit_radii_checked_before_any_sweep():
             mm.extrapolate_mass(fake_estimates(radii, [1.0, 2.0, 3.0, 4.0]))
 
 
+def test_sweep_radii_keep_the_area_factor_finite():
+    # r^(n-1) of 1e160 overflows at n = 3; the estimate refuses the radius
+    # with a ValueError instead of dying in an OverflowError
+    S = GraphSurface.sphere(3)
+    mm.check_sweep_radii([10.0, 1e150], 3)
+    for radii, n in (([10.0, 1e160], 3), ([1e80], 6), ([10.0, 0.0], 3)):
+        with pytest.raises(ValueError):
+            mm.check_sweep_radii(radii, n)
+    with pytest.raises(ValueError, match="r\\^2 overflows"):
+        mm.mass_sweep(S, asym.chart_for(S, "y"), [10.0, 31.6, 100.0, 316.0, 1e160],
+                      rule=QuadratureRule.sphere(3, 4))
+
+
 def test_surface_source_requires_chart():
     S = GraphSurface.sphere(3)
     rule = QuadratureRule.sphere(3, 8)

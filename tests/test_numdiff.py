@@ -65,12 +65,14 @@ def quadratic(n, shape=()):
 
 
 class Counted:
+    """F with a log of the argument shape of each call."""
+
     def __init__(self, F):
         self.F = F
-        self.calls = 0
+        self.shapes = []
 
     def __call__(self, x):
-        self.calls += 1
+        self.shapes.append(np.shape(x))
         return self.F(x)
 
 
@@ -101,24 +103,30 @@ def test_evaluation_counts(order):
         F = Counted(Cubic(n))
         metric_derivatives(F, np.zeros(n), 1e-3, order=order)
         expect = 2 * n if order == 1 else 1 + 2 * n + 2 * n * (n - 1)
-        assert F.calls == expect, n
+        assert len(F.shapes) == expect, n
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_batch_rows_match_single_points_bitwise(order):
-    n, shape = 3, (2,)
-    F = Cubic(n, shape)
-    pts = RNG.uniform(-2, 2, (7, n))
-    h = 1e-3
-    F0, dF, ddF = metric_derivatives(F, pts, h, order=order)
-    assert dF.shape == (n, 7) + shape
-    for p, x in enumerate(pts):
-        s0, sd, sdd = metric_derivatives(F, x, h, order=order)
-        assert np.array_equal(dF[:, p], sd)
-        if order == 2:
-            assert ddF.shape == (n, n, 7) + shape
-            assert np.array_equal(F0[p], s0)
-            assert np.array_equal(ddF[:, :, p], sdd)
+    # on a batch the centre (N rows), each pair x +- h e_k (2N rows) and
+    # each quadruple x +- h e_k +- h e_l (4N rows) is one call; the results
+    # are the single-point stencil's, row by row, to the bit
+    N, shape, h = 7, (2,), 1e-3
+    for n in (1, 2, 3, 4, 6):
+        F = Counted(Cubic(n, shape))
+        pts = RNG.uniform(-2, 2, (N, n))
+        F0, dF, ddF = metric_derivatives(F, pts, h, order=order)
+        pairs = n * (n - 1) // 2
+        rows = [2 * N] * n if order == 1 else [N] + [2 * N] * n + [4 * N] * pairs
+        assert [s[0] for s in F.shapes] == rows, n
+        assert dF.shape == (n, N) + shape
+        for p, x in enumerate(pts):
+            s0, sd, sdd = metric_derivatives(F.F, x, h, order=order)
+            assert np.array_equal(dF[:, p], sd)
+            if order == 2:
+                assert ddF.shape == (n, n, N) + shape
+                assert np.array_equal(F0[p], s0)
+                assert np.array_equal(ddF[:, :, p], sdd)
 
 
 def test_vector_and_matrix_valued_fields():

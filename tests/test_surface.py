@@ -440,3 +440,24 @@ def test_evaluator_rejects_wrong_coordinate_count():
             S.f_value([0.1, 0.2, 0.3, 0.4][:m])
         with pytest.raises(ValueError, match="coordinates"):
             S.f_derivatives_batch(np.full((5, m), 0.1))
+
+
+@pytest.mark.parametrize("builtin, n", [("sphere", 4), ("quartic_x1", 3), ("cubic_x1", 5)])
+def test_batch_poly_one_point_branch(builtin, n):
+    # (n,) and (1, n) share the one-point branch: one product per monomial
+    # over a flat gather, bit for bit the product formula it replaced.  The
+    # batch rows build monomials by halves, so they agree to rounding only.
+    S = GraphSurface.builtin(builtin, n)
+    pts = RNG.uniform(-0.5, 0.5, (6, n))
+    for P in (S._sym(0), S._sym(1), S._sym(2), S._sym_radial()):
+        rows = P(pts)
+        for p, x in enumerate(pts):
+            one = P(x)
+            assert one.shape == (1, P.coeffs.shape[1])
+            assert np.array_equal(P(x[None, :]), one)
+            product = np.concatenate(([1.0], x))[P.factors].prod(axis=1).dot(P.coeffs)
+            assert np.array_equal(one[0], product)
+            assert np.allclose(one[0], rows[p], rtol=1e-14, atol=1e-15)
+        for bad in (np.zeros(n + 1), np.zeros((1, n + 1))):
+            with pytest.raises(ValueError, match="coordinates"):
+                P(bad)
