@@ -56,14 +56,10 @@ from .obstruction import (  # noqa: F401
 )
 from .quadrature import QuadratureRule, default_degree, sphere_area  # noqa: F401
 from .surface import (  # noqa: F401
-    CylinderCurvatures,
     GraphSurface,
     JetGeometry,
-    PlaneCurve,
     PointGeometry,
     RhoIdentityResiduals,
-    cylinder_inversion_curvatures,
-    intrinsic_scalar_curvature,
     jet_geometry,
     point_geometry,
     verify_rho_identities,

@@ -6,7 +6,11 @@ difference in the package goes through it.  On a batch of points it calls
 the field once per stencil group (the centre, each pair +-h e_k, each
 quadruple +-h e_k +-h e_l) on the group's points stacked, so a field that
 maps rows to rows pays its per-call overhead 1 + n + n(n-1)/2 times
-instead of 1 + 2n^2; a single point is evaluated one point per call.
+instead of 1 + 2n^2.  At a single point the field still takes one point
+per call, but all the stencil's points are one array x + h O (O a fixed
+offset table per dimension and order) and the derivatives come from
+whole-array expressions on the stacked results, with no per-point array
+arithmetic.
 `gradient` and `hessian` add one Richardson extrapolation step; second
 derivatives use a larger step than first derivatives because their
 roundoff error scales like eps/h^2.
@@ -18,6 +22,7 @@ serves only the decay-order fits.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, List, Sequence
 
@@ -100,22 +105,24 @@ def metric_derivatives(F: Callable, x, h: float, order: int = 2):
     points x +- h e_k +- h e_l.
 
     The points come in groups: the centre, the pair x +- h e_k for each k,
-    and the four x +- h e_k +- h e_l for each k < l.  At a single point F
-    is called once per point.  For a batch F must map rows to rows (F of
-    an (M, n) array is M results stacked on the first axis), and it is
-    called once per group on the group's points stacked, so a batch costs
-    1 + n + n(n-1)/2 calls at order 2 and n at order 1.  Each group is
-    folded into dF and ddF as it returns.
+    and the four x +- h e_k +- h e_l for each k < l.  At a single point all
+    of them are one array x + h O, O the fixed offset table of `_stencil`,
+    F is called once per row of it, in that order, and dF and ddF come
+    from the stacked results in whole-array expressions.  For a batch F
+    must map rows to rows (F of an (M, n) array is M results stacked on
+    the first axis), and it is called once per group on the group's points
+    stacked, so a batch costs 1 + n + n(n-1)/2 calls at order 2 and n at
+    order 1.  Each group is folded into dF and ddF as it returns.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return _single_point(F, x, h, order)
     n = x.shape[-1]
     e = np.eye(n)
 
     def at(*offsets) -> List[np.ndarray]:
-        """F at x + h * offset for each offset."""
+        """F at x + h * offset for each offset, one call on the rows stacked."""
         ys = [x + h * o for o in offsets]
-        if x.ndim == 1:
-            return [np.asarray(F(y), dtype=float) for y in ys]
         return np.split(np.asarray(F(np.concatenate(ys)), dtype=float), len(ys))
 
     F0 = at(0.0)[0] if order == 2 else None
@@ -133,6 +140,43 @@ def metric_derivatives(F: Callable, x, h: float, order: int = 2):
         for k, l in combinations(range(n), 2):
             Fpp, Fpm, Fmp, Fmm = at(e[k] + e[l], e[k] - e[l], e[l] - e[k], -e[k] - e[l])
             ddF[k, l] = ddF[l, k] = (Fpp - Fpm - Fmp + Fmm) / (4.0 * h**2)
+    return F0, dF, ddF
+
+
+@lru_cache(maxsize=None)
+def _stencil(n: int, order: int) -> np.ndarray:
+    """The single-point offset table: rows 0, then e_k, -e_k for each k,
+    then e_k + e_l, e_k - e_l, e_l - e_k, -e_k - e_l for each k < l; order
+    1 keeps only the +-e_k rows.  Built with the batch path's expressions,
+    signed zeros included, so x + h O is bit for bit its points."""
+    e = np.eye(n)
+    rows = [np.zeros(n)] if order == 2 else []
+    for k in range(n):
+        rows += [e[k], -e[k]]
+    if order == 2:
+        for k, l in combinations(range(n), 2):
+            rows += [e[k] + e[l], e[k] - e[l], e[l] - e[k], -e[k] - e[l]]
+    O = np.array(rows)
+    O.flags.writeable = False
+    return O
+
+
+def _single_point(F: Callable, x: np.ndarray, h: float, order: int):
+    """`metric_derivatives` at one point: F once per row of x + h O, the
+    results stacked, then the batch path's formulas on whole slices."""
+    n = x.shape[0]
+    Y = np.array([F(y) for y in x + h * _stencil(n, order)], dtype=float)
+    c = 1 if order == 2 else 0  # rows before the first pair
+    Fp, Fm = Y[c: c + 2 * n: 2], Y[c + 1: c + 2 * n: 2]
+    dF = (Fp - Fm) / (2.0 * h)
+    if order == 1:
+        return None, dF, None
+    F0 = Y[0]
+    ddF = np.empty((n, n) + F0.shape)
+    ddF[np.diag_indices(n)] = (Fp - 2.0 * F0 + Fm) / h**2
+    k, l = np.triu_indices(n, 1)
+    Fpp, Fpm, Fmp, Fmm = (Y[1 + 2 * n + j:: 4] for j in range(4))
+    ddF[k, l] = ddF[l, k] = (Fpp - Fpm - Fmp + Fmm) / (4.0 * h**2)
     return F0, dF, ddF
 
 

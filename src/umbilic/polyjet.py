@@ -588,7 +588,9 @@ class Jet:
     """A polynomial truncated at total spatial degree ``order``.
 
     The ring operations agree with operations on the represented smooth
-    function modulo O(|x|^(order+1)).
+    function modulo O(|x|^(order+1)).  ``Jet(poly, order)`` truncates poly
+    if its degree exceeds order; the ring operations, whose results never
+    do, skip that degree pass.
     """
 
     poly: MultiPoly
@@ -604,7 +606,7 @@ class Jet:
 
     @staticmethod
     def of(poly: MultiPoly, order: int) -> "Jet":
-        return Jet(poly.truncate(order), order)
+        return _jet(poly.truncate(order), order)
 
     @staticmethod
     def const(n: int, c, order: int) -> "Jet":
@@ -618,20 +620,20 @@ class Jet:
 
     def __add__(self, other: "Jet") -> "Jet":
         self._check(other)
-        return Jet(self.poly + other.poly, self.order)
+        return _jet(self.poly + other.poly, self.order)
 
     def __sub__(self, other: "Jet") -> "Jet":
         self._check(other)
-        return Jet(self.poly - other.poly, self.order)
+        return _jet(self.poly - other.poly, self.order)
 
     def __neg__(self) -> "Jet":
-        return Jet(-self.poly, self.order)
+        return _jet(-self.poly, self.order)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            return Jet(self.poly.mul_truncated(other.poly, self.order), self.order)
-        return Jet(self.poly.scale(other), self.order)
+            return _jet(self.poly.mul_truncated(other.poly, self.order), self.order)
+        return _jet(self.poly.scale(other), self.order)
 
     def __rmul__(self, other):
         return self * other
@@ -652,10 +654,10 @@ class Jet:
 
     def diff(self, i: int) -> "Jet":
         # Differentiation loses one certified order.
-        return Jet(self.poly.diff(i), self.order - 1)
+        return _jet(self.poly.diff(i), self.order - 1)
 
     def rejet(self, order: int) -> "Jet":
-        return Jet(self.poly.truncate(order), order)
+        return _jet(self.poly.truncate(order), order)
 
     def evaluate(self, point, params=None):
         return self.poly.evaluate(point, params)
@@ -677,10 +679,21 @@ class Jet:
             if power.is_zero:
                 break
             out = out + power.scale(_binomial_coeff(e, k))
-        return Jet(out, self.order)
+        return _jet(out, self.order)
 
     def __repr__(self) -> str:
         return f"Jet[D={self.order}]({self.poly!r})"
+
+
+def _jet(poly: MultiPoly, order: int) -> Jet:
+    """A jet of a polynomial already of degree <= order, without the
+    degree pass of `Jet.__post_init__`.  Every ring operation builds its
+    result here: sums, negatives, scalings and truncated products of jets
+    of one order, derivatives and truncations cannot exceed their order."""
+    j = object.__new__(Jet)
+    _set(j, "poly", poly)
+    _set(j, "order", order)
+    return j
 
 
 # -- spherical series ----------------------------------------------------------

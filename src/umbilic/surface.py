@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -149,16 +149,6 @@ class GraphSurface:
         u = Jet.of(MultiPoly.const(n, 1) - r2.scale(Fraction(1) / (R * R)), order)
         f = (Jet.const(n, 1, order) - u.power_unit(Fraction(1, 2))) * R
         return GraphSurface(n, f_jet=f, name=f"sphere(R={R})")
-
-    @staticmethod
-    def sphere_numeric(n: int, radius: float = 1.0, fd_step: float = 1e-5):
-        R = float(radius)
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return R - math.sqrt(R * R - float(np.dot(x, x)))
-
-        return GraphSurface(n, f_num=f, fd_step=fd_step, name=f"sphere_num(R={R})")
 
     @staticmethod
     def polynomial(poly: MultiPoly, order: int = 7, name: str = "") -> "GraphSurface":
@@ -363,13 +353,6 @@ def jet_geometry(poly: MultiPoly, W: int) -> JetGeometry:
     return JetGeometry(grad, hess, inv_w2, hess_grad, lap - inv_w2 * quad)
 
 
-def intrinsic_scalar_curvature(S: GraphSurface, x, h: float = 1e-3) -> float:
-    """Scalar curvature of the induced metric from its Christoffel symbols /
-    Riemann tensor, by finite differences of the metric field.  Cross-check
-    for the Gauss-equation value in PointGeometry."""
-    return numdiff.scalar_curvature_fd(_metric_field(S), x, h)
-
-
 def _metric_field(S: GraphSurface) -> Callable[[np.ndarray], np.ndarray]:
     """The induced metric g = I + grad f grad f^T as a function of x."""
 
@@ -396,7 +379,11 @@ class RhoIdentityResiduals:
     exact: bool = False
 
     def max(self) -> float:
-        return max(abs(self.grad_sq), abs(self.hessian), abs(self.laplacian))
+        """The largest |residual|, or NaN if any residual is not finite:
+        a NaN must fail a `max() < tol` check, which Python's max, keeping
+        its first argument, would let it pass."""
+        res = (abs(self.grad_sq), abs(self.hessian), abs(self.laplacian))
+        return max(res) if all(map(math.isfinite, res)) else math.nan
 
 
 def verify_rho_identities(S: GraphSurface, x) -> RhoIdentityResiduals:
@@ -407,6 +394,8 @@ def verify_rho_identities(S: GraphSurface, x) -> RhoIdentityResiduals:
 
 def _verify_rho_numeric(S: GraphSurface, x) -> RhoIdentityResiduals:
     x = np.asarray(x, dtype=float)
+    if x.shape != (S.n,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be one finite point of {S.n} coordinates, got {x!r}")
     geo = point_geometry(S, x)
     f, grad, hess = geo.f, geo.grad, geo.hess
 
@@ -457,7 +446,7 @@ def _verify_rho_symbolic(S: GraphSurface) -> RhoIdentityResiduals:
     res1 = lhs1 - (4 * rho - 4 * u * uw)
 
     def mag(j: Jet) -> float:
-        return float(max((abs(c) for c in j.poly.terms.values()), default=0))
+        return max(map(abs, j.poly.num.values()), default=0) / j.poly.den
 
     # Gamma^c_ab = (g^{-1} grad f)_c f_ab = w grad_c f_ab, so
     # Hess_ab = rho_ab - w (grad f . grad rho) f_ab.  The loop also sums
@@ -480,90 +469,3 @@ def _verify_rho_symbolic(S: GraphSurface) -> RhoIdentityResiduals:
     res3 = lap_lhs - (Jet.const(n, 2 * n, W) + 2 * uw * geo.trace)
 
     return RhoIdentityResiduals(mag(res1), res2_max, mag(res3), exact=True)
-
-
-# -- inverted-cylinder principal curvatures -----------------------------------------
-
-
-@dataclass
-class PlaneCurve:
-    """Arc-length plane curve t -> (x, y) with derivatives through order 2."""
-
-    eval2: Callable[[float], Tuple[Tuple[float, float], ...]]
-    name: str = ""
-
-    def __call__(self, t: float):
-        return self.eval2(t)
-
-    @staticmethod
-    def line() -> "PlaneCurve":
-        return PlaneCurve(lambda t: ((t, 1.0), (1.0, 0.0), (0.0, 0.0)), "line")
-
-    @staticmethod
-    def circle_through_origin(R: float = 1.0) -> "PlaneCurve":
-        def ev(t):
-            a = t / R
-            return (
-                (R * math.sin(a), R * (1.0 - math.cos(a))),
-                (math.cos(a), math.sin(a)),
-                (-math.sin(a) / R, math.cos(a) / R),
-            )
-
-        return PlaneCurve(ev, f"circle(R={R})")
-
-
-@dataclass
-class CylinderCurvatures:
-    lam: float          # closed form, multiplicity >= n-1
-    mu: float           # closed form, the remaining curvature
-    eigenvalues: np.ndarray  # numeric spectrum of the shape operator
-    sign: int           # global normal sign used to match the spectrum
-
-
-def cylinder_inversion_curvatures(
-    curve: PlaneCurve, t: float, z: np.ndarray, h: float = 1e-5
-) -> CylinderCurvatures:
-    """Principal curvatures of the inverted cylinder over a plane curve.
-
-    The cylinder (x(t), y(t), z) is inverted through the origin; the result
-    has closed-form principal curvatures lam = -2(x y' - x' y) with
-    multiplicity >= n-1 and mu = lam - k(t)(x^2 + y^2 + |z|^2), where k is
-    the signed curvature with respect to the plane normal (y', -x'), the
-    orientation consistent with the lam formula: k = y' x'' - x' y''.
-    The numeric spectrum comes from a finite-difference
-    shape operator and is matched up to a global orientation sign.
-    """
-    z = np.asarray(z, dtype=float)
-    n = z.size + 1
-
-    (x, y), (xp, yp), (xpp, ypp) = curve(t)
-    if abs(xp * xp + yp * yp - 1.0) > 1e-8:
-        raise ValueError("curve is not parametrized by arc length at t")
-    q = x * x + y * y + float(z @ z)
-    if q < 1e-12:
-        raise ValueError("inversion center lies on the surface")
-    lam = -2.0 * (x * yp - xp * y)
-    k = yp * xpp - xp * ypp
-    mu = lam - k * q
-
-    def F(u):
-        (cx, cy), _, _ = curve(u[0])
-        amb = np.concatenate([[cx, cy], u[1:]])
-        return amb / float(amb @ amb)
-
-    # Step 2h: at step h the spectrum is 2-5x less accurate.
-    _, J, ddF = numdiff.metric_derivatives(F, np.concatenate([[t], z]), 2.0 * h)
-    # unit normal: the null vector of the tangent rows J[i] = d_i F
-    _, _, vt = np.linalg.svd(J, full_matrices=True)
-    II = ddF @ vt[-1]
-    # generalized eigenvalues of (II, I): those of L^{-1} II L^{-T}, I = L L^T
-    L = np.linalg.cholesky(J @ J.T)
-    C = np.linalg.solve(L, np.linalg.solve(L, II).T)
-    eigs = np.linalg.eigvalsh((C + C.T) / 2.0)
-    expect = np.sort(np.concatenate([np.full(n - 1, lam), [mu]]))
-    if np.sum(np.abs(np.sort(eigs) - expect)) <= np.sum(np.abs(np.sort(-eigs) - expect)):
-        sign = 1
-    else:
-        sign = -1
-        eigs = -eigs
-    return CylinderCurvatures(lam, mu, np.sort(eigs), sign)

@@ -2,6 +2,8 @@
 batch and single-point agreement, evaluation counts, array-valued fields,
 and the Richardson-extrapolated gradient and Hessian built on it."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,68 @@ def test_batch_rows_match_single_points_bitwise(order):
                 assert ddF.shape == (n, n, N) + shape
                 assert np.array_equal(F0[p], s0)
                 assert np.array_equal(ddF[:, :, p], sdd)
+
+
+def loop_stencil(F, x, h, order=2):
+    """The single-point stencil as one loop over the points, each built and
+    differenced on its own: the reference for `metric_derivatives`."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    e = np.eye(n)
+
+    def at(*offsets):
+        return [np.asarray(F(x + h * o), dtype=float) for o in offsets]
+
+    F0 = at(0.0)[0] if order == 2 else None
+    dF = ddF = None
+    for k in range(n):
+        Fp, Fm = at(e[k], -e[k])
+        if dF is None:
+            dF = np.empty((n,) + Fp.shape)
+            if order == 2:
+                ddF = np.empty((n, n) + Fp.shape)
+        dF[k] = (Fp - Fm) / (2.0 * h)
+        if order == 2:
+            ddF[k, k] = (Fp - 2.0 * F0 + Fm) / h**2
+    if order == 2:
+        for k, l in combinations(range(n), 2):
+            Fpp, Fpm, Fmp, Fmm = at(e[k] + e[l], e[k] - e[l], e[l] - e[k], -e[k] - e[l])
+            ddF[k, l] = ddF[l, k] = (Fpp - Fpm - Fmp + Fmm) / (4.0 * h**2)
+    return F0, dF, ddF
+
+
+class Logged:
+    """F with a copy of each argument, to compare the points bit for bit."""
+
+    def __init__(self, F):
+        self.F = F
+        self.args = []
+
+    def __call__(self, x):
+        self.args.append(np.array(x, copy=True))
+        return self.F(x)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+def test_single_point_matches_loop_bitwise(order, n, shape):
+    # the table x + h O and the whole-array formulas give the loop's points
+    # in the loop's order and its results to the bit; a -0.0 coordinate
+    # checks that the offsets carry the loop's signed zeros
+    h = 1e-3
+    for x in (RNG.uniform(-2, 2, n), np.r_[-0.0, RNG.uniform(-2, 2, n - 1)]):
+        F, ref = Logged(Cubic(n, shape)), Logged(None)
+        ref.F = F.F
+        got, want = metric_derivatives(F, x, h, order), loop_stencil(ref, x, h, order)
+        assert len(F.args) == len(ref.args)
+        for a, b in zip(F.args, ref.args):
+            assert np.array_equal(np.signbit(a), np.signbit(b)) and np.array_equal(a, b)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert g.shape == w.shape and np.array_equal(g, w)
 
 
 def test_vector_and_matrix_valued_fields():

@@ -211,6 +211,53 @@ def test_jet_unit_identities_random(seed):
     assert s * s == u
 
 
+@pytest.mark.parametrize("with_param", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_jet_operations_equal_checked_jets(seed, with_param):
+    # the ring operations build their results without Jet's degree pass;
+    # each must equal the checked Jet(poly, order) of the polynomial it
+    # stands for, and must already lie within its order
+    rng = random.Random(300 + seed)
+    n, D = rng.randint(1, 4), rng.randint(0, 5)
+
+    def jet():
+        # Jet(p, D) truncates p, which reaches degree D + 2
+        return Jet(rand_poly(rng, n, max_deg=D + 2, nterms=6, with_param=with_param), D)
+
+    def checked(poly, order=D):
+        return Jet(poly, order)
+
+    a, b = jet(), jet()
+    c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    s = jet().poly
+    unit = checked(MultiPoly.const(n, 1) + s - s.homogeneous_part(0))
+    cases = [
+        (a + b, checked(a.poly + b.poly)),
+        (a - b, checked(a.poly - b.poly)),
+        (-a, checked(-a.poly)),
+        (a * b, checked(a.poly * b.poly)),
+        (a * c, checked(a.poly.scale(c))),
+        (c * a, checked(a.poly.scale(c))),
+        (a * 0, checked(MultiPoly.zero(n))),
+        (Jet.of(s, D), checked(s)),
+    ]
+    cases += [(a.diff(i), checked(a.poly.diff(i), D - 1)) for i in range(n)]
+    cases += [(a.rejet(k), checked(a.poly, k)) for k in range(-1, D + 2)]
+    for e in (Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(3)):
+        # the binomial series through checked jets and full products
+        ref = power = checked(MultiPoly.const(n, 1))
+        coeff = Fraction(1)
+        for k in range(1, D + 1):
+            coeff = coeff * (e - k + 1) / k
+            power = checked(power.poly * (unit.poly - MultiPoly.const(n, 1)))
+            ref = checked(ref.poly + power.poly.scale(coeff))
+        cases.append((unit.power_unit(e), ref))
+    for got, want in cases:
+        assert got == want
+        assert got.order == want.order
+        assert got.poly.degree() <= got.order
+
+
 # -- spherical series --------------------------------------------------------
 
 

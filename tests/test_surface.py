@@ -13,12 +13,17 @@ from umbilic.obstruction import NotUmbilical, umbilical_decompose
 from umbilic.polyjet import Jet, MultiPoly
 from umbilic.surface import (
     GraphSurface,
-    PlaneCurve,
-    cylinder_inversion_curvatures,
-    intrinsic_scalar_curvature,
+    RhoIdentityResiduals,
     jet_geometry,
     point_geometry,
     verify_rho_identities,
+)
+
+from geometry_oracle import (
+    PlaneCurve,
+    cylinder_inversion_curvatures,
+    intrinsic_scalar_curvature,
+    sphere_numeric,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -69,7 +74,7 @@ def test_sphere_mean_curvature_sign_convention():
 def test_sphere_numeric_matches_symbolic():
     n = 4
     Ssym = GraphSurface.sphere(n, Fraction(2), order=9)
-    Snum = GraphSurface.sphere_numeric(n, 2.0)
+    Snum = sphere_numeric(n, 2.0)
     x = np.array([0.11, -0.07, 0.05, 0.02])
     a = point_geometry(Ssym, x)
     b = point_geometry(Snum, x)
@@ -138,9 +143,52 @@ def test_rho_identities_numeric(n):
 
 
 def test_rho_identities_numeric_sphere():
-    S = GraphSurface.sphere_numeric(3, 2.0)
+    S = sphere_numeric(3, 2.0)
     res = verify_rho_identities(S, np.array([0.2, -0.1, 0.15]))
     assert res.max() < 1e-6
+
+
+@pytest.mark.parametrize("position", range(3))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rho_residual_max_fails_on_non_finite(position, bad):
+    # Python's max keeps its first argument against a NaN, so a NaN after a
+    # finite residual used to report the finite one and pass `< tol`
+    values = [-5.4e-20, 1e-12, 3e-9]
+    values[position] = bad
+    worst = RhoIdentityResiduals(*values).max()
+    assert math.isnan(worst)
+    assert not worst < 1e-7
+    assert RhoIdentityResiduals(-5.4e-20, 1e-12, -3e-9).max() == 3e-9
+
+
+def test_rho_numeric_nan_field_fails():
+    # f is NaN for x_0 > 0.0102, inside the stencils at x = (0.01, 0, 0):
+    # the residuals were (-5.4e-20, nan, nan) and max() reported 5.4e-20
+    sym = GraphSurface.sphere(3)
+
+    def f(x):
+        return sym.f_value(x) if x[0] <= 0.0102 else math.nan
+
+    res = verify_rho_identities(GraphSurface(3, f_num=f), np.array([0.01, 0.0, 0.0]))
+    assert math.isnan(res.hessian) and math.isnan(res.laplacian)
+    assert math.isnan(res.max())
+    assert not res.max() < 1e-7
+
+
+@pytest.mark.parametrize(
+    "x", [None, 0.1, [0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]] * 2,
+          [0.1, math.nan, 0.0], [math.inf, 0.0, 0.0]],
+)
+def test_rho_numeric_needs_one_finite_point(x):
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return 0.0
+
+    with pytest.raises(ValueError, match="one finite point of 3 coordinates"):
+        verify_rho_identities(GraphSurface(3, f_num=f), x)
+    assert not calls
 
 
 @settings(max_examples=10, deadline=None)
