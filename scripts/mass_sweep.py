@@ -25,6 +25,7 @@ CASES = [
     ("sphere", 4, "y", mass.STANDARD),
     ("sphere", 5, "y", mass.STANDARD),
     ("quartic_x1", 6, "z", mass.LEE_PARKER),
+    ("quartic_x1", 6, "z", mass.STANDARD),
     ("quartic_x1", 7, "z", mass.LEE_PARKER),
 ]
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -182,21 +182,17 @@ def _rank_one_form(chart: Chart, a, ys, s, f, gr):
     return A, [-k * conf, (1.0 + a) * conf], [yhat, w]
 
 
-def assemble(diag: np.ndarray, lefts, rights, n: int) -> np.ndarray:
-    """diag I + sum_m lefts[m] rights[m]^T, shape (N, n, n), from one
+def _assemble_form(diag: np.ndarray, coefs, vecs, n: int) -> np.ndarray:
+    """diag I + sum_m coefs[m] vecs[m] vecs[m]^T, shape (N, n, n), from one
     stacked (N, n, K) @ (N, K, n) product; diag I alone when K = 0."""
     N = len(diag)
-    if lefts:
-        out = np.stack(lefts, axis=2) @ np.stack(rights, axis=1)
+    if vecs:
+        out = (np.stack([c[:, None] * u for c, u in zip(coefs, vecs)], axis=2)
+               @ np.stack(vecs, axis=1))
     else:
         out = np.zeros((N, n, n))
     out.reshape(N, n * n)[:, :: n + 1] += diag[:, None]
     return out
-
-
-def _assemble_form(diag: np.ndarray, coefs, vecs, n: int) -> np.ndarray:
-    """diag I + sum_m coefs[m] vecs[m] vecs[m]^T, shape (N, n, n)."""
-    return assemble(diag, [c[:, None] * u for c, u in zip(coefs, vecs)], vecs, n)
 
 
 def ghat_deviation_batch(S: GraphSurface, chart: Chart, pts: np.ndarray) -> np.ndarray:
@@ -229,21 +225,6 @@ def ghat_deviation_form(S: GraphSurface, chart: Chart, pts: np.ndarray):
     f = Dual(f, (gr * xs.d).sum(axis=-1))
     gr = Dual(gr, np.einsum("pij,kpj->kpi", hess, xs.d))
     return _rank_one_form(chart, a, ys, s, f, gr)
-
-
-def form_derivatives(diag, coefs, vecs, n: int) -> Callable[[int], np.ndarray]:
-    """The function that maps k to d_k (g - I), shape (N, n, n), for a
-    deviation form whose derivative parts carry the directions on a
-    leading axis (ghat_deviation_form): slice k only is assembled.  By the
-    product rule d_k (c u u^T) = q[k] u^T + u q[k]^T, q = c du + (dc/2) u."""
-    u = [w.v for w in vecs]
-    q = [c.v[..., None] * w.d + 0.5 * c.d[..., None] * w.v for c, w in zip(coefs, vecs)]
-
-    def derivative(k: int) -> np.ndarray:
-        qk = [w[k] for w in q]
-        return assemble(diag.d[k], qk + u, u + qk, n)
-
-    return derivative
 
 
 def _rowdot(u: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -111,12 +111,20 @@ def _load_surface(args) -> GraphSurface:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read surface file {args.poly}: {exc}")
-        if args.n is not None and int(data.get("n", args.n)) != args.n:
+        try:
+            n = int(data["n"])
+        except (TypeError, KeyError, ValueError):
+            raise UsageError("bad surface description: a JSON object with an integer n is required")
+        if n < 2:
+            raise UsageError(f"the surface file's n must be at least 2, not {n}")
+        if args.n is not None and n != args.n:
             raise UsageError("--n disagrees with the surface file")
         try:
             return GraphSurface.from_json(data, order=args.order)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"bad surface description: {exc}")
+        except ZeroDivisionError as exc:
+            raise UsageError(f"bad surface description: zero denominator in {exc}")
     if getattr(args, "builtin", None):
         if args.n is None:
             raise UsageError("--n is required with --builtin")

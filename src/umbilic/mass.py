@@ -4,11 +4,12 @@ Two flux integrals at finite radius, extrapolated to infinity:
 
   standard_adm   g^{jk} (d_k g_ij - d_i g_jk) nu^i over the coordinate
                  sphere, the textbook ADM surface integral, with the metric
-                 as a diagonal plus rank-one terms, its inverse by
-                 Sherman-Morrison/Woodbury and its exact coordinate
-                 derivatives (all n directions in one forward pass) in
-                 closed form from one order-2 evaluation (no finite
-                 difference, no matrix inverse);
+                 as a diagonal plus rank-one terms and its exact coordinate
+                 derivatives (all n directions in one forward pass) from
+                 one order-2 evaluation; g^{-1} acts on vectors only, as a
+                 Woodbury operator, and the derivative directions are
+                 contracted with nu and the rank-one vectors first (no
+                 finite difference, no n x n array per node);
   lee_parker     the radial form  d_r(g_rr - sum_a g_aa)
                  + r^{-1} (n g_rr - sum_a g_aa), with g_rr, the trace and
                  the exact radial derivative in closed form from one
@@ -39,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import asymptotic
-from .asymptotic import CORRECTED_Z, INVERTED_Y, Chart
+from .asymptotic import CORRECTED_Z, INVERTED_Y, Chart, _rowdot
 from .numdiff import Dual
 from .obstruction import sphere_integral_series
 from .polyjet import Jet, MultiPoly, SphericalSeries, poly_to_json
@@ -136,18 +137,17 @@ def _deviation_form(source: MetricSource, chart: Optional[Chart], pts: np.ndarra
     return source.deviation_form(pts)
 
 
-def inverse_metric(n: int, diag: np.ndarray, coefs, vecs) -> np.ndarray:
-    """(I + diag I + sum_m coefs[m] vecs[m] vecs[m]^T)^{-1}, shape (N, n, n),
-    in closed form for the K <= 2 rank-one terms of a deviation form.
+def _woodbury(alpha: np.ndarray, coefs, vecs) -> List[np.ndarray]:
+    """The vectors W_a with g^{-1} = (I - sum_a u_a W_a^T) / alpha for
+    g = alpha I + sum_m coefs[m] u_m u_m^T, K = len(vecs) <= 2.
 
-    With alpha = 1 + diag, U = [u_1 .. u_K] and C = diag(c), Woodbury gives
-    g^{-1} = (I - U X U^T) / alpha with X = M^{-1} C, M = alpha I + C U^T U:
+    Woodbury (Hager, SIAM Rev. 31, 1989) gives W_a = sum_b X_ab u_b with
+    X = M^{-1} C, M = alpha I + C U^T U, U = [u_1 .. u_K], C = diag(c):
     Sherman-Morrison for chart y (K = 1), a 2 x 2 solve per node for chart
-    z (K = 2), alpha^{-1} I for the fixture (K = 0).  No C^{-1} is needed,
-    so c = 0 (chart z with H = 0) is fine."""
-    alpha = 1.0 + diag
+    z (K = 2), none for the fixture (K = 0).  No C^{-1} is needed, so c = 0
+    (chart z with H = 0) is fine."""
     K = len(vecs)
-    M = [[coefs[a] * np.einsum("pi,pi->p", vecs[a], vecs[b]) + (alpha if a == b else 0.0)
+    M = [[coefs[a] * _rowdot(vecs[a], vecs[b]) + (alpha if a == b else 0.0)
           for b in range(K)] for a in range(K)]
     if K == 1:
         X = [[coefs[0] / M[0][0]]]
@@ -155,27 +155,52 @@ def inverse_metric(n: int, diag: np.ndarray, coefs, vecs) -> np.ndarray:
         det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
         X = [[M[1][1] * coefs[0] / det, -M[0][1] * coefs[1] / det],
              [-M[1][0] * coefs[0] / det, M[0][0] * coefs[1] / det]]
-    beta = 1.0 / alpha
-    lefts = [-beta[:, None] * sum(X[a][b][:, None] * vecs[a] for a in range(K))
-             for b in range(K)]
-    return asymptotic.assemble(beta, lefts, vecs, n)
+    return [sum(X[a][b][:, None] * vecs[b] for b in range(K)) for a in range(K)]
 
 
 def _standard_integrand(source: MetricSource, chart: Optional[Chart], r: float,
                         nu: np.ndarray) -> np.ndarray:
-    """nu_i g^{jk} (d_k g_ij - d_i g_jk) at the points r nu: g^{-1} from
-    the deviation form (inverse_metric), each d_k g assembled from slice k
-    of its one forward pass and contracted as soon as it is formed."""
+    """nu_i g^{jk} (d_k g_ij - d_i g_jk) at the points r nu, as tr(g^{-1} L)
+    with L = J - d_nu g and J_jk = d_k (g nu)_j at fixed nu.
+
+    With g - I = diag I + sum_m c_m u_m u_m^T and g^{-1} from _woodbury,
+    tr(g^{-1} L) = (tr L - sum_a W_a . L u_a) / alpha, where
+
+      W_a . L u_a = W_a . (d_{u_a} g) nu - W_a . (d_nu g) u_a,
+      tr J        = d_nu diag + sum_m [d_{u_m} (c_m u_m . nu)
+                                       + c_m (u_m . nu) div u_m],
+      tr d_nu g   = n d_nu diag + sum_m [d_nu c_m |u_m|^2 + 2 c_m u_m . d_nu u_m].
+
+    The forward pass's n chart directions are contracted with nu and with
+    each u_a before any product, and g^{-1} and d g enter through dot
+    products only, so nothing larger than (K + 1, N, n) is formed."""
     n = nu.shape[1]
     diag, coefs, vecs = _deviation_form(source, chart, r * nu)
-    ginv = inverse_metric(n, diag.v, [c.v for c in coefs], [w.v for w in vecs])
-    derivative = asymptotic.form_derivatives(diag, coefs, vecs, n)
-    vals = np.zeros(len(nu))
-    for k in range(n):
-        dg = derivative(k)
-        vals += np.einsum("pi,pij,pj->p", nu, dg, ginv[:, :, k])
-        vals -= nu[:, k] * np.einsum("pjl,pjl->p", ginv, dg)
-    return vals
+    c = [q.v for q in coefs]
+    u = [w.v for w in vecs]
+    # derivatives along nu (row 0) and along each u_a (row 1 + a)
+    rows = np.stack([nu] + u)
+    along = lambda x: np.einsum("kp...,dpk->dp...", x.d, rows, optimize=True)  # noqa: E731
+    dd, dc, du = along(diag), [along(q) for q in coefs], [along(w) for w in vecs]
+
+    def dg(d: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """y . (d g) x, the derivative along rows[d]."""
+        out = dd[d] * _rowdot(x, y)
+        for m in range(len(u)):
+            ux, uy = _rowdot(u[m], x), _rowdot(u[m], y)
+            out += dc[m][d] * ux * uy + c[m] * (_rowdot(du[m][d], x) * uy
+                                                + ux * _rowdot(du[m][d], y))
+        return out
+
+    tr_L = (1 - n) * dd[0]
+    for m in range(len(u)):
+        un = _rowdot(u[m], nu)
+        tr_L += (dc[m][1 + m] * un + c[m] * _rowdot(du[m][1 + m], nu)
+                 + c[m] * un * np.einsum("kpk->p", vecs[m].d)
+                 - dc[m][0] * _rowdot(u[m], u[m]) - 2.0 * c[m] * _rowdot(u[m], du[m][0]))
+    for a, W in enumerate(_woodbury(1.0 + diag.v, c, u)):
+        tr_L -= dg(1 + a, nu, W) - dg(0, u[a], W)
+    return tr_L / (1.0 + diag.v)
 
 
 def lee_parker_pair(
@@ -247,10 +272,10 @@ def adm_mass_standard(
     r: float,
     rule: QuadratureRule,
 ) -> MassEstimate:
-    """The normalized flux integral at radius r.  The metric, its inverse
-    and its exact coordinate derivatives come in closed form from one
-    evaluation per block of the rule's nodes (ghat_deviation_form and
-    inverse_metric), with no finite difference."""
+    """The normalized flux integral at radius r.  The metric and its exact
+    coordinate derivatives come in closed form from one evaluation per
+    block of the rule's nodes (ghat_deviation_form), with no finite
+    difference, and are contracted as vectors (_standard_integrand)."""
     return _estimate(STANDARD, _standard_integrand, source, chart, r, rule)
 
 

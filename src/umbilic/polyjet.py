@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 # A parameter monomial: sorted tuple of (name, power), power >= 1.
 Params = Tuple[Tuple[str, int], ...]
@@ -347,27 +347,6 @@ class MultiPoly:
             out = out + self.diff(i).diff(i)
         return out
 
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, point: Sequence, params: Optional[Mapping[str, object]] = None):
-        """Evaluate at a point; exact if coordinates/params are Fractions."""
-        params = params or {}
-        total = None
-        for (e, p), c in self.terms.items():
-            v = c
-            for xi, ei in zip(point, e):
-                if ei:
-                    v = v * xi**ei
-            for name, k in p:
-                if name not in params:
-                    raise KeyError(f"value for parameter {name!r} required")
-                v = v * params[name] ** k
-            total = v if total is None else total + v
-        if total is None:
-            x0 = point[0] if len(point) else 0
-            return 0 * x0 if not isinstance(x0, (int, Fraction)) else Fraction(0)
-        return total
-
     # -- display -------------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -659,9 +638,6 @@ class Jet:
     def rejet(self, order: int) -> "Jet":
         return _jet(self.poly.truncate(order), order)
 
-    def evaluate(self, point, params=None):
-        return self.poly.evaluate(point, params)
-
     def _unit_correction(self) -> MultiPoly:
         s = self.poly - MultiPoly.const(self.n, 1)
         if not s.homogeneous_part(0).is_zero:
@@ -944,18 +920,6 @@ class SphericalSeries:
             None if self.order_min is None else self.order_min - 1,
             None if self.order_max is None else self.order_max - 1,
         )
-
-    # -- evaluation ------------------------------------------------------------
-
-    def evaluate(self, point: Sequence[float], params=None) -> float:
-        import math
-
-        r2 = sum(float(x) * float(x) for x in point)
-        r = math.sqrt(r2)
-        total = 0.0
-        for m, P in self.terms:
-            total += r**m * float(P.evaluate([float(x) for x in point], params))
-        return total
 
     def __repr__(self) -> str:
         bits = [f"r^{m}*[{P!r}]" for m, P in self.terms]

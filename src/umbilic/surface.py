@@ -145,6 +145,8 @@ class GraphSurface:
         """Graph of the radius-R sphere tangent to x_{n+1}=0 at the origin:
         f = R - sqrt(R^2 - |x|^2), expanded as an exact jet."""
         R = Fraction(radius)
+        if R <= 0:
+            raise ValueError(f"the sphere radius must be positive, not {R}")
         r2 = MultiPoly.x_norm_sq(n)
         u = Jet.of(MultiPoly.const(n, 1) - r2.scale(Fraction(1) / (R * R)), order)
         f = (Jet.const(n, 1, order) - u.power_unit(Fraction(1, 2))) * R
@@ -404,6 +406,11 @@ def _verify_rho_numeric(S: GraphSurface, x) -> RhoIdentityResiduals:
 
     # Christoffel symbols from finite differences of the metric field
     # (independent of the closed-form Gamma used in the symbolic path).
+    # Gamma must come from this nested stencil, not from the product rule
+    # on the Hessian above: the identities are algebraic in the 2-jet, so
+    # with a Gamma built from the same Hessian they hold for any Hessian
+    # (one off by 1e-3 read 5.6e-17 on the n = 3 sphere, against 6.0e-5
+    # with this Gamma) and the check would test nothing.
     h = 1e-3 * max(1.0, float(np.linalg.norm(x)))
     gamma = numdiff.christoffel(geo.g, numdiff.gradient(_metric_field(S), x, h))
 

@@ -375,6 +375,42 @@ def test_out_of_range_values_are_usage_errors(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def malformed_surface_file(case):
+    """A surface file the loader must refuse, from a valid quartic_x1 file."""
+    good = GraphSurface.quartic_x1(3).to_json()
+    if case == "den-0":
+        return dict(good, poly=[dict(good["poly"][0], den="0")] + good["poly"][1:])
+    if case == "top-level-list":
+        return [good]
+    if case == "poly-entry-not-object":
+        return dict(good, poly=[3] + good["poly"][1:])
+    if case == "sphere-radius-negative":
+        return {"n": 3, "kind": "sphere", "radius": "-1"}
+    return {"n": {"n-1": 1, "n-0": 0}[case], "kind": "sphere"}
+
+
+@pytest.mark.parametrize("command,case", [
+    ("verify", "den-0"),
+    ("ctheta", "top-level-list"),
+    ("verify", "poly-entry-not-object"),
+    ("verify", "n-1"),
+    ("ctheta", "n-1"),
+    ("verify", "n-0"),
+    ("ctheta", "n-0"),
+    ("verify", "sphere-radius-negative"),
+])
+def test_malformed_surface_files_are_usage_errors(command, case, tmp_path, capsys):
+    # each of these used to die in a traceback (exit 1) or, for n < 2 and
+    # a negative sphere radius, exit 0 with a report; --n < 2 and
+    # --radius -1 were already refused
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(malformed_surface_file(case)))
+    code, out, err = run([command, "--poly", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_ignores_negative_seed(capsys):
     # only decay reads --seed; verify accepts any integer and ignores it
     code, out, _ = run(["verify", "--builtin", "sphere", "--n", "3", "--seed", "-1"], capsys)

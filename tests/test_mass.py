@@ -18,6 +18,7 @@ from umbilic.polyjet import Jet, MultiPoly
 from umbilic.quadrature import QuadratureRule, default_degree, sphere_area
 from umbilic.surface import GraphSurface
 
+import flux_oracle as fo
 from geometry_oracle import sphere_numeric
 
 
@@ -290,7 +291,7 @@ def test_standard_derivative_matches_richardson(case):
         diag, coefs, vecs = mm._deviation_form(src, ch, pts)
         dev = asym._assemble_form(diag.v, [c.v for c in coefs], [w.v for w in vecs], n)
         assert np.array_equal(dev, F(pts))
-        derivative = asym.form_derivatives(diag, coefs, vecs, n)
+        derivative = fo.form_derivatives(diag, coefs, vecs, n)
         dg = np.stack([derivative(k) for k in range(n)])
         if case == "flat4_y":
             assert not np.any(dev) and not np.any(dg)
@@ -386,22 +387,79 @@ def flat_corrected_quartic(n: int) -> GraphSurface:
     return GraphSurface.polynomial(MultiPoly.var(n, 0) ** 4)
 
 
-@pytest.mark.parametrize("case", ["sphere5_y", "quartic6_z", "quartic4_z_H0", "schwarzschild"])
-def test_inverse_metric_matches_linalg_inv(case):
+def inverse_case(case):
+    """(source, chart, deviation function) of an inverse-metric check."""
     if case == "quartic4_z_H0":
         src = flat_corrected_quartic(4)
         ch = asym.chart_for(src, "z")
         assert ch.kind == asym.CORRECTED_Z and ch.c == 0.0
-        F = lambda p: asym.ghat_deviation_batch(src, ch, p)  # noqa: E731
-    else:
-        src, ch, F, _ = derivative_case(case)
+        return src, ch, lambda p: asym.ghat_deviation_batch(src, ch, p)
+    return derivative_case(case)[:3]
+
+
+@pytest.mark.parametrize("case", ["sphere5_y", "quartic6_z", "quartic4_z_H0", "schwarzschild"])
+def test_inverse_metric_matches_linalg_inv(case):
+    src, ch, F = inverse_case(case)
     n = src.n
     dirs = QuadratureRule.sphere(n, 6).nodes
     for r in (1.5, 10.0, 1000.0):
         diag, coefs, vecs = mm._deviation_form(src, ch, r * dirs)
-        closed = mm.inverse_metric(n, diag.v, [c.v for c in coefs], [u.v for u in vecs])
+        closed = fo.inverse_metric(n, diag.v, [c.v for c in coefs], [u.v for u in vecs])
         ref = np.linalg.inv(np.eye(n) + F(r * dirs))
         assert np.max(np.abs(closed - ref)) <= 1e-13 * np.max(np.abs(ref)), r
+
+
+@pytest.mark.parametrize("case", ["sphere5_y", "quartic6_z", "quartic4_z_H0", "schwarzschild"])
+def test_woodbury_vectors_solve_the_metric(case):
+    # g^{-1} x = (x - sum_a u_a (W_a . x)) / alpha against np.linalg.solve on
+    # random vectors x; measured <= 3.4e-16 of the largest entry
+    src, ch, F = inverse_case(case)
+    n = src.n
+    dirs = QuadratureRule.sphere(n, 6).nodes
+    x = np.random.default_rng(7).standard_normal(dirs.shape)
+    for r in (1.5, 10.0, 1000.0):
+        diag, coefs, vecs = mm._deviation_form(src, ch, r * dirs)
+        u = [w.v for w in vecs]
+        W = mm._woodbury(1.0 + diag.v, [c.v for c in coefs], u)
+        closed = (x - sum(ua * np.sum(Wa * x, axis=1)[:, None] for ua, Wa in zip(u, W)))
+        closed = closed / (1.0 + diag.v)[:, None]
+        ref = np.linalg.solve(np.eye(n) + F(r * dirs), x[:, :, None])[:, :, 0]
+        assert np.max(np.abs(closed - ref)) <= 1e-13 * np.max(np.abs(ref)), r
+
+
+STANDARD_ORACLE_CASES = [
+    # (source, chart flag, radius, bound).  Chart y and the fixture at
+    # 1e-9 and 1e-12; chart z at 1e-8 to r = 31.6 and 1e-6 at r = 100,
+    # where the oracle's estimate itself moves by 1.2e-7 when r changes by
+    # a relative 1e-14.
+    # Measured on the degree-8 rule, node by node / integrated: y <= 2.3e-11
+    # / 2.9e-12, fixture 4.4e-16 / 0, z 7.0e-13 / 2.7e-10 to r = 31.6 and
+    # 5.9e-12 / 1.8e-9 at r = 100
+    *[((name, n), "y", r, 1e-9) for name, n in
+      (("sphere", 3), ("sphere", 4), ("sphere", 5), ("cubic_x1", 4))
+      for r in (10.0, 10.0**1.5, 100.0)],
+    *[(("schwarzschild", 3), None, r, 1e-12) for r in (10.0, 10.0**1.5, 100.0, 1000.0)],
+    *[((name, n), "z", r, 1e-8 if r < 50.0 else 1e-6) for name, n in
+      (("quartic_x1", 4), ("quartic_x1", 6), ("flat_quartic", 4))
+      for r in (10.0, 10.0**1.5, 100.0)],
+]
+
+
+@pytest.mark.parametrize("case,flag,r,tol", STANDARD_ORACLE_CASES)
+def test_standard_integrand_matches_matrix_oracle(case, flag, r, tol):
+    # the vector contraction against the full-matrix path it replaced
+    # (flux_oracle), node by node and integrated over the rule
+    name, n = case
+    if name == "schwarzschild":
+        src, ch = mm.SchwarzschildField(mass=0.5), None
+    else:
+        src = flat_corrected_quartic(n) if name == "flat_quartic" else GraphSurface.builtin(name, n)
+        ch = asym.chart_for(src, flag)
+    rule = QuadratureRule.sphere(n, 8)
+    new = mm._standard_integrand(src, ch, r, rule.nodes)
+    ref = fo.standard_integrand(src, ch, r, rule.nodes)
+    assert np.max(np.abs(new - ref)) <= tol * np.max(np.abs(ref))
+    assert abs(rule.integrate(new) - rule.integrate(ref)) <= tol * abs(rule.integrate(ref))
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,8 @@ from umbilic.polyjet import (
     poly_to_json,
 )
 
+from poly_oracle import evaluate, evaluate_series
+
 
 def x(n, i):
     return MultiPoly.var(n, i)
@@ -46,7 +48,7 @@ def rand_poly(rng, n, max_deg=3, nterms=4, with_param=False):
 def test_constructors_and_eval():
     n = 3
     p = x(n, 0) * x(n, 0) + MultiPoly.const(n, 2) * x(n, 1)
-    assert p.evaluate([Fraction(2), Fraction(3), Fraction(0)]) == Fraction(10)
+    assert evaluate(p, [Fraction(2), Fraction(3), Fraction(0)]) == Fraction(10)
     assert p.degree() == 2
     assert not p.is_homogeneous()
     assert p.homogeneous_part(2) == x(n, 0) * x(n, 0)
@@ -57,7 +59,7 @@ def test_param_has_zero_spatial_degree():
     H = MultiPoly.param(n, "H")
     p = H * H * x(n, 0)
     assert p.degree() == 1
-    assert p.evaluate([Fraction(3), Fraction(0)], {"H": Fraction(2)}) == Fraction(12)
+    assert evaluate(p, [Fraction(3), Fraction(0)], {"H": Fraction(2)}) == Fraction(12)
 
 
 def test_laplacian_of_radial():
@@ -291,8 +293,8 @@ def test_canonicalize_idempotent_and_value_preserving():
         direct = 0.0
         r = math.sqrt(sum(v * v for v in pt))
         for m, P in raw:
-            direct += r**m * float(P.evaluate(pt))
-        assert abs(direct - s.evaluate(pt)) < 1e-12 * max(1.0, abs(direct))
+            direct += r**m * float(evaluate(P, pt))
+        assert abs(direct - evaluate_series(s, pt)) < 1e-12 * max(1.0, abs(direct))
 
 
 def test_series_inverse_contract():

@@ -25,6 +25,7 @@ from geometry_oracle import (
     intrinsic_scalar_curvature,
     sphere_numeric,
 )
+from poly_oracle import evaluate
 
 RNG = np.random.default_rng(20240817)
 
@@ -135,7 +136,7 @@ def test_rho_identities_numeric(n):
     rng = np.random.default_rng(200 + n)
     p = random_cubic(n, rng)
     # The exact polynomial, but exposed to the surface as a black-box evaluator.
-    S = GraphSurface(n, f_num=lambda x: float(p.evaluate(list(x))))
+    S = GraphSurface(n, f_num=lambda x: float(evaluate(p, list(x))))
     x = 0.1 * rng.standard_normal(n)
     res = verify_rho_identities(S, x)
     assert not res.exact
@@ -146,6 +147,29 @@ def test_rho_identities_numeric_sphere():
     S = sphere_numeric(3, 2.0)
     res = verify_rho_identities(S, np.array([0.2, -0.1, 0.15]))
     assert res.max() < 1e-6
+
+
+@pytest.mark.parametrize("name,n", [("sphere", 3), ("quartic_x1", 4), ("cubic_x1", 3)])
+def test_rho_identities_numeric_catch_a_wrong_hessian(name, n, monkeypatch):
+    # the numeric check takes Gamma from differences of the metric field,
+    # not from Hess f, so a Hessian off by 1e-3 in one entry must show.
+    # Measured at x = (0.1, ..., 0.1): 6.0e-5, 7.9e-5 and 6.5e-5, against
+    # 4.2e-9, 1.1e-10 and 9.4e-12 with the right Hessian
+    S = sphere_numeric(n) if name == "sphere" else GraphSurface(
+        n, f_num=GraphSurface.builtin(name, n).f_value)
+    x = np.full(n, 0.1)
+    assert verify_rho_identities(S, x).max() < 1e-7
+    f_hess = GraphSurface.f_hess
+
+    def wrong_hess(self, point):
+        hess = f_hess(self, point)
+        if not self.symbolic:
+            hess = hess.copy()
+            hess[0, 0] += 1e-3
+        return hess
+
+    monkeypatch.setattr(GraphSurface, "f_hess", wrong_hess)
+    assert verify_rho_identities(S, x).max() > 1e-7
 
 
 @pytest.mark.parametrize("position", range(3))
@@ -228,7 +252,7 @@ def test_jet_geometry_matches_point_geometry(name, W):
     for d in dirs:
         x = r * d / np.linalg.norm(d)
         pg = point_geometry(S, x)
-        at = lambda j: float(j.evaluate(list(x)))  # noqa: E731
+        at = lambda j: float(evaluate(j, list(x)))  # noqa: E731
         # g^{-1} = I - w grad f grad f^T has trace n - 1 + w
         assert at(geo.inv_w2) == pytest.approx(np.trace(pg.g_inv) - (n - 1), abs=tol)
         assert at(geo.trace) == pytest.approx(np.trace(pg.g_inv @ pg.hess), abs=tol)
@@ -454,7 +478,7 @@ def test_batch_evaluator_matches_exact(name, n):
     pts = num / 64.0
     checked = list(range(0, 1000, 10 if name == "sphere" else 1))
     xs = [[Fraction(int(k), 64) for k in num[r]] for r in checked]
-    values = [[q.evaluate(x) for q in polys] for x in xs]
+    values = [[evaluate(q, x) for q in polys] for x in xs]
     # [x . grad f, (x . grad) grad f] from the exact grad f and Hess f
     radial = [[sum(xi * v[1 + i] for i, xi in enumerate(x))]
               + [sum(v[1 + n + a * n + j] * xj for j, xj in enumerate(x)) for a in range(n)]
