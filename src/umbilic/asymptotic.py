@@ -281,33 +281,38 @@ def _require_no_cubic(parts: Dict[int, MultiPoly]) -> None:
     A3 = parts.get(3)
     if A3 is not None and not A3.is_zero:
         raise ChartRequirementError(
-            "the corrected chart and the series at infinity require the "
-            "cubic coefficient of the height function to vanish"
+            "the corrected chart requires the cubic coefficient of the "
+            "height function to vanish"
         )
 
 
 def _series_pieces(poly: MultiPoly, LO: int):
-    """n, the unit series, the conformal factor (1 + |y|^2 f^2)^{-2}, the
-    gradient of the height function at x = y / |y|^2, all as descending
-    series in |y|, and the correction constant c = H^2/(2 n^2).
+    """The unit series and, as descending series in |y| at x = y / |y|^2,
+    the conformal factor (1 + |y|^2 f^2)^{-2}, p = yhat . grad f and
+    G = |grad f|^2.  With f = sum_k A_k and Euler's identity
+    y . grad A_k = k A_k, p = sum_k k A_k(y) |y|^{1-2k} and
+    G = sum_{k,l} (grad A_k . grad A_l)(y) |y|^{4-2(k+l)}, each summed as
+    polynomials and canonicalized once; the pair (k, l) enters at total
+    order 2 - k - l.
 
     The height series carries two extra orders because it is only used
     squared and multiplied by the square of the radius."""
     n = poly.n
-    Hp, parts = umbilical_decompose(poly)
-    _require_no_cubic(parts)
-    parts_all = poly.homogeneous_parts()
-    f_terms = [(-2 * k, P) for k, P in parts_all.items()]
-    f_ser = SphericalSeries.canonicalize(n, f_terms, LO - 2, 0)
-    grads = []
-    for i in range(n):
-        g_terms = [(-2 * (k - 1), P.diff(i)) for k, P in parts_all.items()]
-        grads.append(SphericalSeries.canonicalize(n, g_terms, LO, 0))
+    parts = poly.homogeneous_parts()
+    f_ser = SphericalSeries.canonicalize(n, [(-2 * k, P) for k, P in parts.items()], LO - 2, 0)
+    p = SphericalSeries.canonicalize(n, [(1 - 2 * k, P.scale(k)) for k, P in parts.items()], LO, 0)
+    grads = {k: P.grad() for k, P in parts.items()}
+    G_terms = []
+    for k, gk in grads.items():
+        for l, gl in grads.items():
+            if k <= l and k + l <= 2 - LO:
+                dot = sum((a * b for a, b in zip(gk, gl)), MultiPoly.zero(n))
+                G_terms.append((4 - 2 * (k + l), dot.scale(2 - (k == l))))
+    G = SphericalSeries.canonicalize(n, G_terms, LO, 0)
     one = SphericalSeries.one(n, LO, 0)
     eps = (f_ser * f_ser).shift(2).with_window(LO, 0)
     conf = (one + eps).power_unit(-2, at_infinity=True)
-    c_poly = (Hp * Hp).scale(Fraction(1, 2 * n * n))
-    return n, one, conf, grads, c_poly
+    return one, conf, p, G
 
 
 class _RadialSubstitution:
@@ -350,21 +355,22 @@ def ghat_radial_trace_series(
     follow from the gradient without forming v.  The corrected-chart
     Jacobian phi (I - gamma zhat zhat^T) fixes the radial direction, so
     these two scalar series also give g_tt and the trace there; this keeps
-    symbolic runs with generic quartic/quintic coefficients cheap.
+    symbolic runs with generic quartic/quintic coefficients cheap.  The
+    corrected chart refuses a nonzero cubic (ChartRequirementError).
     """
     if chart_kind not in (INVERTED_Y, CORRECTED_Z):
         raise ValueError("series are available in the inverted charts only")
     LO = order_min
-    n, one, conf, grads, c_poly = _series_pieces(f.poly, LO)
-    p = SphericalSeries.zero(n, LO, 0)
-    G = SphericalSeries.zero(n, LO, 0)
-    for i, g in enumerate(grads):
-        p = p + SphericalSeries.from_term(-1, MultiPoly.var(n, i), LO, 0) * g
-        G = G + g * g
+    n = f.n
+    H, parts = umbilical_decompose(f.poly)
+    if chart_kind == CORRECTED_Z:
+        _require_no_cubic(parts)
+    one, conf, p, G = _series_pieces(f.poly, LO)
     S_rr = conf * (one + p * p)
     S_tr = conf * (one.scale(n) + G)
     if chart_kind == INVERTED_Y:
         return S_rr.with_window(order_min, 0), S_tr.with_window(order_min, 0)
+    c_poly = (H * H).scale(Fraction(1, 2 * n * n))
     sub = _RadialSubstitution(n, c_poly, LO)
     srr = sub(S_rr)
     stt = sub(S_tr)

@@ -112,19 +112,14 @@ def _load_surface(args) -> GraphSurface:
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read surface file {args.poly}: {exc}")
         try:
-            n = int(data["n"])
-        except (TypeError, KeyError, ValueError):
-            raise UsageError("bad surface description: a JSON object with an integer n is required")
-        if n < 2:
-            raise UsageError(f"the surface file's n must be at least 2, not {n}")
-        if args.n is not None and n != args.n:
-            raise UsageError("--n disagrees with the surface file")
-        try:
-            return GraphSurface.from_json(data, order=args.order)
+            S = GraphSurface.from_json(data, order=args.order)
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"bad surface description: {exc}")
         except ZeroDivisionError as exc:
             raise UsageError(f"bad surface description: zero denominator in {exc}")
+        if args.n is not None and S.n != args.n:
+            raise UsageError("--n disagrees with the surface file")
+        return S
     if getattr(args, "builtin", None):
         if args.n is None:
             raise UsageError("--n is required with --builtin")
@@ -233,26 +228,16 @@ def cmd_mass(args) -> int:
     deg = default_degree(n) if args.quad_deg is None else args.quad_deg
     rule = _usage(QuadratureRule.sphere, n, deg)
 
-    cancellation = None
-    if chart is not None:
-        try:
-            cancellation = mass.symbolic_mass_cancellation(
-                source.f_jet, chart_kind
-            ).to_json()
-        except ChartRequirementError:
-            pass  # the certificate needs a vanishing cubic; the sweep does not
+    cancellation = (None if chart is None
+                    else mass.symbolic_mass_cancellation(source.f_jet, chart_kind).to_json())
     sweep = mass.mass_sweep(source, chart, radii, args.formula, rule)
     fit = mass.extrapolate_mass(sweep)
 
     out = {
         "surface": surface_json,
-        "chart": chart_kind,
-        "formula": args.formula,
         "sweeps": [e.to_json() for e in sweep],
-        "m_inf": fit.m_inf,
-        "decay_exponent": fit.decay_exponent,
-        "fit_quality": fit.fit_quality,
         "symbolic_cancellation": cancellation,
+        **fit.to_json(),  # m_inf, decay_exponent, fit_quality, formula, chart
     }
     if args.format == "csv":
         rows = [["radius", "mass"]] + [[e.radius, e.value] for e in sweep]

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import obstruction
 from .numdiff import power_law_fit
-from .polyjet import SphericalSeries, series_to_json
+from .polyjet import SphericalSeries
 from .quadrature import sphere_area, sphere_directions
 from .surface import GraphSurface, PointGeometry, point_geometry
 
@@ -57,12 +57,6 @@ class LeadingOrder:
     k: Optional[int]
     c: Optional[SphericalSeries]  # total-order-0 representation of c(theta)
     is_zero: bool
-
-    def to_json(self) -> dict:
-        out = {"is_zero": self.is_zero, "k": self.k}
-        if self.c is not None:
-            out["c"] = series_to_json(self.c)
-        return out
 
 
 def leading_order(series: SphericalSeries) -> LeadingOrder:

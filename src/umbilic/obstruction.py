@@ -85,17 +85,18 @@ def _series_quotient(P: MultiPoly, rho: MultiPoly, W: int) -> SphericalSeries:
 
 
 def eta_over_rho_series(f: Jet, W: int = 3) -> SphericalSeries:
-    """Expansion of (f - x.grad f)/rho through total order W.
+    """Expansion of (f - x.grad f)/rho through total order W, the numerator
+    sum_k (1 - k) A_k by Euler's identity x.grad A_k = k A_k.
 
     For an umbilical jet this starts -H/2n - 2 A_3(theta) r + ... ."""
     poly = f.poly
     n = f.n
-    grad = poly.grad()
-    u = poly
-    for i in range(n):
-        u = u - MultiPoly.var(n, i) * grad[i]
+    u = sum(
+        (P.scale(1 - k) for k, P in poly.homogeneous_parts().items() if k <= W + 2),
+        MultiPoly.zero(n),
+    )
     rho = (MultiPoly.x_norm_sq(n) + poly * poly).truncate(W + 2)
-    return _series_quotient(u.truncate(W + 2), rho, W)
+    return _series_quotient(u, rho, W)
 
 
 def _hessian_norm(geo: JetGeometry) -> Jet:
@@ -113,19 +114,15 @@ def _hessian_norm(geo: JetGeometry) -> Jet:
 
 
 def script_R_series(f: Jet, W: int = 3) -> SphericalSeries:
-    """The exact expansion of Q through total order W for an umbilical jet."""
+    """The exact expansion of Q through total order W for an umbilical jet,
+    as q (4n(n-1) q + 4(n-1) G) + (G^2 - |B|^2) with G^2 - |B|^2 one jet."""
     n = f.n
     umbilical_decompose(f.poly)  # validates umbilicity
     q = eta_over_rho_series(f, W)
     geo = jet_geometry(f.poly, W)
     G = SphericalSeries.from_poly(geo.trace.poly, None, W)
-    B2 = SphericalSeries.from_poly(_hessian_norm(geo).poly, None, W)
-    return (
-        (q * q).scale(4 * n * (n - 1))
-        + (G * q).scale(4 * (n - 1))
-        + G * G
-        - B2
-    )
+    rest = SphericalSeries.from_poly((geo.trace * geo.trace - _hessian_norm(geo)).poly, None, W)
+    return q * (q.scale(4 * n * (n - 1)) + G.scale(4 * (n - 1))) + rest
 
 
 # -- tangential calculus on the sphere ---------------------------------------------

@@ -180,7 +180,16 @@ class GraphSurface:
 
     @staticmethod
     def from_json(data: dict, order: int = 7) -> "GraphSurface":
-        n = int(data["n"])
+        """Raises ValueError, KeyError or TypeError on a malformed description."""
+        if not isinstance(data, dict):
+            raise ValueError("a JSON object is required")
+        try:
+            n = Fraction(data.get("n"))
+        except (TypeError, ValueError, ArithmeticError):
+            n = None
+        if n is None or n.denominator != 1 or n < 2:
+            raise ValueError(f"n must be an integer of at least 2, not {data.get('n')!r}")
+        n = int(n)
         kind = data["kind"]
         if kind == "polynomial":
             poly = poly_from_json(data["poly"], n)
@@ -193,7 +202,10 @@ class GraphSurface:
         else:
             raise ValueError(f"unknown surface kind {kind!r}")
         if "fd_step" in data:
-            s.fd_step = float(data["fd_step"])
+            step = float(data["fd_step"])
+            if not 0.0 < step < math.inf:
+                raise ValueError(f"fd_step must be a finite positive number, not {data['fd_step']!r}")
+            s.fd_step = step
         return s
 
     def to_json(self) -> dict:

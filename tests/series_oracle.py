@@ -1,18 +1,34 @@
 """Tangential sphere calculus in the SphericalSeries ring: an oracle for
-`obstruction.c_theta` and `obstruction.integrated_identity`.
+`obstruction.c_theta` and `obstruction.integrated_identity`; and the
+per-coordinate constructions of the series at infinity and of the
+curvature quantity: an oracle for `asymptotic.ghat_radial_trace_series`,
+`obstruction.eta_over_rho_series` and `obstruction.script_R_series`.
 
-Every quantity here is a canonical total-order-0 series, so each sum and
-product is canonicalized (homogeneous split, |x|^2 extraction) on the way.
-The package computes the same functions as plain polynomials on r = 1 and
-canonicalizes once; the two must agree exactly.
+Every quantity here is a canonical series, so each sum and product is
+canonicalized (homogeneous split, |x|^2 extraction) on the way.  The
+package computes the same functions as plain polynomials and canonicalizes
+each once; canonical forms are unique, so the two must agree exactly.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from umbilic.obstruction import _double_factorial, _hessian_sq
-from umbilic.polyjet import MultiPoly, SphericalSeries
+from umbilic.asymptotic import (
+    CORRECTED_Z,
+    INVERTED_Y,
+    ChartRequirementError,
+    _RadialSubstitution,
+)
+from umbilic.obstruction import (
+    _double_factorial,
+    _hessian_norm,
+    _hessian_sq,
+    _series_quotient,
+    umbilical_decompose,
+)
+from umbilic.polyjet import Jet, MultiPoly, SphericalSeries
+from umbilic.surface import jet_geometry
 
 
 def on_sphere(P: MultiPoly) -> SphericalSeries:
@@ -125,3 +141,81 @@ def integrated_identity(A3: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
         a_sq.scale(n - 1) + ops.grad_theta_sq.scale(3)
     )
     return lhs, rhs_int.scale(n - 6)
+
+
+# -- the series at infinity and the curvature quantity, term by term ---------------
+#
+# The package sums p = yhat . grad f, G = |grad f|^2 and f - x . grad f
+# through Euler's identity in the polynomial ring and canonicalizes each
+# once, and forms G^2 - |B|^2 as one jet.  The constructions below contract
+# per-coordinate series in the SphericalSeries ring instead; both must give
+# the same canonical series.
+
+
+def series_pieces(poly: MultiPoly, LO: int):
+    """n, the unit series, the conformal factor (1 + |y|^2 f^2)^{-2}, the
+    n components of grad f at x = y / |y|^2, each its own descending
+    series in |y|, and the correction constant c = H^2/(2 n^2)."""
+    n = poly.n
+    Hp, _ = umbilical_decompose(poly)
+    parts_all = poly.homogeneous_parts()
+    f_ser = SphericalSeries.canonicalize(n, [(-2 * k, P) for k, P in parts_all.items()], LO - 2, 0)
+    grads = []
+    for i in range(n):
+        g_terms = [(-2 * (k - 1), P.diff(i)) for k, P in parts_all.items()]
+        grads.append(SphericalSeries.canonicalize(n, g_terms, LO, 0))
+    one = SphericalSeries.one(n, LO, 0)
+    eps = (f_ser * f_ser).shift(2).with_window(LO, 0)
+    conf = (one + eps).power_unit(-2, at_infinity=True)
+    c_poly = (Hp * Hp).scale(Fraction(1, 2 * n * n))
+    return n, one, conf, grads, c_poly
+
+
+def ghat_radial_trace_series(f: Jet, chart_kind: str, order_min: int):
+    """g_tt and the trace with p and G contracted from the n gradient
+    series, one series product per coordinate; the corrected chart refuses
+    a nonzero cubic as the package does."""
+    LO = order_min
+    if chart_kind == CORRECTED_Z:
+        cubic = umbilical_decompose(f.poly)[1].get(3)
+        if cubic is not None and not cubic.is_zero:
+            raise ChartRequirementError("the corrected chart needs A_3 = 0")
+    n, one, conf, grads, c_poly = series_pieces(f.poly, LO)
+    p = SphericalSeries.zero(n, LO, 0)
+    G = SphericalSeries.zero(n, LO, 0)
+    for i, g in enumerate(grads):
+        p = p + SphericalSeries.from_term(-1, MultiPoly.var(n, i), LO, 0) * g
+        G = G + g * g
+    S_rr = conf * (one + p * p)
+    S_tr = conf * (one.scale(n) + G)
+    if chart_kind == INVERTED_Y:
+        return S_rr.with_window(LO, 0), S_tr.with_window(LO, 0)
+    sub = _RadialSubstitution(n, c_poly, LO)
+    srr = sub(S_rr)
+    a_ser = SphericalSeries.canonicalize(n, [(-2, c_poly)], LO, 0)
+    inv_base = sub.power(-1)
+    g_tt = inv_base * srr
+    trace = sub.base * sub(S_tr) - a_ser * (one.scale(2) + a_ser) * inv_base * srr
+    return g_tt.with_window(LO, 0), trace.with_window(LO, 0)
+
+
+def eta_over_rho_series(f: Jet, W: int) -> SphericalSeries:
+    """(f - x . grad f)/rho with x . grad f as n polynomial products."""
+    poly, n = f.poly, f.n
+    grad = poly.grad()
+    u = poly
+    for i in range(n):
+        u = u - MultiPoly.var(n, i) * grad[i]
+    rho = (MultiPoly.x_norm_sq(n) + poly * poly).truncate(W + 2)
+    return _series_quotient(u.truncate(W + 2), rho, W)
+
+
+def script_R_series(f: Jet, W: int) -> SphericalSeries:
+    """Q = 4n(n-1) q^2 + 4(n-1) G q + G^2 - |B|^2 as three series
+    products of q, G and |B|^2."""
+    n = f.n
+    q = eta_over_rho_series(f, W)
+    geo = jet_geometry(f.poly, W)
+    G = SphericalSeries.from_poly(geo.trace.poly, None, W)
+    B2 = SphericalSeries.from_poly(_hessian_norm(geo).poly, None, W)
+    return (q * q).scale(4 * n * (n - 1)) + (G * q).scale(4 * (n - 1)) + G * G - B2

@@ -16,6 +16,7 @@ from umbilic.polyjet import Jet, MultiPoly, SphericalSeries
 from umbilic.surface import GraphSurface
 
 import flux_oracle as fo
+import series_oracle as so
 from poly_oracle import evaluate_series
 
 
@@ -40,7 +41,7 @@ def pure_quadratic_jet(n: int):
 def corrected_conformal_profile(f: Jet, order_min: int) -> SphericalSeries:
     """The factor (1 + |y|^2 f^2)^{-2} as a descending series in the
     corrected-chart radius, from the pieces the metric series use."""
-    n, _, conf, _, c_poly = asym._series_pieces(f.poly, order_min)
+    n, _, conf, _, c_poly = so.series_pieces(f.poly, order_min)
     sub = asym._RadialSubstitution(n, c_poly, order_min)
     return sub(conf).with_window(order_min, 0)
 
@@ -51,7 +52,7 @@ def full_matrix_series(f: Jet, chart_kind: str, order_min: int):
     yhat^T) grad f, forms g^y = conf (I + v v^T) entry by entry and, in the
     corrected chart, conjugates by dy/dz = phi (I - gamma zhat zhat^T)."""
     LO = order_min
-    n, one, conf, grads, c_poly = asym._series_pieces(f.poly, LO)
+    n, one, conf, grads, c_poly = so.series_pieces(f.poly, LO)
     zero = SphericalSeries.zero(n, LO, 0)
     rad = [SphericalSeries.from_term(-1, MultiPoly.var(n, i), LO, 0) for i in range(n)]
     dot = zero
@@ -235,6 +236,41 @@ def test_series_rejects_cubic():
     p = MultiPoly.x_norm_sq(n).scale(Fraction(1, 2)) + MultiPoly.var(n, 0) ** 3
     with pytest.raises(asym.ChartRequirementError):
         asym.ghat_radial_trace_series(Jet.of(p, 7))
+
+
+def series_or_refusal(fn, f, kind, order_min):
+    try:
+        return fn(f, kind, order_min)
+    except asym.ChartRequirementError:
+        return "refused"
+
+
+@pytest.mark.parametrize("name", ["sphere", "quartic_x1", "cubic_x1"])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_trace_series_matches_gradient_oracle_builtins(name, n):
+    # p and G from Euler's identity against the n per-coordinate gradient
+    # series contracted in the series ring; cubic_x1 is refused in chart z
+    f = GraphSurface.builtin(name, n).f_jet
+    for kind in (asym.INVERTED_Y, asym.CORRECTED_Z):
+        for order_min in (-5, -7):
+            got = series_or_refusal(asym.ghat_radial_trace_series, f, kind, order_min)
+            assert got == series_or_refusal(so.ghat_radial_trace_series, f, kind, order_min)
+            assert (got == "refused") is (name == "cubic_x1" and kind == asym.CORRECTED_Z)
+
+
+@pytest.mark.parametrize("n, kind, order_min", [
+    (6, asym.INVERTED_Y, -5), (6, asym.INVERTED_Y, -6),
+    (7, asym.INVERTED_Y, -5), (7, asym.INVERTED_Y, -6),
+    (6, asym.CORRECTED_Z, -5), (7, asym.CORRECTED_Z, -5),
+])
+def test_trace_series_matches_gradient_oracle_generic(n, kind, order_min):
+    # symbolic H and one parameter per quartic and quintic monomial
+    H = MultiPoly.param(n, "H")
+    poly = (MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n))
+            + generic_homogeneous(n, 4, "a") + generic_homogeneous(n, 5, "b"))
+    f = Jet.of(poly, 7)
+    assert (asym.ghat_radial_trace_series(f, kind, order_min)
+            == so.ghat_radial_trace_series(f, kind, order_min))
 
 
 def test_inverse_conformal_profile_quadratic():

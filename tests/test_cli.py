@@ -208,18 +208,22 @@ def test_mass_schwarzschild_fixture_needs_n3(capsys):
     assert "R^3" in err
 
 
-def test_mass_nonzero_cubic_runs_without_certificate(capsys):
-    # the exact certificate needs a vanishing cubic, the inverted-chart
-    # sweep does not: report a null certificate instead of a traceback
-    code, out, _ = run(
-        ["mass", "--builtin", "cubic_x1", "--n", "4", "--chart", "y",
-         "--radii", "10,31.6,100,1000", "--quad-deg", "6"],
-        capsys,
-    )
-    assert code in (0, 1)
-    d = load(out)
-    assert d["symbolic_cancellation"] is None
-    assert [e["radius"] for e in d["sweeps"]] == [10.0, 31.6, 100.0, 1000.0]
+def test_mass_nonzero_cubic_reports_certificate(capsys):
+    # the inverted chart certifies every umbilical jet: with a nonzero cubic
+    # the one nonzero boundary integral, 9/4 at order -5, lies below
+    # -(n - 1) at n = 4 and on it at n = 6
+    for n, vanishes in ((4, True), (6, False)):
+        code, out, _ = run(
+            ["mass", "--builtin", "cubic_x1", "--n", str(n), "--chart", "y",
+             "--radii", "10,31.6,100,1000", "--quad-deg", "6"],
+            capsys,
+        )
+        assert code in (0, 1)
+        d = load(out)
+        cert = d["symbolic_cancellation"]
+        assert cert["mass_vanishes"] is vanishes
+        assert cert["boundary_integrals"]["-5"] == [{"exp": [0] * n, "num": "9", "den": "4"}]
+        assert [e["radius"] for e in d["sweeps"]] == [10.0, 31.6, 100.0, 1000.0]
 
 
 # -- decay ----------------------------------------------------------------------
@@ -386,6 +390,10 @@ def malformed_surface_file(case):
         return dict(good, poly=[3] + good["poly"][1:])
     if case == "sphere-radius-negative":
         return {"n": 3, "kind": "sphere", "radius": "-1"}
+    if case == "n-fractional":
+        return {"n": 3.7, "kind": "sphere"}
+    if case == "fd-step-negative":
+        return {"n": 3, "kind": "sphere", "fd_step": "-1"}
     return {"n": {"n-1": 1, "n-0": 0}[case], "kind": "sphere"}
 
 
@@ -398,11 +406,14 @@ def malformed_surface_file(case):
     ("verify", "n-0"),
     ("ctheta", "n-0"),
     ("verify", "sphere-radius-negative"),
+    ("verify", "n-fractional"),
+    ("verify", "fd-step-negative"),
 ])
 def test_malformed_surface_files_are_usage_errors(command, case, tmp_path, capsys):
-    # each of these used to die in a traceback (exit 1) or, for n < 2 and
-    # a negative sphere radius, exit 0 with a report; --n < 2 and
-    # --radius -1 were already refused
+    # each of these used to die in a traceback (exit 1) or, for n < 2, a
+    # negative sphere radius, n = 3.7 (run as n = 3) and a negative
+    # fd_step, exit 0 with a report; --n < 2 and --radius -1 were already
+    # refused
     path = tmp_path / "surface.json"
     path.write_text(json.dumps(malformed_surface_file(case)))
     code, out, err = run([command, "--poly", str(path)], capsys)

@@ -585,6 +585,40 @@ def test_cancellation_sphere_inverted_chart():
     assert d["window_min"] == -6
 
 
+@pytest.mark.parametrize("n, cubic_x1, radial_cubic", [
+    (3, Fraction(163, 70), Fraction(19, 6)),
+    (4, Fraction(9, 4), Fraction(15, 4)),
+    (5, Fraction(233, 105), Fraction(21, 5)),
+    (6, Fraction(9, 4), Fraction(55, 12)),
+    (7, Fraction(359, 154), Fraction(69, 14)),
+])
+def test_inverted_chart_certifies_a_nonzero_cubic(n, cubic_x1, radial_cubic):
+    # the inverted chart takes any umbilical jet; a nonzero cubic leaves one
+    # nonzero boundary integral, at order -5: below -(n - 1), so the mass
+    # vanishes, for n <= 5, and a finite (n = 6) or growing (n = 7) flux
+    # past it, as the theorem's hypotheses at n = 6, 7 allow
+    r2 = MultiPoly.x_norm_sq(n)
+    radial = Jet.of(r2.scale(Fraction(1, 2)) + r2 * MultiPoly.var(n, 0), 7)
+    for f, value in ((GraphSurface.cubic_x1(n).f_jet, cubic_x1), (radial, radial_cubic)):
+        report = mm.symbolic_mass_cancellation(f, asym.INVERTED_Y)
+        nonzero = {w: P for w, P in report.boundary_integrals.items() if not P.is_zero}
+        assert nonzero == {-5: MultiPoly.const(n, value)}
+        assert report.mass_vanishes is (n <= 5)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_lee_parker_inverted_chart_matches_cubic_certificate(n):
+    # at r = 1000 the order -5 boundary integral B gives the flux
+    # B r^(n-6) / (2(n-1)): 9/40 at n = 6 and (359/154) r / 12 at n = 7
+    S = GraphSurface.cubic_x1(n)
+    B = mm.symbolic_mass_cancellation(S.f_jet, asym.INVERTED_Y).boundary_integrals[-5]
+    r = 1000.0
+    expect = float(B.constant_term()) * r ** (n - 6) / (2 * (n - 1))
+    rule = QuadratureRule.sphere(n, default_degree(n))
+    value = mm.adm_mass_lee_parker(S, asym.Chart.inverted(n), r, rule).value
+    assert abs(value - expect) <= 1e-6 * expect, (value, expect)
+
+
 def test_integrand_series_window():
     S = GraphSurface.quartic_x1(5)
     ser = mm.mass_integrand_series(S.f_jet, order_min=-5)

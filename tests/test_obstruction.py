@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from umbilic.polyjet import Jet, MultiPoly, SphericalSeries, poly_divexact
+from umbilic import asymptotic as asym
 from umbilic import obstruction as ob
 import series_oracle as so
 from poly_oracle import evaluate, evaluate_series
@@ -387,6 +388,23 @@ def test_generic_cubic_matches_series_oracle(n):
     A3 = generic_cubic(n)
     assert ob.c_theta(A3) == so.c_theta(A3)
     assert ob.integrated_identity(A3) == so.integrated_identity(A3)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_series_match_product_oracle_random_cubics(n):
+    # Euler's identity and one canonicalization per quantity against the
+    # per-coordinate products: (f - x.grad f)/rho and Q at windows 0..5,
+    # and the chart-y series at infinity, which takes any cubic
+    rng = np.random.default_rng(1900 + n)
+    A3 = random_cubic_form(n, rng, 6)
+    A4 = random_cubic_form(n, rng, 4) * MultiPoly.var(n, int(rng.integers(0, n)))
+    f = umbilical_jet(n, A3, A4.homogeneous_part(4))
+    for W in range(6):
+        assert ob.eta_over_rho_series(f, W) == so.eta_over_rho_series(f, W)
+        assert ob.script_R_series(f, W) == so.script_R_series(f, W)
+    for order_min in (-5, -6, -7):
+        assert (asym.ghat_radial_trace_series(f, asym.INVERTED_Y, order_min)
+                == so.ghat_radial_trace_series(f, asym.INVERTED_Y, order_min))
 
 
 def test_sphere_integral_mixed_degrees_matches_oracle():
