@@ -17,7 +17,7 @@ import sys
 import time
 
 from umbilic import asymptotic, mass
-from umbilic.quadrature import QuadratureRule, default_degree
+from umbilic.quadrature import QuadratureRule
 from umbilic.surface import GraphSurface
 
 CASES = [
@@ -46,7 +46,7 @@ def main() -> int:
     for name, n, chart_flag, formula in CASES:
         S = GraphSurface.builtin(name, n)
         chart = asymptotic.chart_for(S, chart_flag)
-        rule = QuadratureRule.sphere(n, default_degree(n))
+        rule = QuadratureRule.sphere(n)
         t0 = time.monotonic()
         sweep = mass.mass_sweep(S, chart, radii, formula, rule)
         fit = mass.extrapolate_mass(sweep)

@@ -369,7 +369,7 @@ def ghat_radial_trace_series(
     S_rr = conf * (one + p * p)
     S_tr = conf * (one.scale(n) + G)
     if chart_kind == INVERTED_Y:
-        return S_rr.with_window(order_min, 0), S_tr.with_window(order_min, 0)
+        return S_rr, S_tr
     c_poly = (H * H).scale(Fraction(1, 2 * n * n))
     sub = _RadialSubstitution(n, c_poly, LO)
     srr = sub(S_rr)
@@ -380,7 +380,7 @@ def ghat_radial_trace_series(
     # square is 1/(1+a); the trace picks up tr(g^y J^2).
     g_tt = inv_base * srr
     trace = sub.base * stt - a_ser * (one.scale(2) + a_ser) * inv_base * srr
-    return g_tt.with_window(order_min, 0), trace.with_window(order_min, 0)
+    return g_tt, trace
 
 
 # -- numeric decay-order estimation -------------------------------------------

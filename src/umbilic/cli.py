@@ -21,7 +21,7 @@ from . import asymptotic, conformal, mass, obstruction
 from .asymptotic import ChartRequirementError
 from .obstruction import NotUmbilical
 from .polyjet import MultiPoly, poly_to_json, series_to_json
-from .quadrature import QuadratureRule, default_degree
+from .quadrature import QuadratureRule
 from .surface import GraphSurface, verify_rho_identities
 
 USAGE_ERROR = 2
@@ -208,25 +208,29 @@ def cmd_mass(args) -> int:
     radii = _radii(args)
     _usage(mass.check_fit_radii, radii)
     if args.fixture:
+        if args.builtin or args.poly or args.chart:
+            raise UsageError("--fixture takes no --builtin, --poly or --chart")
         if args.fixture != "schwarzschild":
             raise UsageError(f"unknown fixture {args.fixture!r}")
         n = args.n if args.n is not None else 3
-        source: mass.MetricSource = _usage(mass.SchwarzschildField, mass=args.m, n=n)
+        m = 1.0 if args.m is None else args.m
+        source: mass.MetricSource = _usage(mass.SchwarzschildField, mass=m, n=n)
         # both formulas evaluate on the sphere of radius r only
         if min(radii) <= source.horizon_radius:
             raise UsageError("radii must lie outside the horizon sphere |y| = |m|/2")
         chart = None
         chart_kind = asymptotic.INVERTED_Y
-        surface_json: object = f"schwarzschild(m={args.m})"
+        surface_json: object = f"schwarzschild(m={m})"
     else:
+        if args.m is not None:
+            raise UsageError("--m needs --fixture")
         source = _load_surface(args)
         n = source.n
-        chart = _chart(source, args.chart)
+        chart = _chart(source, args.chart or "y")
         chart_kind = chart.kind
         surface_json = source.to_json()
     _usage(mass.check_sweep_radii, radii, n)
-    deg = default_degree(n) if args.quad_deg is None else args.quad_deg
-    rule = _usage(QuadratureRule.sphere, n, deg)
+    rule = _usage(QuadratureRule.sphere, n, args.quad_deg)
 
     cancellation = (None if chart is None
                     else mass.symbolic_mass_cancellation(source.f_jet, chart_kind).to_json())
@@ -308,8 +312,9 @@ def cmd_ctheta(args) -> int:
 
 
 def _add_surface_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--builtin", choices=["flat", "sphere", "quartic_x1", "cubic_x1"])
-    p.add_argument("--poly", help="surface description JSON file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--builtin", choices=["flat", "sphere", "quartic_x1", "cubic_x1"])
+    source.add_argument("--poly", help="surface description JSON file")
     p.add_argument("--radius", default="1", help="sphere radius (rational)")
 
 
@@ -343,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(pm)
     _add_format_flag(pm)
     pm.add_argument("--fixture", help="use a reference metric, e.g. schwarzschild")
-    pm.add_argument("--m", type=float, default=1.0, help="fixture mass")
-    pm.add_argument("--chart", choices=["y", "z"], default="y")
+    pm.add_argument("--m", type=float, default=None, help="fixture mass (default 1.0)")
+    pm.add_argument("--chart", choices=["y", "z"], default=None,
+                    help="inversion chart of a surface (default y)")
     pm.add_argument("--radii", help="comma-separated sweep radii")
     pm.add_argument("--quad-deg", type=int, default=None)
     pm.add_argument(

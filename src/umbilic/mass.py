@@ -44,7 +44,7 @@ from .asymptotic import CORRECTED_Z, INVERTED_Y, Chart, _rowdot
 from .numdiff import Dual
 from .obstruction import sphere_integral_series
 from .polyjet import Jet, MultiPoly, SphericalSeries, poly_to_json
-from .quadrature import QuadratureRule, default_degree, sphere_area
+from .quadrature import QuadratureRule, sphere_area
 from .surface import GraphSurface
 
 STANDARD = "standard_adm"
@@ -299,7 +299,7 @@ def mass_sweep(
     rule: Optional[QuadratureRule] = None,
 ) -> List[MassEstimate]:
     if rule is None:
-        rule = QuadratureRule.sphere(source.n, default_degree(source.n))
+        rule = QuadratureRule.sphere(source.n)
     fn = {STANDARD: adm_mass_standard, LEE_PARKER: adm_mass_lee_parker}[formula]
     return [fn(source, chart, float(r), rule) for r in sorted(radii)]
 

@@ -65,7 +65,7 @@ def umbilical_decompose(poly: MultiPoly) -> Tuple[MultiPoly, Dict[int, MultiPoly
         raise NotUmbilical("f must vanish to second order at the origin")
     H = MultiPoly.zero(n)
     if 2 in parts:
-        c = poly_divexact(parts[2], MultiPoly.x_norm_sq(n))
+        c = poly_divexact(parts[2])
         if c is None or c.degree() > 0:
             raise NotUmbilical("quadratic part is not a multiple of |x|^2")
         H = c.scale(2 * n)
@@ -274,7 +274,7 @@ def dim6_check(A3: MultiPoly) -> Dim6Record:
         r2 * r2 * (lap * lap - _hessian_sq(A3))
         - (r2 * (A3 * lap)).scale(40) + (A3 * A3).scale(480)
     )
-    divisible = poly_divexact(A3, r2) is not None if not A3.is_zero else True
+    divisible = poly_divexact(A3) is not None
     if A3.is_zero:
         harmonic = True
     else:

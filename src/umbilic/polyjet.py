@@ -22,7 +22,6 @@ Three layers:
 
 from __future__ import annotations
 
-import heapq
 import math
 import zlib
 from dataclasses import dataclass
@@ -369,83 +368,37 @@ def _grlex_key(key: Key):
     return (sum(e), e, p)
 
 
-def poly_divexact(P: MultiPoly, Q: MultiPoly) -> Optional[MultiPoly]:
-    """Exact quotient P / Q, or None when Q does not divide P.
+def poly_divexact(P: MultiPoly) -> Optional[MultiPoly]:
+    """Exact quotient P / |x|^2, or None when |x|^2 does not divide P.
 
-    Q must be parameter-free; P may carry parameters, in which case each
-    parameter-monomial slice of P is divided separately.  Long division uses
-    the graded lexicographic order on spatial exponents: whenever P is a true
-    multiple of Q, the leading term of every intermediate remainder is
-    divisible by the leading term of Q, so a single failed leading-term step
-    certifies non-divisibility.
-
-    The division runs on numerators: scale * num(P) = quo * num(Q) + rem
-    with an integer scale that grows only when Q's leading numerator does
-    not divide a remainder's leading one, which never happens for a monic Q
-    such as |x|^2.
+    |x|^2 is monic of degree 2 in x_1, so dividing by it eliminates
+    x_1^2 = |x|^2 - (x_2^2 + ... + x_n^2) from the top power of x_1 down:
+    a term c x_1^a m with a >= 2 moves c x_1^(a-2) m into the quotient and
+    leaves -c x_1^(a-2) x_j^2 m, j >= 2, in the power a - 2.  The remainder
+    has x_1-degree below 2 and is zero exactly when |x|^2 divides P.
+    Parameters ride in the keys and numerators stay over P's denominator.
     """
-    if Q.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if Q.param_names():
-        raise ValueError("divisor with parameters is not supported")
-    if P.is_zero:
-        return MultiPoly.zero(P.n)
-    P._check(Q)
-
-    # Split P by parameter monomial; divide each purely spatial slice.
-    slices: Dict[Params, Dict[Exponent, int]] = {}
-    for (e, p), c in P.num.items():
-        slices.setdefault(p, {})[e] = c
-
-    q_lead = max(Q.num, key=_grlex_key)
-    q_lead_e = q_lead[0]
-    q_lead_c = Q.num[q_lead]
-    q_rest = [(qe, qc) for (qe, _), qc in Q.num.items() if qe != q_lead_e]
-
-    def heap_key(e: Exponent):
-        # negated graded lexicographic order for the min-heap
-        return (-sum(e), tuple(-x for x in e), e)
-
-    scale = 1
-    result: Dict[Key, int] = {}
-    for pmono, rem in slices.items():
-        if scale != 1:
-            for k in rem:
-                rem[k] *= scale
-        heap = [heap_key(e) for e in rem]
-        heapq.heapify(heap)
-        while heap:
-            lead_e = heapq.heappop(heap)[2]
-            c = rem.pop(lead_e, None)
-            if c is None:
-                continue  # cancelled by an earlier reduction step
-            diff = tuple(a - b for a, b in zip(lead_e, q_lead_e))
-            if min(diff) < 0:
-                return None
-            coeff, r = divmod(c, q_lead_c)
-            if r:
-                m = abs(q_lead_c) // _gcd(c, q_lead_c)
-                scale *= m
-                for part in (rem, result):
-                    for k in part:
-                        part[k] *= m
-                coeff = c * m // q_lead_c
-            result[(diff, pmono)] = coeff
-            get = rem.get
-            for qe, qc in q_rest:
-                k = tuple(map(_int_add, diff, qe))
-                s = get(k)
-                if s is None:
-                    rem[k] = -coeff * qc
-                    heapq.heappush(heap, heap_key(k))
+    n = P.n
+    by_power: Dict[int, Dict[Key, int]] = {}
+    for key, c in P.num.items():
+        by_power.setdefault(key[0][0], {})[key] = c
+    quotient: Dict[Key, int] = {}
+    for a in range(max(by_power, default=0), 1, -1):
+        lower = by_power.setdefault(a - 2, {})
+        get = lower.get
+        for (e, p), c in by_power.pop(a, {}).items():
+            e = (a - 2,) + e[1:]
+            quotient[(e, p)] = c
+            for j in range(1, n):
+                k = (e[:j] + (e[j] + 2,) + e[j + 1:], p)
+                s = get(k, 0) - c
+                if s:
+                    lower[k] = s
                 else:
-                    s -= coeff * qc
-                    if s:
-                        rem[k] = s
-                    else:
-                        del rem[k]
-    qd = Q.den
-    return _lowest(P.n, {k: c * qd for k, c in result.items()}, scale * P.den)
+                    del lower[k]
+    if any(by_power.values()):
+        return None
+    return _lowest(n, quotient, P.den)
 
 
 # -- the isotropic cone test -----------------------------------------------------
@@ -541,10 +494,9 @@ def extract_radial_factors(P: MultiPoly) -> Tuple[int, MultiPoly]:
     Each division is attempted only when P vanishes at the cone point."""
     if P.is_zero:
         return 0, P
-    r2 = MultiPoly.x_norm_sq(P.n)
     k = 0
     while cone_value(P) == 0:
-        q = poly_divexact(P, r2)
+        q = poly_divexact(P)
         if q is None:
             break
         P = q
@@ -651,7 +603,7 @@ class Jet:
         out = MultiPoly.const(self.n, 1)
         power = MultiPoly.const(self.n, 1)
         for k in range(1, self.order + 1):
-            power = (power * s).truncate(self.order)
+            power = power.mul_truncated(s, self.order)
             if power.is_zero:
                 break
             out = out + power.scale(_binomial_coeff(e, k))
@@ -953,10 +905,21 @@ def series_to_json(s: SphericalSeries) -> list:
     return [{"radial_power": m, "poly": poly_to_json(P)} for m, P in s.terms]
 
 
+def _json_int(v, what: str) -> int:
+    """An integer given as a JSON integer or an integer string."""
+    if isinstance(v, str):
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"{what} must be an integer, not {v!r}")
+
+
 def poly_from_json(data: list, n: int) -> MultiPoly:
     terms: Dict[Key, Fraction] = {}
     for entry in data:
         exp = list(entry["exp"])
+        if not all(type(v) is int and v >= 0 for v in exp):
+            raise ValueError(f"exponents must be non-negative integers, not {exp}")
         if len(exp) == n + 1:
             h = exp.pop()
         elif len(exp) == n:
@@ -964,7 +927,7 @@ def poly_from_json(data: list, n: int) -> MultiPoly:
         else:
             raise ValueError(f"exponent list of length {len(exp)} for n={n}")
         params: Params = ((("H", h),) if h else _NO_PARAMS)
-        c = Fraction(int(entry["num"]), int(entry["den"]))
-        key = (tuple(int(v) for v in exp), params)
+        c = Fraction(_json_int(entry["num"], "num"), _json_int(entry["den"], "den"))
+        key = (tuple(exp), params)
         terms[key] = terms.get(key, Fraction(0)) + c
     return MultiPoly.make(n, terms)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -77,9 +78,12 @@ class QuadratureRule:
     degree: int
 
     @staticmethod
-    def sphere(n: int, degree: int = 32) -> "QuadratureRule":
+    def sphere(n: int, degree: Optional[int] = None) -> "QuadratureRule":
+        """The product rule of the given degree, by default `default_degree(n)`."""
         if n < 2:
             raise ValueError("sphere quadrature needs n >= 2")
+        if degree is None:
+            degree = default_degree(n)
         if degree < 0:
             raise ValueError("quadrature degree must be nonnegative")
         m = degree // 2 + 1  # Gauss points per polar angle

@@ -208,6 +208,37 @@ def test_mass_schwarzschild_fixture_needs_n3(capsys):
     assert "R^3" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "mass", "decay", "expand", "ctheta"])
+def test_builtin_and_poly_are_exclusive(command, tmp_path, capsys):
+    # verify used to run the file and ignore --builtin
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps(GraphSurface.quartic_x1(3).to_json()))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--builtin", "sphere", "--n", "3", "--poly", str(path)])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "--fixture schwarzschild --builtin sphere --n 3",
+    "--fixture schwarzschild --poly {path}",
+    "--fixture schwarzschild --chart z",
+    "--fixture schwarzschild --chart y",
+    "--builtin sphere --n 3 --m 2",
+    "--poly {path} --m 2",
+], ids=["fixture-builtin", "fixture-poly", "fixture-chart-z", "fixture-chart-y",
+        "builtin-m", "poly-m"])
+def test_mass_takes_one_metric_source(argv, tmp_path, capsys):
+    # the fixture used to win over a surface and report a --chart z run as
+    # "inverted_y"; a surface run used to ignore --m
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps(GraphSurface.quartic_x1(3).to_json()))
+    code, out, err = run(["mass"] + argv.format(path=path).split(), capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_mass_nonzero_cubic_reports_certificate(capsys):
     # the inverted chart certifies every umbilical jet: with a nonzero cubic
     # the one nonzero boundary integral, 9/4 at order -5, lies below
@@ -394,6 +425,13 @@ def malformed_surface_file(case):
         return {"n": 3.7, "kind": "sphere"}
     if case == "fd-step-negative":
         return {"n": 3, "kind": "sphere", "fd_step": "-1"}
+    last = good["poly"][-1]  # x1^4
+    if case == "exp-fractional":
+        return dict(good, poly=good["poly"][:-1] + [dict(last, exp=[1.5, 0, 4])])
+    if case == "exp-negative":
+        return dict(good, poly=good["poly"][:-1] + [dict(last, exp=[-1, 0, 4])])
+    if case == "num-float":
+        return dict(good, poly=good["poly"][:-1] + [dict(last, num=2.7)])
     return {"n": {"n-1": 1, "n-0": 0}[case], "kind": "sphere"}
 
 
@@ -408,12 +446,16 @@ def malformed_surface_file(case):
     ("verify", "sphere-radius-negative"),
     ("verify", "n-fractional"),
     ("verify", "fd-step-negative"),
+    ("verify", "exp-fractional"),
+    ("mass", "exp-negative"),
+    ("verify", "num-float"),
 ])
 def test_malformed_surface_files_are_usage_errors(command, case, tmp_path, capsys):
     # each of these used to die in a traceback (exit 1) or, for n < 2, a
-    # negative sphere radius, n = 3.7 (run as n = 3) and a negative
-    # fd_step, exit 0 with a report; --n < 2 and --radius -1 were already
-    # refused
+    # negative sphere radius, n = 3.7 (run as n = 3), a negative fd_step
+    # and exponents or numerators truncated to integers (1.5 -> 1, -1 read
+    # as 1, 2.7 -> 2), exit 0 with a report; --n < 2 and --radius -1 were
+    # already refused
     path = tmp_path / "surface.json"
     path.write_text(json.dumps(malformed_surface_file(case)))
     code, out, err = run([command, "--poly", str(path)], capsys)

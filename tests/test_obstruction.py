@@ -454,7 +454,7 @@ def test_dim6_nonradial_examples():
         rec = ob.dim6_check(A3)
         assert not rec.residual_zero
         assert not rec.divisible
-        assert poly_divexact(A3, MultiPoly.x_norm_sq(n)) is None
+        assert poly_divexact(A3) is None
 
 
 def test_dim6_zero_cubic():

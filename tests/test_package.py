@@ -48,7 +48,7 @@ def test_ci_runs_every_readme_command():
     readme_diff = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(readme_diff)
     readme = readme_diff.readme_commands(ROOT / "README.md")
-    assert len(readme) == 8
+    assert len(readme) == 9
     jobs = workflow_commands(ROOT / ".github" / "workflows" / "tests.yml")
     assert jobs == {"tests": readme, "runtime-numpy-only": readme}
 

@@ -73,30 +73,51 @@ def test_laplacian_of_radial():
 
 def test_divexact_self_division():
     n = 2
-    p = MultiPoly.x_norm_sq(n)
-    assert poly_divexact(p, p) == MultiPoly.const(n, 1)
+    assert poly_divexact(MultiPoly.x_norm_sq(n)) == MultiPoly.const(n, 1)
 
 
 def test_divexact_constructed_product():
     n = 6
     r2 = MultiPoly.x_norm_sq(n)
-    assert poly_divexact(r2 * x(n, 0), r2) == x(n, 0)
+    assert poly_divexact(r2 * x(n, 0)) == x(n, 0)
 
 
 def test_divexact_not_divisible():
-    # Oracle: long division of x1^3 by |x|^2 over graded lex leaves a nonzero
-    # remainder (the first quotient step needs x1^3 / x1^2 = x1, and the
-    # correction introduces x1*x2^2 terms whose leading monomial is not
-    # divisible by any leading monomial of |x|^2).
+    # Eliminating x1^2 = |x|^2 - (x2^2 + ... + x6^2) from x1^3 leaves the
+    # remainder -x1 (x2^2 + ... + x6^2), of x1-degree 1 and nonzero.
     n = 6
     p = x(n, 0) ** 3
-    assert poly_divexact(p, MultiPoly.x_norm_sq(n)) is None
+    assert poly_divexact(p) is None
 
 
-def test_divexact_zero_divisor():
+def test_divexact_of_zero():
     n = 2
-    with pytest.raises(ZeroDivisionError):
-        poly_divexact(x(n, 0), MultiPoly.zero(n))
+    assert poly_divexact(MultiPoly.zero(n)) == MultiPoly.zero(n)
+
+
+def test_divexact_fills_a_power_absent_from_the_dividend():
+    # x1^4 - x2^4 has no x1^2 term; the elimination of x1^4 creates one
+    n = 2
+    p = x(n, 0) ** 4 - x(n, 1) ** 4
+    assert poly_divexact(p) == x(n, 0) ** 2 - x(n, 1) ** 2
+
+
+def test_divexact_carries_parameters():
+    n = 3
+    H, a = MultiPoly.param(n, "H", 2), MultiPoly.param(n, "a_012")
+    q = H * x(n, 0) ** 3 + (a * x(n, 1) * x(n, 2)).scale(Fraction(3, 7)) - H * a
+    got = poly_divexact(q * MultiPoly.x_norm_sq(n))
+    assert_canonical(got)
+    assert got == q
+    assert poly_divexact(q * x(n, 0) ** 2) is None
+
+
+def test_divexact_one_variable():
+    n = 1
+    H = MultiPoly.param(n, "H")
+    assert poly_divexact(x(n, 0) ** 5) == x(n, 0) ** 3
+    assert poly_divexact(H * x(n, 0) ** 2 + x(n, 0) ** 3) == H + x(n, 0)
+    assert poly_divexact(x(n, 0) ** 3 + x(n, 0)) is None
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -105,9 +126,9 @@ def test_divexact_roundtrip_random(seed):
     n = rng.randint(2, 5)
     p = rand_poly(rng, n, with_param=True)
     q = rand_poly(rng, n)
-    if q.is_zero:
-        q = MultiPoly.const(n, 1) + x(n, 0)
-    assert poly_divexact(p * q, q) == p
+    r2 = MultiPoly.x_norm_sq(n)
+    assert poly_divexact(p * r2) == p
+    assert poly_divexact(p * q * r2) == p * q
 
 
 def test_extract_radial_factors():
@@ -573,6 +594,12 @@ def same(P, oracle):
     assert list(P.terms.items()) == list(oracle.items())
 
 
+def equal(P, oracle):
+    """Equal coefficients in lowest terms, in any term order."""
+    assert_canonical(P)
+    assert P == MultiPoly(P.n, oracle)
+
+
 def test_constructor_is_canonical():
     n = 3
     zero_coeff = MultiPoly(n, {((1, 0, 0), ()): Fraction(0)})
@@ -631,18 +658,17 @@ def test_divexact_matches_fraction_oracle(n, seed):
     rng = random.Random(seed)
     a = seeded_poly(rng, n)
     q = seeded_poly(rng, n, nterms=rng.randint(1, 3), max_deg=2, params=False)
-    if q.is_zero:
-        q = MultiPoly.const(n, Fraction(-3, 4))
     r2 = MultiPoly.x_norm_sq(n)
-    for divisor in (q, r2, r2.scale(Fraction(-5, 3))):
-        for P in (a * divisor, a * divisor + seeded_poly(rng, n), a):
-            got = poly_divexact(P, divisor)
-            want = o_divexact(dict(P.terms), dict(divisor.terms))
+    r2_terms = dict(r2.terms)
+    for b in (a, a * q, a.scale(Fraction(-5, 3))):
+        for P in (b * r2, b * r2 + seeded_poly(rng, n), b, b * r2 * r2):
+            got = poly_divexact(P)
+            want = o_divexact(dict(P.terms), r2_terms)
             if want is None:
                 assert got is None
             else:
-                same(got, want)
-        assert poly_divexact(a * divisor, divisor) == a
+                equal(got, want)
+        assert poly_divexact(b * r2) == b
 
 
 @settings(max_examples=60, deadline=None)
@@ -693,7 +719,7 @@ def test_kernel_against_sympy(seed):
     gens = list(syms) + sorted({sympy.Symbol(nm) for nm in a.param_names()}, key=str)
     quo, rem = sympy.div(_to_sympy(a * r2 * r2, syms), _to_sympy(r2, syms), *gens)
     assert rem == 0
-    assert sympy.expand(quo - _to_sympy(poly_divexact(a * r2 * r2, r2), syms)) == 0
+    assert sympy.expand(quo - _to_sympy(poly_divexact(a * r2 * r2), syms)) == 0
 
 
 # -- the cone test ------------------------------------------------------------
@@ -701,10 +727,9 @@ def test_kernel_against_sympy(seed):
 
 def division_only(P):
     """extract_radial_factors without the cone test."""
-    r2 = MultiPoly.x_norm_sq(P.n)
     k = 0
     while not P.is_zero:
-        q = poly_divexact(P, r2)
+        q = poly_divexact(P)
         if q is None:
             break
         P, k = q, k + 1
@@ -747,9 +772,9 @@ from umbilic.polyjet import Jet, MultiPoly
 
 calls = [0]
 divide = polyjet.poly_divexact
-def counted(P, Q):
+def counted(P):
     calls[0] += 1
-    return divide(P, Q)
+    return divide(P)
 polyjet.poly_divexact = counted
 
 n = 4
