@@ -23,13 +23,13 @@ decay-order estimator certifies the asymptotic flatness orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .numdiff import RADIAL_STEP, Dual, metric_derivatives, power_law_fit
+from .numdiff import Dual, power_law_fit, sqrt
 from .obstruction import umbilical_decompose
 from .polyjet import Jet, MultiPoly, SphericalSeries
 from .quadrature import sphere_directions
@@ -129,7 +129,8 @@ def chart_for(S: GraphSurface, flag: str) -> Chart:
 # a leading axis (d[k] along e_k), the same two functions give every exact
 # chart derivative d_k (g - I) from f, grad f and Hess f at x in one
 # forward pass, each value part formed once.  They therefore index and
-# reduce trailing axes only.
+# reduce trailing axes only.  Run on a Dual of Duals, they give the second
+# chart derivatives as well, from f and its first three derivatives at x.
 
 
 def _conformal(eps):
@@ -148,22 +149,17 @@ def _corrected_scalars(confm1, a):
     return gamma, k, A
 
 
-def _sqrt(u):
-    """The square root of an array or of a Dual."""
-    return u.sqrt() if isinstance(u, Dual) else np.sqrt(u)
-
-
 def _inverse_point(chart: Chart, zs):
     """a = c/t^2, y, s = |y|^2 and x = y/s at the chart points zs (a = 0
     in the inverted chart, where y = z).  zs is an (N, n) array, or a Dual
-    with that value part."""
+    with that value part, or a Dual of Duals."""
     t2 = (zs * zs).sum(axis=-1)
-    if np.any((t2.v if isinstance(t2, Dual) else t2) <= 0.0):
+    if np.any(t2 <= 0.0):
         raise ChartDomainError("chart points must be nonzero")
     if chart.kind == INVERTED_Y:
         return 0.0, zs, t2, zs / t2[..., None]
     a = chart.c / t2
-    ys = _sqrt(1.0 + a)[..., None] * zs
+    ys = sqrt(1.0 + a)[..., None] * zs
     s = (ys * ys).sum(axis=-1)
     return a, ys, s, ys / s[..., None]
 
@@ -173,7 +169,7 @@ def _rank_one_form(chart: Chart, a, ys, s, f, gr):
     vecs[m]^T, from _inverse_point's a, y and s and from f and grad f at
     x = y/s.  All are arrays, or all Duals."""
     confm1, conf = _conformal(s * f * f)
-    yhat = ys / _sqrt(s)[..., None]
+    yhat = ys / sqrt(s)[..., None]
     v = gr - 2.0 * (yhat * gr).sum(axis=-1)[..., None] * yhat
     if chart.kind == INVERTED_Y:
         return confm1, [conf], [v]
@@ -182,16 +178,16 @@ def _rank_one_form(chart: Chart, a, ys, s, f, gr):
     return A, [-k * conf, (1.0 + a) * conf], [yhat, w]
 
 
-def _assemble_form(diag: np.ndarray, coefs, vecs, n: int) -> np.ndarray:
-    """diag I + sum_m coefs[m] vecs[m] vecs[m]^T, shape (N, n, n), from one
-    stacked (N, n, K) @ (N, K, n) product; diag I alone when K = 0."""
-    N = len(diag)
-    if vecs:
-        out = (np.stack([c[:, None] * u for c, u in zip(coefs, vecs)], axis=2)
-               @ np.stack(vecs, axis=1))
-    else:
-        out = np.zeros((N, n, n))
-    out.reshape(N, n * n)[:, :: n + 1] += diag[:, None]
+def _assemble_form(diag: np.ndarray, lefts, rights, n: int) -> np.ndarray:
+    """diag I + sum_m lefts[m] rights[m]^T, shape diag.shape + (n, n), from
+    one stacked (..., n, K) @ (..., K, n) product, which is diag I alone
+    when K = 0.  The vectors broadcast to diag.shape + (n,)."""
+    shape, K = np.shape(diag) + (n,), len(lefts)
+    L, R = np.empty(shape + (K,)), np.empty(shape[:-1] + (K, n))
+    for m, (u, w) in enumerate(zip(lefts, rights)):
+        L[..., m], R[..., m, :] = u, w
+    out = L @ R
+    out.reshape(-1, n * n)[:, :: n + 1] += np.reshape(diag, (-1, 1))
     return out
 
 
@@ -204,7 +200,8 @@ def ghat_deviation_batch(S: GraphSurface, chart: Chart, pts: np.ndarray) -> np.n
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     a, ys, s, xs = _inverse_point(chart, pts)
     f, gr = S.f_derivatives_batch(xs)
-    return _assemble_form(*_rank_one_form(chart, a, ys, s, f, gr), pts.shape[1])
+    diag, coefs, vecs = _rank_one_form(chart, a, ys, s, f, gr)
+    return _assemble_form(diag, [c[:, None] * u for c, u in zip(coefs, vecs)], vecs, pts.shape[1])
 
 
 def ghat_deviation_form(S: GraphSurface, chart: Chart, pts: np.ndarray):
@@ -225,6 +222,52 @@ def ghat_deviation_form(S: GraphSurface, chart: Chart, pts: np.ndarray):
     f = Dual(f, (gr * xs.d).sum(axis=-1))
     gr = Dual(gr, np.einsum("pij,kpj->kpi", hess, xs.d))
     return _rank_one_form(chart, a, ys, s, f, gr)
+
+
+def ghat_deviation_derivatives(S: GraphSurface, chart: Chart, pts: np.ndarray):
+    """h = g - I at the chart points pts and its exact chart derivatives
+    dh[k] = d_k h and ddh[j, k] = d_j d_k h, shapes (N, n, n), (n, N, n, n)
+    and (n, n, N, n, n), on a jet surface.
+
+    ghat_deviation_form's pass one order up: z is a Dual of Duals seeded
+    with e_j on the inner Dual's leading axis and e_k on the outer one's,
+    so x.d.v[k] = d_k x and x.d.d[j, k] = d_j d_k x.  One order-3
+    evaluator call gives f and its derivatives at x, `_lift` the chain
+    rule, and the same _inverse_point and _rank_one_form the form.  Each of
+    its terms w u^T, w = c u, is bilinear: d_k (w u^T) = w_k u^T + w u_k^T
+    and d_j d_k (w u^T) = w_jk u^T + w_j u_k^T + w_k u_j^T + w u_jk^T."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    N, n = pts.shape
+    directions = np.broadcast_to(np.eye(n)[:, None, :], (n, N, n))
+    zs = Dual(Dual(pts, directions[:, None]), Dual(directions, np.zeros(n)))
+    a, ys, s, xs = _inverse_point(chart, zs)
+    f, gr, hess, third = S.f_derivatives_batch(xs.v.v, order=3)
+    diag, coefs, vecs = _rank_one_form(chart, a, ys, s, _lift(xs, f, gr, hess),
+                                       _lift(xs, gr, hess, third))
+    del zs, a, ys, s, xs, f, gr, hess, third  # the pass's arrays go before the assembly's peak
+    W = [(w.v.v, w.d.v, w.d.d) for w in (c[..., None] * u for c, u in zip(coefs, vecs))]
+    U = [(u.v.v, u.d.v, u.d.d) for u in vecs]
+    h = _assemble_form(diag.v.v, [w[0] for w in W], [u[0] for u in U], n)
+    dh = _assemble_form(diag.d.v, [x for w0, w1, _ in W for x in (w1, w0)],
+                        [x for u0, u1, _ in U for x in (u0, u1)], n)
+    ddh = np.empty((n,) + dh.shape)
+    for j in range(n):  # one (n, N, n, n) block at a time keeps the stacks small
+        ddh[j] = _assemble_form(diag.d.d[j],
+                                [x for w0, w1, w2 in W for x in (w2[j], w1[j], w1, w0)],
+                                [x for u0, u1, u2 in U for x in (u0, u1, u1[j], u2[j])], n)
+    return h, dh, ddh
+
+
+def _lift(xs: Dual, F: np.ndarray, dF: np.ndarray, ddF: np.ndarray) -> Dual:
+    """F at x = xs.v.v as a Dual of Duals like xs, from F, its gradient dF
+    and its Hessian ddF (trailing axes): d_k F = dF . d_k x and
+    d_j d_k F = ddF(d_j x, d_k x) + dF . d_j d_k x.  xs's inner and outer
+    first derivatives are equal: both were seeded alike."""
+    dx, ddx = xs.d.v, xs.d.d
+    dF_x = np.einsum("p...l,kpl->kp...", dF, dx)
+    ddF_x = np.einsum("kp...l,jpl->jkp...", np.einsum("p...lm,kpm->kp...l", ddF, dx), dx)
+    ddF_x += np.einsum("p...l,jkpl->jkp...", dF, ddx)
+    return Dual(Dual(F, dF_x[:, None]), Dual(dF_x, ddF_x))
 
 
 def _rowdot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -334,12 +377,12 @@ class _RadialSubstitution:
         return self._powers[e]
 
     def __call__(self, series: SphericalSeries) -> SphericalSeries:
-        out = SphericalSeries.zero(self.n, self.LO, 0)
+        """The substituted series, the products' terms canonicalized once."""
+        raw = []
         for m, P in series.terms:
-            w = m + P.degree()
             term = SphericalSeries.from_term(m, P, self.LO, 0)
-            out = out + term * self.power(Fraction(w, 2))
-        return out
+            raw += (term * self.power(Fraction(m + P.degree(), 2))).terms
+        return SphericalSeries.canonicalize(self.n, raw, self.LO, 0)
 
 
 def ghat_radial_trace_series(
@@ -393,9 +436,9 @@ class DecayFit:
 
     chart_kind: str
     radii: List[float]
-    h_max: List[float]
-    dh_max: List[float]
-    ddh_max: List[float]
+    max_h: List[float]
+    max_dh: List[float]
+    max_ddh: List[float]
     slope_h: float
     slope_dh: float
     slope_ddh: float
@@ -403,36 +446,31 @@ class DecayFit:
     r_squared: float
 
     def to_json(self) -> dict:
-        return {
-            "chart": self.chart_kind,
-            "radii": list(self.radii),
-            "max_h": list(self.h_max),
-            "max_dh": list(self.dh_max),
-            "max_ddh": list(self.ddh_max),
-            "slope_h": self.slope_h,
-            "slope_dh": self.slope_dh,
-            "slope_ddh": self.slope_ddh,
-            "tau_hat": self.tau_hat,
-            "r_squared": self.r_squared,
-        }
+        return _report(self)
 
     def csv_rows(self) -> List[List[object]]:
         rows = [["radius", "max_h", "max_dh", "max_ddh"]]
-        for r, a, b, c in zip(self.radii, self.h_max, self.dh_max, self.ddh_max):
+        for r, a, b, c in zip(self.radii, self.max_h, self.max_dh, self.max_ddh):
             rows.append([r, a, b, c])
         return rows
 
 
+def _report(fit) -> dict:
+    """A fit's dataclass fields as its JSON report, chart_kind as "chart"."""
+    out = asdict(fit)
+    out["chart"] = out.pop("chart_kind")
+    return out
+
+
 def check_decay_radii(radii: Sequence[float]) -> None:
     """Raise ValueError unless decay_order_estimate can fit the radii: at
-    least two distinct ones, none so large that the square of its stencil
-    step RADIAL_STEP * r overflows float64."""
+    least two distinct ones, none so large that its square, the chart's
+    |z|^2, overflows float64."""
     if len(set(radii)) < 2:
         raise ValueError("at least two distinct radii are required")
-    step = RADIAL_STEP * max(abs(float(r)) for r in radii)
-    if math.isinf(step * step):
-        raise ValueError(f"radius {step / RADIAL_STEP:g} is too large: "
-                         "its stencil step squared overflows float64")
+    r = max(abs(float(r)) for r in radii)
+    if math.isinf(r * r):
+        raise ValueError(f"radius {r:g} is too large: its square overflows float64")
 
 
 def decay_order_estimate(
@@ -441,45 +479,28 @@ def decay_order_estimate(
     radii: Sequence[float],
     seed: int = 0,
 ) -> DecayFit:
-    """Fit log max|deviation| (and central-difference first and second
-    derivatives in chart coordinates, step numdiff.RADIAL_STEP times the
-    radius) against log radius on a fixed angular grid.  Needs two distinct
+    """Fit log max|deviation| (and its exact first and second derivatives
+    in chart coordinates, from ghat_deviation_derivatives) against log
+    radius on a fixed angular grid.  Needs a jet surface and two distinct
     radii (check_decay_radii); all magnitudes below 1e-14 reports
     tau_hat = inf.  Otherwise a magnitude that underflows to 0 (or is not
     finite) at some radius raises ValueError: its logarithm cannot be fit."""
     radii = sorted(float(r) for r in radii)
     check_decay_radii(radii)
     dirs = sphere_directions(S.n, seed=seed)
-    h_max, dh_max, ddh_max = [], [], []
+    mags = h_max, dh_max, ddh_max = [], [], []
     for r in radii:
-        base, d1, d2 = metric_derivatives(
-            lambda p: ghat_deviation_batch(S, chart, p), r * dirs, RADIAL_STEP * r
-        )
-        h_max.append(float(np.max(np.abs(base))))
+        h_max.append(float(np.max(np.abs(ghat_deviation_batch(S, chart, r * dirs)))))
+        _, d1, d2 = ghat_deviation_derivatives(S, chart, r * dirs)
         dh_max.append(float(np.max(np.abs(d1))))
         ddh_max.append(float(np.max(np.abs(d2))))
     if max(h_max) < 1e-14:
-        return DecayFit(
-            chart.kind, radii, h_max, dh_max, ddh_max,
-            -math.inf, -math.inf, -math.inf, math.inf, 1.0,
-        )
-    for name, mags in (("h", h_max), ("dh", dh_max), ("ddh", ddh_max)):
-        for r, m in zip(radii, mags):
+        return DecayFit(chart.kind, radii, *mags, -math.inf, -math.inf, -math.inf, math.inf, 1.0)
+    for name, values in zip(("h", "dh", "ddh"), mags):
+        for r, m in zip(radii, values):
             if not 0.0 < m < math.inf:
                 raise ValueError(f"max |{name}| is {m!r} at radius {r:g}, outside the "
                                  "float64 range a log-log fit needs; use smaller radii")
-    slope_h, _, r2 = power_law_fit(radii, h_max)
-    slope_dh, _, _ = power_law_fit(radii, dh_max)
-    slope_ddh, _, _ = power_law_fit(radii, ddh_max)
-    return DecayFit(
-        chart.kind,
-        radii,
-        h_max,
-        dh_max,
-        ddh_max,
-        slope_h,
-        slope_dh,
-        slope_ddh,
-        -slope_h,
-        r2,
-    )
+    (slope_h, _, r2), (slope_dh, _, _), (slope_ddh, _, _) = (
+        power_law_fit(radii, m) for m in mags)
+    return DecayFit(chart.kind, radii, *mags, slope_h, slope_dh, slope_ddh, -slope_h, r2)

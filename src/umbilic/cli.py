@@ -31,6 +31,7 @@ FIT_QUALITY_THRESHOLD = 0.99
 DECAY_TOLERANCE = 0.3
 EXPECTED_DECAY = {asymptotic.INVERTED_Y: 2.0, asymptotic.CORRECTED_Z: 4.0}
 RHO_TOLERANCE = 1e-7
+DEFAULT_ORDER = 7
 
 
 class UsageError(Exception):
@@ -66,9 +67,7 @@ def _render(obj, out: List[str]) -> None:
             out.append(format(obj, ".17g"))
     elif isinstance(obj, int):
         out.append(str(obj))
-    elif isinstance(obj, Fraction):
-        out.append(json.dumps(str(obj)))
-    else:
+    else:  # a Fraction or anything else, as a string
         out.append(json.dumps(str(obj)))
 
 
@@ -101,8 +100,10 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def _load_surface(args) -> GraphSurface:
-    if args.order < 2:
-        raise UsageError(f"--order must be at least 2 (the quadratic part), not {args.order}")
+    # mass leaves --order unset, so that --fixture can refuse it
+    order = DEFAULT_ORDER if args.order is None else args.order
+    if order < 2:
+        raise UsageError(f"--order must be at least 2 (the quadratic part), not {order}")
     if args.n is not None and args.n < 2:  # the sphere quadrature's lower bound
         raise UsageError(f"--n must be at least 2, not {args.n}")
     if getattr(args, "poly", None):
@@ -112,7 +113,7 @@ def _load_surface(args) -> GraphSurface:
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read surface file {args.poly}: {exc}")
         try:
-            S = GraphSurface.from_json(data, order=args.order)
+            S = GraphSurface.from_json(data, order=order)
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"bad surface description: {exc}")
         except ZeroDivisionError as exc:
@@ -124,13 +125,13 @@ def _load_surface(args) -> GraphSurface:
         if args.n is None:
             raise UsageError("--n is required with --builtin")
         try:
-            radius = Fraction(args.radius)
+            radius = Fraction("1" if args.radius is None else args.radius)
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"bad --radius value {args.radius!r}")
         if radius <= 0:
             raise UsageError(f"--radius must be positive, not {args.radius}")
         try:
-            return GraphSurface.builtin(args.builtin, args.n, order=args.order, radius=radius)
+            return GraphSurface.builtin(args.builtin, args.n, order=order, radius=radius)
         except ValueError as exc:
             raise UsageError(str(exc))
     raise UsageError("one of --builtin or --poly is required")
@@ -208,8 +209,9 @@ def cmd_mass(args) -> int:
     radii = _radii(args)
     _usage(mass.check_fit_radii, radii)
     if args.fixture:
-        if args.builtin or args.poly or args.chart:
-            raise UsageError("--fixture takes no --builtin, --poly or --chart")
+        surface_flags = (args.builtin, args.poly, args.chart, args.radius, args.order)
+        if any(flag is not None for flag in surface_flags):
+            raise UsageError("--fixture takes no --builtin, --poly, --chart, --radius or --order")
         if args.fixture != "schwarzschild":
             raise UsageError(f"unknown fixture {args.fixture!r}")
         n = args.n if args.n is not None else 3
@@ -315,12 +317,12 @@ def _add_surface_flags(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--builtin", choices=["flat", "sphere", "quartic_x1", "cubic_x1"])
     source.add_argument("--poly", help="surface description JSON file")
-    p.add_argument("--radius", default="1", help="sphere radius (rational)")
+    p.add_argument("--radius", help="sphere radius (rational, default 1)")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help="ambient graph dimension")
-    p.add_argument("--order", type=int, default=7, help="jet truncation order")
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="jet truncation order")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -358,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[mass.STANDARD, mass.LEE_PARKER],
         default=mass.STANDARD,
     )
-    pm.set_defaults(fn=cmd_mass)
+    pm.set_defaults(fn=cmd_mass, order=None)
 
     pd = sub.add_parser("decay", help="fit the metric deviation decay order")
     _add_surface_flags(pd)

@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import asymptotic
-from .asymptotic import CORRECTED_Z, INVERTED_Y, Chart, _rowdot
+from .asymptotic import CORRECTED_Z, INVERTED_Y, Chart, _report, _rowdot
 from .numdiff import Dual
 from .obstruction import sphere_integral_series
 from .polyjet import Jet, MultiPoly, SphericalSeries, poly_to_json
@@ -237,14 +237,7 @@ class MassEstimate:
     quad_nodes: int
 
     def to_json(self) -> dict:
-        return {
-            "radius": self.radius,
-            "value": self.value,
-            "formula": self.formula,
-            "chart": self.chart_kind,
-            "quad_degree": self.quad_degree,
-            "quad_nodes": self.quad_nodes,
-        }
+        return _report(self)
 
 
 def _estimate(formula: str, integrand: Callable, source: MetricSource,
@@ -318,13 +311,7 @@ class MassExtrapolation:
     chart_kind: str
 
     def to_json(self) -> dict:
-        return {
-            "m_inf": self.m_inf,
-            "decay_exponent": self.decay_exponent,
-            "fit_quality": self.fit_quality,
-            "formula": self.formula,
-            "chart": self.chart_kind,
-        }
+        return _report(self)
 
 
 def check_sweep_radii(radii: Sequence[float], n: int) -> None:

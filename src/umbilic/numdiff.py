@@ -2,34 +2,26 @@
 dual numbers for closed forms, and curvature of a numerically given metric.
 
 `metric_derivatives` is the one central-difference stencil; every finite
-difference in the package goes through it.  On a batch of points it calls
-the field once per stencil group (the centre, each pair +-h e_k, each
-quadruple +-h e_k +-h e_l) on the group's points stacked, so a field that
-maps rows to rows pays its per-call overhead 1 + n + n(n-1)/2 times
-instead of 1 + 2n^2.  At a single point the field still takes one point
-per call, but all the stencil's points are one array x + h O (O a fixed
-offset table per dimension and order) and the derivatives come from
-whole-array expressions on the stacked results, with no per-point array
-arithmetic.
+difference in the package goes through it.  It takes one point: all the
+stencil's points are one array x + h O (O a fixed offset table per
+dimension and order), the field is called once per row, and the
+derivatives come from whole-array expressions on the stacked results.
 `gradient` and `hessian` add one Richardson extrapolation step; second
 derivatives use a larger step than first derivatives because their
 roundoff error scales like eps/h^2.
 `Dual` carries a closed form's derivatives exactly, with no step to
-choose, along one parameter or along several directions in one pass; both
-mass fluxes take their metric derivatives from it, so `RADIAL_STEP` now
-serves only the decay-order fits.
+choose, along one parameter or along several directions in one pass.
+Duals may nest: a Dual whose parts are Duals carries second derivatives.
+Both mass fluxes and the decay fits take their metric derivatives from it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-
-# Relative step of the decay fits' central differences: h = RADIAL_STEP * radius.
-RADIAL_STEP = 1e-4
 
 
 class Dual:
@@ -39,9 +31,12 @@ class Dual:
     constants.  The derivative part may carry several directions at once
     on extra leading axes, d[k] the derivative along direction k, so one
     pass computes each value once for all of them.  Indexing, sum and sqrt
-    act on both parts as on an array, so array code runs on Duals
-    unchanged provided it indexes and reduces trailing axes only
-    ([..., None], axis=-1), which the two parts share."""
+    act on both parts as on an array, and <= compares the value part, so
+    array code runs on Duals unchanged provided it indexes and reduces
+    trailing axes only ([..., None], axis=-1), which the two parts share.
+    Both parts may be Duals themselves: then d.d holds the outer
+    derivatives of the inner ones, each kind of direction on its own
+    leading axis."""
 
     __slots__ = ("v", "d")
     __array_ufunc__ = None  # ndarray <op> Dual defers to the reflected method
@@ -83,87 +78,41 @@ class Dual:
         q = o / self.v
         return Dual(q, -q * self.d / self.v)
 
+    def __le__(self, o):
+        return self.v <= o
+
     def __getitem__(self, index):
         return Dual(self.v[index], self.d[index])
 
     def sum(self, axis=None):
-        return Dual(np.sum(self.v, axis=axis), np.sum(self.d, axis=axis))
+        return Dual(self.v.sum(axis=axis), self.d.sum(axis=axis))
 
     def sqrt(self):
-        r = np.sqrt(self.v)
+        r = sqrt(self.v)
         return Dual(r, self.d / (2.0 * r))
 
 
-def metric_derivatives(F: Callable, x, h: float, order: int = 2):
-    """Central differences of an array-valued field F at x with step h.
+def sqrt(u):
+    """The square root of an array or of a Dual."""
+    return u.sqrt() if isinstance(u, Dual) else np.sqrt(u)
 
-    x is one point (n,) or a batch (N, n), the last axis the coordinate,
-    and F(x) is an array of any shape.  Returns (F0, dF, ddF) with the
+
+def metric_derivatives(F: Callable, x, h: float, order: int = 2):
+    """Central differences of an array-valued field F at the point x (n,)
+    with step h.
+
+    F(x) is an array of any shape.  Returns (F0, dF, ddF) with the
     derivative axes first: dF[k] = d_k F and ddF[k, l] = d_k d_l F.
     order=1 evaluates F at the 2n points x +- h e_k and returns
     F0 = ddF = None; order=2 also evaluates F(x) and the 2n(n-1) mixed
-    points x +- h e_k +- h e_l.
-
-    The points come in groups: the centre, the pair x +- h e_k for each k,
-    and the four x +- h e_k +- h e_l for each k < l.  At a single point all
-    of them are one array x + h O, O the fixed offset table of `_stencil`,
-    F is called once per row of it, in that order, and dF and ddF come
-    from the stacked results in whole-array expressions.  For a batch F
-    must map rows to rows (F of an (M, n) array is M results stacked on
-    the first axis), and it is called once per group on the group's points
-    stacked, so a batch costs 1 + n + n(n-1)/2 calls at order 2 and n at
-    order 1.  Each group is folded into dF and ddF as it returns.
+    points x +- h e_k +- h e_l.  All of them are one array x + h O, O the
+    fixed offset table of `_stencil`; F is called once per row of it, in
+    that order, and dF and ddF come from the stacked results in
+    whole-array expressions.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return _single_point(F, x, h, order)
-    n = x.shape[-1]
-    e = np.eye(n)
-
-    def at(*offsets) -> List[np.ndarray]:
-        """F at x + h * offset for each offset, one call on the rows stacked."""
-        ys = [x + h * o for o in offsets]
-        return np.split(np.asarray(F(np.concatenate(ys)), dtype=float), len(ys))
-
-    F0 = at(0.0)[0] if order == 2 else None
-    dF = ddF = None
-    for k in range(n):
-        Fp, Fm = at(e[k], -e[k])
-        if dF is None:
-            dF = np.empty((n,) + Fp.shape)
-            if order == 2:
-                ddF = np.empty((n, n) + Fp.shape)
-        dF[k] = (Fp - Fm) / (2.0 * h)
-        if order == 2:
-            ddF[k, k] = (Fp - 2.0 * F0 + Fm) / h**2
-    if order == 2:
-        for k, l in combinations(range(n), 2):
-            Fpp, Fpm, Fmp, Fmm = at(e[k] + e[l], e[k] - e[l], e[l] - e[k], -e[k] - e[l])
-            ddF[k, l] = ddF[l, k] = (Fpp - Fpm - Fmp + Fmm) / (4.0 * h**2)
-    return F0, dF, ddF
-
-
-@lru_cache(maxsize=None)
-def _stencil(n: int, order: int) -> np.ndarray:
-    """The single-point offset table: rows 0, then e_k, -e_k for each k,
-    then e_k + e_l, e_k - e_l, e_l - e_k, -e_k - e_l for each k < l; order
-    1 keeps only the +-e_k rows.  Built with the batch path's expressions,
-    signed zeros included, so x + h O is bit for bit its points."""
-    e = np.eye(n)
-    rows = [np.zeros(n)] if order == 2 else []
-    for k in range(n):
-        rows += [e[k], -e[k]]
-    if order == 2:
-        for k, l in combinations(range(n), 2):
-            rows += [e[k] + e[l], e[k] - e[l], e[l] - e[k], -e[k] - e[l]]
-    O = np.array(rows)
-    O.flags.writeable = False
-    return O
-
-
-def _single_point(F: Callable, x: np.ndarray, h: float, order: int):
-    """`metric_derivatives` at one point: F once per row of x + h O, the
-    results stacked, then the batch path's formulas on whole slices."""
+    if x.ndim != 1:
+        raise ValueError(f"metric_derivatives takes one point, not shape {x.shape}")
     n = x.shape[0]
     Y = np.array([F(y) for y in x + h * _stencil(n, order)], dtype=float)
     c = 1 if order == 2 else 0  # rows before the first pair
@@ -178,6 +127,23 @@ def _single_point(F: Callable, x: np.ndarray, h: float, order: int):
     Fpp, Fpm, Fmp, Fmm = (Y[1 + 2 * n + j:: 4] for j in range(4))
     ddF[k, l] = ddF[l, k] = (Fpp - Fpm - Fmp + Fmm) / (4.0 * h**2)
     return F0, dF, ddF
+
+
+@lru_cache(maxsize=None)
+def _stencil(n: int, order: int) -> np.ndarray:
+    """The offset table: rows 0, then e_k, -e_k for each k, then
+    e_k + e_l, e_k - e_l, e_l - e_k, -e_k - e_l for each k < l; order 1
+    keeps only the +-e_k rows."""
+    e = np.eye(n)
+    rows = [np.zeros(n)] if order == 2 else []
+    for k in range(n):
+        rows += [e[k], -e[k]]
+    if order == 2:
+        for k, l in combinations(range(n), 2):
+            rows += [e[k] + e[l], e[k] - e[l], e[l] - e[k], -e[k] - e[l]]
+    O = np.array(rows)
+    O.flags.writeable = False
+    return O
 
 
 def _richardson(F: Callable, x, h: float, order: int) -> np.ndarray:

@@ -15,6 +15,7 @@ normal normalized so that the sphere tangent at the origin has H = +n/R:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -55,8 +56,10 @@ class BatchPoly:
         if any(P.param_names() for P in polys):
             raise ValueError("batch evaluation needs numeric coefficients")
         self.n = n = polys[0].n if polys else 0
-        terms = [{sum(((i + 1,) * ei for i, ei in enumerate(e)), ()): c
-                  for (e, _), c in P.terms.items()} for P in polys]
+        # one key per exponent for all polys; num / den rounds once, as float(Fraction)
+        rows_of = functools.lru_cache(maxsize=None)(
+            lambda e: sum(((i + 1,) * ei for i, ei in enumerate(e)), ()))
+        terms = [{rows_of(e): c / P.den for (e, _), c in P.num.items()} for P in polys]
         needed, stack = set(), [m for t in terms for m in t]
         while stack:
             m = stack.pop()
@@ -73,7 +76,7 @@ class BatchPoly:
         self.coeffs = np.zeros((len(order), len(polys)))
         for k, t in enumerate(terms):
             for m, c in t.items():
-                self.coeffs[row[m], k] = float(c)
+                self.coeffs[row[m], k] = c
         # per level: its row range and the (2, rows) rows of heads and tails
         self.levels = []
         start = n + 1
@@ -223,13 +226,18 @@ class GraphSurface:
 
     def _sym(self, order: int) -> BatchPoly:
         """The evaluator of [f], [f, grad f] or [f, grad f, Hess f] (the
-        Hessian row-major) for derivative order 0, 1 or 2."""
+        Hessian row-major) for derivative order 0, 1 or 2; order 3 appends
+        the distinct third derivatives d_i d_j d_k f, i <= j <= k, in the
+        order of `_third_index`."""
         if order not in self._cache:
-            polys = [self.f_jet.poly]
+            n, polys = self.n, [self.f_jet.poly]
             if order > 0:
-                polys += [polys[0].diff(i) for i in range(self.n)]
+                polys += [polys[0].diff(i) for i in range(n)]
             if order > 1:
-                polys += [g.diff(j) for g in polys[1:] for j in range(self.n)]
+                polys += [g.diff(j) for g in polys[1:] for j in range(n)]
+            if order > 2:
+                polys += [polys[1 + n + n * i + j].diff(k)
+                          for i, j, k in itertools.combinations_with_replacement(range(n), 3)]
             self._cache[order] = BatchPoly(polys)
         return self._cache[order]
 
@@ -267,13 +275,19 @@ class GraphSurface:
         return numdiff.hessian(self.f_num, x, h2)
 
     def f_derivatives_batch(self, pts: np.ndarray, order: int = 1) -> tuple:
-        """f, grad f and (for order 2) Hess f at the rows of pts, shaped
-        (N,), (N, n) and (N, n, n): one evaluator call on a symbolic
-        surface, per-point finite differences on a numeric one."""
+        """f, grad f and, up to the order, Hess f and grad^3 f at the rows
+        of pts, shaped (N,), (N, n), (N, n, n) and (N, n, n, n): one
+        evaluator call on a symbolic surface.  A numeric one takes order 2
+        at most, from per-point finite differences."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         N, n = pts.shape
         if self.symbolic:
-            parts = np.split(self._sym(order)(pts), [1, n + 1], axis=1)
+            ends = np.cumsum([n**k for k in range(order)])
+            parts = np.split(self._sym(order)(pts), ends, axis=1)
+            if order > 2:
+                parts[3] = parts[3][:, _third_index(n)]
+        elif order > 2:
+            raise ValueError("third derivatives need a jet surface")
         else:
             fns = (self.f_value, self.f_grad, self.f_hess)
             parts = [np.array([fn(p) for p in pts]) for fn in fns[: order + 1]]
@@ -292,6 +306,14 @@ class GraphSurface:
             return f[:, 0], gr, ef[:, 0], egr
         f, gr, hess = self.f_derivatives_batch(pts, 2)
         return f, gr, np.sum(pts * gr, axis=1), np.einsum("pij,pj->pi", hess, pts)
+
+
+@functools.lru_cache(maxsize=None)
+def _third_index(n: int) -> np.ndarray:
+    """The column of sorted (i, j, k) among the i <= j <= k, row-major."""
+    combos = list(itertools.combinations_with_replacement(range(n), 3))
+    return np.array([combos.index(tuple(sorted(t)))
+                     for t in itertools.product(range(n), repeat=3)])
 
 
 # -- pointwise geometry -------------------------------------------------------

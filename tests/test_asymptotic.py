@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from umbilic import asymptotic as asym
+from umbilic import numdiff
 from umbilic.mass import DEFAULT_RADII
-from umbilic.numdiff import RADIAL_STEP, Dual, power_law_fit
+from umbilic.numdiff import Dual, power_law_fit
 from umbilic.quadrature import QuadratureRule, sphere_directions
 from umbilic.polyjet import Jet, MultiPoly, SphericalSeries
 from umbilic.surface import GraphSurface
@@ -117,9 +118,12 @@ def test_corrected_radial_identity():
 def test_deviation_rejects_chart_origin():
     # the chart origin is the image of infinity, outside both charts' domain
     S = GraphSurface.sphere(3, Fraction(1), order=7)
+    pts = np.array([[10.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     for ch in (asym.Chart.inverted(3), asym.chart_for(S, "z")):
-        with pytest.raises(asym.ChartDomainError):
-            asym.ghat_deviation_batch(S, ch, np.array([[10.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        for deviation in (asym.ghat_deviation_batch, asym.ghat_deviation_form,
+                          asym.ghat_deviation_derivatives):
+            with pytest.raises(asym.ChartDomainError):
+                deviation(S, ch, pts)
 
 
 def test_chart_for_flags():
@@ -220,12 +224,55 @@ def test_all_directions_pass_matches_one_direction(name, n, flag):
     for r in (10.0, 1000.0):
         pts = r * dirs
         diag, coefs, vecs = asym.ghat_deviation_form(S, ch, pts)
-        dev = asym._assemble_form(diag.v, [c.v for c in coefs], [w.v for w in vecs], n)
+        dev = asym._assemble_form(diag.v, [c.v[:, None] * w.v for c, w in zip(coefs, vecs)],
+                                  [w.v for w in vecs], n)
         assert np.array_equal(dev, asym.ghat_deviation_batch(S, ch, pts))
         derivative = fo.form_derivatives(diag, coefs, vecs, n)
         for k in range(n):
             ref = one_direction_derivative(S, ch, pts, k)
             assert np.max(np.abs(derivative(k) - ref)) <= 1e-14 * np.max(np.abs(ref)), (r, k)
+
+
+SECOND_ORDER_CASES = [("sphere", 3, "y"), ("cubic_x1", 4, "y"), ("quartic_x1", 6, "z")]
+
+
+@pytest.mark.parametrize("name,n,flag", SECOND_ORDER_CASES)
+def test_second_order_pass_first_derivatives_match_form(name, n, flag):
+    # the nested pass gives ghat_deviation_batch's values to the bit and the
+    # order-1 pass's first derivatives to rounding, which in chart z grows
+    # like t^2 eps (measured: <= 4.3e-16 in chart y; 3.2e-15, 1.6e-13 and
+    # 1.4e-11 at t = 10, 100 and 1000 in chart z)
+    S = GraphSurface.builtin(name, n)
+    ch = asym.chart_for(S, flag)
+    dirs = sphere_directions(n, seed=4)
+    for r in (10.0, 100.0, 1000.0):
+        pts = r * dirs
+        h, dh, _ = asym.ghat_deviation_derivatives(S, ch, pts)
+        assert np.array_equal(h, asym.ghat_deviation_batch(S, ch, pts))
+        derivative = fo.form_derivatives(*asym.ghat_deviation_form(S, ch, pts), n)
+        ref = np.stack([derivative(k) for k in range(n)])
+        tol = 1e-14 + (2e-16 * r * r if flag == "z" else 0.0)
+        assert np.max(np.abs(dh - ref)) <= tol * np.max(np.abs(ref)), r
+
+
+@pytest.mark.parametrize("name,n,flag", SECOND_ORDER_CASES)
+def test_second_order_pass_matches_difference_of_first_derivatives(name, n, flag):
+    # d_j d_k h against a central difference along e_j of the exact d_k h,
+    # step 1e-5 t.  Measured: <= 5.5e-10 relative in chart y; 7.5e-10,
+    # 2.1e-8 and 1.5e-6 at t = 10, 100 and 1000 in chart z, where the
+    # difference divides the first derivatives' t^2 eps rounding by the step
+    S = GraphSurface.builtin(name, n)
+    ch = asym.chart_for(S, flag)
+    dirs = sphere_directions(n, seed=4)
+    for r in (10.0, 100.0, 1000.0):
+        pts, step, e = r * dirs, 1e-5 * r, np.eye(n)
+        _, _, ddh = asym.ghat_deviation_derivatives(S, ch, pts)
+        assert ddh.shape == (n, n, len(pts), n, n)
+        first = [asym.ghat_deviation_derivatives(S, ch, pts + sign * step * e[j])[1]
+                 for j in range(n) for sign in (1.0, -1.0)]
+        ref = np.stack([(first[2 * j] - first[2 * j + 1]) / (2.0 * step) for j in range(n)])
+        tol = 1e-8 + (1e-11 * r * r if flag == "z" else 0.0)
+        assert np.max(np.abs(ddh - ref)) <= tol * np.max(np.abs(ddh)), r
 
 
 # -- symbolic series -------------------------------------------------------------
@@ -519,12 +566,13 @@ def test_decay_fit_serialization():
 
 
 def decay_oracle(S, chart, radii, seed=0):
-    """decay_order_estimate's JSON with the stencil spelt out point set by
-    point set: one ghat_deviation_batch call per shifted copy of the grid."""
+    """decay_order_estimate's JSON with its derivatives from a central
+    difference (step 1e-4 times the radius) spelt out point set by point
+    set: one ghat_deviation_batch call per shifted copy of the grid."""
     radii = sorted(float(r) for r in radii)
     dirs, n, mags = sphere_directions(S.n, seed=seed), S.n, ([], [], [])
     for r in radii:
-        x, h = r * dirs, RADIAL_STEP * r
+        x, h = r * dirs, 1e-4 * r
 
         def at(*steps):
             y = x.copy()
@@ -549,18 +597,38 @@ def decay_oracle(S, chart, radii, seed=0):
     ("sphere", 4, "y"), ("cubic_x1", 5, "y"), ("quartic_x1", 6, "z"),
 ])
 def test_decay_fit_matches_point_set_oracle(builtin, n, flag):
-    # the stencil groups its points into one deviation call per group; the
-    # fit must not move by a single bit
+    # max |h| and all that is fitted from it is the oracle's to the bit; the
+    # exact derivative maxima agree with the central difference to its own
+    # error (measured: dh <= 2.9e-8 relative in chart y and 1.7e-7 in chart
+    # z, ddh <= 3.8e-8 and 3.3e-4, where the difference's eps/h^2 term
+    # dominates; slopes <= 5.4e-5 apart)
     S = GraphSurface.builtin(builtin, n)
     chart = asym.chart_for(S, flag)
-    fit = asym.decay_order_estimate(S, chart, DEFAULT_RADII, seed=2)
-    assert fit.to_json() == decay_oracle(S, chart, DEFAULT_RADII, seed=2)
+    fit = asym.decay_order_estimate(S, chart, DEFAULT_RADII, seed=2).to_json()
+    ref = decay_oracle(S, chart, DEFAULT_RADII, seed=2)
+    for key in ("chart", "radii", "max_h", "slope_h", "tau_hat", "r_squared"):
+        assert fit[key] == ref[key], key
+    for key, tol in (("max_dh", 1e-6), ("max_ddh", 1e-6 if flag == "y" else 1e-3)):
+        assert np.allclose(fit[key], ref[key], rtol=tol, atol=0.0), key
+    for key in ("slope_dh", "slope_ddh"):
+        assert fit[key] == pytest.approx(ref[key], abs=1e-4), key
+
+
+def test_decay_fit_takes_no_finite_difference(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decay fit took a finite difference")
+
+    monkeypatch.setattr(numdiff, "metric_derivatives", refuse)
+    for name, n, flag in (("sphere", 3, "y"), ("quartic_x1", 6, "z")):
+        S = GraphSurface.builtin(name, n)
+        fit = asym.decay_order_estimate(S, asym.chart_for(S, flag), DEFAULT_RADII)
+        assert math.isfinite(fit.tau_hat) and math.isfinite(fit.slope_ddh)
 
 
 def test_decay_radii_out_of_float64_range():
     S = GraphSurface.sphere(3)
     chart = asym.chart_for(S, "y")
-    # the stencil step squared overflows
+    # the radius squared, the chart's |z|^2, overflows
     with pytest.raises(ValueError, match="too large"):
         asym.check_decay_radii([10.0, 1e200])
     with pytest.raises(ValueError, match="too large"):
@@ -568,6 +636,6 @@ def test_decay_radii_out_of_float64_range():
     # the second derivative underflows to 0: no log-log fit, no NaN slope
     with pytest.raises(ValueError, match=r"max \|ddh\| is 0.0 at radius 1e\+100"):
         asym.decay_order_estimate(S, chart, [10.0, 1e100])
-    # the flat sentinel is unchanged at any radius the stencil can take
+    # the flat sentinel is unchanged at any radius the chart can take
     fit = asym.decay_order_estimate(GraphSurface.flat(3), chart, [10.0, 1e100])
     assert fit.tau_hat == math.inf

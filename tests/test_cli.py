@@ -224,13 +224,17 @@ def test_builtin_and_poly_are_exclusive(command, tmp_path, capsys):
     "--fixture schwarzschild --poly {path}",
     "--fixture schwarzschild --chart z",
     "--fixture schwarzschild --chart y",
+    "--fixture schwarzschild --radius 5",
+    "--fixture schwarzschild --order 3",
+    "--fixture schwarzschild --radius 5 --order 3",
     "--builtin sphere --n 3 --m 2",
     "--poly {path} --m 2",
 ], ids=["fixture-builtin", "fixture-poly", "fixture-chart-z", "fixture-chart-y",
-        "builtin-m", "poly-m"])
+        "fixture-radius", "fixture-order", "fixture-radius-order", "builtin-m", "poly-m"])
 def test_mass_takes_one_metric_source(argv, tmp_path, capsys):
     # the fixture used to win over a surface and report a --chart z run as
-    # "inverted_y"; a surface run used to ignore --m
+    # "inverted_y", and to ignore the surface flags --radius and --order; a
+    # surface run used to ignore --m
     path = tmp_path / "quartic.json"
     path.write_text(json.dumps(GraphSurface.quartic_x1(3).to_json()))
     code, out, err = run(["mass"] + argv.format(path=path).split(), capsys)

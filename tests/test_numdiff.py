@@ -1,6 +1,7 @@
 """The central-difference stencil: exactness on low-degree polynomials,
-batch and single-point agreement, evaluation counts, array-valued fields,
-and the Richardson-extrapolated gradient and Hessian built on it."""
+agreement with a point-by-point loop, evaluation counts, array-valued
+fields, and the Richardson-extrapolated gradient and Hessian built on it;
+forward-mode Dual numbers, nested ones included."""
 
 from itertools import combinations
 
@@ -108,27 +109,9 @@ def test_evaluation_counts(order):
         assert len(F.shapes) == expect, n
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_batch_rows_match_single_points_bitwise(order):
-    # on a batch the centre (N rows), each pair x +- h e_k (2N rows) and
-    # each quadruple x +- h e_k +- h e_l (4N rows) is one call; the results
-    # are the single-point stencil's, row by row, to the bit
-    N, shape, h = 7, (2,), 1e-3
-    for n in (1, 2, 3, 4, 6):
-        F = Counted(Cubic(n, shape))
-        pts = RNG.uniform(-2, 2, (N, n))
-        F0, dF, ddF = metric_derivatives(F, pts, h, order=order)
-        pairs = n * (n - 1) // 2
-        rows = [2 * N] * n if order == 1 else [N] + [2 * N] * n + [4 * N] * pairs
-        assert [s[0] for s in F.shapes] == rows, n
-        assert dF.shape == (n, N) + shape
-        for p, x in enumerate(pts):
-            s0, sd, sdd = metric_derivatives(F.F, x, h, order=order)
-            assert np.array_equal(dF[:, p], sd)
-            if order == 2:
-                assert ddF.shape == (n, n, N) + shape
-                assert np.array_equal(F0[p], s0)
-                assert np.array_equal(ddF[:, :, p], sdd)
+def test_stencil_takes_one_point():
+    with pytest.raises(ValueError, match="one point"):
+        metric_derivatives(Cubic(3), RNG.uniform(-1, 1, (4, 3)), 1e-3)
 
 
 def loop_stencil(F, x, h, order=2):
@@ -253,14 +236,47 @@ def test_dual_array_methods():
     # rows x(t) = (t, 2t, t^2): |x| = t sqrt(5 + t^2) with its t-derivative,
     # through indexing, sum and sqrt exactly as array code spells them
     t = np.linspace(0.5, 4.0, 9)
-    X = Dual(np.stack([t, 2.0 * t, t * t], axis=1),
-             np.stack([np.ones_like(t), 2.0 * np.ones_like(t), 2.0 * t], axis=1))
+    u = 5.0 + t * t
+    x = np.stack([t, 2.0 * t, t * t], axis=1)
+    dx = np.stack([np.ones_like(t), 2.0 * np.ones_like(t), 2.0 * t], axis=1)
+    X = Dual(x, dx)
     norm = (X * X).sum(axis=1).sqrt()
-    assert np.allclose(norm.v, t * np.sqrt(5.0 + t * t), rtol=1e-15, atol=0.0)
-    assert np.allclose(norm.d, (5.0 + 2.0 * t * t) / np.sqrt(5.0 + t * t), rtol=1e-14)
+    assert np.allclose(norm.v, t * np.sqrt(u), rtol=1e-15, atol=0.0)
+    assert np.allclose(norm.d, (5.0 + 2.0 * t * t) / np.sqrt(u), rtol=1e-14)
     col = (X / norm[:, None])[:, 2]
-    assert np.allclose(col.v, t / np.sqrt(5.0 + t * t), rtol=1e-15)
-    assert np.allclose(col.d, 5.0 / (5.0 + t * t) ** 1.5, rtol=1e-14)
+    assert np.allclose(col.v, t / np.sqrt(u), rtol=1e-15)
+    assert np.allclose(col.d, 5.0 / u**1.5, rtol=1e-14)
+    # the same rows as a Dual of Duals, with x'' = (0, 0, 2): the same code
+    # gives the exact second t-derivatives, and the inner and the outer
+    # first derivatives agree
+    ddx = np.stack([0.0 * t, 0.0 * t, 2.0 + 0.0 * t], axis=1)
+    X = Dual(Dual(x, dx), Dual(dx, ddx))
+    norm = (X * X).sum(axis=1).sqrt()
+    assert np.allclose(norm.v.v, t * np.sqrt(u), rtol=1e-15, atol=0.0)
+    assert np.allclose(norm.d.v, (5.0 + 2.0 * t * t) / np.sqrt(u), rtol=1e-14)
+    assert np.array_equal(norm.v.d, norm.d.v)
+    assert np.allclose(norm.d.d, t * (15.0 + 2.0 * t * t) / u**1.5, rtol=1e-13)
+    col = (X / norm[:, None])[:, 2]
+    assert np.allclose(col.d.v, 5.0 / u**1.5, rtol=1e-14)
+    assert np.allclose(col.d.d, -15.0 * t / u**2.5, rtol=1e-13)
+
+
+def test_nested_dual_hessian_on_separate_axes():
+    # f(x, y) = x^2 y / (1 + y) at N points: the inner directions sit on a
+    # leading axis the outer ones broadcast against, so d.d[j, k] is the
+    # Hessian entry f_jk
+    P = RNG.uniform(0.5, 2.0, (7, 2))
+    E = np.broadcast_to(np.eye(2)[:, None, :], (2, 7, 2))
+    Z = Dual(Dual(P, E[:, None]), Dual(E, np.zeros(2)))
+    x, y = Z[..., 0], Z[..., 1]
+    f = x * x * y / (1.0 + y)
+    x0, y0 = P[:, 0], P[:, 1]
+    hess = [[2.0 * y0 / (1.0 + y0), 2.0 * x0 / (1.0 + y0) ** 2],
+            [2.0 * x0 / (1.0 + y0) ** 2, -2.0 * x0 * x0 / (1.0 + y0) ** 3]]
+    assert f.d.d.shape == (2, 2, 7)
+    assert np.allclose(f.d.d, np.array(hess), rtol=1e-14, atol=0.0)
+    grad = [2.0 * x0 * y0 / (1.0 + y0), x0 * x0 / (1.0 + y0) ** 2]
+    assert np.allclose(f.d.v, grad, rtol=1e-14)
 
 
 # -- curvature of a numeric metric -----------------------------------------------

@@ -1,6 +1,6 @@
 """The package's runtime needs numpy alone: scipy is a test dependency.
-CI runs the README's commands verbatim, and every function the benchmark
-traces exists."""
+CI runs the commands it reads from the README, and every function the
+benchmark traces exists."""
 
 import importlib
 import importlib.util
@@ -29,28 +29,41 @@ def test_no_source_file_imports_scipy():
     assert [f.name for f in files if pattern.search(f.read_text())] == []
 
 
-def workflow_commands(workflow: Path) -> dict:
-    """Job name -> the argument lists of its `$umbilic ...` lines, read as
-    text so the check needs no YAML parser."""
-    jobs, job = {}, None
+def readme_steps(workflow: Path) -> dict:
+    """Job name -> the stripped lines of its "README commands" step, read
+    as text so the check needs no YAML parser."""
+    jobs, job, step = {}, None, None
     for line in workflow.read_text().splitlines():
         header = re.match(r"^  ([\w-]+):\s*$", line)
         if header:
-            job = header.group(1)
-        command = re.match(r"^\s*\$umbilic\s", line)
-        if command and job is not None:
-            jobs.setdefault(job, []).append(shlex.split(line, comments=True)[1:])
+            job, step = header.group(1), None
+        elif re.match(r"^\s*- name: ", line):
+            step = line.split("- name: ", 1)[1].strip()
+        elif job is not None and step == "README commands":
+            jobs.setdefault(job, []).append(line.strip())
     return jobs
 
 
 def test_ci_runs_every_readme_command():
+    # each job lists the commands with the README's own reader and runs
+    # them all, warnings as errors, stopping at the first failure
     spec = importlib.util.spec_from_file_location("readme_diff", ROOT / "scripts" / "readme_diff.py")
     readme_diff = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(readme_diff)
     readme = readme_diff.readme_commands(ROOT / "README.md")
     assert len(readme) == 9
-    jobs = workflow_commands(ROOT / ".github" / "workflows" / "tests.yml")
-    assert jobs == {"tests": readme, "runtime-numpy-only": readme}
+    steps = readme_steps(ROOT / ".github" / "workflows" / "tests.yml")
+    assert set(steps) == {"tests", "runtime-numpy-only"}
+    for lines in steps.values():
+        assert "set -e" in lines
+        assert 'eval "python -W error::RuntimeWarning -m umbilic.cli $args"' in lines
+        prefix = 'commands=$(python -c "'
+        listing = [line for line in lines if line.startswith(prefix)]
+        assert len(listing) == 1 and listing[0].endswith('")')
+        code = listing[0][len(prefix):-len('")')]
+        out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines() == [shlex.join(c) for c in readme]
 
 
 def test_benchmark_trace_targets_resolve():

@@ -671,6 +671,37 @@ def test_divexact_matches_fraction_oracle(n, seed):
         assert poly_divexact(b * r2) == b
 
 
+@st.composite
+def gapped_multiples(draw):
+    """(P, Q) with P = |x|^2 Q whose x1 powers skip every power between two:
+    with s = x2^2 + ... + xn^2, x1^(2m) - (-s)^m = |x|^2 sum_i x1^(2(m-1-i)) (-s)^i,
+    times x1^k c for a c free of x1, so P holds x1^k and x1^(k+2m) only and
+    the division passes through the x1 powers P lacks."""
+    n, k, m = draw(st.integers(2, 6)), draw(st.integers(0, 3)), draw(st.integers(2, 3))
+    c = MultiPoly.zero(n)
+    for _ in range(draw(st.integers(1, 3))):
+        e = (0,) + tuple(draw(st.integers(0, 2)) for _ in range(n - 1))
+        p = draw(st.sampled_from([(), (("H", 1),), (("a_012", 2), ("b", 1))]))
+        num = draw(st.integers(-9, 9).filter(bool))
+        c = c + MultiPoly(n, {(e, p): Fraction(num, draw(st.sampled_from(DENOMINATORS)))})
+    x1, r2 = x(n, 0), MultiPoly.x_norm_sq(n)
+    s = r2 - x1 * x1
+    series = sum(((x1 * x1) ** (m - 1 - i) * (-s) ** i for i in range(m)), MultiPoly.zero(n))
+    return x1**k * c * ((x1 * x1) ** m - (-s) ** m), x1**k * c * series
+
+
+@settings(max_examples=60, deadline=None)
+@given(gapped_multiples())
+def test_divexact_through_absent_x1_powers(case):
+    P, Q = case
+    assert P == Q * MultiPoly.x_norm_sq(P.n)
+    powers = {e[0] for e, _ in P.terms}
+    assert len(powers) == 2 and max(powers) - min(powers) >= 4
+    got = poly_divexact(P)
+    assert got == Q
+    assert_canonical(got)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 9), st.integers(0, 2**32 - 1))
 def test_equal_values_have_equal_representations(n, seed):
