@@ -11,7 +11,8 @@ sides.  A run that exits with neither 0 nor 1 (no result) stops the script.
 Each tree gets `BENCH_<label>.json` at the repository root: the machine,
 the versions, every run's end-to-end metrics, and per metric the median and
 quartiles over the runs.  A table on stdout compares the two: medians,
-quartiles, and how many pairs the change won.
+quartiles, and how many pairs the change won; under it go both trees'
+line counts of the Python files under `src/` and their difference.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
         "units": {k: v["unit"] for k, v in result["metrics"].items()},
         "machine": machine,
     }
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the Python files under the tree's src/, as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src").rglob("*.py"))
 
 
 def summarize(runs: list) -> dict:
@@ -100,6 +106,7 @@ def main(argv=None) -> int:
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     labels = {"base": args.base_label, "change": args.change_label}
     runs = {side: {} for side in trees}
+    lines = {side: src_lines(tree) for side, tree in trees.items()}
     for workload in WORKLOADS:
         for i in range(PAIRS):
             seed = args.seed + i
@@ -110,6 +117,8 @@ def main(argv=None) -> int:
                 print(f"# {workload} seed {seed} {labels[side]}: exit {r['exit']}, "
                       f"wall_s {r['metrics'].get('wall_s')}", file=sys.stderr)
         compare(workload, runs["base"][workload], runs["change"][workload])
+        print(f"src/ lines: {labels['base']} {lines['base']}, {labels['change']} "
+              f"{lines['change']}, net {lines['change'] - lines['base']:+d}")
 
     for side, other in (("base", "change"), ("change", "base")):
         machine = next(r["machine"] for w in runs[side].values() for r in w)

@@ -465,12 +465,15 @@ def _report(fit) -> dict:
 def check_decay_radii(radii: Sequence[float]) -> None:
     """Raise ValueError unless decay_order_estimate can fit the radii: at
     least two distinct ones, none so large that its square, the chart's
-    |z|^2, overflows float64."""
+    |z|^2, overflows float64 and none so small that it underflows to 0."""
     if len(set(radii)) < 2:
         raise ValueError("at least two distinct radii are required")
     r = max(abs(float(r)) for r in radii)
     if math.isinf(r * r):
         raise ValueError(f"radius {r:g} is too large: its square overflows float64")
+    r = min(abs(float(r)) for r in radii)
+    if r * r == 0.0:
+        raise ValueError(f"radius {r:g} is too small: its square underflows float64")
 
 
 def decay_order_estimate(

@@ -154,7 +154,7 @@ def _chart(S: GraphSurface, flag: str) -> asymptotic.Chart:
 
 
 def _radii(args) -> List[float]:
-    if args.radii:
+    if args.radii is not None:
         try:
             vals = [float(tok) for tok in args.radii.split(",")]
         except ValueError:

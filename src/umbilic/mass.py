@@ -315,11 +315,14 @@ class MassExtrapolation:
 
 
 def check_sweep_radii(radii: Sequence[float], n: int) -> None:
-    """Raise ValueError unless every radius is positive and its area
-    factor r^(n-1) in the normalized flux integral is a float64."""
+    """Raise ValueError unless every radius is positive, its square (the
+    chart's |y|^2) does not underflow to 0, and its area factor r^(n-1) in
+    the normalized flux integral is a float64."""
     for r in radii:
         if r <= 0.0:
             raise ValueError("radius must be positive")
+        if float(r) * float(r) == 0.0:
+            raise ValueError(f"radius {r:g} is too small: its square underflows float64")
         try:
             float(r) ** (n - 1)
         except OverflowError:

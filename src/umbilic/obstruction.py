@@ -266,22 +266,17 @@ def dim6_check(A3: MultiPoly) -> Dim6Record:
     n = A3.n
     if n != 6:
         raise ValueError("the residual chain is specific to dimension 6")
-    if not A3.is_zero and (A3.degree() != 3 or not A3.is_homogeneous()):
-        raise ValueError("degree-3 homogeneous polynomial required")
-    r2 = MultiPoly.x_norm_sq(n)
-    lap = A3.laplacian()
-    residual = (
-        r2 * r2 * (lap * lap - _hessian_sq(A3))
-        - (r2 * (A3 * lap)).scale(40) + (A3 * A3).scale(480)
-    )
-    divisible = poly_divexact(A3) is not None
     if A3.is_zero:
-        harmonic = True
-    else:
-        # Lap_theta of the degree-6 square on r = 1
-        sq = A3 * A3
-        harmonic = on_sphere(sq.laplacian() - sq.scale(6 * (n + 4))).is_zero
-    return Dim6Record(residual, residual.is_zero, divisible, harmonic)
+        return Dim6Record(A3, True, True, True)
+    # the homogenization of C: each part C_d times |x|^(6-d)
+    c, sq = _cubic_obstruction(A3)
+    r2 = MultiPoly.x_norm_sq(n)
+    residual = sum(
+        (r2 ** ((6 - d) // 2) * Cd for d, Cd in c.homogeneous_parts().items()), MultiPoly.zero(n)
+    )
+    # Lap_theta of the degree-6 square on r = 1
+    harmonic = on_sphere(sq.laplacian() - sq.scale(6 * (n + 4))).is_zero
+    return Dim6Record(residual, residual.is_zero, poly_divexact(A3) is not None, harmonic)
 
 
 # -- the assembled report -----------------------------------------------------------

@@ -18,10 +18,16 @@ Three layers:
                    ring where divisions by |x|^2-like quantities live, both
                    for expansions near a point (orders bounded above) and
                    near infinity (orders bounded below)
+
+Every product runs through one kernel, `MultiPoly.mul_truncated`, with an
+optional degree cap read from a grading by degree that each polynomial
+computes once, on first use; every unit power (1 + s)^e of a jet or a
+series is one binomial series, `_binomial_series`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from dataclasses import dataclass
@@ -66,7 +72,7 @@ def _poly(n: int, num: Dict[Key, int], den: int) -> "MultiPoly":
     _set(p, "num", num)
     _set(p, "den", den)
     _set(p, "_terms", None)
-    _set(p, "_degree", None)
+    _set(p, "_by_degree", None)
     return p
 
 
@@ -94,7 +100,7 @@ class MultiPoly:
     zero coefficients and rejects inexact ones with ``TypeError``.
     """
 
-    __slots__ = ("n", "num", "den", "_terms", "_degree")
+    __slots__ = ("n", "num", "den", "_terms", "_by_degree")
 
     def __init__(self, n: int, terms: Optional[Mapping[Key, Fraction]] = None):
         coeffs = {k: _as_fraction(c) for k, c in (terms or {}).items()}
@@ -105,7 +111,7 @@ class MultiPoly:
         _set(self, "num", {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()})
         _set(self, "den", den)
         _set(self, "_terms", None)
-        _set(self, "_degree", None)
+        _set(self, "_by_degree", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -194,12 +200,29 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
-            self._check(other)
-            out: Dict[Key, int] = {}
-            get = out.get
-            b_items = list(other.num.items())
-            for (ea, pa), ca in self.num.items():
-                for (eb, pb), cb in b_items:
+            return self._product(other)
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def mul_truncated(self, other: "MultiPoly", max_degree: Optional[int] = None) -> "MultiPoly":
+        """The product, truncated at total spatial degree max_degree unless
+        that is None: the one product kernel, which `*` calls as `_product`
+        (so a wrapper put on this name from outside sees each product once).
+        A cap walks other's degree grading and stops at the first degree past
+        it, so discarded term pairs are never formed; no cap walks other's
+        terms as one group, in their order, and builds no grading."""
+        self._check(other)
+        groups = ((0, other.num),) if max_degree is None else other._grading().items()
+        out: Dict[Key, int] = {}
+        get = out.get
+        for (ea, pa), ca in self.num.items():
+            room = 0 if max_degree is None else max_degree - sum(ea)
+            for db, group in groups:
+                if db > room:
+                    break
+                for (eb, pb), cb in group.items():
                     params = _merge_params(pa, pb) if pa and pb else pa or pb
                     k = (tuple(map(_int_add, ea, eb)), params)
                     v = get(k)
@@ -211,39 +234,9 @@ class MultiPoly:
                             out[k] = s
                         else:
                             del out[k]
-            return _lowest(self.n, out, self.den * other.den)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def mul_truncated(self, other: "MultiPoly", max_degree: int) -> "MultiPoly":
-        """Product truncated at total spatial degree max_degree, skipping
-        the discarded term pairs instead of computing and dropping them."""
-        self._check(other)
-        b_items = sorted(
-            ((sum(e), (e, p), c) for (e, p), c in other.num.items()),
-            key=lambda t: t[0],
-        )
-        out: Dict[Key, int] = {}
-        get = out.get
-        for (ea, pa), ca in self.num.items():
-            da = sum(ea)
-            for db, (eb, pb), cb in b_items:
-                if da + db > max_degree:
-                    break
-                params = _merge_params(pa, pb) if pa and pb else pa or pb
-                k = (tuple(map(_int_add, ea, eb)), params)
-                v = get(k)
-                if v is None:
-                    out[k] = ca * cb
-                else:
-                    s = v + ca * cb
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
         return _lowest(self.n, out, self.den * other.den)
+
+    _product = mul_truncated
 
     def scale(self, c) -> "MultiPoly":
         c = _as_fraction(c)
@@ -281,39 +274,49 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.num
 
+    def _grading(self) -> Dict[int, Dict[Key, int]]:
+        """The numerators bucketed by total spatial degree, in ascending
+        degree and each bucket in term order, built on first use; a
+        homogeneous polynomial's one bucket is ``num`` itself."""
+        if self._by_degree is None:
+            buckets: Dict[int, Dict[Key, int]] = {}
+            for k, c in self.num.items():
+                buckets.setdefault(sum(k[0]), {})[k] = c
+            if len(buckets) == 1:
+                buckets = {d: self.num for d in buckets}
+            _set(self, "_by_degree", dict(sorted(buckets.items())))
+        return self._by_degree
+
     def degree(self) -> int:
         """Maximal total spatial degree; -1 for the zero polynomial."""
-        if self._degree is None:
-            _set(self, "_degree", max((sum(e) for e, _ in self.num), default=-1))
-        return self._degree
+        return max(self._grading(), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e, _ in self.num}
-        return len(degs) <= 1
+        return len(self._grading()) <= 1
 
     def homogeneous_part(self, d: int) -> "MultiPoly":
-        return _lowest(
-            self.n, {k: c for k, c in self.num.items() if sum(k[0]) == d}, self.den
-        )
+        return _lowest(self.n, self._grading().get(d, {}), self.den)
 
     def homogeneous_parts(self) -> Dict[int, "MultiPoly"]:
-        out: Dict[int, Dict[Key, int]] = {}
-        for k, c in self.num.items():
-            out.setdefault(sum(k[0]), {})[k] = c
-        if len(out) == 1:
-            parts = {d: self for d in out}
-        else:
-            parts = {d: _lowest(self.n, t, self.den) for d, t in sorted(out.items())}
-        for d, part in parts.items():
-            _set(part, "_degree", d)
+        grading = self._grading()
+        if len(grading) == 1:
+            return {d: self for d in grading}
+        parts = {}
+        for d, t in grading.items():
+            part = parts[d] = _lowest(self.n, t, self.den)
+            _set(part, "_by_degree", {d: part.num})
         return parts
 
+    def _grlex_terms(self) -> List[Tuple[Key, Fraction]]:
+        """The terms by degree, then exponents, then parameters."""
+        return [(k, Fraction(c, self.den))
+                for t in self._grading().values() for k, c in sorted(t.items())]
+
     def truncate(self, max_degree: int) -> "MultiPoly":
-        return _lowest(
-            self.n,
-            {k: c for k, c in self.num.items() if sum(k[0]) <= max_degree},
-            self.den,
-        )
+        if self.degree() <= max_degree:
+            return self
+        kept = {k: c for k, c in self.num.items() if sum(k[0]) <= max_degree}
+        return _lowest(self.n, kept, self.den)
 
     def constant_term(self) -> Fraction:
         """Coefficient of the parameter-free constant monomial."""
@@ -352,7 +355,7 @@ class MultiPoly:
         if not self.num:
             return "0"
         bits = []
-        for (e, p), c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0])):
+        for (e, p), c in self._grlex_terms():
             mono = [f"x{i+1}^{k}" if k > 1 else f"x{i+1}" for i, k in enumerate(e) if k]
             mono += [f"{nm}^{k}" if k > 1 else nm for nm, k in p]
             body = "*".join(mono) if mono else "1"
@@ -361,11 +364,6 @@ class MultiPoly:
 
 
 # -- exact division ----------------------------------------------------------
-
-
-def _grlex_key(key: Key):
-    e, p = key
-    return (sum(e), e, p)
 
 
 def poly_divexact(P: MultiPoly) -> Optional[MultiPoly]:
@@ -507,11 +505,20 @@ def extract_radial_factors(P: MultiPoly) -> Tuple[int, MultiPoly]:
 # -- truncated jets ------------------------------------------------------------
 
 
-def _binomial_coeff(e: Fraction, k: int) -> Fraction:
+def _binomial_series(one, s, exponent):
+    """(1 + s)^exponent = sum_k C(e, k) s^k for a jet or series s with no
+    order-0 part, ``one`` the unit of its ring.  The coefficient runs along
+    as C(e, k + 1) = C(e, k) (e - k)/(k + 1); the sum stops at the first
+    zero power of s, which the truncation of the ring makes finite."""
+    e = _as_fraction(exponent)
+    out = power = one
     c = Fraction(1)
-    for j in range(k):
-        c = c * (e - j) / (j + 1)
-    return c
+    for k in itertools.count():
+        power = power * s
+        if power.is_zero:
+            return out
+        c = c * (e - k) / (k + 1)
+        out = out + power * c
 
 
 @dataclass(frozen=True)
@@ -528,8 +535,7 @@ class Jet:
     order: int
 
     def __post_init__(self):
-        if self.poly.degree() > self.order:
-            object.__setattr__(self, "poly", self.poly.truncate(self.order))
+        object.__setattr__(self, "poly", self.poly.truncate(self.order))
 
     @property
     def n(self) -> int:
@@ -590,24 +596,13 @@ class Jet:
     def rejet(self, order: int) -> "Jet":
         return _jet(self.poly.truncate(order), order)
 
-    def _unit_correction(self) -> MultiPoly:
-        s = self.poly - MultiPoly.const(self.n, 1)
-        if not s.homogeneous_part(0).is_zero:
-            raise ValueError("jet is not a unit with constant part 1")
-        return s
-
     def power_unit(self, exponent) -> "Jet":
         """Binomial series (1 + s)^exponent for a jet 1 + s; exponent rational."""
-        e = _as_fraction(exponent)
-        s = self._unit_correction()
-        out = MultiPoly.const(self.n, 1)
-        power = MultiPoly.const(self.n, 1)
-        for k in range(1, self.order + 1):
-            power = power.mul_truncated(s, self.order)
-            if power.is_zero:
-                break
-            out = out + power.scale(_binomial_coeff(e, k))
-        return _jet(out, self.order)
+        one = Jet.const(self.n, 1, self.order)
+        s = self - one
+        if 0 in s.poly._grading():
+            raise ValueError("jet is not a unit with constant part 1")
+        return _binomial_series(one, s, exponent)
 
     def __repr__(self) -> str:
         return f"Jet[D={self.order}]({self.poly!r})"
@@ -808,8 +803,10 @@ class SphericalSeries:
 
     # -- units ---------------------------------------------------------------
 
-    def _unit_split(self, at_infinity: bool):
-        """Split r^m0 * (1 + s) at the dominant end; return (m0, s)."""
+    def power_unit(self, exponent, at_infinity: bool = False) -> "SphericalSeries":
+        """Binomial series for (r^m0 * (1 + s))^exponent, r^m0 the term at the
+        dominant end; needs unit leading coefficient 1."""
+        e = _as_fraction(exponent)
         if not self.terms:
             raise ValueError("zero series is not invertible")
         w0 = self.leading_order(at_infinity)
@@ -823,32 +820,12 @@ class SphericalSeries:
             raise ValueError("series at infinity needs a finite order_min")
         if not at_infinity and self.order_max is None:
             raise ValueError("series at the origin needs a finite order_max")
-        s = self.shift(-m0) - SphericalSeries.one(
-            self.n,
-            None if self.order_min is None else self.order_min - m0,
-            None if self.order_max is None else self.order_max - m0,
-        )
-        return m0, s
-
-    def power_unit(self, exponent, at_infinity: bool = False) -> "SphericalSeries":
-        """Binomial series for (r^m0 * (1 + s))^exponent; needs unit constant 1."""
-        e = _as_fraction(exponent)
-        m0, s = self._unit_split(at_infinity)
         shift_total = e * m0
         if shift_total.denominator != 1:
             raise ValueError("fractional radial power in result")
-        lo = None if self.order_min is None else self.order_min - m0
-        hi = None if self.order_max is None else self.order_max - m0
-        out = SphericalSeries.one(self.n, lo, hi)
-        power = SphericalSeries.one(self.n, lo, hi)
-        k = 0
-        while True:
-            power = power * s
-            k += 1
-            if power.is_zero:
-                break
-            out = out + power.scale(_binomial_coeff(e, k))
-        return out.shift(int(shift_total))
+        u = self.shift(-m0)
+        one = SphericalSeries.one(self.n, u.order_min, u.order_max)
+        return _binomial_series(one, u - one, e).shift(int(shift_total))
 
     # -- grading and calculus --------------------------------------------------
 
@@ -861,17 +838,8 @@ class SphericalSeries:
 
     def radial_derivative(self) -> "SphericalSeries":
         """d/dr at fixed direction: r^w P(theta) -> w r^(w-1) P(theta)."""
-        raw = []
-        for m, P in self.terms:
-            w = m + P.degree()
-            if w != 0:
-                raw.append((m - 1, P.scale(w)))
-        return SphericalSeries.canonicalize(
-            self.n,
-            raw,
-            None if self.order_min is None else self.order_min - 1,
-            None if self.order_max is None else self.order_max - 1,
-        )
+        raw = [(m, P.scale(m + P.degree())) for m, P in self.terms if m + P.degree()]
+        return self.canonicalize(self.n, raw, self.order_min, self.order_max).shift(-1)
 
     def __repr__(self) -> str:
         bits = [f"r^{m}*[{P!r}]" for m, P in self.terms]
@@ -893,7 +861,7 @@ def poly_to_json(P: MultiPoly) -> list:
         raise ValueError(f"only the H parameter is serializable, got {extra}")
     use_h = "H" in extra
     out = []
-    for (e, p), c in sorted(P.terms.items(), key=lambda kv: _grlex_key(kv[0])):
+    for (e, p), c in P._grlex_terms():
         exp = list(e)
         if use_h:
             exp.append(dict(p).get("H", 0))

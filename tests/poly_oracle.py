@@ -1,9 +1,12 @@
-"""Term-by-term evaluation of exact polynomials and descending series: an
-oracle for the package's numeric evaluators and for hand-computed values.
+"""Term-by-term evaluation of exact polynomials and descending series, and
+unit powers by the per-k binomial loop: oracles for the package's numeric
+evaluators, its binomial series and hand-computed values.
 
 `evaluate` walks a MultiPoly's (or a Jet's) terms one at a time, exact when
 the coordinates and parameters are Fractions; `evaluate_series` sums a
-SphericalSeries r^m P(x) in floats.
+SphericalSeries r^m P(x) in floats.  `jet_power_unit` and
+`series_power_unit` sum (1 + s)^e as C(e, k) s^k with each C(e, k)
+recomputed from scratch in O(k).
 """
 
 import math
@@ -42,3 +45,44 @@ def evaluate_series(s: SphericalSeries, point: Sequence[float], params=None) -> 
     x = [float(xi) for xi in point]
     r = math.sqrt(sum(xi * xi for xi in x))
     return sum(r**m * float(evaluate(P, x, params)) for m, P in s.terms)
+
+
+def binomial_coeff(e: Fraction, k: int) -> Fraction:
+    """C(e, k) = e (e - 1) ... (e - k + 1) / k! for a rational e."""
+    c = Fraction(1)
+    for j in range(k):
+        c = c * (e - j) / (j + 1)
+    return c
+
+
+def jet_power_unit(u: Jet, exponent) -> Jet:
+    """(1 + s)^exponent for a jet u = 1 + s, s without constant part."""
+    e = Fraction(exponent)
+    s = u.poly - MultiPoly.const(u.n, 1)
+    out = power = MultiPoly.const(u.n, 1)
+    for k in range(1, u.order + 1):
+        power = power.mul_truncated(s, u.order)
+        if power.is_zero:
+            break
+        out = out + power.scale(binomial_coeff(e, k))
+    return Jet(out, u.order)
+
+
+def series_power_unit(u: SphericalSeries, exponent, at_infinity=False) -> SphericalSeries:
+    """(r^m0 (1 + s))^exponent for a series whose term at the dominant end
+    is r^m0 alone."""
+    e = Fraction(exponent)
+    w0 = u.leading_order(at_infinity)
+    [m0] = [m for m, P in u.terms if m + P.degree() == w0]
+    lo = None if u.order_min is None else u.order_min - m0
+    hi = None if u.order_max is None else u.order_max - m0
+    s = u.shift(-m0) - SphericalSeries.one(u.n, lo, hi)
+    out = power = SphericalSeries.one(u.n, lo, hi)
+    k = 0
+    while True:
+        power = power * s
+        k += 1
+        if power.is_zero:
+            break
+        out = out + power.scale(binomial_coeff(e, k))
+    return out.shift(int(e * m0))

@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from umbilic import cli
+from umbilic import asymptotic, cli, mass
 from umbilic.polyjet import MultiPoly
 from umbilic.surface import GraphSurface
 
@@ -301,6 +302,30 @@ def test_decay_needs_two_distinct_radii(capsys):
         assert code == 2, radii
         assert out == ""
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("radii, message", [
+    ("", "bad --radii value ''"),
+    ("1e-200,1e-100,1e-50,1", "radius 1e-200 is too small: its square underflows float64"),
+], ids=["empty", "square-underflow"])
+@pytest.mark.parametrize("command", ["mass", "decay"])
+def test_radii_refused_before_any_work(command, radii, message, capsys, monkeypatch):
+    # an empty --radii used to run the default radii; a radius whose square
+    # underflows died in a traceback (mass) or was refused without being
+    # named (decay).  Neither the mass certificate nor a sweep may start.
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the radii were checked")
+
+    for module, name in ((mass, "symbolic_mass_cancellation"), (mass, "mass_sweep"),
+                         (asymptotic, "decay_order_estimate")):
+        monkeypatch.setattr(module, name, never)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run([command, "--builtin", "sphere", "--n", "3", "--radii", radii],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_decay_sphere_inverted(capsys):

@@ -24,7 +24,10 @@ from umbilic.polyjet import (
     poly_to_json,
 )
 
-from poly_oracle import evaluate, evaluate_series
+from umbilic import asymptotic, obstruction
+from umbilic.surface import GraphSurface, jet_geometry
+
+from poly_oracle import evaluate, evaluate_series, jet_power_unit, series_power_unit
 
 
 def x(n, i):
@@ -424,6 +427,74 @@ def test_series_ring_axioms(n, descending, data):
     assert a * (b + c) == a * b + a * c
 
 
+# -- the binomial series against the per-k loop ---------------------------------
+
+
+@pytest.fixture
+def unit_powers(monkeypatch):
+    """Every Jet and SphericalSeries power_unit call made while the test
+    runs, as (base, args, result)."""
+    calls = []
+    for cls in (Jet, SphericalSeries):
+        def recorded(self, *args, _power_unit=cls.power_unit, **kwargs):
+            out = _power_unit(self, *args, **kwargs)
+            calls.append((self, args + tuple(kwargs.values()), out))
+            return out
+        monkeypatch.setattr(cls, "power_unit", recorded)
+    return calls
+
+
+def assert_same_unit_powers(calls, kinds):
+    """Each recorded power equals the per-k loop's term for term, in the
+    same term order; kinds lists the classes of the calls, in order."""
+    assert [type(base) for base, _, _ in calls] == kinds
+    for base, args, got in calls:
+        if isinstance(base, Jet):
+            want = jet_power_unit(base, *args)
+            assert got.order == want.order
+            assert list(got.poly.terms.items()) == list(want.poly.terms.items())
+        else:
+            want = series_power_unit(base, *args)
+            assert (got.order_min, got.order_max) == (want.order_min, want.order_max)
+            assert [(m, list(P.terms.items())) for m, P in got.terms] == [
+                (m, list(P.terms.items())) for m, P in want.terms
+            ]
+
+
+def symbolic_umbilical_poly(n):
+    """(H/2n)|x|^2 + x1^3 - x1 x2^2 + (3/7) x2^4 + a x1^2 x2^2 with H and a
+    parameters."""
+    H, a = MultiPoly.param(n, "H"), MultiPoly.param(n, "a")
+    x1, x2 = x(n, 0), x(n, 1)
+    return ((H * MultiPoly.x_norm_sq(n)).scale(Fraction(1, 2 * n)) + x1 ** 3 - x1 * x2 * x2
+            + (x2 ** 4).scale(Fraction(3, 7)) + a * x1 * x1 * x2 * x2)
+
+
+@pytest.mark.parametrize("R", [Fraction(1), Fraction(5, 3)])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sphere_jet_binomial_matches_per_k_loop(n, R, unit_powers):
+    GraphSurface.sphere(n, R, 9)
+    assert_same_unit_powers(unit_powers, [Jet])
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_inv_w2_binomial_matches_per_k_loop(n, unit_powers):
+    for poly in (GraphSurface.quartic_x1(n).f_jet.poly, symbolic_umbilical_poly(n)):
+        jet_geometry(poly, 5)
+    assert_same_unit_powers(unit_powers, [Jet, Jet])
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_series_binomials_match_per_k_loop(n, unit_powers):
+    # the conformal factor at infinity and 1/rho at the origin
+    polys = (GraphSurface.sphere(n).f_jet.poly, symbolic_umbilical_poly(n))
+    unit_powers.clear()
+    for poly in polys:
+        asymptotic._series_pieces(poly, -6)
+        obstruction._series_quotient(poly, MultiPoly.x_norm_sq(n) + poly * poly, 3)
+    assert_same_unit_powers(unit_powers, [SphericalSeries] * 4)
+
+
 # -- JSON round trip ----------------------------------------------------------
 
 
@@ -650,6 +721,34 @@ def test_integer_kernel_matches_fraction_oracle(n, seed):
         same(parts[d], oparts[d])
         same(a.homogeneous_part(d), oparts[d])
     assert a.constant_term() == ta.get(((0,) * n, ()), 0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(3, 9), st.integers(0, 2**32 - 1), st.booleans())
+def test_product_kernel_and_grading_match_fraction_oracle(n, seed, graded_first):
+    # mul_truncated without a cap is `*`, in the same term order, whether or
+    # not the operands' degree gradings were built before
+    rng = random.Random(seed)
+    a, b = seeded_poly(rng, n), seeded_poly(rng, n)
+    ta, tb = dict(a.terms), dict(b.terms)
+    if graded_first:
+        a.degree(), b.degree()
+    same(a.mul_truncated(b), o_mul(ta, tb))
+    same(a * b, o_mul(ta, tb))
+    degrees = [sum(e) for e, _ in ta]
+    assert a.degree() == max(degrees, default=-1)
+    assert a.is_homogeneous() == (len(set(degrees)) <= 1)
+    oparts = o_homogeneous_parts(ta)
+    parts = a.homogeneous_parts()
+    assert list(parts) == list(oparts)
+    for d, part in parts.items():
+        same(part, oparts[d])
+        assert part.degree() == d and part.is_homogeneous()
+        assert part.homogeneous_parts() == {d: part}
+    D = rng.randint(-1, 6)
+    if D >= a.degree():
+        assert a.truncate(D) is a
+    same(a.truncate(D), o_truncate(ta, D))
 
 
 @settings(max_examples=80, deadline=None)
