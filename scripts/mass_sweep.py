@@ -7,12 +7,14 @@ Exits 1 when a row breaks its bound: |m_inf| <= 1e-3 for the spheres,
 |m_inf - m| <= 1e-3 for the Schwarzschild fixture.  When the largest radius
 is at least 1000, each sphere's standard value there must also match the
 Lee-Parker value to 1e-6 relative: the two integrands differ at second
-order in the deviation, about 5e-7 at r = 1000.
+order in the deviation, about 5e-7 at r = 1000.  Radii that no row could
+sweep and extrapolate are refused before the first row runs, with exit 2.
 
 Usage: python3 scripts/mass_sweep.py [--radii 10,31.6,100,316,1000]
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -30,15 +32,31 @@ CASES = [
 ]
 
 
+def parse_radii(text):
+    """The --radii schedule, or ValueError if some row could not use it."""
+    if text is None:
+        return list(mass.DEFAULT_RADII)
+    try:
+        radii = [float(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"bad --radii value {text!r}") from None
+    if not all(math.isfinite(r) for r in radii):
+        raise ValueError("radii must be finite")
+    mass.check_fit_radii(radii)
+    for n in sorted({n for _, n, _, _ in CASES}):  # the fixture rows are n = 3
+        mass.check_sweep_radii(radii, n)
+    return radii
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--radii", default=None, help="comma-separated radii")
     args = ap.parse_args()
-    radii = (
-        [float(t) for t in args.radii.split(",")]
-        if args.radii
-        else list(mass.DEFAULT_RADII)
-    )
+    try:
+        radii = parse_radii(args.radii)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     failed = []
     print(f"{'surface':<11} {'n':>2} {'chart':>5} {'formula':>12} "

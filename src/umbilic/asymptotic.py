@@ -23,7 +23,7 @@ decay-order estimator certifies the asymptotic flatness orders.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -456,8 +456,9 @@ class DecayFit:
 
 
 def _report(fit) -> dict:
-    """A fit's dataclass fields as its JSON report, chart_kind as "chart"."""
-    out = asdict(fit)
+    """A report dataclass's fields as its JSON object, chart_kind as "chart".
+    The values are shared, not deep-copied as by asdict, which fails on a MultiPoly."""
+    out = {f.name: getattr(fit, f.name) for f in fields(fit)}
     out["chart"] = out.pop("chart_kind")
     return out
 

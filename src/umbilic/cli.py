@@ -1,11 +1,13 @@
 """Command-line front end: surface fixtures, verification suites, mass
 sweeps, decay fits, and machine-readable reports.
 
-Exit codes: 0 on success, 1 when a verification target fails, 2 on usage
-or parse errors (including chart preconditions and surfaces that are not
-umbilical at the origin).  Reports are rendered by
-a deterministic serializer (sorted keys, floats at 17 significant
-digits), so identical configuration and seed give byte-identical output.
+Each subcommand returns its report and verdict; main alone writes the
+report and sets the exit code: 0 on success, 1 when a verification target
+fails, 2 on usage or parse errors (including chart preconditions, surfaces
+not umbilical at the origin, and an --out path that cannot be written).
+Reports are rendered by a deterministic serializer (sorted keys, floats at
+17 significant digits), so identical configuration and seed give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import asymptotic, conformal, mass, obstruction
-from .asymptotic import ChartRequirementError
 from .obstruction import NotUmbilical
 from .polyjet import MultiPoly, poly_to_json, series_to_json
 from .quadrature import QuadratureRule
@@ -88,14 +89,6 @@ def _csv_text(rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, path: Optional[str]) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # -- configuration ---------------------------------------------------------------
 
 
@@ -145,14 +138,6 @@ def _usage(fn, *args, **kwargs):
         raise UsageError(str(exc))
 
 
-def _chart(S: GraphSurface, flag: str) -> asymptotic.Chart:
-    try:
-        return asymptotic.chart_for(S, flag)
-    except ChartRequirementError as exc:
-        # chart preconditions are configuration problems, not check failures
-        raise UsageError(str(exc))
-
-
 def _radii(args) -> List[float]:
     if args.radii is not None:
         try:
@@ -180,7 +165,7 @@ def _check_window(args, least: int) -> None:
         )
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Tuple[object, bool]:
     # the identities compare the order-2 coefficient with c_theta
     _check_window(args, 2)
     S = _load_surface(args)
@@ -191,20 +176,17 @@ def cmd_verify(args) -> int:
     # The jet identities are exact and do not depend on a sample point.
     rho_max = verify_rho_identities(S, None).max()
     rho_ok = rho_max < RHO_TOLERANCE
-
-    out = {
+    ok = report.all_identities_hold and rho_ok
+    return {
         "surface": S.to_json(),
         "checks": report.to_json(),
         "integrability": {"n": S.n, "k": lead.k, "verdict": verdict},
         "rho_identities": {"max_residual": rho_max, "ok": rho_ok},
-    }
-    ok = report.all_identities_hold and rho_ok
-    out["ok"] = ok
-    _emit(dumps(out) + "\n", args.out)
-    return 0 if ok else CHECK_FAILED
+        "ok": ok,
+    }, ok
 
 
-def cmd_mass(args) -> int:
+def cmd_mass(args) -> Tuple[object, bool]:
     # check everything the sweep and the extrapolation need before either runs
     radii = _radii(args)
     _usage(mass.check_fit_radii, radii)
@@ -221,41 +203,35 @@ def cmd_mass(args) -> int:
         if min(radii) <= source.horizon_radius:
             raise UsageError("radii must lie outside the horizon sphere |y| = |m|/2")
         chart = None
-        chart_kind = asymptotic.INVERTED_Y
         surface_json: object = f"schwarzschild(m={m})"
     else:
         if args.m is not None:
             raise UsageError("--m needs --fixture")
         source = _load_surface(args)
         n = source.n
-        chart = _chart(source, args.chart or "y")
-        chart_kind = chart.kind
+        chart = _usage(asymptotic.chart_for, source, args.chart or "y")
         surface_json = source.to_json()
     _usage(mass.check_sweep_radii, radii, n)
     rule = _usage(QuadratureRule.sphere, n, args.quad_deg)
 
     cancellation = (None if chart is None
-                    else mass.symbolic_mass_cancellation(source.f_jet, chart_kind).to_json())
+                    else mass.symbolic_mass_cancellation(source.f_jet, chart.kind).to_json())
     sweep = mass.mass_sweep(source, chart, radii, args.formula, rule)
-    fit = mass.extrapolate_mass(sweep)
-
-    out = {
+    fit = _usage(mass.extrapolate_mass, sweep)
+    ok = fit.fit_quality >= FIT_QUALITY_THRESHOLD
+    if args.format == "csv":
+        return [["radius", "mass"]] + [[e.radius, e.value] for e in sweep], ok
+    return {
         "surface": surface_json,
         "sweeps": [e.to_json() for e in sweep],
         "symbolic_cancellation": cancellation,
         **fit.to_json(),  # m_inf, decay_exponent, fit_quality, formula, chart
-    }
-    if args.format == "csv":
-        rows = [["radius", "mass"]] + [[e.radius, e.value] for e in sweep]
-        _emit(_csv_text(rows), args.out)
-    else:
-        _emit(dumps(out) + "\n", args.out)
-    return 0 if fit.fit_quality >= FIT_QUALITY_THRESHOLD else CHECK_FAILED
+    }, ok
 
 
-def cmd_decay(args) -> int:
+def cmd_decay(args) -> Tuple[object, bool]:
     S = _load_surface(args)
-    chart = _chart(S, args.chart)
+    chart = _usage(asymptotic.chart_for, S, args.chart)
     radii = _radii(args)
     _usage(asymptotic.check_decay_radii, radii)
     if args.seed < 0:
@@ -263,20 +239,17 @@ def cmd_decay(args) -> int:
     fit = _usage(asymptotic.decay_order_estimate, S, chart, radii, seed=args.seed)
     expected = EXPECTED_DECAY[chart.kind]
     ok = fit.tau_hat >= expected - DECAY_TOLERANCE
-    out = {
+    if args.format == "csv":
+        return fit.csv_rows(), ok
+    return {
         "surface": S.to_json(),
         "expected_order": expected,
         "ok": ok,
         "fit": fit.to_json(),
-    }
-    if args.format == "csv":
-        _emit(_csv_text(fit.csv_rows()), args.out)
-    else:
-        _emit(dumps(out) + "\n", args.out)
-    return 0 if ok else CHECK_FAILED
+    }, ok
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> Tuple[object, bool]:
     _check_window(args, 0)
     S = _load_surface(args)
     series = obstruction.script_R_series(S.f_jet, W=args.window)
@@ -284,30 +257,26 @@ def cmd_expand(args) -> int:
         {"order": w, "coefficient": series_to_json(series.coefficient(w))}
         for w in range(0, args.window + 1)
     ]
-    out = {
+    return {
         "surface": S.to_json(),
         "window": args.window,
         "coefficients": coeffs,
-    }
-    _emit(dumps(out) + "\n", args.out)
-    return 0
+    }, True
 
 
-def cmd_ctheta(args) -> int:
+def cmd_ctheta(args) -> Tuple[object, bool]:
     if args.order < 3:
         raise UsageError(f"--order must be at least 3 (the cubic part), not {args.order}")
     S = _load_surface(args)
     _, parts = obstruction.umbilical_decompose(S.f_jet.poly)
     A3 = parts.get(3, MultiPoly.zero(S.n))
     ct = obstruction.c_theta(A3)
-    out = {
+    return {
         "surface": S.to_json(),
         "cubic_coefficient": poly_to_json(A3),
         "c_theta": series_to_json(ct),
         "identically_zero": ct.is_zero,
-    }
-    _emit(dumps(out) + "\n", args.out)
-    return 0
+    }, True
 
 
 # -- parser ----------------------------------------------------------------------
@@ -318,16 +287,9 @@ def _add_surface_flags(p: argparse.ArgumentParser) -> None:
     source.add_argument("--builtin", choices=["flat", "sphere", "quartic_x1", "cubic_x1"])
     source.add_argument("--poly", help="surface description JSON file")
     p.add_argument("--radius", help="sphere radius (rational, default 1)")
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help="ambient graph dimension")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="jet truncation order")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-
-
-def _add_format_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,15 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the exact identity suite")
     _add_surface_flags(pv)
-    _add_common_flags(pv)
     pv.add_argument("--window", type=int, default=3, help="expansion window")
     pv.add_argument("--seed", type=int, default=0, help="ignored; kept for callers that pass it")
     pv.set_defaults(fn=cmd_verify)
 
     pm = sub.add_parser("mass", help="mass sweep and extrapolation")
     _add_surface_flags(pm)
-    _add_common_flags(pm)
-    _add_format_flag(pm)
+    pm.add_argument("--format", choices=["json", "csv"], default="json")
     pm.add_argument("--fixture", help="use a reference metric, e.g. schwarzschild")
     pm.add_argument("--m", type=float, default=None, help="fixture mass (default 1.0)")
     pm.add_argument("--chart", choices=["y", "z"], default=None,
@@ -364,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("decay", help="fit the metric deviation decay order")
     _add_surface_flags(pd)
-    _add_common_flags(pd)
-    _add_format_flag(pd)
+    pd.add_argument("--format", choices=["json", "csv"], default="json")
     pd.add_argument("--chart", choices=["y", "z"], default="y")
     pd.add_argument("--radii", help="comma-separated sweep radii")
     pd.add_argument("--seed", type=int, default=0, help="direction grid seed")
@@ -373,25 +332,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("expand", help="dump the curvature expansion")
     _add_surface_flags(pe)
-    _add_common_flags(pe)
     pe.add_argument("--window", type=int, default=3)
     pe.set_defaults(fn=cmd_expand)
 
     pc = sub.add_parser("ctheta", help="dump the obstruction function")
     _add_surface_flags(pc)
-    _add_common_flags(pc)
     pc.set_defaults(fn=cmd_ctheta)
 
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand, which returns its report (a JSON object, or CSV
+    rows as a list) and its verdict; write the report to stdout or --out
+    and map the verdict to the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        report, ok = args.fn(args)
+        text = _csv_text(report) if isinstance(report, list) else dumps(report) + "\n"
+        if not args.out:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write {args.out}: {exc.strerror}")
     except (UsageError, NotUmbilical) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    return 0 if ok else CHECK_FAILED
 
 
 if __name__ == "__main__":

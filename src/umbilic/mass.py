@@ -252,9 +252,11 @@ def _estimate(formula: str, integrand: Callable, source: MetricSource,
         raise ValueError("a chart is required for surface sources")
     nodes = rule.nodes
     vals = np.empty(len(nodes))
-    for lo in range(0, len(nodes), BLOCK_NODES):
-        vals[lo:lo + BLOCK_NODES] = integrand(source, chart, r, nodes[lo:lo + BLOCK_NODES])
-    value = mass_normalization(n) * r ** (n - 1) * rule.integrate(vals)
+    # overflow or a zero divisor leaves a non-finite value; extrapolate_mass refuses it
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(nodes), BLOCK_NODES):
+            vals[lo:lo + BLOCK_NODES] = integrand(source, chart, r, nodes[lo:lo + BLOCK_NODES])
+        value = mass_normalization(n) * r ** (n - 1) * rule.integrate(vals)
     kind = chart.kind if chart is not None else INVERTED_Y
     return MassEstimate(r, value, formula, kind, rule.degree, len(rule.weights))
 
@@ -345,7 +347,8 @@ def extrapolate_mass(estimates: Sequence[MassEstimate]) -> MassExtrapolation:
     closed form, so the sum of squared residuals is a function of p alone.
     It is scanned on a grid of 48 exponents, then minimized by golden
     section on the bracket around the best grid point until the bracket is
-    1e-12 of p wide."""
+    1e-12 of p wide.  Raises ValueError, naming the smallest such radius,
+    if any value is not finite."""
     check_fit_radii([e.radius for e in estimates])
     formulas = {e.formula for e in estimates}
     charts = {e.chart_kind for e in estimates}
@@ -355,6 +358,9 @@ def extrapolate_mass(estimates: Sequence[MassEstimate]) -> MassExtrapolation:
     rs = np.array([e.radius for e in est])
     vs = np.array([e.value for e in est])
     formula, chart_kind = formulas.pop(), charts.pop()
+    for e in est:
+        if not math.isfinite(e.value):
+            raise ValueError(f"the mass estimate at radius {e.radius:g} is {e.value}, not finite")
 
     scale = max(np.max(np.abs(vs)), 1e-300)
     if np.ptp(vs) <= 1e-13 * scale:
@@ -429,19 +435,11 @@ class MassCancellationReport:
     mass_vanishes: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "chart": self.chart_kind,
-            "window_min": self.window_min,
-            "integrand_orders": list(self.integrand_orders),
-            "t5_coefficient_zero": self.t5_coefficient_zero,
-            "t6_coefficient_zero": self.t6_coefficient_zero,
-            "boundary_integrals": {
-                str(w): poly_to_json(P) for w, P in self.boundary_integrals.items()
-            },
-            "remainder_order": self.remainder_order,
-            "mass_vanishes": self.mass_vanishes,
+        out = _report(self)
+        out["boundary_integrals"] = {
+            str(w): poly_to_json(P) for w, P in self.boundary_integrals.items()
         }
+        return out
 
 
 def symbolic_mass_cancellation(

@@ -378,6 +378,57 @@ def test_reports_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv, code", [
+    ("verify --builtin sphere --n 3", 0),
+    ("mass --fixture schwarzschild --m 0.5 --quad-deg 6", 0),
+    ("mass --fixture schwarzschild --m 0.5 --quad-deg 6 --format csv", 0),
+    ("decay --builtin sphere --n 3 --radii 0.1,0.2", 1),  # fails its decay bound
+    ("decay --builtin sphere --n 3 --format csv", 0),
+    ("expand --builtin sphere --n 3 --window 0", 0),
+    ("ctheta --builtin cubic_x1 --n 4", 0),
+], ids=["verify", "mass", "mass-csv", "decay-fails", "decay-csv", "expand", "ctheta"])
+def test_out_gets_the_stdout_bytes(argv, code, tmp_path, capsys):
+    # one write path: --out FILE holds exactly what stdout would, with the
+    # same exit code
+    got, out, err = run(argv.split(), capsys)
+    assert (got, err) == (code, "") and out
+    path = tmp_path / "report"
+    assert run(argv.split() + ["--out", str(path)], capsys) == (code, "", "")
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_is_usage_error(where, tmp_path, capsys):
+    # both used to end in a traceback with exit 1
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    code, out, err = run(["ctheta", "--builtin", "cubic_x1", "--n", "4", "--out", str(path)],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+def test_usage_error_writes_no_out_file(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, out, _ = run(["verify", "--builtin", "sphere", "--n", "1", "--out", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_non_finite_mass_estimate_is_usage_error(action, capsys):
+    # at r = 1e-60 the chart point has |z| = 1e60, so the jet's degree-6
+    # monomials overflow float64.  This used to exit 0 with m_inf NaN and
+    # fit_quality 1, or end in a traceback with RuntimeWarnings as errors.
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        code, out, err = run(["mass", "--builtin", "sphere", "--n", "3", "--quad-deg", "4",
+                              "--radii", "1e-60,1e-50,1e-40,1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the mass estimate at radius 1e-60 is nan, not finite\n"
+
+
 def test_float_formatting_seventeen_digits():
     text = cli.dumps({"x": 1.0 / 3.0, "frac": [0.1]})
     assert "0.33333333333333331" in text

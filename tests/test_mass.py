@@ -3,9 +3,13 @@ power-law extrapolation, and the exact symbolic cancellation that forces
 the mass of the inverted hypersurface to vanish."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -543,6 +547,35 @@ def test_extrapolate_preconditions():
         mm.extrapolate_mass(mixed)
     with pytest.raises(ValueError):
         mm.extrapolate_mass(fake_estimates([10, 20, 30, 40], [1, 1, 1, 1]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_extrapolate_refuses_non_finite_values(bad):
+    # a NaN value used to give m_inf NaN with fit_quality 1
+    radii = [10.0, 30.0, 100.0, 300.0]
+    values = [bad, 2.0, bad, 2.0 + 300.0**-2]
+    with pytest.raises(ValueError, match=f"radius 10 is {bad}, not finite"):
+        mm.extrapolate_mass(fake_estimates(radii, values))
+
+
+@pytest.mark.parametrize("radii, message", [
+    ("", "bad --radii value ''"),
+    ("10,20", "at least four distinct radii are required"),
+    ("1e-200,1e-100,1e-50,1", "radius 1e-200 is too small: its square underflows float64"),
+], ids=["empty", "too-few", "square-underflow"])
+def test_mass_sweep_script_refuses_radii_before_sweeping(radii, message):
+    # an empty --radii used to run the default radii, and two radii died in
+    # a check_fit_radii traceback after the table header was printed
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(root / "scripts" / "mass_sweep.py"),
+         "--radii", radii],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 # -- symbolic cancellation ------------------------------------------------------
