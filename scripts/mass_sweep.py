@@ -14,7 +14,6 @@ Usage: python3 scripts/mass_sweep.py [--radii 10,31.6,100,316,1000]
 """
 
 import argparse
-import math
 import sys
 import time
 
@@ -40,8 +39,6 @@ def parse_radii(text):
         radii = [float(t) for t in text.split(",")]
     except ValueError:
         raise ValueError(f"bad --radii value {text!r}") from None
-    if not all(math.isfinite(r) for r in radii):
-        raise ValueError("radii must be finite")
     mass.check_fit_radii(radii)
     for n in sorted({n for _, n, _, _ in CASES}):  # the fixture rows are n = 3
         mass.check_sweep_radii(radii, n)

@@ -1,13 +1,17 @@
-"""Run the README's `umbilic` commands in two source trees and compare.
+"""Run the README's `umbilic` commands here, or here and in a base tree.
 
+    python3 scripts/readme_diff.py
     python3 scripts/readme_diff.py --base ../parent
 
 The commands are the `umbilic ...` lines of the README's code blocks (a
 trailing `# comment` is dropped), so the list has one source.  Each runs as
-`python -m umbilic.cli ...` once in this tree and once in the base tree,
-from that tree's root with its `src` on PYTHONPATH.  For each command the
-script prints "identical", or a unified diff of stdout and stderr and the
-two exit codes.  It exits 1 if any command differs, else 0.
+`python -m umbilic.cli ...` from a tree's root with its `src` on PYTHONPATH.
+Without --base each runs once in this tree under `-W error::RuntimeWarning`,
+its output passed through after the command line, and the script exits 1
+if any command exits nonzero.  With --base each runs once in this tree and
+once in the base tree; for each command the script prints "identical", or a
+unified diff of stdout and stderr and the two exit codes, and it exits 1 if
+any command differs, else 0.
 """
 
 from __future__ import annotations
@@ -37,13 +41,15 @@ def readme_commands(readme: Path) -> List[List[str]]:
     return commands
 
 
-def run(tree: Path, args: List[str]) -> Tuple[str, str, int]:
+def run(tree: Path, args: List[str], *flags: str, capture: bool = True) -> Tuple[str, str, int]:
+    """`python *flags -m umbilic.cli *args` in the tree: stdout, stderr (None
+    unless captured) and the exit code."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(tree / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.run([sys.executable, "-m", "umbilic.cli", *args], cwd=tree,
-                          env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *flags, "-m", "umbilic.cli", *args], cwd=tree,
+                          env=env, capture_output=capture, text=True)
     return proc.stdout, proc.stderr, proc.returncode
 
 
@@ -61,11 +67,22 @@ def compare(base: Tuple[str, str, int], change: Tuple[str, str, int]) -> List[st
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--base", type=Path, required=True, help="source tree to compare against")
+    ap.add_argument("--base", type=Path, help="source tree to compare against")
     args = ap.parse_args(argv)
+    commands = readme_commands(ROOT / "README.md")
+    if args.base is None:
+        failed = [] if commands else ["the README has no `umbilic` command"]
+        for cmd in commands:
+            print("umbilic " + shlex.join(cmd), flush=True)
+            code = run(ROOT, cmd, "-W", "error::RuntimeWarning", capture=False)[2]
+            if code:
+                failed.append(f"exit code {code}: umbilic {shlex.join(cmd)}")
+        for line in failed:
+            print(line, file=sys.stderr)
+        return 1 if failed else 0
     base = args.base.resolve()
     differ = False
-    for cmd in readme_commands(ROOT / "README.md"):
+    for cmd in commands:
         print("umbilic " + shlex.join(cmd))
         lines = compare(run(base, cmd), run(ROOT, cmd))
         print("\n".join("  " + line for line in lines) if lines else "  identical")

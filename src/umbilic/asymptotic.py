@@ -123,14 +123,11 @@ def chart_for(S: GraphSurface, flag: str) -> Chart:
 # cancel to the O(t^-4) deviation, so in this chart the relative error
 # grows like t^2 times the rounding error.
 #
-# Both charts share one pull-back: _inverse_point maps chart points to x,
-# _rank_one_form builds the diagonal and rank-one terms from f and grad f.
-# Run on one Dual whose derivative part carries all n chart directions on
-# a leading axis (d[k] along e_k), the same two functions give every exact
-# chart derivative d_k (g - I) from f, grad f and Hess f at x in one
-# forward pass, each value part formed once.  They therefore index and
-# reduce trailing axes only.  Run on a Dual of Duals, they give the second
-# chart derivatives as well, from f and its first three derivatives at x.
+# Both charts share one pull-back, ghat_deviation_form: _inverse_point maps
+# chart points to x, _rank_one_form builds the diagonal and rank-one terms
+# from f and grad f.  Both index and reduce trailing axes only, so they run
+# unchanged on arrays, on Duals carrying all n chart directions on a
+# leading axis (d[k] along e_k), and on Duals of Duals.
 
 
 def _conformal(eps):
@@ -193,58 +190,43 @@ def _assemble_form(diag: np.ndarray, lefts, rights, n: int) -> np.ndarray:
 
 def ghat_deviation_batch(S: GraphSurface, chart: Chart, pts: np.ndarray) -> np.ndarray:
     """Components of (rescaled metric - identity) at chart points, shape
-    (N, n, n), from one order-1 evaluator call.  In the inverted chart
-    they keep their relative accuracy at any radius; in the corrected
-    chart O(t^-2) pieces cancel to the O(t^-4) deviation, so the relative
-    error grows like t^2 times the rounding error."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    a, ys, s, xs = _inverse_point(chart, pts)
-    f, gr = S.f_derivatives_batch(xs)
-    diag, coefs, vecs = _rank_one_form(chart, a, ys, s, f, gr)
-    return _assemble_form(diag, [c[:, None] * u for c, u in zip(coefs, vecs)], vecs, pts.shape[1])
+    (N, n, n), assembled from ghat_deviation_form at depth 0.  In the
+    inverted chart they keep their relative accuracy at any radius; in the
+    corrected chart O(t^-2) pieces cancel to the O(t^-4) deviation, so the
+    relative error grows like t^2 times the rounding error."""
+    diag, coefs, vecs = ghat_deviation_form(S, chart, pts, depth=0)
+    return _assemble_form(diag, [c[:, None] * u for c, u in zip(coefs, vecs)], vecs, S.n)
 
 
-def ghat_deviation_form(S: GraphSurface, chart: Chart, pts: np.ndarray):
+def ghat_deviation_form(S: GraphSurface, chart: Chart, pts: np.ndarray, depth: int = 1):
     """diag, coefs and vecs with g - I = diag I + sum_m coefs[m] vecs[m]
-    vecs[m]^T at the chart points pts, each a Dual whose derivative part
-    holds the n chart derivatives on a leading axis (diag.d[k] = d_k diag,
-    shape (n, N); vecs[m].d has shape (n, N, n)).
-
-    One order-2 evaluator call gives f, grad f and Hess f at x; one forward
-    pass pushes all n directions e_k through the closed form, with
-    df = grad f . d_k x and d grad f = Hess f d_k x.  The value parts are
-    ghat_deviation_batch's arrays, formed by the same arithmetic."""
+    vecs[m]^T at the chart points pts, the one pull-back of the metric:
+    arrays at depth 0; at depth 1 Duals carrying the n chart derivatives
+    on a leading axis (diag.d[k] = d_k diag, shape (n, N); vecs[m].d has
+    shape (n, N, n)); at depth 2 Duals of Duals, z seeded with e_j on the
+    inner Dual's leading axis and e_k on the outer one's, so x.d.v[k] =
+    d_k x and x.d.d[j, k] = d_j d_k x.  One evaluator call of order
+    depth + 1 gives f and its derivatives at x, `_lift` the chain rule, and
+    the value parts are the depth-0 arrays, formed by the same arithmetic."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     N, n = pts.shape
-    directions = np.broadcast_to(np.eye(n)[:, None, :], (n, N, n))
-    a, ys, s, xs = _inverse_point(chart, Dual(pts, directions))
-    f, gr, hess = S.f_derivatives_batch(xs.v, order=2)
-    f = Dual(f, (gr * xs.d).sum(axis=-1))
-    gr = Dual(gr, np.einsum("pij,kpj->kpi", hess, xs.d))
-    return _rank_one_form(chart, a, ys, s, f, gr)
+    e = np.broadcast_to(np.eye(n)[:, None, :], (n, N, n))
+    zs = (pts, Dual(pts, e), Dual(Dual(pts, e[:, None]), Dual(e, np.zeros(n))))[depth]
+    a, ys, s, xs = _inverse_point(chart, zs)
+    F = S.f_derivatives_batch(xs if depth == 0 else xs.v if depth == 1 else xs.v.v,
+                              order=depth + 1)
+    return _rank_one_form(chart, a, ys, s, _lift(xs, *F[:-1]), _lift(xs, *F[1:]))
 
 
 def ghat_deviation_derivatives(S: GraphSurface, chart: Chart, pts: np.ndarray):
     """h = g - I at the chart points pts and its exact chart derivatives
     dh[k] = d_k h and ddh[j, k] = d_j d_k h, shapes (N, n, n), (n, N, n, n)
-    and (n, n, N, n, n), on a jet surface.
-
-    ghat_deviation_form's pass one order up: z is a Dual of Duals seeded
-    with e_j on the inner Dual's leading axis and e_k on the outer one's,
-    so x.d.v[k] = d_k x and x.d.d[j, k] = d_j d_k x.  One order-3
-    evaluator call gives f and its derivatives at x, `_lift` the chain
-    rule, and the same _inverse_point and _rank_one_form the form.  Each of
-    its terms w u^T, w = c u, is bilinear: d_k (w u^T) = w_k u^T + w u_k^T
-    and d_j d_k (w u^T) = w_jk u^T + w_j u_k^T + w_k u_j^T + w u_jk^T."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    N, n = pts.shape
-    directions = np.broadcast_to(np.eye(n)[:, None, :], (n, N, n))
-    zs = Dual(Dual(pts, directions[:, None]), Dual(directions, np.zeros(n)))
-    a, ys, s, xs = _inverse_point(chart, zs)
-    f, gr, hess, third = S.f_derivatives_batch(xs.v.v, order=3)
-    diag, coefs, vecs = _rank_one_form(chart, a, ys, s, _lift(xs, f, gr, hess),
-                                       _lift(xs, gr, hess, third))
-    del zs, a, ys, s, xs, f, gr, hess, third  # the pass's arrays go before the assembly's peak
+    and (n, n, N, n, n), on a jet surface, assembled from
+    ghat_deviation_form at depth 2.  Each of its terms w u^T, w = c u, is
+    bilinear: d_k (w u^T) = w_k u^T + w u_k^T and d_j d_k (w u^T) =
+    w_jk u^T + w_j u_k^T + w_k u_j^T + w u_jk^T."""
+    n = S.n
+    diag, coefs, vecs = ghat_deviation_form(S, chart, pts, depth=2)
     W = [(w.v.v, w.d.v, w.d.d) for w in (c[..., None] * u for c, u in zip(coefs, vecs))]
     U = [(u.v.v, u.d.v, u.d.d) for u in vecs]
     h = _assemble_form(diag.v.v, [w[0] for w in W], [u[0] for u in U], n)
@@ -258,15 +240,21 @@ def ghat_deviation_derivatives(S: GraphSurface, chart: Chart, pts: np.ndarray):
     return h, dh, ddh
 
 
-def _lift(xs: Dual, F: np.ndarray, dF: np.ndarray, ddF: np.ndarray) -> Dual:
-    """F at x = xs.v.v as a Dual of Duals like xs, from F, its gradient dF
-    and its Hessian ddF (trailing axes): d_k F = dF . d_k x and
-    d_j d_k F = ddF(d_j x, d_k x) + dF . d_j d_k x.  xs's inner and outer
-    first derivatives are equal: both were seeded alike."""
-    dx, ddx = xs.d.v, xs.d.d
+def _lift(xs, F: np.ndarray, dF: np.ndarray = None, ddF: np.ndarray = None):
+    """F at x, xs's value part, as a value like xs (an array, a Dual or a
+    Dual of Duals), from F, its gradient dF and its Hessian ddF (trailing
+    axes) at x: d_k F = dF . d_k x and d_j d_k F = ddF(d_j x, d_k x) +
+    dF . d_j d_k x.  The inner and outer first derivatives of a Dual of
+    Duals are equal: both were seeded alike."""
+    if not isinstance(xs, Dual):
+        return F
+    nested = isinstance(xs.v, Dual)
+    dx = xs.d.v if nested else xs.d
     dF_x = np.einsum("p...l,kpl->kp...", dF, dx)
+    if not nested:
+        return Dual(F, dF_x)
     ddF_x = np.einsum("kp...l,jpl->jkp...", np.einsum("p...lm,kpm->kp...l", ddF, dx), dx)
-    ddF_x += np.einsum("p...l,jkpl->jkp...", dF, ddx)
+    ddF_x += np.einsum("p...l,jkpl->jkp...", dF, xs.d.d)
     return Dual(Dual(F, dF_x[:, None]), Dual(dF_x, ddF_x))
 
 
@@ -465,14 +453,16 @@ def _report(fit) -> dict:
 
 def check_decay_radii(radii: Sequence[float]) -> None:
     """Raise ValueError unless decay_order_estimate can fit the radii: at
-    least two distinct ones, none so large that its square, the chart's
-    |z|^2, overflows float64 and none so small that it underflows to 0."""
+    least two distinct positive ones, none so large that its square, the
+    chart's |z|^2, overflows float64 and none so small that it underflows."""
+    if not all(0.0 < r < math.inf for r in radii):
+        raise ValueError("radii must be finite and positive")
     if len(set(radii)) < 2:
         raise ValueError("at least two distinct radii are required")
-    r = max(abs(float(r)) for r in radii)
+    r = max(float(r) for r in radii)
     if math.isinf(r * r):
         raise ValueError(f"radius {r:g} is too large: its square overflows float64")
-    r = min(abs(float(r)) for r in radii)
+    r = min(float(r) for r in radii)
     if r * r == 0.0:
         raise ValueError(f"radius {r:g} is too small: its square underflows float64")
 

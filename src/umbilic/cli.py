@@ -216,7 +216,7 @@ def cmd_mass(args) -> Tuple[object, bool]:
 
     cancellation = (None if chart is None
                     else mass.symbolic_mass_cancellation(source.f_jet, chart.kind).to_json())
-    sweep = mass.mass_sweep(source, chart, radii, args.formula, rule)
+    sweep = _usage(mass.mass_sweep, source, chart, radii, args.formula, rule)
     fit = _usage(mass.extrapolate_mass, sweep)
     ok = fit.fit_quality >= FIT_QUALITY_THRESHOLD
     if args.format == "csv":

@@ -252,7 +252,7 @@ def _estimate(formula: str, integrand: Callable, source: MetricSource,
         raise ValueError("a chart is required for surface sources")
     nodes = rule.nodes
     vals = np.empty(len(nodes))
-    # overflow or a zero divisor leaves a non-finite value; extrapolate_mass refuses it
+    # overflow or a zero divisor leaves a non-finite value; mass_sweep refuses it
     with np.errstate(all="ignore"):
         for lo in range(0, len(nodes), BLOCK_NODES):
             vals[lo:lo + BLOCK_NODES] = integrand(source, chart, r, nodes[lo:lo + BLOCK_NODES])
@@ -293,10 +293,18 @@ def mass_sweep(
     formula: str = STANDARD,
     rule: Optional[QuadratureRule] = None,
 ) -> List[MassEstimate]:
+    """The estimates at the radii, smallest first; the first that is not
+    finite raises ValueError before the larger radii run."""
     if rule is None:
         rule = QuadratureRule.sphere(source.n)
     fn = {STANDARD: adm_mass_standard, LEE_PARKER: adm_mass_lee_parker}[formula]
-    return [fn(source, chart, float(r), rule) for r in sorted(radii)]
+    return [_finite(fn(source, chart, float(r), rule)) for r in sorted(radii)]
+
+
+def _finite(e: MassEstimate) -> MassEstimate:
+    if not math.isfinite(e.value):
+        raise ValueError(f"the mass estimate at radius {e.radius:g} is {e.value}, not finite")
+    return e
 
 
 # -- extrapolation --------------------------------------------------------------
@@ -317,10 +325,12 @@ class MassExtrapolation:
 
 
 def check_sweep_radii(radii: Sequence[float], n: int) -> None:
-    """Raise ValueError unless every radius is positive, its square (the
-    chart's |y|^2) does not underflow to 0, and its area factor r^(n-1) in
-    the normalized flux integral is a float64."""
+    """Raise ValueError unless every radius is finite and positive, its
+    square (the chart's |y|^2) does not underflow to 0, and its area factor
+    r^(n-1) in the normalized flux integral is a float64."""
     for r in radii:
+        if not math.isfinite(r):
+            raise ValueError("radii must be finite")
         if r <= 0.0:
             raise ValueError("radius must be positive")
         if float(r) * float(r) == 0.0:
@@ -359,8 +369,7 @@ def extrapolate_mass(estimates: Sequence[MassEstimate]) -> MassExtrapolation:
     vs = np.array([e.value for e in est])
     formula, chart_kind = formulas.pop(), charts.pop()
     for e in est:
-        if not math.isfinite(e.value):
-            raise ValueError(f"the mass estimate at radius {e.radius:g} is {e.value}, not finite")
+        _finite(e)
 
     scale = max(np.max(np.abs(vs)), 1e-300)
     if np.ptp(vs) <= 1e-13 * scale:

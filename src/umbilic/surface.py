@@ -225,14 +225,19 @@ class GraphSurface:
     # -- derivative access ----------------------------------------------------
 
     def _sym(self, order: int) -> BatchPoly:
-        """The evaluator of [f], [f, grad f] or [f, grad f, Hess f] (the
-        Hessian row-major) for derivative order 0, 1 or 2; order 3 appends
-        the distinct third derivatives d_i d_j d_k f, i <= j <= k, in the
-        order of `_third_index`."""
+        """The evaluator of [f], [f, grad f, E f, E grad f] or [f, grad f,
+        Hess f] (the Hessian row-major) for derivative order 0, 1 or 2;
+        order 3 appends the distinct third derivatives d_i d_j d_k f,
+        i <= j <= k, in the order of `_third_index`.  E = x . grad is the
+        Euler operator, d times each part of degree d, so the ray columns
+        of order 1 add no monomial rows."""
         if order not in self._cache:
             n, polys = self.n, [self.f_jet.poly]
             if order > 0:
                 polys += [polys[0].diff(i) for i in range(n)]
+            if order == 1:
+                polys += [sum((P.scale(d) for d, P in Q.homogeneous_parts().items()),
+                              MultiPoly.zero(n)) for Q in polys]
             if order > 1:
                 polys += [g.diff(j) for g in polys[1:] for j in range(n)]
             if order > 2:
@@ -241,19 +246,6 @@ class GraphSurface:
             self._cache[order] = BatchPoly(polys)
         return self._cache[order]
 
-    def _sym_radial(self) -> BatchPoly:
-        """The evaluator of [f, grad f, E f, E grad f], E = x . grad the
-        Euler operator (each monomial times its degree): 2(n+1) columns on
-        one monomial table, no Hessian."""
-        if "radial" not in self._cache:
-            polys = [self.f_jet.poly] + [self.f_jet.poly.diff(i) for i in range(self.n)]
-            euler = [
-                MultiPoly.make(self.n, {k: c * sum(k[0]) for k, c in P.terms.items()})
-                for P in polys
-            ]
-            self._cache["radial"] = BatchPoly(polys + euler)
-        return self._cache["radial"]
-
     def f_value(self, x) -> float:
         if self.symbolic:
             return float(self._sym(0)(x)[0, 0])
@@ -261,7 +253,7 @@ class GraphSurface:
 
     def f_grad(self, x) -> np.ndarray:
         if self.symbolic:
-            return self._sym(1)(x)[0, 1:]
+            return self._sym(1)(x)[0, 1: self.n + 1]
         x = np.asarray(x, dtype=float)
         h = self.fd_step * max(1.0, float(np.linalg.norm(x)))
         return numdiff.gradient(self.f_num, x, h)
@@ -282,7 +274,8 @@ class GraphSurface:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         N, n = pts.shape
         if self.symbolic:
-            ends = np.cumsum([n**k for k in range(order)])
+            # order 1's ray columns fall past the last end, in a part not returned
+            ends = np.cumsum([n**k for k in range(order + 1)])
             parts = np.split(self._sym(order)(pts), ends, axis=1)
             if order > 2:
                 parts[3] = parts[3][:, _third_index(n)]
@@ -297,12 +290,13 @@ class GraphSurface:
         """f, grad f, x . grad f and (x . grad) grad f at the rows of pts,
         shaped (N,), (N, n), (N,) and (N, n).  Along the ray x = rho xhat
         the last two are rho times the rho-derivatives of the first two.
-        One evaluator call on a symbolic surface; on a numeric one they
-        come from per-point finite differences of grad f and Hess f."""
+        One call of the order-1 evaluator on a symbolic surface; on a
+        numeric one they come from per-point finite differences of grad f
+        and Hess f."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = pts.shape[1]
         if self.symbolic:
-            f, gr, ef, egr = np.split(self._sym_radial()(pts), [1, n + 1, n + 2], axis=1)
+            f, gr, ef, egr = np.split(self._sym(1)(pts), [1, n + 1, n + 2], axis=1)
             return f[:, 0], gr, ef[:, 0], egr
         f, gr, hess = self.f_derivatives_batch(pts, 2)
         return f, gr, np.sum(pts * gr, axis=1), np.einsum("pij,pj->pi", hess, pts)

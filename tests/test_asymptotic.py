@@ -223,7 +223,14 @@ def test_all_directions_pass_matches_one_direction(name, n, flag):
     dirs = QuadratureRule.sphere(n, 6).nodes
     for r in (10.0, 1000.0):
         pts = r * dirs
-        diag, coefs, vecs = asym.ghat_deviation_form(S, ch, pts)
+        # every depth's value parts are the depth-0 arrays, bit for bit
+        forms = [asym.ghat_deviation_form(S, ch, pts, depth) for depth in (0, 1, 2)]
+        for depth, (diag, coefs, vecs) in enumerate(forms):
+            for got, want in zip([diag, *coefs, *vecs], [forms[0][0], *forms[0][1], *forms[0][2]]):
+                for _ in range(depth):
+                    got = got.v
+                assert np.array_equal(got, want), (r, depth)
+        diag, coefs, vecs = forms[1]
         dev = asym._assemble_form(diag.v, [c.v[:, None] * w.v for c, w in zip(coefs, vecs)],
                                   [w.v for w in vecs], n)
         assert np.array_equal(dev, asym.ghat_deviation_batch(S, ch, pts))
@@ -623,6 +630,19 @@ def test_decay_fit_takes_no_finite_difference(monkeypatch):
         S = GraphSurface.builtin(name, n)
         fit = asym.decay_order_estimate(S, asym.chart_for(S, flag), DEFAULT_RADII)
         assert math.isfinite(fit.tau_hat) and math.isfinite(fit.slope_ddh)
+
+
+@pytest.mark.parametrize("radii", [[-10.0, -100.0, -1000.0], [10.0, 0.0], [10.0, math.inf],
+                                   [10.0, math.nan]])
+def test_decay_refuses_non_finite_or_non_positive_radii(radii, capfd):
+    # negative radii used to reach the fit, where LAPACK printed "On entry to
+    # DLASCL parameter number 5 had an illegal value" and raised LinAlgError
+    S = GraphSurface.sphere(3)
+    with pytest.raises(ValueError, match="radii must be finite and positive"):
+        asym.check_decay_radii(radii)
+    with pytest.raises(ValueError, match="radii must be finite and positive"):
+        asym.decay_order_estimate(S, asym.chart_for(S, "y"), radii)
+    assert capfd.readouterr().err == ""
 
 
 def test_decay_radii_out_of_float64_range():

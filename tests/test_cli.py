@@ -416,10 +416,18 @@ def test_usage_error_writes_no_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("action", ["error", "default"])
-def test_non_finite_mass_estimate_is_usage_error(action, capsys):
+def test_non_finite_mass_estimate_is_usage_error(action, capsys, monkeypatch):
     # at r = 1e-60 the chart point has |z| = 1e60, so the jet's degree-6
     # monomials overflow float64.  This used to exit 0 with m_inf NaN and
-    # fit_quality 1, or end in a traceback with RuntimeWarnings as errors.
+    # fit_quality 1, or end in a traceback with RuntimeWarnings as errors,
+    # and it ran every radius first.  The sweep stops at the first estimate.
+    estimate, radii = mass.adm_mass_standard, []
+
+    def counted(source, chart, r, rule):
+        radii.append(r)
+        return estimate(source, chart, r, rule)
+
+    monkeypatch.setattr(mass, "adm_mass_standard", counted)
     with warnings.catch_warnings():
         warnings.simplefilter(action, RuntimeWarning)
         code, out, err = run(["mass", "--builtin", "sphere", "--n", "3", "--quad-deg", "4",
@@ -427,6 +435,7 @@ def test_non_finite_mass_estimate_is_usage_error(action, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: the mass estimate at radius 1e-60 is nan, not finite\n"
+    assert radii == [1e-60]
 
 
 def test_float_formatting_seventeen_digits():

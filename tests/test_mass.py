@@ -112,12 +112,22 @@ def test_sweep_radii_keep_the_area_factor_finite():
     # with a ValueError instead of dying in an OverflowError
     S = GraphSurface.sphere(3)
     mm.check_sweep_radii([10.0, 1e150], 3)
-    for radii, n in (([10.0, 1e160], 3), ([1e80], 6), ([10.0, 0.0], 3)):
+    for radii, n in (([10.0, 1e160], 3), ([1e80], 6), ([10.0, 0.0], 3), ([10.0, math.inf], 3),
+                     ([10.0, math.nan], 3)):
         with pytest.raises(ValueError):
             mm.check_sweep_radii(radii, n)
     with pytest.raises(ValueError, match="r\\^2 overflows"):
         mm.mass_sweep(S, asym.chart_for(S, "y"), [10.0, 31.6, 100.0, 316.0, 1e160],
                       rule=QuadratureRule.sphere(3, 4))
+
+
+def test_sweep_refuses_non_finite_radii():
+    # an infinite or NaN radius used to give a NaN estimate
+    S = GraphSurface.sphere(3)
+    chart, rule = asym.chart_for(S, "y"), QuadratureRule.sphere(3, 4)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="radii must be finite"):
+            mm.mass_sweep(S, chart, [10.0, bad], mm.STANDARD, rule)
 
 
 def test_surface_source_requires_chart():

@@ -1,11 +1,10 @@
 """The package's runtime needs numpy alone: scipy is a test dependency.
-CI runs the commands it reads from the README, and every function the
-benchmark traces exists."""
+CI runs the commands scripts/readme_diff.py reads from the README, and
+every function the benchmark traces exists."""
 
 import importlib
 import importlib.util
 import re
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -44,26 +43,39 @@ def readme_steps(workflow: Path) -> dict:
     return jobs
 
 
-def test_ci_runs_every_readme_command():
-    # each job lists the commands with the README's own reader and runs
-    # them all, warnings as errors, stopping at the first failure
+def test_ci_runs_every_readme_command(capfd, monkeypatch):
+    # each job runs the README's commands through scripts/readme_diff.py
+    # without --base, which runs every one with RuntimeWarnings as errors
+    # and exits 1 if any exits nonzero; the numpy-only job first asserts
+    # that the CLI imports no scipy
     spec = importlib.util.spec_from_file_location("readme_diff", ROOT / "scripts" / "readme_diff.py")
     readme_diff = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(readme_diff)
-    readme = readme_diff.readme_commands(ROOT / "README.md")
-    assert len(readme) == 9
+    assert len(readme_diff.readme_commands(ROOT / "README.md")) == 9
     steps = readme_steps(ROOT / ".github" / "workflows" / "tests.yml")
     assert set(steps) == {"tests", "runtime-numpy-only"}
     for lines in steps.values():
-        assert "set -e" in lines
-        assert 'eval "python -W error::RuntimeWarning -m umbilic.cli $args"' in lines
-        prefix = 'commands=$(python -c "'
-        listing = [line for line in lines if line.startswith(prefix)]
-        assert len(listing) == 1 and listing[0].endswith('")')
-        code = listing[0][len(prefix):-len('")')]
-        out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.splitlines() == [shlex.join(c) for c in readme]
+        assert [line for line in lines if "readme_diff" in line] in (
+            ["run: python scripts/readme_diff.py"], ["python scripts/readme_diff.py"])
+    assert any("scipy" in line and "assert not" in line for line in steps["runtime-numpy-only"])
+
+    runs, run = [], readme_diff.run
+
+    def spy(tree, args, *flags, **kwargs):
+        runs.append((args, flags))
+        return run(tree, args, *flags, **kwargs)
+
+    failing = ["ctheta", "--builtin", "flat", "--n", "0"]
+    passing = ["ctheta", "--builtin", "flat", "--n", "3"]
+    monkeypatch.setattr(readme_diff, "readme_commands", lambda path: [failing, passing])
+    monkeypatch.setattr(readme_diff, "run", spy)
+    assert readme_diff.main([]) == 1
+    assert runs == [(failing, ("-W", "error::RuntimeWarning")),
+                    (passing, ("-W", "error::RuntimeWarning"))]
+    out, err = capfd.readouterr()
+    assert out.startswith("umbilic ctheta --builtin flat --n 0\n")
+    assert "umbilic ctheta --builtin flat --n 3\n" in out
+    assert err.endswith("exit code 2: umbilic ctheta --builtin flat --n 0\n")
 
 
 def test_benchmark_trace_targets_resolve():

@@ -775,14 +775,16 @@ def gapped_multiples(draw):
     """(P, Q) with P = |x|^2 Q whose x1 powers skip every power between two:
     with s = x2^2 + ... + xn^2, x1^(2m) - (-s)^m = |x|^2 sum_i x1^(2(m-1-i)) (-s)^i,
     times x1^k c for a c free of x1, so P holds x1^k and x1^(k+2m) only and
-    the division passes through the x1 powers P lacks."""
+    the division passes through the x1 powers P lacks.  c's terms have
+    distinct keys and nonzero coefficients, so c != 0 and no term cancels."""
     n, k, m = draw(st.integers(2, 6)), draw(st.integers(0, 3)), draw(st.integers(2, 3))
-    c = MultiPoly.zero(n)
-    for _ in range(draw(st.integers(1, 3))):
-        e = (0,) + tuple(draw(st.integers(0, 2)) for _ in range(n - 1))
-        p = draw(st.sampled_from([(), (("H", 1),), (("a_012", 2), ("b", 1))]))
-        num = draw(st.integers(-9, 9).filter(bool))
-        c = c + MultiPoly(n, {(e, p): Fraction(num, draw(st.sampled_from(DENOMINATORS)))})
+    keys = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 2)] * (n - 1)),
+                  st.sampled_from([(), (("H", 1),), (("a_012", 2), ("b", 1))])),
+        min_size=1, max_size=3, unique=True))
+    c = MultiPoly(n, {((0,) + e, p): Fraction(draw(st.integers(-9, 9).filter(bool)),
+                                              draw(st.sampled_from(DENOMINATORS)))
+                      for e, p in keys})
     x1, r2 = x(n, 0), MultiPoly.x_norm_sq(n)
     s = r2 - x1 * x1
     series = sum(((x1 * x1) ** (m - 1 - i) * (-s) ** i for i in range(m)), MultiPoly.zero(n))

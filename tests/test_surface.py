@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from umbilic.obstruction import NotUmbilical, umbilical_decompose
 from umbilic.polyjet import Jet, MultiPoly
 from umbilic.surface import (
+    BatchPoly,
     GraphSurface,
     RhoIdentityResiduals,
     jet_geometry,
@@ -430,6 +431,29 @@ def test_radial_evaluator_is_x_dot_grad():
         assert np.max(np.abs(egr - np.einsum("pij,pj->pi", hess, pts))) < 1e-13
 
 
+def separate_radial_table(S):
+    """[f, grad f, E f, E grad f] on a table of its own, each term times its
+    degree through Fraction: the evaluator the order-1 table's ray columns
+    replaced, kept as a reference."""
+    polys = [S.f_jet.poly] + [S.f_jet.poly.diff(i) for i in range(S.n)]
+    euler = [MultiPoly.make(S.n, {k: c * sum(k[0]) for k, c in P.terms.items()}) for P in polys]
+    return BatchPoly(polys + euler)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("name", ["sphere", "quartic_x1", "cubic_x1"])
+def test_radial_columns_match_separate_table(name, n):
+    # the ray columns on the order-1 table give the separate table's values
+    # bit for bit, and f and grad f from the same call are its first columns
+    S = GraphSurface.builtin(name, n)
+    ref = separate_radial_table(S)
+    for N in (46, 4096):
+        pts = RNG.uniform(-0.5, 0.5, (N, n))
+        want = ref(pts)
+        assert np.array_equal(np.column_stack(S.f_radial_batch(pts)), want)
+        assert np.array_equal(np.column_stack(S.f_derivatives_batch(pts, 1)), want[:, : n + 1])
+
+
 def random_mixed(n, rng, n_terms=10):
     """Terms of degree 2..6 whose supports mix one to four variables."""
     p = MultiPoly.zero(n)
@@ -521,7 +545,7 @@ def test_batch_poly_one_point_branch(builtin, n):
     # batch rows build monomials by halves, so they agree to rounding only.
     S = GraphSurface.builtin(builtin, n)
     pts = RNG.uniform(-0.5, 0.5, (6, n))
-    for P in (S._sym(0), S._sym(1), S._sym(2), S._sym_radial()):
+    for P in (S._sym(0), S._sym(1), S._sym(2)):
         rows = P(pts)
         for p, x in enumerate(pts):
             one = P(x)
