@@ -11,20 +11,24 @@ its output passed through after the command line, and the script exits 1
 if any command exits nonzero.  With --base each runs once in this tree and
 once in the base tree; for each command the script prints "identical", or a
 unified diff of stdout and stderr and the two exit codes, and it exits 1 if
-any command differs, else 0.
+any command differs, else 0.  When the two stdouts differ, both parse as
+JSON and a numeric leaf moved, one more line gives the largest relative
+move among their numeric leaves, |b - a| / max(|a|, |b|), and its key path.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,6 +57,35 @@ def run(tree: Path, args: List[str], *flags: str, capture: bool = True) -> Tuple
     return proc.stdout, proc.stderr, proc.returncode
 
 
+def numeric_moves(a, b, path: str = "") -> Iterator[Tuple[float, str]]:
+    """(relative move, key path) of every numeric leaf that two parsed JSON
+    values share and that differs: |b - a| / max(|a|, |b|), or inf where
+    either is not finite."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() & b.keys()):
+            yield from numeric_moves(a[key], b[key], f"{path}/{key}")
+    elif isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from numeric_moves(x, y, f"{path}/{i}")
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        if a != b and not (a != a and b != b):  # NaN equals NaN here
+            finite = math.isfinite(a) and math.isfinite(b)
+            yield (abs(b - a) / max(abs(a), abs(b)) if finite else math.inf), path.lstrip("/")
+
+
+def largest_move(base_out: str, change_out: str) -> List[str]:
+    """One line sizing the largest numeric move between two JSON stdouts;
+    none unless both parse and a numeric leaf moved."""
+    try:
+        moves = list(numeric_moves(json.loads(base_out), json.loads(change_out)))
+    except ValueError:
+        return []
+    if not moves:
+        return []
+    move, path = max(moves)
+    return [f"largest relative move {move:.1e} at {path}"]
+
+
 def compare(base: Tuple[str, str, int], change: Tuple[str, str, int]) -> List[str]:
     """Diff lines between two (stdout, stderr, exit code) results; none if
     they are identical."""
@@ -62,6 +95,8 @@ def compare(base: Tuple[str, str, int], change: Tuple[str, str, int]) -> List[st
                                     f"change {name}", lineterm="")
     if base[2] != change[2]:
         out.append(f"exit code: base {base[2]}, change {change[2]}")
+    if base[0] != change[0]:
+        out += largest_move(base[0], change[0])
     return out
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -141,14 +140,9 @@ def _usage(fn, *args, **kwargs):
 def _radii(args) -> List[float]:
     if args.radii is not None:
         try:
-            vals = [float(tok) for tok in args.radii.split(",")]
+            return [float(tok) for tok in args.radii.split(",")]
         except ValueError:
             raise UsageError(f"bad --radii value {args.radii!r}")
-        if not all(math.isfinite(v) for v in vals):
-            raise UsageError("radii must be finite")
-        if any(v <= 0 for v in vals):
-            raise UsageError("radii must be positive")
-        return vals
     return list(mass.DEFAULT_RADII)
 
 
@@ -187,9 +181,7 @@ def cmd_verify(args) -> Tuple[object, bool]:
 
 
 def cmd_mass(args) -> Tuple[object, bool]:
-    # check everything the sweep and the extrapolation need before either runs
     radii = _radii(args)
-    _usage(mass.check_fit_radii, radii)
     if args.fixture:
         surface_flags = (args.builtin, args.poly, args.chart, args.radius, args.order)
         if any(flag is not None for flag in surface_flags):
@@ -198,10 +190,9 @@ def cmd_mass(args) -> Tuple[object, bool]:
             raise UsageError(f"unknown fixture {args.fixture!r}")
         n = args.n if args.n is not None else 3
         m = 1.0 if args.m is None else args.m
+        # the sweep runs the smallest radius first, where the fixture
+        # refuses a radius inside its horizon
         source: mass.MetricSource = _usage(mass.SchwarzschildField, mass=m, n=n)
-        # both formulas evaluate on the sphere of radius r only
-        if min(radii) <= source.horizon_radius:
-            raise UsageError("radii must lie outside the horizon sphere |y| = |m|/2")
         chart = None
         surface_json: object = f"schwarzschild(m={m})"
     else:
@@ -211,7 +202,9 @@ def cmd_mass(args) -> Tuple[object, bool]:
         n = source.n
         chart = _usage(asymptotic.chart_for, source, args.chart or "y")
         surface_json = source.to_json()
+    # check everything the sweep and the extrapolation need before either runs
     _usage(mass.check_sweep_radii, radii, n)
+    _usage(mass.check_fit_radii, radii)
     rule = _usage(QuadratureRule.sphere, n, args.quad_deg)
 
     cancellation = (None if chart is None

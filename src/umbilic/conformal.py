@@ -52,20 +52,22 @@ def curvature_density_factor(S: GraphSurface, x) -> float:
 @dataclass
 class LeadingOrder:
     """Lowest nonvanishing order of the curvature expansion: the quantity
-    behaves like c(theta) |x|^k + o(|x|^k) near the point."""
+    behaves like c(theta) |x|^k + o(|x|^k) near the point.  A series that
+    is zero through its certified top order W has k >= W + 1."""
 
     k: Optional[int]
     c: Optional[SphericalSeries]  # total-order-0 representation of c(theta)
     is_zero: bool
+    order_max: Optional[int] = None  # W, or None if the window is unbounded
 
 
 def leading_order(series: SphericalSeries) -> LeadingOrder:
     """The lowest nonvanishing order of an exact curvature series and its
     coefficient."""
     if series.is_zero:
-        return LeadingOrder(None, None, True)
+        return LeadingOrder(None, None, True, series.order_max)
     k = series.leading_order()
-    return LeadingOrder(k, series.coefficient(k), False)
+    return LeadingOrder(k, series.coefficient(k), False, series.order_max)
 
 
 def leading_order_of_R(S: GraphSurface, W: int = 3) -> LeadingOrder:
@@ -78,9 +80,11 @@ def leading_order_of_R(S: GraphSurface, W: int = 3) -> LeadingOrder:
 
 def classify_integrability(n: int, L: LeadingOrder) -> str:
     """Near-point L^1 integrability of the conformal curvature density:
-    integrable iff the leading order k satisfies k > n - 4."""
+    integrable iff the leading order k satisfies k > n - 4.  A series zero
+    through order W has k >= W + 1 > n - 4 when W >= n - 4; a shorter window
+    is inconclusive."""
     if L.is_zero:
-        return INCONCLUSIVE
+        return INTEGRABLE if L.order_max is not None and L.order_max >= n - 4 else INCONCLUSIVE
     return INTEGRABLE if L.k > n - 4 else NOT_INTEGRABLE
 
 

@@ -381,8 +381,9 @@ def extrapolate_mass(estimates: Sequence[MassEstimate]) -> MassExtrapolation:
 
     def linear_fit(p):
         """(m_inf, ssr) of the exact fit at each exponent in p: the slope on
-        the centered columns, the residual summed explicitly."""
-        z = rs ** -np.asarray(p, dtype=float)[..., None]
+        the centered columns, the residual summed explicitly.  The column is
+        (r / r_min)^-p <= 1, which cannot overflow; it only rescales a."""
+        z = (rs / rs[0]) ** -np.asarray(p, dtype=float)[..., None]
         z_mean = z.mean(axis=-1)
         zc = z - z_mean[..., None]
         a = (zc @ vc) / (zc * zc).sum(axis=-1)

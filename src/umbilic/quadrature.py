@@ -4,10 +4,9 @@ Product rule in spherical coordinates: Gauss-Jacobi nodes in each polar
 angle (the sin-power surface-measure factor is absorbed exactly into the
 Jacobi weight) and a trapezoid rule in the final azimuth, which is exact
 for trigonometric polynomials of degree below the point count.  The
-Gauss-Jacobi rules come from the eigenvalues of the Jacobi matrix
-(Golub-Welsch) polished by one Newton step, in numpy alone.  The rule
-integrates polynomials of total degree <= `degree` essentially to machine
-precision, in any dimension n >= 2.
+Gauss-Jacobi rules come from one eigendecomposition of the Jacobi matrix
+(Golub-Welsch), in numpy alone.  The rule integrates polynomials of total
+degree <= `degree` essentially to machine precision, in any dimension n >= 2.
 """
 
 from __future__ import annotations
@@ -34,35 +33,20 @@ def sphere_directions(n: int, count: int = 32, seed: int = 0) -> np.ndarray:
     return np.vstack([axes, extra])
 
 
-def _monic_jacobi(alpha: float, beta: np.ndarray, u: np.ndarray):
-    """P_{m-1}, P_m and P_m' at u, m = len(beta) + 1, for the monic
-    P_k^(alpha, alpha): the recurrence P_{k+1} = u P_k - beta[k-1] P_{k-1},
-    then (1 - u^2) P_m' = c P_{m-1} - m u P_m, c = m(m + 2 alpha)/(2m + 2 alpha - 1)."""
-    p_prev, p = np.zeros_like(u), np.ones_like(u)
-    for b in [0.0] + beta.tolist():
-        p_prev, p = p, u * p - b * p_prev
-    m = len(beta) + 1
-    c = m * (m + 2 * alpha) / (2 * m + 2 * alpha - 1)
-    return p_prev, p, (c * p_prev - m * u * p) / ((1.0 - u) * (1.0 + u))
-
-
 def _gauss_jacobi(m: int, alpha: float):
     """The m-point Gauss rule for the weight (1 - u^2)^alpha on [-1, 1].
 
-    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
-    Jacobi matrix, refined by one Newton step on P_m^(alpha, alpha); the
-    weights are proportional to 1/(P_{m-1} P_m') and sum to
-    mu_0 = 2^(2 alpha + 1) Gamma(alpha + 1)^2 / Gamma(2 alpha + 2).  Nodes
-    and weights are symmetrized about 0, as the rule is.
+    Golub-Welsch: one eigendecomposition of the symmetric tridiagonal Jacobi
+    matrix gives the nodes (its eigenvalues) and the weights (the squared
+    first components of its unit eigenvectors, times
+    mu_0 = 2^(2 alpha + 1) Gamma(alpha + 1)^2 / Gamma(2 alpha + 2)).  Nodes
+    and weights are symmetrized about 0, as the rule is, and the weights
+    scaled to sum to mu_0.
     """
     k = np.arange(1.0, m)
-    beta = k * (k + 2 * alpha) / ((2 * k + 2 * alpha + 1) * (2 * k + 2 * alpha - 1))
-    off = np.sqrt(beta)
-    u = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    _, p, dp = _monic_jacobi(alpha, beta, u)
-    u = u - p / dp
-    p_prev, _, dp = _monic_jacobi(alpha, beta, u)
-    w = 1.0 / (p_prev * dp)
+    off = np.sqrt(k * (k + 2 * alpha) / ((2 * k + 2 * alpha + 1) * (2 * k + 2 * alpha - 1)))
+    u, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = vecs[0] ** 2
     u, w = (u - u[::-1]) / 2.0, (w + w[::-1]) / 2.0
     mu0 = 2.0 ** (2 * alpha + 1) * math.gamma(alpha + 1) ** 2 / math.gamma(2 * alpha + 2)
     return u, w * (mu0 / w.sum())

@@ -38,7 +38,18 @@ def test_verify_sphere(capsys):
     assert code == 0
     d = load(out)
     assert d["checks"]["all_identities_hold"] is True
-    assert d["integrability"]["verdict"] == "inconclusive"
+    # the series is zero through the window W = 3 >= n - 4, so k > n - 4
+    # (this read "inconclusive" while a zero series gave no verdict)
+    assert d["integrability"] == {"n": 5, "k": None, "verdict": "integrable"}
+
+
+@pytest.mark.parametrize("window, verdict", [(3, "inconclusive"), (5, "integrable")])
+def test_verify_sphere_n9_needs_window_n_minus_4(window, verdict, capsys):
+    # zero through W only proves k >= W + 1, which exceeds n - 4 = 5 from W = 5
+    code, out, _ = run(["verify", "--builtin", "sphere", "--n", "9",
+                        "--window", str(window)], capsys)
+    assert code == 0
+    assert load(out)["integrability"] == {"n": 9, "k": None, "verdict": verdict}
 
 
 def test_verify_cubic_not_integrable(capsys):
@@ -436,6 +447,20 @@ def test_non_finite_mass_estimate_is_usage_error(action, capsys, monkeypatch):
     assert out == ""
     assert err == "error: the mass estimate at radius 1e-60 is nan, not finite\n"
     assert radii == [1e-60]
+
+
+def test_mass_fit_over_small_radii_does_not_overflow(capsys):
+    # every estimate is finite, but the fit's column r^-p overflowed at
+    # r = 1e-60: m_inf NaN, or a traceback with RuntimeWarnings as errors.
+    # The constant values below r = 1 and the drop at r = 1 fit poorly.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(["mass", "--builtin", "quartic_x1", "--n", "4", "--chart", "z",
+                              "--formula", "lee_parker", "--quad-deg", "4",
+                              "--radii", "1e-60,1e-20,1e-8,1"], capsys)
+    assert code == 1 and err == ""
+    d = load(out)
+    assert abs(d["m_inf"]) < 1.0 and d["fit_quality"] < 0.99
 
 
 def test_float_formatting_seventeen_digits():

@@ -77,8 +77,22 @@ def test_leading_order_cubic():
 def test_leading_order_sphere_is_zero():
     S = GraphSurface.sphere(3, Fraction(1), order=7)
     L = conformal.leading_order_of_R(S)
-    assert L.is_zero
-    assert conformal.classify_integrability(3, L) == conformal.INCONCLUSIVE
+    assert L.is_zero and L.order_max == 3
+    # zero through W = 3 means k >= 4 > n - 4 (this read INCONCLUSIVE while
+    # a zero series gave no verdict)
+    assert conformal.classify_integrability(3, L) == conformal.INTEGRABLE
+
+
+@pytest.mark.parametrize("W, verdict", [(3, conformal.INCONCLUSIVE), (4, conformal.INCONCLUSIVE),
+                                        (5, conformal.INTEGRABLE)])
+def test_zero_series_integrable_once_window_reaches_n_minus_4(W, verdict):
+    S = GraphSurface.sphere(9, Fraction(1), order=W + 2)
+    L = conformal.leading_order_of_R(S, W)
+    assert L.is_zero and L.order_max == W
+    assert conformal.classify_integrability(9, L) == verdict
+    # an unbounded window certifies nothing about k
+    unbounded = conformal.LeadingOrder(None, None, True)
+    assert conformal.classify_integrability(9, unbounded) == conformal.INCONCLUSIVE
 
 
 def test_leading_order_pure_quadratic():

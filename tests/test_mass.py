@@ -540,6 +540,18 @@ def test_extrapolate_refines_exponent_off_grid(m, a, p):
     assert abs(fit.m_inf - m) <= 1e-12 * max(1.0, abs(m))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-50, 1e50])
+def test_extrapolate_is_scale_invariant(scale):
+    # m_inf + a r^-p is the same model in any unit of r; the fit's column
+    # (r / r_min)^-p <= 1 cannot overflow, where r^-p at r = 1e-50 and p up
+    # to 24 did and gave m_inf NaN
+    radii = mm.DEFAULT_RADII
+    values = [0.5 + 0.3 * r**-1.13 for r in radii]
+    fit = mm.extrapolate_mass(fake_estimates([scale * r for r in radii], values))
+    assert abs(fit.decay_exponent - 1.13) <= 1e-6
+    assert abs(fit.m_inf - 0.5) <= 1e-12
+
+
 def test_extrapolate_constant_series():
     fit = mm.extrapolate_mass(fake_estimates([10, 30, 100, 300], [5.0] * 4))
     assert fit.m_inf == 5.0

@@ -43,14 +43,20 @@ def readme_steps(workflow: Path) -> dict:
     return jobs
 
 
+def _readme_diff():
+    path = ROOT / "scripts" / "readme_diff.py"
+    spec = importlib.util.spec_from_file_location("readme_diff", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_ci_runs_every_readme_command(capfd, monkeypatch):
     # each job runs the README's commands through scripts/readme_diff.py
     # without --base, which runs every one with RuntimeWarnings as errors
     # and exits 1 if any exits nonzero; the numpy-only job first asserts
     # that the CLI imports no scipy
-    spec = importlib.util.spec_from_file_location("readme_diff", ROOT / "scripts" / "readme_diff.py")
-    readme_diff = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(readme_diff)
+    readme_diff = _readme_diff()
     assert len(readme_diff.readme_commands(ROOT / "README.md")) == 9
     steps = readme_steps(ROOT / ".github" / "workflows" / "tests.yml")
     assert set(steps) == {"tests", "runtime-numpy-only"}
@@ -76,6 +82,21 @@ def test_ci_runs_every_readme_command(capfd, monkeypatch):
     assert out.startswith("umbilic ctheta --builtin flat --n 0\n")
     assert "umbilic ctheta --builtin flat --n 3\n" in out
     assert err.endswith("exit code 2: umbilic ctheta --builtin flat --n 0\n")
+
+
+def test_readme_diff_sizes_the_largest_numeric_move():
+    compare = _readme_diff().compare
+    base = '{"m_inf": 0.0, "sweeps": [{"r": 10, "value": 2.0}, {"r": 100, "value": 4.0}]}'
+    change = '{"m_inf": 0.0, "sweeps": [{"r": 10, "value": 2.0}, {"r": 100, "value": 4.0004}]}'
+    lines = compare((base, "", 0), (change, "", 1))
+    assert lines[:3] == ["--- base stdout", "+++ change stdout", "@@ -1 +1 @@"]
+    assert lines[3:] == ["-" + base, "+" + change, "exit code: base 0, change 1",
+                         "largest relative move 1.0e-04 at sweeps/1/value"]
+    assert compare((base, "", 0), (base, "", 0)) == []
+    # no sizing line where only a string leaf moved, or for CSV stdouts
+    assert compare(('{"verdict": "a", "k": 2}', "", 0),
+                   ('{"verdict": "b", "k": 2}', "", 0))[-1] == '+{"verdict": "b", "k": 2}'
+    assert compare(("r,m\n1,2\n", "", 0), ("r,m\n1,3\n", "", 0))[-1] == "+1,3"
 
 
 def test_benchmark_trace_targets_resolve():

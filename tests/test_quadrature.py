@@ -59,6 +59,52 @@ def test_gauss_jacobi_matches_scipy_oracle():
             assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-12, (m, alpha)
 
 
+def _mp_gauss_jacobi(mp, m, alpha, start):
+    """The m-point rule for (1 - u^2)^alpha at the working precision of mp:
+    each node by Newton on the monic recurrence p_{k+1} = u p_k - beta_k p_{k-1}
+    from its float value in `start`, each weight by Christoffel's formula
+    1 / sum_{k<m} p_k(u)^2 / |p_k|^2, where |p_k|^2 = mu_0 beta_1 ... beta_k."""
+    a = mp.mpf(alpha)
+    beta = [k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)) for k in range(1, m)]
+    mu0 = 2 ** (2 * a + 1) * mp.gamma(a + 1) ** 2 / mp.gamma(2 * a + 2)
+    nodes, weights = [], []
+    for u0 in start:
+        u = mp.mpf(u0)
+        for _ in range(8):
+            p_prev, p, dp_prev, dp = 0, mp.mpf(1), 0, 0
+            for b in [0] + beta:
+                p_prev, p, dp_prev, dp = p, u * p - b * p_prev, dp, p + u * dp - b * dp_prev
+            step = p / dp
+            u -= step
+            if abs(step) < mp.mpf(10) ** (2 - mp.dps):
+                break
+        assert abs(step) < mp.mpf(10) ** (2 - mp.dps), (m, alpha, u0)
+        p_prev, p, norm = 0, mp.mpf(1), mu0
+        total = 1 / mu0
+        for b_prev, b in zip([0] + beta, beta):
+            p_prev, p, norm = p, u * p - b_prev * p_prev, norm * b
+            total += p * p / norm
+        nodes.append(u)
+        weights.append(1 / total)
+    return nodes, weights
+
+
+def test_gauss_jacobi_matches_40_digit_oracle():
+    # Stricter than the scipy oracle, whose own weights are off by up to
+    # 1e-13: Newton at 40 digits converges to the m distinct nodes from
+    # the float ones
+    import mpmath
+
+    with mpmath.workdps(40):
+        for alpha in np.arange(0.0, 3.5, 0.5):
+            for m in range(1, 18):
+                u, w = _gauss_jacobi(m, alpha)
+                u_ref, w_ref = _mp_gauss_jacobi(mpmath.mp, m, alpha, u)
+                assert all(b - a > 1e-3 for a, b in zip(u_ref, u_ref[1:])), (m, alpha)
+                assert max(abs(float(a - b)) for a, b in zip(u, u_ref)) <= 1e-15, (m, alpha)
+                assert max(abs(float(a / b - 1)) for a, b in zip(w, w_ref)) <= 5e-14, (m, alpha)
+
+
 def test_odd_monomials_vanish():
     rule = QuadratureRule.sphere(4, 8)
     vals = rule.nodes[:, 0] ** 3 * rule.nodes[:, 1] ** 2
