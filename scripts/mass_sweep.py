@@ -6,8 +6,10 @@ Exits 1 when a row breaks its bound: |m_inf| <= 1e-3 for the spheres,
 |m_inf| <= 1e-2 and |p - (8 - n)| <= 0.5 for the quartics, and
 |m_inf - m| <= 1e-3 for the Schwarzschild fixture.  When the largest radius
 is at least 1000, each sphere's standard value there must also match the
-Lee-Parker value to 1e-6 relative: the two integrands differ at second
-order in the deviation, about 5e-7 at r = 1000.  Radii that no row could
+Lee-Parker value on the same rule, the one the sweep chose there, to 1e-6
+relative: the two integrands differ at second order in the deviation,
+about 5e-7 at r = 1000.  The degrees column lists the rule degree the
+sweep chose at each radius, smallest radius first.  Radii that no row could
 sweep and extrapolate are refused before the first row runs, with exit 2.
 
 Usage: python3 scripts/mass_sweep.py [--radii 10,31.6,100,316,1000]
@@ -45,6 +47,10 @@ def parse_radii(text):
     return radii
 
 
+def degrees(sweep):
+    return ",".join(str(e.quad_degree) for e in sweep)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--radii", default=None, help="comma-separated radii")
@@ -57,18 +63,17 @@ def main() -> int:
 
     failed = []
     print(f"{'surface':<11} {'n':>2} {'chart':>5} {'formula':>12} "
-          f"{'m_inf':>13} {'p':>6} {'R^2':>8} {'time':>7}")
+          f"{'m_inf':>13} {'p':>6} {'R^2':>8} {'time':>7}  degrees")
     for name, n, chart_flag, formula in CASES:
         S = GraphSurface.builtin(name, n)
         chart = asymptotic.chart_for(S, chart_flag)
-        rule = QuadratureRule.sphere(n)
         t0 = time.monotonic()
-        sweep = mass.mass_sweep(S, chart, radii, formula, rule)
+        sweep = mass.mass_sweep(S, chart, radii, formula)
         fit = mass.extrapolate_mass(sweep)
         print(
             f"{name:<11} {n:>2} {chart_flag:>5} {formula:>12} "
             f"{fit.m_inf:>13.3e} {fit.decay_exponent:>6.2f} "
-            f"{fit.fit_quality:>8.5f} {time.monotonic() - t0:>6.1f}s"
+            f"{fit.fit_quality:>8.5f} {time.monotonic() - t0:>6.1f}s  {degrees(sweep)}"
         )
         if name == "sphere":
             ok = abs(fit.m_inf) <= 1e-3
@@ -78,7 +83,8 @@ def main() -> int:
             failed.append(f"{name} n={n} {formula}")
         far = sweep[-1]
         if name == "sphere" and far.radius >= 1000.0:
-            lp = mass.adm_mass_lee_parker(S, chart, far.radius, rule).value
+            same = QuadratureRule.sphere(n, far.quad_degree)
+            lp = mass.adm_mass_lee_parker(S, chart, far.radius, same).value
             gap = abs(far.value - lp) / abs(lp)
             print(f"{'':<11} {n:>2} {chart_flag:>5} {'std vs LP':>12} {gap:>13.3e}"
                   f"   at r = {far.radius:g}")
@@ -86,14 +92,13 @@ def main() -> int:
                 failed.append(f"{name} n={n} standard vs lee_parker at r={far.radius:g}")
 
     src = mass.SchwarzschildField(mass=1.0)
-    rule = QuadratureRule.sphere(3, 8)
     for formula in (mass.STANDARD, mass.LEE_PARKER):
-        sweep = mass.mass_sweep(src, None, radii, formula, rule)
+        sweep = mass.mass_sweep(src, None, radii, formula, degree=8)
         fit = mass.extrapolate_mass(sweep)
         print(
             f"{'schwarz m=1':<11} {3:>2} {'-':>5} {formula:>12} "
             f"{fit.m_inf:>13.6f} {fit.decay_exponent:>6.2f} "
-            f"{fit.fit_quality:>8.5f}"
+            f"{fit.fit_quality:>8.5f} {'':>7}  {degrees(sweep)}"
         )
         if abs(fit.m_inf - src.mass) > 1e-3:
             failed.append(f"schwarzschild m={src.mass} {formula}")

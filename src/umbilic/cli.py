@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 from . import asymptotic, conformal, mass, obstruction
 from .obstruction import NotUmbilical
 from .polyjet import MultiPoly, poly_to_json, series_to_json
-from .quadrature import QuadratureRule
 from .surface import GraphSurface, verify_rho_identities
 
 USAGE_ERROR = 2
@@ -205,11 +204,10 @@ def cmd_mass(args) -> Tuple[object, bool]:
     # check everything the sweep and the extrapolation need before either runs
     _usage(mass.check_sweep_radii, radii, n)
     _usage(mass.check_fit_radii, radii)
-    rule = _usage(QuadratureRule.sphere, n, args.quad_deg)
 
     cancellation = (None if chart is None
                     else mass.symbolic_mass_cancellation(source.f_jet, chart.kind).to_json())
-    sweep = _usage(mass.mass_sweep, source, chart, radii, args.formula, rule)
+    sweep = _usage(mass.mass_sweep, source, chart, radii, args.formula, degree=args.quad_deg)
     fit = _usage(mass.extrapolate_mass, sweep)
     ok = fit.fit_quality >= FIT_QUALITY_THRESHOLD
     if args.format == "csv":
@@ -307,7 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--chart", choices=["y", "z"], default=None,
                     help="inversion chart of a surface (default y)")
     pm.add_argument("--radii", help="comma-separated sweep radii")
-    pm.add_argument("--quad-deg", type=int, default=None)
+    pm.add_argument("--quad-deg", type=int, default=None,
+                    help="largest sphere-rule degree (default: by dimension); each "
+                         "radius climbs the even degrees below it and stops after two "
+                         f"consecutive steps within {mass.QUAD_TOL:g} relative; the radii "
+                         "after one that needed it run it alone")
     pm.add_argument(
         "--formula",
         choices=[mass.STANDARD, mass.LEE_PARKER],

@@ -100,5 +100,7 @@ class QuadratureRule:
 
 
 def default_degree(n: int) -> int:
-    """Node-count-aware default quadrature degree per dimension."""
+    """Node-count-aware default quadrature degree per dimension: the cap of
+    `mass.mass_sweep`'s walk, which stops on a lower even degree wherever
+    two consecutive steps between neighbouring rules are small."""
     return {2: 32, 3: 32, 4: 32, 5: 20, 6: 16, 7: 12}.get(n, 10)

@@ -8,6 +8,7 @@ import pytest
 
 from umbilic import asymptotic, cli, mass
 from umbilic.polyjet import MultiPoly
+from umbilic.quadrature import QuadratureRule
 from umbilic.surface import GraphSurface
 
 
@@ -447,6 +448,23 @@ def test_non_finite_mass_estimate_is_usage_error(action, capsys, monkeypatch):
     assert out == ""
     assert err == "error: the mass estimate at radius 1e-60 is nan, not finite\n"
     assert radii == [1e-60]
+
+
+def test_non_finite_mass_estimate_stops_on_the_first_rung(capsys, monkeypatch):
+    # on the default 235,298-node rule the refusal took 2.3-2.7 s; the
+    # sweep's walk refuses the NaN on its degree-2 rung and runs nothing more
+    estimate, nodes = mass.adm_mass_standard, []
+
+    def counted(source, chart, r, rule):
+        nodes.append((r, len(rule.weights)))
+        return estimate(source, chart, r, rule)
+
+    monkeypatch.setattr(mass, "adm_mass_standard", counted)
+    code, out, err = run(["mass", "--builtin", "sphere", "--n", "7",
+                          "--radii", "1e-60,1e-50,1e-40,1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: the mass estimate at radius 1e-60 is nan, not finite\n"
+    assert nodes == [(1e-60, len(QuadratureRule.sphere(7, 2).weights))]
 
 
 def test_mass_fit_over_small_radii_does_not_overflow(capsys):

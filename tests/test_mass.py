@@ -183,6 +183,120 @@ def test_formulas_agree_on_quartic():
     assert abs(std.value - lp.value) < 1e-3
 
 
+# -- the sweep's walk over rule degrees ---------------------------------------------
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_walk_does_not_stop_on_quartic_low_rungs(n):
+    # in chart z the degree-6 rule is 6-8% off at these radii, so the walk
+    # must climb past it
+    S = GraphSurface.quartic_x1(n)
+    sweep = mm.mass_sweep(S, asym.chart_for(S, "z"), [10.0, 10.0**1.5, 100.0], mm.LEE_PARKER)
+    degrees = [e.quad_degree for e in sweep]
+    assert min(degrees) >= 8, degrees
+
+
+def quintic_n5() -> GraphSurface:
+    """|x|^2/2 + x_3^4 + x_1 x_5^3 + x_1 x_2^2 x_4^2 / 2: at r = 100 in chart
+    y its Lee-Parker rungs of degree 4 and 6 agree to 2.7e-6 relative by
+    chance, while degree 6 is 1.1e-5 off (the 6 -> 8 step)."""
+    x = [MultiPoly.var(5, i) for i in range(5)]
+    p = (MultiPoly.x_norm_sq(5).scale(Fraction(1, 2)) + x[2] ** 4 + x[0] * x[4] ** 3
+         + (x[0] * x[1] ** 2 * x[3] ** 2).scale(Fraction(1, 2)))
+    return GraphSurface.polynomial(p, name="quintic")
+
+
+WALK_CASES = [
+    ("sphere", 3, "y", mm.STANDARD, mm.DEFAULT_RADII),
+    ("sphere", 4, "y", mm.STANDARD, mm.DEFAULT_RADII),
+    ("sphere", 5, "y", mm.STANDARD, mm.DEFAULT_RADII),
+    ("cubic_x1", 4, "y", mm.STANDARD, mm.DEFAULT_RADII),
+    ("cubic_x1", 4, "y", mm.LEE_PARKER, mm.DEFAULT_RADII),
+    ("cubic_x1", 5, "y", mm.STANDARD, mm.DEFAULT_RADII),
+    ("cubic_x1", 5, "y", mm.LEE_PARKER, mm.DEFAULT_RADII),
+    ("cubic_x1", 6, "y", mm.LEE_PARKER, mm.DEFAULT_RADII),
+    ("quintic", 5, "y", mm.LEE_PARKER, mm.DEFAULT_RADII),
+    # beyond r = 100 chart z rounds at 1e-4 to 1e-3 (ROADMAP item 2)
+    ("quartic_x1", 6, "z", mm.LEE_PARKER, mm.DEFAULT_RADII[:3]),
+    ("quartic_x1", 7, "z", mm.LEE_PARKER, mm.DEFAULT_RADII[:3]),
+    ("schwarzschild", 3, None, mm.STANDARD, mm.DEFAULT_RADII),
+    ("schwarzschild", 3, None, mm.LEE_PARKER, mm.DEFAULT_RADII),
+]
+
+
+@pytest.mark.parametrize("name,n,flag,formula,radii", WALK_CASES)
+def test_walk_matches_the_cap_rule(name, n, flag, formula, radii):
+    # each chosen estimate against the same formula on the cap rule;
+    # measured at most 1.0e-6 relative (cubic_x1 n = 5, Lee-Parker, r = 10)
+    if name == "schwarzschild":
+        src, ch = mm.SchwarzschildField(mass=0.5), None
+    else:
+        src = quintic_n5() if name == "quintic" else GraphSurface.builtin(name, n)
+        ch = asym.chart_for(src, flag)
+    cap = QuadratureRule.sphere(n)
+    fn = {mm.STANDARD: mm.adm_mass_standard, mm.LEE_PARKER: mm.adm_mass_lee_parker}[formula]
+    for e in mm.mass_sweep(src, ch, radii, formula):
+        ref = fn(src, ch, e.radius, cap).value
+        assert abs(e.value - ref) <= mm.QUAD_TOL * abs(ref), (e.radius, e.quad_degree)
+        assert e.quad_degree <= cap.degree
+        assert e.quad_nodes == len(QuadratureRule.sphere(n, e.quad_degree).weights)
+
+
+def scripted_walk(monkeypatch, values, degree, radii=(10.0,)):
+    """mass_sweep on a stand-in estimate whose value on the rule of degree
+    d is values[d]: the sweep, and the degrees of the rules built and of
+    those evaluated, in order."""
+    built, seen = [], []
+    sphere = QuadratureRule.sphere
+
+    def build(n, d=None):
+        built.append(d)
+        return sphere(n, d)
+
+    def estimate(source, chart, r, rule):
+        seen.append(rule.degree)
+        return mm.MassEstimate(r, values[rule.degree], mm.STANDARD, asym.INVERTED_Y,
+                               rule.degree, len(rule.weights))
+
+    monkeypatch.setattr(QuadratureRule, "sphere", staticmethod(build))
+    monkeypatch.setattr(mm, "adm_mass_standard", estimate)
+    sweep = mm.mass_sweep(GraphSurface.sphere(3), asym.Chart.inverted(3), radii, degree=degree)
+    return sweep, built, seen
+
+
+@pytest.mark.parametrize("values,degree,seen,chosen", [
+    # two consecutive close steps stop the walk
+    ({2: 1.0, 4: 2.0, 6: 2.0, 8: 2.0}, 12, [2, 4, 6, 8], 8),
+    # one pair agrees by chance: the walk goes on, and to the cap as soon
+    # as no rung below it could stop it
+    ({2: 1.0, 4: 2.0, 6: 2.0, 8: 3.0, 12: 4.0}, 12, [2, 4, 6, 8, 12], 12),
+    # a cap of odd degree is the last rung after the even ones below it
+    ({2: 1.0, 4: 1.0, 6: 2.0, 7: 4.0}, 7, [2, 4, 6, 7], 7),
+    ({2: 1.0, 4: 2.0, 7: 4.0}, 7, [2, 4, 7], 7),
+    ({0: 4.0}, 0, [0], 0),
+])
+def test_walk_stops_after_two_close_steps(monkeypatch, values, degree, seen, chosen):
+    (e,), _, evaluated = scripted_walk(monkeypatch, values, degree)
+    assert evaluated == seen
+    assert (e.quad_degree, e.value) == (chosen, values[chosen])
+
+
+def test_walk_below_the_cap_never_builds_it(monkeypatch):
+    # rungs are built and dropped for each radius, and a sweep whose walks
+    # stop below the cap never builds it
+    _, built, seen = scripted_walk(monkeypatch, {2: 1.0, 4: 1.0, 6: 1.0}, 12, radii=(10.0, 20.0))
+    assert built == seen == [2, 4, 6, 2, 4, 6]
+
+
+def test_radii_after_one_that_reached_the_cap_go_to_it(monkeypatch):
+    # the cap is built once; the larger radii skip the walk that ended on it
+    sweep, built, seen = scripted_walk(monkeypatch, {2: 1.0, 4: 2.0, 7: 3.0}, 7,
+                                       radii=(30.0, 10.0, 20.0))
+    assert built == [2, 4, 7]
+    assert seen == [2, 4, 7, 7, 7]
+    assert [(e.radius, e.quad_degree) for e in sweep] == [(10.0, 7), (20.0, 7), (30.0, 7)]
+
+
 def deviation_pair(source, chart, dirs):
     """(g_rr - tr, n g_rr - tr) of the full (N, n, n) deviation on the
     sphere of radius s[0], contracted directly."""
