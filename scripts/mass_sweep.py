@@ -9,7 +9,8 @@ is at least 1000, each sphere's standard value there must also match the
 Lee-Parker value on the same rule, the one the sweep chose there, to 1e-6
 relative: the two integrands differ at second order in the deviation,
 about 5e-7 at r = 1000.  The degrees column lists the rule degree the
-sweep chose at each radius, smallest radius first.  Radii that no row could
+sweep chose at each radius, smallest radius first, and the nodes column
+the node count of each of those rules.  Radii that no row could
 sweep and extrapolate are refused before the first row runs, with exit 2.
 
 Usage: python3 scripts/mass_sweep.py [--radii 10,31.6,100,316,1000]
@@ -47,8 +48,10 @@ def parse_radii(text):
     return radii
 
 
-def degrees(sweep):
-    return ",".join(str(e.quad_degree) for e in sweep)
+def rules(sweep):
+    """The degrees and node counts of the rules the sweep chose, as columns."""
+    return (f"{','.join(str(e.quad_degree) for e in sweep):<15} "
+            f"{','.join(str(e.quad_nodes) for e in sweep)}")
 
 
 def main() -> int:
@@ -63,7 +66,7 @@ def main() -> int:
 
     failed = []
     print(f"{'surface':<11} {'n':>2} {'chart':>5} {'formula':>12} "
-          f"{'m_inf':>13} {'p':>6} {'R^2':>8} {'time':>7}  degrees")
+          f"{'m_inf':>13} {'p':>6} {'R^2':>8} {'time':>7}  {'degrees':<15} nodes")
     for name, n, chart_flag, formula in CASES:
         S = GraphSurface.builtin(name, n)
         chart = asymptotic.chart_for(S, chart_flag)
@@ -73,7 +76,7 @@ def main() -> int:
         print(
             f"{name:<11} {n:>2} {chart_flag:>5} {formula:>12} "
             f"{fit.m_inf:>13.3e} {fit.decay_exponent:>6.2f} "
-            f"{fit.fit_quality:>8.5f} {time.monotonic() - t0:>6.1f}s  {degrees(sweep)}"
+            f"{fit.fit_quality:>8.5f} {time.monotonic() - t0:>6.1f}s  {rules(sweep)}"
         )
         if name == "sphere":
             ok = abs(fit.m_inf) <= 1e-3
@@ -98,7 +101,7 @@ def main() -> int:
         print(
             f"{'schwarz m=1':<11} {3:>2} {'-':>5} {formula:>12} "
             f"{fit.m_inf:>13.6f} {fit.decay_exponent:>6.2f} "
-            f"{fit.fit_quality:>8.5f} {'':>7}  {degrees(sweep)}"
+            f"{fit.fit_quality:>8.5f} {'':>7}  {rules(sweep)}"
         )
         if abs(fit.m_inf - src.mass) > 1e-3:
             failed.append(f"schwarzschild m={src.mass} {formula}")

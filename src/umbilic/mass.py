@@ -18,7 +18,7 @@ Two flux integrals at finite radius, extrapolated to infinity:
 Both fill their integrand over the rule's nodes in blocks of BLOCK_NODES,
 one evaluation per block, so memory stays flat as the rule grows; each
 estimate still makes one quadrature sum over all nodes.  A sweep sizes the
-rule per radius by measured error: it climbs the product rules of even
+rule per radius by measured error: it climbs the sphere rules of even
 degree and stops after two consecutive steps within QUAD_TOL (mass_sweep).
 
 Both are normalized by [2(n-1) |S^{n-1}|]^{-1}, calibrated so the
@@ -337,14 +337,14 @@ def mass_sweep(
 
 def _sized_estimate(fn: Callable, source: MetricSource, chart: Optional[Chart], r: float,
                     top: int, cap: Callable[[], QuadratureRule]) -> MassEstimate:
-    """fn at radius r on the product rules of even degree 2, 4, ... below
-    top, each built and dropped in turn: the first estimate within
-    QUAD_TOL of its own size of the rung before it, when that rung was
-    also within QUAD_TOL of its own predecessor (one close pair of
-    neighbours can agree by chance); else fn on cap().  The walk goes to
-    the cap as soon as no rung left can stop it.  A rung whose estimate is
-    not finite raises ValueError at once (a NaN never compares close, so
-    it would otherwise climb to the cap)."""
+    """fn at radius r on the rules of even degree 2, 4, ... below top,
+    each built once per process (QuadratureRule.sphere): the first
+    estimate within QUAD_TOL of its own size of the rung before it, when
+    that rung was also within QUAD_TOL of its own predecessor (one close
+    pair of neighbours can agree by chance); else fn on cap().  The walk
+    goes to the cap as soon as no rung left can stop it.  A rung whose
+    estimate is not finite raises ValueError at once (a NaN never compares
+    close, so it would otherwise climb to the cap)."""
     prev, settled = None, False
     for d in range(2, top, 2):
         e = _finite(fn(source, chart, r, QuadratureRule.sphere(source.n, d)))

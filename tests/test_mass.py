@@ -17,6 +17,7 @@ import pytest
 from umbilic import asymptotic as asym
 from umbilic import mass as mm
 from umbilic import numdiff
+from umbilic import quadrature
 from umbilic.obstruction import sphere_integral_series
 from umbilic.polyjet import Jet, MultiPoly
 from umbilic.quadrature import QuadratureRule, default_degree, sphere_area
@@ -233,13 +234,71 @@ def test_walk_matches_the_cap_rule(name, n, flag, formula, radii):
     else:
         src = quintic_n5() if name == "quintic" else GraphSurface.builtin(name, n)
         ch = asym.chart_for(src, flag)
+    # from n = 6 the rules are fully symmetric, and the product rule of the
+    # cap's degree is a second reference
     cap = QuadratureRule.sphere(n)
+    caps = [cap]
+    if n >= quadrature.SYMMETRIC_FROM:
+        caps.append(product_cap(n))
     fn = {mm.STANDARD: mm.adm_mass_standard, mm.LEE_PARKER: mm.adm_mass_lee_parker}[formula]
     for e in mm.mass_sweep(src, ch, radii, formula):
-        ref = fn(src, ch, e.radius, cap).value
-        assert abs(e.value - ref) <= mm.QUAD_TOL * abs(ref), (e.radius, e.quad_degree)
+        for ref in (fn(src, ch, e.radius, c).value for c in caps):
+            assert abs(e.value - ref) <= mm.QUAD_TOL * abs(ref), (e.radius, e.quad_degree)
         assert e.quad_degree <= cap.degree
         assert e.quad_nodes == len(QuadratureRule.sphere(n, e.quad_degree).weights)
+
+
+def product_cap(n: int) -> QuadratureRule:
+    """The product rule of degree default_degree(n), whatever n."""
+    d = default_degree(n)
+    return QuadratureRule(n, *quadrature._product_rule(n, d), d)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("formula", [mm.STANDARD, mm.LEE_PARKER])
+def test_symmetric_cap_matches_the_product_cap(n, formula):
+    # the two rule families at the cap degree, on the quartic in chart z;
+    # measured at most 5.9e-7 relative (n = 7, standard, r = 100; 3.3e-7 for
+    # Lee-Parker)
+    S = GraphSurface.quartic_x1(n)
+    ch = asym.chart_for(S, "z")
+    fn = {mm.STANDARD: mm.adm_mass_standard, mm.LEE_PARKER: mm.adm_mass_lee_parker}[formula]
+    symmetric, product = QuadratureRule.sphere(n), product_cap(n)
+    assert len(symmetric.weights) * 5 < len(product.weights)
+    for r in (10.0, 10.0**1.5, 100.0):
+        ref = fn(S, ch, r, product).value
+        assert abs(fn(S, ch, r, symmetric).value - ref) <= 1e-6 * abs(ref), r
+
+
+def test_sweep_builds_each_rule_once(monkeypatch):
+    # the rules live in one cache for the process: over five radii each
+    # builder runs once per (n, degree), though each radius asks for the
+    # rungs it walks again
+    built, asked = [], []
+    sphere = QuadratureRule.sphere
+
+    def counting(build):
+        def wrapped(n, d):
+            built.append((n, d))
+            return build(n, d)
+        return wrapped
+
+    def asking(n, d=None):
+        asked.append((n, d))
+        return sphere(n, d)
+
+    monkeypatch.setattr(quadrature, "_product_rule", counting(quadrature._product_rule))
+    monkeypatch.setattr(quadrature, "_symmetric_rule", counting(quadrature._symmetric_rule))
+    monkeypatch.setattr(QuadratureRule, "sphere", staticmethod(asking))
+    quadrature._rule_arrays.cache_clear()
+    try:
+        for S, flag in [(GraphSurface.sphere(3), "y"), (GraphSurface.quartic_x1(6), "z")]:
+            mm.mass_sweep(S, asym.chart_for(S, flag), mm.DEFAULT_RADII, mm.LEE_PARKER)
+    finally:
+        quadrature._rule_arrays.cache_clear()
+    assert {n for n, _ in built} == {3, 6}
+    assert sorted(built) == sorted(set(asked))
+    assert len(asked) > len(built)
 
 
 def scripted_walk(monkeypatch, values, degree, radii=(10.0,)):
@@ -282,8 +341,8 @@ def test_walk_stops_after_two_close_steps(monkeypatch, values, degree, seen, cho
 
 
 def test_walk_below_the_cap_never_builds_it(monkeypatch):
-    # rungs are built and dropped for each radius, and a sweep whose walks
-    # stop below the cap never builds it
+    # each radius asks for its rungs again (the rule cache builds each
+    # once), and a sweep whose walks stop below the cap never asks for it
     _, built, seen = scripted_walk(monkeypatch, {2: 1.0, 4: 1.0, 6: 1.0}, 12, radii=(10.0, 20.0))
     assert built == seen == [2, 4, 6, 2, 4, 6]
 

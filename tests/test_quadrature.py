@@ -1,21 +1,98 @@
-"""Product quadrature on spheres: weights, exactness, determinism."""
+"""Sphere quadrature, product and fully symmetric: weights, exactness,
+determinism, the shared read-only rules."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from umbilic import quadrature
 from umbilic.obstruction import sphere_integral
 from umbilic.polyjet import MultiPoly
 from umbilic.quadrature import QuadratureRule, _gauss_jacobi, default_degree, sphere_area
 
+# sum|w| / |S^{n-1}| of the symmetric rule of each even degree up to the cap,
+# from its exact rational weights: the factor by which its signed weights
+# amplify rounding
+ABS_WEIGHT_SUMS = {
+    6: {2: 1, 4: Fraction(3, 2), 6: Fraction(25, 16), 8: Fraction(5, 3),
+        10: Fraction(30377, 10752), 12: Fraction(597, 140), 14: Fraction(4799527, 737280),
+        16: Fraction(9679, 945)},
+    7: {2: 1, 4: Fraction(5, 3), 6: Fraction(23, 11), 8: Fraction(1043, 429),
+        10: Fraction(4262, 1287), 12: Fraction(40451, 7293)},
+    8: {2: 1, 4: Fraction(9, 5), 6: Fraction(103, 40), 8: Fraction(49, 15),
+        10: Fraction(13627, 3072)},
+    9: {2: 1, 4: Fraction(21, 11), 6: Fraction(431, 143), 8: Fraction(8863, 2145),
+        10: Fraction(41593, 7293)},
+}
+
 
 def test_weights_positive_and_sum_to_area():
-    for n in range(2, 8):
-        rule = QuadratureRule.sphere(n, 10)
-        assert np.all(rule.weights > 0.0)
-        assert np.sum(rule.weights) == pytest.approx(sphere_area(n), rel=1e-12)
-        assert np.allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, atol=1e-14)
+    # the product rules (n < 6) have positive weights; the fully symmetric
+    # rules (n >= 6) have signed ones, inherent to the family from n = 6,
+    # degree 4 on, so there sum|w| is pinned at every rung up to the cap
+    for n in range(2, 10):
+        for d in range(2, default_degree(n) + 1, 2) if n >= quadrature.SYMMETRIC_FROM else (10,):
+            rule = QuadratureRule.sphere(n, d)
+            if n < quadrature.SYMMETRIC_FROM:
+                assert np.all(rule.weights > 0.0)
+            else:
+                assert np.sum(np.abs(rule.weights)) / sphere_area(n) == pytest.approx(
+                    float(ABS_WEIGHT_SUMS[n][d]), rel=1e-12), (n, d)
+            assert np.sum(rule.weights) == pytest.approx(sphere_area(n), rel=1e-12)
+            assert np.allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, atol=1e-14)
+
+
+def test_symmetric_weights_are_exact_rationals():
+    # in units of |S^5|: k = 1 puts 1/12 on the 12 axis nodes; k = 2 puts
+    # -1/48 there and +1/48 on the 60 nodes (+-1, +-1, 0, ...)/sqrt 2
+    def weights(n, k):
+        return {p: (len(rows) * 2 ** len(p), w)
+                for p, (rows, w) in quadrature._symmetric_orbits(n, k).items()}
+
+    assert weights(6, 1) == {(1,): (12, Fraction(1, 12))}
+    assert weights(6, 2) == {(2,): (12, Fraction(-1, 48)), (1, 1): (60, Fraction(1, 48))}
+    rule = QuadratureRule.sphere(6, 4)
+    on_axis = np.isclose(np.max(np.abs(rule.nodes), axis=1), 1.0)
+    assert on_axis.sum() == 12 and len(rule.weights) == 72
+    assert np.all(rule.weights[on_axis] == -1 / 48 * sphere_area(6))
+    assert np.all(rule.weights[~on_axis] == 1 / 48 * sphere_area(6))
+    assert np.allclose(np.abs(rule.nodes[~on_axis]).max(axis=1), 0.5 ** 0.5, rtol=0, atol=1e-16)
+
+
+def test_symmetric_node_counts():
+    # the degree-(2k + 1) rules at the mass caps and of the n = 8, 9 checks
+    assert [len(QuadratureRule.sphere(n, d).weights) for n, d in
+            [(6, 16), (7, 12), (8, 8), (8, 10), (9, 10)]] == [20256, 12642, 2816, 9424, 16722]
+
+
+def test_distinct_permutations_match_the_set_of_permutations():
+    for values in [(0,), (1, 0, 0), (2, 1, 1, 0, 0), (3, 1, 0, 2, 1, 0), (1, 1, 1)]:
+        perms = quadrature._distinct_permutations(values)
+        assert perms == sorted(set(itertools.permutations(values)))
+
+
+def test_bareiss_solve_matches_fractions():
+    rng = np.random.default_rng(3)
+    for size in range(1, 7):
+        a = [[int(v) for v in row] for row in rng.integers(-9, 10, (size, size))]
+        b = [int(v) for v in rng.integers(-9, 10, size)]
+        if np.linalg.matrix_rank(np.array(a, dtype=float)) < size:
+            continue
+        x, det = quadrature._bareiss_solve(a, b)
+        sol = [Fraction(xi, det) for xi in x]
+        assert [sum(aij * s for aij, s in zip(row, sol)) for row in a] == b
+
+
+def test_rules_are_shared_and_read_only():
+    a, b = QuadratureRule.sphere(6, 8), QuadratureRule.sphere(6, 8)
+    assert a is not b and a.nodes is b.nodes and a.weights is b.weights
+    for rule in (a, QuadratureRule.sphere(3, 8)):
+        with pytest.raises(ValueError):
+            rule.nodes[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
 
 
 def random_homogeneous(n, deg, rng):
@@ -51,16 +128,19 @@ def test_exact_on_homogeneous_polynomials():
 
 
 def test_every_rung_exact_on_homogeneous_polynomials():
-    # the mass walk may stop on any even degree up to the cap: each rung
-    # integrates each even degree it claims, against the closed-form
-    # moments.  An odd exponent makes the exact integral 0; those are held
-    # to 1e-12 of |S|^(1/2) ||P||_2, which bounds |int P| (Cauchy-Schwarz).
-    # Measured: 3.8e-14 relative, 1.0e-15 of the L2 bound.
+    # the mass walk may stop on any even degree d up to the cap: each rung
+    # integrates every degree up to d + 1, against the closed-form moments
+    # (the product rule's Gauss and trapezoid factors are exact to d + 1,
+    # and the symmetric rule of n >= 6 is of degree 2 (d/2) + 1).  An odd
+    # exponent makes the exact integral 0; those are held to 1e-12 of
+    # |S|^(1/2) ||P||_2, which bounds |int P| (Cauchy-Schwarz).  Measured:
+    # 3.0e-14 relative and 9.8e-16 of the L2 bound (product), 2.6e-15 and
+    # 1.6e-16 (symmetric).
     rng = np.random.default_rng(0)
-    for n in range(2, 8):
+    for n in range(2, 10):
         top = default_degree(n)
         polys = []
-        for deg in range(2, top + 1, 2):
+        for deg in range(1, top + 2):
             P = random_homogeneous(n, deg, rng)
             exact = float(sphere_integral(P).constant_term()) * sphere_area(n)
             scale = abs(exact) or sphere_area(n) * float(sphere_integral(P * P).constant_term()) ** 0.5
@@ -68,10 +148,23 @@ def test_every_rung_exact_on_homogeneous_polynomials():
         for d in range(2, top + 1, 2):
             rule = QuadratureRule.sphere(n, d)
             for deg, P, exact, scale in polys:
-                if deg > d:
+                if deg > d + 1:
                     break
                 assert abs(rule.integrate(values_at(P, rule.nodes)) - exact) <= 1e-12 * scale, \
                     (n, d, deg)
+
+
+def test_symmetric_rule_past_the_int64_range():
+    # from k = 11 the moment matrix is built on Python integers: the rule of
+    # degree 23 on S^2 (k = 11) against the closed-form moments
+    rng = np.random.default_rng(1)
+    nodes, weights = quadrature._symmetric_rule(3, 22)
+    rule = QuadratureRule(3, nodes, weights, 22)
+    for deg in (2, 11, 22, 23):
+        P = random_homogeneous(3, deg, rng)
+        exact = float(sphere_integral(P).constant_term()) * sphere_area(3)
+        scale = abs(exact) or sphere_area(3) * float(sphere_integral(P * P).constant_term()) ** 0.5
+        assert abs(rule.integrate(values_at(P, nodes)) - exact) <= 1e-12 * scale, deg
 
 
 def test_gauss_jacobi_matches_scipy_oracle():
