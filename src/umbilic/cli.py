@@ -305,11 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--chart", choices=["y", "z"], default=None,
                     help="inversion chart of a surface (default y)")
     pm.add_argument("--radii", help="comma-separated sweep radii")
-    pm.add_argument("--quad-deg", type=int, default=None,
-                    help="largest sphere-rule degree (default: by dimension); each "
-                         "radius climbs the even degrees below it and stops after two "
-                         f"consecutive steps within {mass.QUAD_TOL:g} relative; the radii "
-                         "after one that needed it run it alone")
+    pm.add_argument("--quad-deg", type=int, default=None, metavar="D",
+                    help="largest sphere-rule degree (default: by dimension; an odd D "
+                         "runs the rule of D - 1, which is exact to D); each radius climbs "
+                         "the rules below it and stops after two consecutive steps within "
+                         f"{mass.QUAD_TOL:g} relative; the radii after one that needed it "
+                         "run it alone")
     pm.add_argument(
         "--formula",
         choices=[mass.STANDARD, mass.LEE_PARKER],

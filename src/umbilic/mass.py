@@ -18,8 +18,8 @@ Two flux integrals at finite radius, extrapolated to infinity:
 Both fill their integrand over the rule's nodes in blocks of BLOCK_NODES,
 one evaluation per block, so memory stays flat as the rule grows; each
 estimate still makes one quadrature sum over all nodes.  A sweep sizes the
-rule per radius by measured error: it climbs the sphere rules of even
-degree and stops after two consecutive steps within QUAD_TOL (mass_sweep).
+rule per radius by measured error: it climbs the sphere rules by half-degree
+and stops after two consecutive steps within QUAD_TOL (mass_sweep).
 
 Both are normalized by [2(n-1) |S^{n-1}|]^{-1}, calibrated so the
 conformally flat reference metric (1 + m/(2|y|))^4 delta in dimension 3
@@ -35,7 +35,6 @@ uncontrolled remainder is already integrable against the sphere growth.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -310,51 +309,49 @@ def mass_sweep(
     degree: Optional[int] = None,
 ) -> List[MassEstimate]:
     """The estimates at the radii, smallest first, each on the smallest
-    rule its measured error allows (_sized_estimate).  The largest rule,
-    the cap, is `rule` if given, else `QuadratureRule.sphere(n, degree)`
-    (by default of degree `default_degree(n)`), built once a radius
-    reaches it.  Once a radius's walk ends on the cap, the larger radii go
-    to the cap directly, so a sweep costs at most one walk more than the
-    cap alone.  The first estimate that is not finite raises ValueError
-    before the larger radii run."""
+    rule its measured error allows (_walk), else on the cap: `rule` if
+    given, else `QuadratureRule.sphere(n, degree)` (by default of degree
+    `default_degree(n)`), of half-degree J = degree // 2.  Once a radius
+    ends on the cap, the larger radii go to the cap directly, so a sweep
+    costs at most one walk more than the cap alone.  The first estimate
+    that is not finite raises ValueError before the larger radii run."""
     fn = {STANDARD: adm_mass_standard, LEE_PARKER: adm_mass_lee_parker}[formula]
     n = source.n
     if rule is not None:
         degree = rule.degree
     elif degree is None:
         degree = default_degree(n)
-
-    @functools.lru_cache(maxsize=None)
-    def cap() -> QuadratureRule:
-        return rule if rule is not None else QuadratureRule.sphere(n, degree)
-
     sweep: List[MassEstimate] = []
-    for r in sorted(radii):
-        top = 0 if sweep and sweep[-1].quad_degree == degree else degree
-        sweep.append(_sized_estimate(fn, source, chart, float(r), top, cap))
+    for r in map(float, sorted(radii)):
+        # skip the walk past a radius that needed the cap: without the skip
+        # the quartic_x1 n = 7 mass benchmark job took 20-22 ms, not 17 (2 cores)
+        top = 0 if sweep and sweep[-1].quad_degree == degree else degree // 2
+        e = _walk(fn, source, chart, r, top)
+        sweep.append(e or _finite(fn(source, chart, r, rule or QuadratureRule.sphere(n, degree))))
     return sweep
 
 
-def _sized_estimate(fn: Callable, source: MetricSource, chart: Optional[Chart], r: float,
-                    top: int, cap: Callable[[], QuadratureRule]) -> MassEstimate:
-    """fn at radius r on the rules of even degree 2, 4, ... below top,
-    each built once per process (QuadratureRule.sphere): the first
+def _walk(fn: Callable, source: MetricSource, chart: Optional[Chart], r: float,
+          top: int) -> Optional[MassEstimate]:
+    """fn at radius r on the rules of half-degree j = 1, 2, ... below top,
+    QuadratureRule.sphere(n, 2j), each built once per process: the first
     estimate within QUAD_TOL of its own size of the rung before it, when
     that rung was also within QUAD_TOL of its own predecessor (one close
-    pair of neighbours can agree by chance); else fn on cap().  The walk
-    goes to the cap as soon as no rung left can stop it.  A rung whose
-    estimate is not finite raises ValueError at once (a NaN never compares
-    close, so it would otherwise climb to the cap)."""
+    pair of neighbours can agree by chance); else None, for the cap.  A
+    rung whose estimate is not finite raises ValueError at once (a NaN
+    never compares close, so it would otherwise climb to the cap)."""
     prev, settled = None, False
-    for d in range(2, top, 2):
-        e = _finite(fn(source, chart, r, QuadratureRule.sphere(source.n, d)))
+    for j in range(1, top):
+        e = _finite(fn(source, chart, r, QuadratureRule.sphere(source.n, 2 * j)))
         close = prev is not None and abs(e.value - prev) <= QUAD_TOL * abs(e.value)
         if close and settled:
             return e
         prev, settled = e.value, close
-        if d + (2 if close else 4) >= top:  # the first rung that could stop
+        # stop once no rung below the cap can stop the walk: without this
+        # the quartic_x1 n = 7 mass benchmark job took 30 ms, not 17 (2 cores)
+        if j + (1 if close else 2) >= top:
             break
-    return _finite(fn(source, chart, r, cap()))
+    return None
 
 
 def _finite(e: MassEstimate) -> MassEstimate:

@@ -1,13 +1,14 @@
 """Deterministic quadrature on the unit sphere S^{n-1}.
 
 `QuadratureRule.sphere(n, degree)` integrates polynomials of total degree
-<= `degree` essentially to machine precision, in any dimension n >= 2.
-Below SYMMETRIC_FROM it is a product rule in spherical coordinates:
-Gauss-Jacobi nodes in each polar angle (the sin-power surface-measure
-factor is absorbed exactly into the Jacobi weight), from one
-eigendecomposition of the Jacobi matrix (Golub-Welsch), and a trapezoid
-rule in the final azimuth, exact for trigonometric polynomials of degree
-below the point count.  From SYMMETRIC_FROM on it is a fully symmetric rule
+<= `degree` essentially to machine precision, in any dimension n >= 2: the
+rule of degree d is the rule of half-degree d // 2, exact to 2 (d // 2) + 1,
+in both families.  Below SYMMETRIC_FROM it is a product rule in spherical
+coordinates: Gauss-Jacobi nodes in each polar angle (the sin-power
+surface-measure factor is absorbed exactly into the Jacobi weight), from one
+eigendecomposition of the Jacobi matrix (Golub-Welsch), and a trapezoid rule
+in the final azimuth, exact for trigonometric polynomials of degree below
+the point count.  From SYMMETRIC_FROM on it is a fully symmetric rule
 (Stroud, Approximate Calculation of Multiple Integrals, 1971; Genz,
 J. Comput. Appl. Math. 157, 2003): the orbits under coordinate permutations
 and sign changes of the points (sqrt(p_1/k), ..., sqrt(p_m/k), 0, ...) for
@@ -60,13 +61,13 @@ def _gauss_jacobi(m: int, alpha: float):
     return u, w * (mu0 / w.sum())
 
 
-def _product_rule(n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes (N, n) and weights (N,) of the product rule of the degree:
-    2 (degree // 2 + 1)^(n - 1) nodes."""
-    m = degree // 2 + 1  # Gauss points per polar angle
+def _product_rule(n: int, j: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes (N, n) and weights (N,) of the product rule of half-degree j,
+    exact to degree 2j + 1: 2 (j + 1)^(n - 1) nodes."""
+    m = j + 1  # Gauss points per polar angle
     # Azimuth count: even (so odd monomials cancel exactly by symmetry)
-    # and > degree (trapezoid exactness for trigonometric polynomials).
-    M = 2 * (degree // 2 + 1)
+    # and > 2j + 1 (trapezoid exactness for trigonometric polynomials).
+    M = 2 * (j + 1)
     # Start from the azimuth circle in the last two coordinates.
     phi = 2.0 * math.pi * np.arange(M) / M
     nodes = np.column_stack([np.cos(phi), np.sin(phi)])
@@ -159,10 +160,10 @@ def _symmetric_orbits(n: int, k: int) -> Dict[Tuple[int, ...], Tuple[np.ndarray,
     return {p: (r, Fraction(xi, det * den)) for p, r, xi in zip(parts, rows, x)}
 
 
-def _symmetric_rule(n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
+def _symmetric_rule(n: int, j: int) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes (N, n) and weights (N,) of the fully symmetric rule of degree
-    2k + 1 >= degree, k = max(1, degree // 2)."""
-    k = max(1, degree // 2)
+    2k + 1, k = max(1, j)."""
+    k = max(1, j)
     area = sphere_area(n)
     nodes, weights = [], []
     for p, (rows, w) in _symmetric_orbits(n, k).items():
@@ -194,11 +195,11 @@ SYMMETRIC_FROM = 6
 
 
 @functools.lru_cache(maxsize=None)
-def _rule_arrays(n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The nodes and weights of sphere(n, degree), built once per process
-    and read-only, so every rule handed out can share them."""
+def _rule_arrays(n: int, j: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of the rule of half-degree j, built once per
+    process and read-only, so every rule handed out can share them."""
     build = _symmetric_rule if n >= SYMMETRIC_FROM else _product_rule
-    nodes, weights = build(n, degree)
+    nodes, weights = build(n, j)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -216,17 +217,17 @@ class QuadratureRule:
 
     @staticmethod
     def sphere(n: int, degree: Optional[int] = None) -> "QuadratureRule":
-        """The rule of the given degree, by default `default_degree(n)`: the
-        product rule below SYMMETRIC_FROM, the fully symmetric rule of
-        degree 2 max(1, degree // 2) + 1 from it on.  Its arrays are
-        read-only and shared with every rule of the same (n, degree)."""
+        """The rule of degree d (by default `default_degree(n)`) is the rule
+        of half-degree d // 2, exact to 2 (d // 2) + 1, in both families: the
+        product rule below SYMMETRIC_FROM, the fully symmetric rule from it
+        on.  Its read-only arrays are shared by every rule of that n and d // 2."""
         if n < 2:
             raise ValueError("sphere quadrature needs n >= 2")
         if degree is None:
             degree = default_degree(n)
         if degree < 0:
             raise ValueError("quadrature degree must be nonnegative")
-        return QuadratureRule(n, *_rule_arrays(n, degree), degree)
+        return QuadratureRule(n, *_rule_arrays(n, degree // 2), degree)
 
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum over the nodes; values[i] = f(nodes[i])."""
@@ -235,6 +236,6 @@ class QuadratureRule:
 
 def default_degree(n: int) -> int:
     """Node-count-aware default quadrature degree per dimension: the cap of
-    `mass.mass_sweep`'s walk, which stops on a lower even degree wherever
-    two consecutive steps between neighbouring rules are small."""
+    `mass.mass_sweep`'s walk, which stops on a rule of lower half-degree
+    wherever two consecutive steps between neighbouring rules are small."""
     return {2: 32, 3: 32, 4: 32, 5: 20, 6: 16, 7: 12}.get(n, 10)

@@ -210,6 +210,22 @@ def test_mass_quad_deg_zero_is_not_the_default(capsys):
     assert {e["quad_degree"] for e in load(out)["sweeps"]} == {0}
 
 
+def test_mass_odd_quad_deg_runs_the_rule_below(capsys):
+    # --quad-deg 13 runs the rule of half-degree 6, as --quad-deg 12 does:
+    # the same walk and values, each report naming the degree it asked for
+    argv = ["mass", "--builtin", "quartic_x1", "--n", "7", "--chart", "z",
+            "--formula", "lee_parker", "--quad-deg"]
+    (code13, out13, _), (code12, out12, _) = (run(argv + [d], capsys) for d in ("13", "12"))
+    assert code13 == code12
+    odd, even = load(out13), load(out12)
+    assert odd["m_inf"] == even["m_inf"]
+    assert len(odd["sweeps"]) == len(even["sweeps"]) == len(mass.DEFAULT_RADII)
+    for a, b in zip(odd["sweeps"], even["sweeps"]):
+        keys = ("radius", "value", "quad_nodes")
+        assert [a[k] for k in keys] == [b[k] for k in keys]
+        assert a["quad_degree"] == (13 if b["quad_degree"] == 12 else b["quad_degree"])
+
+
 def test_mass_schwarzschild_fixture_needs_n3(capsys):
     code, out, err = run(
         ["mass", "--fixture", "schwarzschild", "--n", "4", "--m", "1.0",

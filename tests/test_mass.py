@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -251,7 +251,7 @@ def test_walk_matches_the_cap_rule(name, n, flag, formula, radii):
 def product_cap(n: int) -> QuadratureRule:
     """The product rule of degree default_degree(n), whatever n."""
     d = default_degree(n)
-    return QuadratureRule(n, *quadrature._product_rule(n, d), d)
+    return QuadratureRule(n, *quadrature._product_rule(n, d // 2), d)
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -270,35 +270,62 @@ def test_symmetric_cap_matches_the_product_cap(n, formula):
         assert abs(fn(S, ch, r, symmetric).value - ref) <= 1e-6 * abs(ref), r
 
 
-def test_sweep_builds_each_rule_once(monkeypatch):
-    # the rules live in one cache for the process: over five radii each
-    # builder runs once per (n, degree), though each radius asks for the
-    # rungs it walks again
-    built, asked = [], []
-    sphere = QuadratureRule.sphere
+@pytest.fixture
+def builds(monkeypatch):
+    """The (n, j) of each rule the builders make during the test, on an
+    empty rule cache."""
+    built = []
+    for name in ("_product_rule", "_symmetric_rule"):
+        build = getattr(quadrature, name)
+        monkeypatch.setattr(quadrature, name,
+                            lambda n, j, build=build: built.append((n, j)) or build(n, j))
+    quadrature._rule_arrays.cache_clear()
+    yield built
+    quadrature._rule_arrays.cache_clear()
 
-    def counting(build):
-        def wrapped(n, d):
-            built.append((n, d))
-            return build(n, d)
-        return wrapped
+
+def test_sweep_builds_each_rule_once(monkeypatch, builds):
+    # the rules live in one cache for the process: over five radii each
+    # builder runs once per (n, half-degree), though each radius asks for
+    # the rungs it walks again
+    asked = []
+    sphere = QuadratureRule.sphere
 
     def asking(n, d=None):
         asked.append((n, d))
         return sphere(n, d)
 
-    monkeypatch.setattr(quadrature, "_product_rule", counting(quadrature._product_rule))
-    monkeypatch.setattr(quadrature, "_symmetric_rule", counting(quadrature._symmetric_rule))
     monkeypatch.setattr(QuadratureRule, "sphere", staticmethod(asking))
-    quadrature._rule_arrays.cache_clear()
-    try:
-        for S, flag in [(GraphSurface.sphere(3), "y"), (GraphSurface.quartic_x1(6), "z")]:
-            mm.mass_sweep(S, asym.chart_for(S, flag), mm.DEFAULT_RADII, mm.LEE_PARKER)
-    finally:
-        quadrature._rule_arrays.cache_clear()
-    assert {n for n, _ in built} == {3, 6}
-    assert sorted(built) == sorted(set(asked))
-    assert len(asked) > len(built)
+    for S, flag in [(GraphSurface.sphere(3), "y"), (GraphSurface.quartic_x1(6), "z")]:
+        mm.mass_sweep(S, asym.chart_for(S, flag), mm.DEFAULT_RADII, mm.LEE_PARKER)
+    assert {n for n, _ in builds} == {3, 6}
+    assert sorted(builds) == sorted({(n, d // 2) for n, d in asked})
+    assert len(asked) > len(builds)
+
+
+@pytest.mark.parametrize("name,n,flag,formula,degree,radii", [
+    ("quartic_x1", 7, "z", mm.LEE_PARKER, 13, mm.DEFAULT_RADII),
+    ("sphere", 3, "y", mm.STANDARD, 7, mm.DEFAULT_RADII),
+    # rungs 4 and 6 agree by chance at r = 100 (quintic_n5), so the walk
+    # climbs to the last rung below the cap of degree 9
+    ("quintic", 5, "y", mm.LEE_PARKER, 9, (100.0,)),
+])
+def test_no_radius_evaluates_one_rule_twice(monkeypatch, name, n, flag, formula, degree, radii):
+    # the cap of odd degree 2J + 1 is the rule of half-degree J, so the walk
+    # below it stops at J - 1: no radius evaluates two rules with equal nodes
+    S = quintic_n5() if name == "quintic" else GraphSurface.builtin(name, n)
+    seen = []
+    fn = {mm.STANDARD: "adm_mass_standard", mm.LEE_PARKER: "adm_mass_lee_parker"}[formula]
+    estimate = getattr(mm, fn)
+
+    def recording(source, chart, r, rule):
+        seen.append((r, rule.nodes))
+        return estimate(source, chart, r, rule)
+
+    monkeypatch.setattr(mm, fn, recording)
+    mm.mass_sweep(S, asym.chart_for(S, flag), radii, formula, degree=degree)
+    for (r, a), (s, b) in combinations(seen, 2):
+        assert r != s or a.shape != b.shape or not np.array_equal(a, b), r
 
 
 def scripted_walk(monkeypatch, values, degree, radii=(10.0,)):
@@ -329,9 +356,10 @@ def scripted_walk(monkeypatch, values, degree, radii=(10.0,)):
     # one pair agrees by chance: the walk goes on, and to the cap as soon
     # as no rung below it could stop it
     ({2: 1.0, 4: 2.0, 6: 2.0, 8: 3.0, 12: 4.0}, 12, [2, 4, 6, 8, 12], 12),
-    # a cap of odd degree is the last rung after the even ones below it
-    ({2: 1.0, 4: 1.0, 6: 2.0, 7: 4.0}, 7, [2, 4, 6, 7], 7),
-    ({2: 1.0, 4: 2.0, 7: 4.0}, 7, [2, 4, 7], 7),
+    # a cap of degree 7 is the rule of half-degree J = 3: no rung below it
+    # can stop the walk, so rung 2 goes to the cap
+    ({2: 1.0, 4: 1.0, 6: 2.0, 7: 4.0}, 7, [2, 7], 7),
+    ({2: 1.0, 4: 2.0, 7: 4.0}, 7, [2, 7], 7),
     ({0: 4.0}, 0, [0], 0),
 ])
 def test_walk_stops_after_two_close_steps(monkeypatch, values, degree, seen, chosen):
@@ -347,12 +375,11 @@ def test_walk_below_the_cap_never_builds_it(monkeypatch):
     assert built == seen == [2, 4, 6, 2, 4, 6]
 
 
-def test_radii_after_one_that_reached_the_cap_go_to_it(monkeypatch):
+def test_radii_after_one_that_reached_the_cap_go_to_it(monkeypatch, builds):
     # the cap is built once; the larger radii skip the walk that ended on it
-    sweep, built, seen = scripted_walk(monkeypatch, {2: 1.0, 4: 2.0, 7: 3.0}, 7,
-                                       radii=(30.0, 10.0, 20.0))
-    assert built == [2, 4, 7]
-    assert seen == [2, 4, 7, 7, 7]
+    sweep, _, seen = scripted_walk(monkeypatch, {2: 1.0, 7: 3.0}, 7, radii=(30.0, 10.0, 20.0))
+    assert builds == [(3, 1), (3, 3)]
+    assert seen == [2, 7, 7, 7]
     assert [(e.radius, e.quad_degree) for e in sweep] == [(10.0, 7), (20.0, 7), (30.0, 7)]
 
 

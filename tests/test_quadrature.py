@@ -95,6 +95,34 @@ def test_rules_are_shared_and_read_only():
             rule.weights[0] = 0.0
 
 
+def test_odd_degree_is_the_rule_of_the_even_degree_below():
+    # a rule is named by its half-degree j = d // 2 in both families, so
+    # degrees 2j and 2j + 1 share one pair of arrays; `degree` stays as asked
+    for n in range(2, 10):
+        for j in range(6):
+            even, odd = QuadratureRule.sphere(n, 2 * j), QuadratureRule.sphere(n, 2 * j + 1)
+            assert odd.nodes is even.nodes and odd.weights is even.weights, (n, j)
+            assert (even.degree, odd.degree) == (2 * j, 2 * j + 1)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_every_degree_builds_one_rule_per_half_degree(monkeypatch, n):
+    # degrees 0 .. 2J + 1 ask for J + 1 distinct rules, each built once
+    built = []
+    for name in ("_product_rule", "_symmetric_rule"):
+        build = getattr(quadrature, name)
+        monkeypatch.setattr(quadrature, name,
+                            lambda n, j, build=build: built.append((n, j)) or build(n, j))
+    J = 5
+    quadrature._rule_arrays.cache_clear()
+    try:
+        for d in range(2 * J + 2):
+            QuadratureRule.sphere(n, d)
+    finally:
+        quadrature._rule_arrays.cache_clear()
+    assert built == [(n, j) for j in range(J + 1)]
+
+
 def random_homogeneous(n, deg, rng):
     out = MultiPoly.zero(n)
     for _ in range(6):
@@ -158,7 +186,7 @@ def test_symmetric_rule_past_the_int64_range():
     # from k = 11 the moment matrix is built on Python integers: the rule of
     # degree 23 on S^2 (k = 11) against the closed-form moments
     rng = np.random.default_rng(1)
-    nodes, weights = quadrature._symmetric_rule(3, 22)
+    nodes, weights = quadrature._symmetric_rule(3, 11)
     rule = QuadratureRule(3, nodes, weights, 22)
     for deg in (2, 11, 22, 23):
         P = random_homogeneous(3, deg, rng)
