@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .polyjet import (
+    FIELD_BITS,
     Jet,
     MultiPoly,
     Params,
@@ -32,6 +33,7 @@ from .polyjet import (
     poly_divexact,
     poly_to_json,
     series_to_json,
+    unpack_exponent,
 )
 from .surface import JetGeometry, jet_geometry
 
@@ -153,8 +155,12 @@ def _cubic_obstruction(A3: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
                           - 6 A Lap_theta A.
     Substituted into c_theta, the gradient terms cancel and
       C = 16n(n-1) A^2 - 8(n-1) A Lap A + (Lap A)^2 - |Hess A|^2,
-    whose homogenization at n = 6 is `dim6_check`'s residual.
+    whose homogenization at n = 6 is `dim6_check`'s residual.  A zero A
+    gives (0, 0).  `expansion_coefficients` computes the pair once for
+    c_theta and the bodies of `integrated_identity` and `dim6_check`.
     """
+    if A3.is_zero:
+        return A3, A3
     if A3.degree() != 3 or not A3.is_homogeneous():
         raise ValueError("degree-3 homogeneous polynomial required")
     n = A3.n
@@ -173,8 +179,6 @@ def c_theta(A3: MultiPoly) -> SphericalSeries:
     """The obstruction function of a degree-3 homogeneous polynomial:
     (n-1)(n-6) A^2 - 2(n-4) A Lap_theta A - 8 |grad_theta A|^2
     + (Lap_theta A)^2 - |Hess_theta A|^2, as a total-order-0 series."""
-    if A3.is_zero:
-        return SphericalSeries.zero(A3.n, 0, 0)
     return on_sphere(_cubic_obstruction(A3)[0])
 
 
@@ -202,14 +206,16 @@ def sphere_integral(P: MultiPoly) -> MultiPoly:
     which fixes the denominator.
     """
     n = P.n
+    half = n * FIELD_BITS + 1  # a packed key shifted by this is its half-degree
+    odd = sum(1 << i * FIELD_BITS for i in range(n))  # the low bit of each exponent field
     sums: Dict[Tuple[Params, int], int] = {}
-    for (e, params), c in P.num.items():
-        if any(ei & 1 for ei in e):
+    for (k, params), c in P.num.items():
+        if k & odd:
             continue
-        for ei in e:
+        for ei in unpack_exponent(k, n):
             if ei > 2:
                 c *= _double_factorial(ei - 1)
-        key = (params, sum(e) // 2)
+        key = (params, k >> half)
         sums[key] = sums.get(key, 0) + c
     totals: Dict[Params, Fraction] = {}
     for (params, s), c in sums.items():
@@ -236,10 +242,16 @@ def integrated_identity(A3: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
     """Both sides of the integrated obstruction identity, in units of the
     sphere area: the integral of the obstruction function equals
     (n-6) * integral of [(n-1) A^2 + 3 |grad_theta A|^2]."""
+    return _integrated_identity(A3, _cubic_obstruction(A3))
+
+
+def _integrated_identity(
+    A3: MultiPoly, cubic: Tuple[MultiPoly, MultiPoly]
+) -> Tuple[MultiPoly, MultiPoly]:
     n = A3.n
     if A3.is_zero:
         return MultiPoly.zero(n), MultiPoly.zero(n)
-    c, a_sq = _cubic_obstruction(A3)
+    c, a_sq = cubic
     grad_theta_sq = sum((g * g for g in A3.grad()), MultiPoly.zero(n)) - a_sq.scale(9)
     rhs = sphere_integral(a_sq.scale(n - 1) + grad_theta_sq.scale(3))
     return sphere_integral(c), rhs.scale(n - 6)
@@ -263,13 +275,17 @@ def dim6_check(A3: MultiPoly) -> Dim6Record:
     """For n = 6: residual = r^4 [(Lap A)^2 - |Hess A|^2] - 40 r^2 A Lap A
     + 480 A^2; when it vanishes, |x|^2 must divide A_3 (unique factorization),
     and the restricted square A_3(theta)^2 must be constant."""
-    n = A3.n
-    if n != 6:
+    if A3.n != 6:
         raise ValueError("the residual chain is specific to dimension 6")
+    return _dim6_check(A3, _cubic_obstruction(A3))
+
+
+def _dim6_check(A3: MultiPoly, cubic: Tuple[MultiPoly, MultiPoly]) -> Dim6Record:
+    n = A3.n
     if A3.is_zero:
         return Dim6Record(A3, True, True, True)
     # the homogenization of C: each part C_d times |x|^(6-d)
-    c, sq = _cubic_obstruction(A3)
+    c, sq = cubic
     r2 = MultiPoly.x_norm_sq(n)
     residual = sum(
         (r2 ** ((6 - d) // 2) * Cd for d, Cd in c.homogeneous_parts().items()), MultiPoly.zero(n)
@@ -341,15 +357,16 @@ def expansion_coefficients(f: Jet, W: int = 3) -> ObstructionReport:
     c0 = series.coefficient(0)
     c1 = series.coefficient(1)
     c2 = series.coefficient(2)
-    ct = c_theta(A3)
+    cubic = _cubic_obstruction(A3)
+    ct = on_sphere(cubic[0])
     c2_match = (c2 - ct).is_zero
     if A3.param_names():
         lhs = rhs = None
         match = None
     else:
-        lhs, rhs = integrated_identity(A3)
+        lhs, rhs = _integrated_identity(A3, cubic)
         match = lhs == rhs
-    dim6 = dim6_check(A3) if n == 6 else None
+    dim6 = _dim6_check(A3, cubic) if n == 6 else None
     return ObstructionReport(
         n,
         W,

@@ -23,12 +23,22 @@ Every product runs through one kernel, `MultiPoly.mul_truncated`, with an
 optional degree cap read from a grading by degree that each polynomial
 computes once, on first use; every unit power (1 + s)^e of a jet or a
 series is one binomial series, `_binomial_series`.
+
+Inside a polynomial a monomial's spatial exponents are one packed int (see
+`pack_exponent`): the total degree in the top field, then x_1, ..., x_n in
+fields of FIELD_BITS bits.  Multiplying two monomials adds their ints, the
+degree is one shift, and int order is the grlex order of the exponents.  A
+total degree of 2**FIELD_BITS or more would carry out of its field, so a
+constructor or product that reaches one raises ValueError instead.  The
+public mappings (`MultiPoly.terms`, the constructors, JSON) use exponent
+tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,12 +51,48 @@ Params = Tuple[Tuple[str, int], ...]
 # Full monomial key: (spatial exponent tuple of length n, parameter monomial).
 Exponent = Tuple[int, ...]
 Key = Tuple[Exponent, Params]
+# The same key inside a polynomial: (packed exponent, parameter monomial).
+Packed = Tuple[int, Params]
 
 _NO_PARAMS: Params = ()
 
-_int_add = int.__add__
+FIELD_BITS = 16  # width of each field of a packed exponent
+_FIELD = 1 << FIELD_BITS  # the first degree that does not fit a field
+_MASK = _FIELD - 1
+
 _gcd = math.gcd
 _set = object.__setattr__
+
+
+def pack_exponent(e: Exponent, n: int) -> int:
+    """The packed int of x_1^e_1 ... x_n^e_n: fields of FIELD_BITS bits
+    holding, from the top, the total degree, then e_1, ..., e_n.  Raises
+    ValueError for a tuple not of length n, a negative exponent, or a total
+    degree of 2**FIELD_BITS or more, which would carry into the next field."""
+    if len(e) != n:
+        raise ValueError(f"exponent {tuple(e)} has length {len(e)}, not n={n}")
+    k = d = 0
+    for ei in e:
+        ei = operator.index(ei)
+        if ei < 0:
+            raise ValueError(f"negative exponent in {tuple(e)}")
+        k = k << FIELD_BITS | ei
+        d += ei
+    if d >= _FIELD:
+        raise ValueError(f"total degree {d} does not fit a {FIELD_BITS}-bit field")
+    return d << n * FIELD_BITS | k
+
+
+def unpack_exponent(k: int, n: int) -> Exponent:
+    """The exponent tuple of a packed int in n variables."""
+    return tuple(k >> (n - 1 - i) * FIELD_BITS & _MASK for i in range(n))
+
+
+def _var_key(n: int, i: int) -> int:
+    """The packed exponent of x_(i+1): a one in its field and in the degree's."""
+    if not 0 <= i < n:
+        raise ValueError(f"variable index {i} out of range for n={n}")
+    return 1 << n * FIELD_BITS | 1 << (n - 1 - i) * FIELD_BITS
 
 
 def _merge_params(a: Params, b: Params) -> Params:
@@ -65,7 +111,7 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"exact coefficient required, got {type(c).__name__}")
 
 
-def _poly(n: int, num: Dict[Key, int], den: int) -> "MultiPoly":
+def _poly(n: int, num: Dict[Packed, int], den: int) -> "MultiPoly":
     """A polynomial from numerators and denominator already in lowest terms."""
     p = object.__new__(MultiPoly)
     _set(p, "n", n)
@@ -76,7 +122,7 @@ def _poly(n: int, num: Dict[Key, int], den: int) -> "MultiPoly":
     return p
 
 
-def _lowest(n: int, num: Dict[Key, int], den: int) -> "MultiPoly":
+def _lowest(n: int, num: Dict[Packed, int], den: int) -> "MultiPoly":
     """A polynomial from nonzero numerators over den > 0, reduced by one gcd."""
     if not num:
         return _poly(n, num, 1)
@@ -90,21 +136,26 @@ def _lowest(n: int, num: Dict[Key, int], den: int) -> "MultiPoly":
 class MultiPoly:
     """Sparse exact polynomial in n spatial variables plus named parameters.
 
-    ``num`` maps monomial keys to nonzero integer numerators over the one
+    ``num`` maps packed keys (`pack_exponent` of the spatial exponents,
+    parameter monomial) to nonzero integer numerators over the one
     denominator ``den`` > 0, with gcd(den, numerators) = 1: equal
     polynomials have equal representations.  ``terms`` is the read-only
-    {key: Fraction} view of the same coefficients.  Instances are
-    immutable; every operation returns a new polynomial in lowest terms.
+    {(exponent tuple, params): Fraction} view of the same coefficients.
+    Instances are immutable; every operation returns a new polynomial in
+    lowest terms.
 
-    ``MultiPoly(n, terms)`` takes a {key: Fraction or int} mapping, drops
-    zero coefficients and rejects inexact ones with ``TypeError``.
+    ``MultiPoly(n, terms)`` takes a {(exponent tuple, params): Fraction or
+    int} mapping, drops zero coefficients and rejects inexact ones with
+    ``TypeError``.  An exponent tuple not of length n, or one whose total
+    degree does not fit a packed field (2**FIELD_BITS or more), raises
+    ``ValueError``, and so does a product that would reach such a degree.
     """
 
     __slots__ = ("n", "num", "den", "_terms", "_by_degree")
 
     def __init__(self, n: int, terms: Optional[Mapping[Key, Fraction]] = None):
         coeffs = {k: _as_fraction(c) for k, c in (terms or {}).items()}
-        coeffs = {k: c for k, c in coeffs.items() if c}
+        coeffs = {(pack_exponent(e, n), p): c for (e, p), c in coeffs.items() if c}
         den = math.lcm(1, *(c.denominator for c in coeffs.values()))
         # Each coefficient is in lowest terms, so these are too.
         _set(self, "n", n)
@@ -122,8 +173,8 @@ class MultiPoly:
     def terms(self) -> Mapping[Key, Fraction]:
         """The coefficients as a read-only {key: Fraction} mapping."""
         if self._terms is None:
-            den = self.den
-            terms = {k: Fraction(c, den) for k, c in self.num.items()}
+            n, den = self.n, self.den
+            terms = {(unpack_exponent(k, n), p): Fraction(c, den) for (k, p), c in self.num.items()}
             _set(self, "_terms", MappingProxyType(terms))
         return self._terms
 
@@ -142,29 +193,20 @@ class MultiPoly:
         c = _as_fraction(c)
         if c == 0:
             return MultiPoly.zero(n)
-        return _poly(n, {((0,) * n, _NO_PARAMS): c.numerator}, c.denominator)
+        return _poly(n, {(0, _NO_PARAMS): c.numerator}, c.denominator)
 
     @staticmethod
     def var(n: int, i: int) -> "MultiPoly":
-        if not 0 <= i < n:
-            raise ValueError(f"variable index {i} out of range for n={n}")
-        e = [0] * n
-        e[i] = 1
-        return _poly(n, {(tuple(e), _NO_PARAMS): 1}, 1)
+        return _poly(n, {(_var_key(n, i), _NO_PARAMS): 1}, 1)
 
     @staticmethod
     def param(n: int, name: str, power: int = 1) -> "MultiPoly":
-        return _poly(n, {((0,) * n, ((name, power),)): 1}, 1)
+        return _poly(n, {(0, ((name, power),)): 1}, 1)
 
     @staticmethod
     def x_norm_sq(n: int) -> "MultiPoly":
         """The radial polynomial |x|^2 = x_1^2 + ... + x_n^2."""
-        num = {}
-        for i in range(n):
-            e = [0] * n
-            e[i] = 2
-            num[(tuple(e), _NO_PARAMS)] = 1
-        return _poly(n, num, 1)
+        return _poly(n, {(2 * _var_key(n, i), _NO_PARAMS): 1 for i in range(n)}, 1)
 
     # -- ring structure ------------------------------------------------------
 
@@ -212,19 +254,26 @@ class MultiPoly:
         (so a wrapper put on this name from outside sees each product once).
         A cap walks other's degree grading and stops at the first degree past
         it, so discarded term pairs are never formed; no cap walks other's
-        terms as one group, in their order, and builds no grading."""
+        terms as one group, in their order, and builds no grading.  A product
+        of two monomials is the sum of their packed ints; unless a cap below
+        2**FIELD_BITS bounds every product's degree, the operands' top
+        degrees must add up to less than that."""
         self._check(other)
+        shift = self.n * FIELD_BITS
+        if (max_degree is None or max_degree >= _FIELD) and self.num and other.num:
+            top = (max(self.num)[0] >> shift) + (max(other.num)[0] >> shift)
+            if top >= _FIELD:
+                raise ValueError(f"product degree {top} does not fit a {FIELD_BITS}-bit field")
         groups = ((0, other.num),) if max_degree is None else other._grading().items()
-        out: Dict[Key, int] = {}
+        out: Dict[Packed, int] = {}
         get = out.get
-        for (ea, pa), ca in self.num.items():
-            room = 0 if max_degree is None else max_degree - sum(ea)
+        for (ka, pa), ca in self.num.items():
+            room = 0 if max_degree is None else max_degree - (ka >> shift)
             for db, group in groups:
                 if db > room:
                     break
-                for (eb, pb), cb in group.items():
-                    params = _merge_params(pa, pb) if pa and pb else pa or pb
-                    k = (tuple(map(_int_add, ea, eb)), params)
+                for (kb, pb), cb in group.items():
+                    k = (ka + kb, _merge_params(pa, pb) if pa and pb else pa or pb)
                     v = get(k)
                     if v is None:
                         out[k] = ca * cb
@@ -274,17 +323,23 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.num
 
-    def _grading(self) -> Dict[int, Dict[Key, int]]:
-        """The numerators bucketed by total spatial degree, in ascending
-        degree and each bucket in term order, built on first use; a
-        homogeneous polynomial's one bucket is ``num`` itself."""
+    def _grading(self) -> Dict[int, Dict[Packed, int]]:
+        """The numerators bucketed by total spatial degree (a key's top
+        field), in ascending degree and each bucket in term order, built on
+        first use.  The least and greatest keys bound the degrees, so a
+        homogeneous polynomial's one bucket is ``num`` itself, found without
+        a pass over its terms in Python."""
         if self._by_degree is None:
-            buckets: Dict[int, Dict[Key, int]] = {}
-            for k, c in self.num.items():
-                buckets.setdefault(sum(k[0]), {})[k] = c
-            if len(buckets) == 1:
-                buckets = {d: self.num for d in buckets}
-            _set(self, "_by_degree", dict(sorted(buckets.items())))
+            num, shift = self.num, self.n * FIELD_BITS
+            lo = min(num)[0] >> shift if num else None
+            if lo is not None and lo == max(num)[0] >> shift:
+                buckets = {lo: num}
+            else:
+                buckets = {}
+                for k, c in num.items():
+                    buckets.setdefault(k[0] >> shift, {})[k] = c
+                buckets = dict(sorted(buckets.items()))
+            _set(self, "_by_degree", buckets)
         return self._by_degree
 
     def degree(self) -> int:
@@ -308,19 +363,22 @@ class MultiPoly:
         return parts
 
     def _grlex_terms(self) -> List[Tuple[Key, Fraction]]:
-        """The terms by degree, then exponents, then parameters."""
-        return [(k, Fraction(c, self.den))
-                for t in self._grading().values() for k, c in sorted(t.items())]
+        """The terms by degree, then exponents, then parameters: the order
+        of the packed keys."""
+        n, den = self.n, self.den
+        return [((unpack_exponent(k, n), p), Fraction(c, den))
+                for (k, p), c in sorted(self.num.items())]
 
     def truncate(self, max_degree: int) -> "MultiPoly":
         if self.degree() <= max_degree:
             return self
-        kept = {k: c for k, c in self.num.items() if sum(k[0]) <= max_degree}
+        bound = max_degree + 1 << self.n * FIELD_BITS  # the first packed key of degree > max_degree
+        kept = {k: c for k, c in self.num.items() if k[0] < bound}
         return _lowest(self.n, kept, self.den)
 
     def constant_term(self) -> Fraction:
         """Coefficient of the parameter-free constant monomial."""
-        return Fraction(self.num.get(((0,) * self.n, _NO_PARAMS), 0), self.den)
+        return Fraction(self.num.get((0, _NO_PARAMS), 0), self.den)
 
     def param_names(self) -> set:
         names = set()
@@ -331,14 +389,15 @@ class MultiPoly:
     # -- calculus ------------------------------------------------------------
 
     def diff(self, i: int) -> "MultiPoly":
-        out: Dict[Key, int] = {}
-        for (e, p), c in self.num.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            out[(tuple(e2), p)] = c * e[i]
-        return _lowest(self.n, out, self.den)
+        n = self.n
+        step = _var_key(n, i)
+        shift = (n - 1 - i) * FIELD_BITS
+        out: Dict[Packed, int] = {}
+        for (k, p), c in self.num.items():
+            e = k >> shift & _MASK
+            if e:
+                out[(k - step, p)] = c * e
+        return _lowest(n, out, self.den)
 
     def grad(self) -> List["MultiPoly"]:
         return [self.diff(i) for i in range(self.n)]
@@ -375,20 +434,24 @@ def poly_divexact(P: MultiPoly) -> Optional[MultiPoly]:
     leaves -c x_1^(a-2) x_j^2 m, j >= 2, in the power a - 2.  The remainder
     has x_1-degree below 2 and is zero exactly when |x|^2 divides P.
     Parameters ride in the keys and numerators stay over P's denominator.
+    On packed keys the quotient term is the key minus x_1^2's, and moving
+    x_1^2 to x_j^2 adds a fixed offset that leaves the degree field alone.
     """
     n = P.n
-    by_power: Dict[int, Dict[Key, int]] = {}
+    x1_shift = (n - 1) * FIELD_BITS
+    drop = 2 * _var_key(n, 0)
+    moves = [2 * _var_key(n, j) - drop for j in range(1, n)]
+    by_power: Dict[int, Dict[Packed, int]] = {}
     for key, c in P.num.items():
-        by_power.setdefault(key[0][0], {})[key] = c
-    quotient: Dict[Key, int] = {}
+        by_power.setdefault(key[0] >> x1_shift & _MASK, {})[key] = c
+    quotient: Dict[Packed, int] = {}
     for a in range(max(by_power, default=0), 1, -1):
         lower = by_power.setdefault(a - 2, {})
         get = lower.get
         for (e, p), c in by_power.pop(a, {}).items():
-            e = (a - 2,) + e[1:]
-            quotient[(e, p)] = c
-            for j in range(1, n):
-                k = (e[:j] + (e[j] + 2,) + e[j + 1:], p)
+            quotient[(e - drop, p)] = c
+            for m in moves:
+                k = (e + m, p)
                 s = get(k, 0) - c
                 if s:
                     lower[k] = s
@@ -419,7 +482,8 @@ def _crc(text: str) -> int:
 
 class _Cone(dict):
     """A fixed point of |x|^2 = 0 mod CONE_PRIME with no zero coordinate,
-    and the values there of the monomials met so far, keyed by exponent.
+    and the values there of the monomials met so far, keyed by packed
+    exponent (`pack_exponent`).
 
     The point is the second meeting point of the cone with the line through
     (1, i, 0, ..., 0), i^2 = -1, in a direction w drawn from the CRC of a
@@ -452,8 +516,9 @@ class _Cone(dict):
                     return
             salt += 1
 
-    def __missing__(self, e: Exponent) -> int:
-        v = self[e] = math.prod(pow(a, k, CONE_PRIME) for a, k in zip(self.point, e)) % CONE_PRIME
+    def __missing__(self, k: int) -> int:
+        e = unpack_exponent(k, len(self.point))
+        v = self[k] = math.prod(pow(a, ei, CONE_PRIME) for a, ei in zip(self.point, e)) % CONE_PRIME
         return v
 
 
@@ -478,8 +543,8 @@ def cone_value(P: MultiPoly) -> int:
     proves that |x|^2 does not divide P."""
     values = _cone(P.n)
     total = 0
-    for (e, params), c in P.num.items():
-        v = c * values[e]
+    for (k, params), c in P.num.items():
+        v = c * values[k]
         if params:
             v *= _params_value(params)
         total += v

@@ -160,10 +160,9 @@ def _symmetric_orbits(n: int, k: int) -> Dict[Tuple[int, ...], Tuple[np.ndarray,
     return {p: (r, Fraction(xi, det * den)) for p, r, xi in zip(parts, rows, x)}
 
 
-def _symmetric_rule(n: int, j: int) -> Tuple[np.ndarray, np.ndarray]:
+def _symmetric_rule(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes (N, n) and weights (N,) of the fully symmetric rule of degree
-    2k + 1, k = max(1, j)."""
-    k = max(1, j)
+    2k + 1, k >= 1."""
     area = sphere_area(n)
     nodes, weights = [], []
     for p, (rows, w) in _symmetric_orbits(n, k).items():
@@ -220,14 +219,19 @@ class QuadratureRule:
         """The rule of degree d (by default `default_degree(n)`) is the rule
         of half-degree d // 2, exact to 2 (d // 2) + 1, in both families: the
         product rule below SYMMETRIC_FROM, the fully symmetric rule from it
-        on.  Its read-only arrays are shared by every rule of that n and d // 2."""
+        on.  The symmetric family starts at half-degree 1, so there d < 4
+        takes the rule of half-degree 1.  Its read-only arrays are shared by
+        every rule of that n and half-degree."""
         if n < 2:
             raise ValueError("sphere quadrature needs n >= 2")
         if degree is None:
             degree = default_degree(n)
         if degree < 0:
             raise ValueError("quadrature degree must be nonnegative")
-        return QuadratureRule(n, *_rule_arrays(n, degree // 2), degree)
+        j = degree // 2
+        if n >= SYMMETRIC_FROM:
+            j = max(1, j)
+        return QuadratureRule(n, *_rule_arrays(n, j), degree)
 
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum over the nodes; values[i] = f(nodes[i])."""

@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import numdiff
-from .polyjet import Jet, MultiPoly, poly_from_json, poly_to_json
+from .polyjet import Jet, MultiPoly, poly_from_json, poly_to_json, unpack_exponent
 
 
 # -- fast batched polynomial evaluation -----------------------------------------
@@ -58,8 +58,8 @@ class BatchPoly:
         self.n = n = polys[0].n if polys else 0
         # one key per exponent for all polys; num / den rounds once, as float(Fraction)
         rows_of = functools.lru_cache(maxsize=None)(
-            lambda e: sum(((i + 1,) * ei for i, ei in enumerate(e)), ()))
-        terms = [{rows_of(e): c / P.den for (e, _), c in P.num.items()} for P in polys]
+            lambda k: sum(((i + 1,) * ei for i, ei in enumerate(unpack_exponent(k, n))), ()))
+        terms = [{rows_of(k): c / P.den for (k, _), c in P.num.items()} for P in polys]
         needed, stack = set(), [m for t in terms for m in t]
         while stack:
             m = stack.pop()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from umbilic import asymptotic, cli, mass
-from umbilic.polyjet import MultiPoly
+from umbilic.polyjet import FIELD_BITS, MultiPoly
 from umbilic.quadrature import QuadratureRule
 from umbilic.surface import GraphSurface
 
@@ -578,6 +578,8 @@ def malformed_surface_file(case):
         return dict(good, poly=good["poly"][:-1] + [dict(last, exp=[1.5, 0, 4])])
     if case == "exp-negative":
         return dict(good, poly=good["poly"][:-1] + [dict(last, exp=[-1, 0, 4])])
+    if case == "exp-past-field":
+        return dict(good, poly=good["poly"][:-1] + [dict(last, exp=[1 << FIELD_BITS, 0, 0])])
     if case == "num-float":
         return dict(good, poly=good["poly"][:-1] + [dict(last, num=2.7)])
     return {"n": {"n-1": 1, "n-0": 0}[case], "kind": "sphere"}
@@ -597,6 +599,7 @@ def malformed_surface_file(case):
     ("verify", "exp-fractional"),
     ("mass", "exp-negative"),
     ("verify", "num-float"),
+    ("ctheta", "exp-past-field"),
 ])
 def test_malformed_surface_files_are_usage_errors(command, case, tmp_path, capsys):
     # each of these used to die in a traceback (exit 1) or, for n < 2, a

@@ -243,6 +243,22 @@ def test_expansion_coefficients_random_corpus(n):
         assert rep.integral_match
 
 
+def test_expansion_coefficients_builds_the_cubic_obstruction_once(monkeypatch):
+    # c_theta, the integrated identity and the dimension-6 chain share one (C, A^2)
+    n = 6
+    A3 = random_cubic_form(n, np.random.default_rng(66))
+    calls = []
+    build = ob._cubic_obstruction
+    monkeypatch.setattr(ob, "_cubic_obstruction", lambda A: calls.append(A) or build(A))
+    rep = ob.expansion_coefficients(umbilical_jet(n, A3))
+    assert calls == [A3]
+    monkeypatch.undo()
+    assert rep.c2_matches_c_theta and rep.integral_match
+    assert (rep.c2 - ob.c_theta(A3)).is_zero
+    assert (rep.integral_lhs, rep.integral_rhs) == ob.integrated_identity(A3)
+    assert rep.dim6 == ob.dim6_check(A3)
+
+
 def test_expansion_sphere_all_vanish():
     n = 7
     S = GraphSurface.sphere(n, Fraction(1), order=7)

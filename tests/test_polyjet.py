@@ -14,20 +14,34 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from umbilic.polyjet import (
+    FIELD_BITS,
     Jet,
     MultiPoly,
     SphericalSeries,
     cone_value,
     extract_radial_factors,
+    pack_exponent,
     poly_divexact,
     poly_from_json,
     poly_to_json,
+    unpack_exponent,
 )
 
 from umbilic import asymptotic, obstruction
-from umbilic.surface import GraphSurface, jet_geometry
+from umbilic.surface import BatchPoly, GraphSurface, jet_geometry
 
-from poly_oracle import evaluate, evaluate_series, jet_power_unit, series_power_unit
+from poly_oracle import (
+    TuplePoly,
+    batch_table,
+    evaluate,
+    evaluate_series,
+    jet_power_unit,
+    series_power_unit,
+    tuple_cone_value,
+    tuple_divexact,
+    tuple_sphere_integral,
+    tuple_to_json,
+)
 
 
 def x(n, i):
@@ -656,7 +670,10 @@ def assert_canonical(P):
     assert all(type(c) is int and c != 0 for c in P.num.values())
     assert math.gcd(P.den, *P.num.values()) == 1
     assert P.num or P.den == 1
-    assert dict(P.terms) == {k: Fraction(c, P.den) for k, c in P.num.items()}
+    assert all(type(k) is int and k >= 0 for k, _ in P.num)
+    assert dict(P.terms) == {(unpack_exponent(k, P.n), p): Fraction(c, P.den)
+                             for (k, p), c in P.num.items()}
+    assert {k for k, _ in P.num} == {pack_exponent(e, P.n) for e, _ in P.terms}
 
 
 def same(P, oracle):
@@ -932,3 +949,141 @@ def test_cone_test_is_deterministic_across_hash_seeds():
     assert outs[0] == outs[1]
     assert outs[0]["cone"][2] == 0 and all(outs[0]["cone"][:2])
     assert outs[0]["divexact_calls"] > 0
+
+
+# -- packed keys against the tuple-key kernel ----------------------------------------
+
+FIELD = 1 << FIELD_BITS
+PARAM_MONOMIALS = ((), (), (("H", 1),), (("H", 2),), (("a_012", 1), ("b", 3)), (("b", 1),))
+
+
+@st.composite
+def wide_polys(draw, n, max_degree, params=PARAM_MONOMIALS, max_terms=6):
+    """A polynomial of up to max_terms terms of total degree <= max_degree,
+    each degree split at random over the n exponents or put on one of them.
+    Half the draws keep to degrees <= 4 on few monomials, so sums and
+    products cancel."""
+    if draw(st.booleans()):
+        max_degree = min(max_degree, 4)
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        d = draw(st.integers(0, max_degree))
+        if draw(st.booleans()):
+            j = draw(st.integers(0, n - 1))
+            e = tuple(d if i == j else 0 for i in range(n))
+        else:
+            cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+            e = tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+        terms[(e, draw(st.sampled_from(params)))] = Fraction(
+            draw(st.integers(-9, 9)), draw(st.sampled_from(DENOMINATORS)))
+    return MultiPoly(n, terms)
+
+
+def same_as(P, oracle):
+    """P equals a TuplePoly, term for term and in the same order."""
+    assert_canonical(P)
+    assert list(P.terms.items()) == list(oracle.terms.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_kernel_matches_tuple_oracle(data):
+    n = data.draw(st.integers(1, 10))
+    top = data.draw(st.sampled_from([6, FIELD // 2 - 1]))  # a + b and a * b stay in the field
+    a, b = data.draw(wide_polys(n, top)), data.draw(wide_polys(n, top))
+    if data.draw(st.booleans()):
+        b = b - a
+    ta, tb = TuplePoly.of(a), TuplePoly.of(b)
+    same_as(a + b, ta + tb)
+    same_as(a * b, ta.mul_truncated(tb))
+    cap = data.draw(st.sampled_from([0, 3, 7, top, FIELD - 1]))
+    same_as(a.mul_truncated(b, cap), ta.mul_truncated(tb, cap))
+    # one-polynomial operations, also on exponents up to the field width
+    for P in (a, data.draw(wide_polys(n, FIELD - 1))):
+        tp = TuplePoly.of(P)
+        i = data.draw(st.integers(0, n - 1))
+        same_as(P.diff(i), tp.diff(i))
+        D = data.draw(st.integers(-1, FIELD))
+        same_as(P.truncate(D), tp.truncate(D))
+        parts, oparts = P.homogeneous_parts(), tp.homogeneous_parts()
+        assert list(parts) == list(oparts)
+        for d in parts:
+            same_as(parts[d], oparts[d])
+        assert P._grlex_terms() == tp.grlex_terms()
+        assert P.degree() == max(oparts, default=-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_division_cone_and_moments_match_tuple_oracle(data):
+    # dividing a non-multiple of high x_1-degree spreads x_1^a over every
+    # x_1^(a-2t) x_j^2..., so only multiples are divided at full width
+    n = data.draw(st.integers(1, 10))
+    a = data.draw(wide_polys(n, data.draw(st.sampled_from([6, FIELD - 5]))))
+    small = data.draw(wide_polys(n, 6))
+    r2 = MultiPoly.x_norm_sq(n)
+    for P in (a * r2, a * r2 * r2, small, small * r2 + data.draw(wide_polys(n, 4))):
+        got, want = poly_divexact(P), tuple_divexact(TuplePoly.of(P))
+        assert (got is None) == (want is None)
+        if got is not None:
+            same_as(got, want)
+        assert cone_value(P) == tuple_cone_value(TuplePoly.of(P))
+    # moments multiply double factorials of every exponent, so keep them small
+    m = data.draw(wide_polys(n, 40))
+    want = tuple_sphere_integral(TuplePoly.of(m))
+    assert dict(obstruction.sphere_integral(m).terms) == {((0,) * n, p): c for p, c in want.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_json_and_batch_table_match_tuple_oracle(data):
+    n = data.draw(st.integers(1, 10))
+    a = data.draw(wide_polys(n, FIELD - 1, params=((), (), (("H", 1),), (("H", 3),))))
+    assert poly_to_json(a) == tuple_to_json(TuplePoly.of(a))
+    assert poly_from_json(json.loads(json.dumps(poly_to_json(a))), n) == a
+    polys = [data.draw(wide_polys(n, 6, params=((),))) for _ in range(3)]
+    batch = BatchPoly(polys)
+    table = [{} for _ in polys]
+    for row, factors in zip(batch.coeffs, batch.factors):
+        mono = tuple(int(f) for f in factors if f)
+        for k, c in enumerate(row):
+            if c:
+                table[k][mono] = c
+    assert table == batch_table(polys)
+
+
+def test_exponents_past_the_field_width_raise():
+    n = 3
+    top = (0, FIELD - 1, 0)
+    P = MultiPoly(n, {(top, ()): 1})
+    assert dict(P.terms) == {(top, ()): 1}
+    assert unpack_exponent(pack_exponent(top, n), n) == top
+    for bad in ((FIELD, 0, 0), (0, 0, FIELD), (FIELD - 1, 1, 0), (1, FIELD // 2, FIELD // 2)):
+        with pytest.raises(ValueError, match="field"):
+            MultiPoly(n, {(bad, ()): 1})
+        with pytest.raises(ValueError, match="field"):
+            poly_from_json([{"exp": list(bad), "num": "1", "den": "1"}], n)
+    with pytest.raises(ValueError, match="negative"):
+        MultiPoly(n, {((0, -1, 1), ()): 1})
+    with pytest.raises(ValueError, match="length"):
+        MultiPoly(n, {((1, 0), ()): 1})
+    for i in range(n):
+        # x_(i+1) times x_2^(FIELD-1) reaches degree FIELD: x_2's field would
+        # carry into x_1's (i = 1) and the degree field into nothing above it
+        with pytest.raises(ValueError, match="field"):
+            P * x(n, i)
+        with pytest.raises(ValueError, match="field"):
+            P.mul_truncated(x(n, i), FIELD)
+        assert P.mul_truncated(x(n, i), FIELD - 1).is_zero
+    with pytest.raises(ValueError, match="field"):
+        x(n, 0) ** FIELD
+    with pytest.raises(ValueError):
+        P.diff(n)
+    # the largest degree that fits: every field reads back what was put in
+    below = MultiPoly(n, {((0, FIELD - 2, 0), ()): 1})
+    for i in range(n):
+        e = [0, FIELD - 2, 0]
+        e[i] += 1
+        assert dict((below * x(n, i)).terms) == {(tuple(e), ()): 1}
+        assert (below * x(n, i)).degree() == FIELD - 1
+    assert (x(n, 0) ** (FIELD - 1)).degree() == FIELD - 1

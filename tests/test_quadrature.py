@@ -103,11 +103,15 @@ def test_odd_degree_is_the_rule_of_the_even_degree_below():
             even, odd = QuadratureRule.sphere(n, 2 * j), QuadratureRule.sphere(n, 2 * j + 1)
             assert odd.nodes is even.nodes and odd.weights is even.weights, (n, j)
             assert (even.degree, odd.degree) == (2 * j, 2 * j + 1)
+        if n >= quadrature.SYMMETRIC_FROM:
+            # the symmetric family's lowest rule serves half-degrees 0 and 1
+            assert QuadratureRule.sphere(n, 0).nodes is QuadratureRule.sphere(n, 3).nodes
 
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_every_degree_builds_one_rule_per_half_degree(monkeypatch, n):
-    # degrees 0 .. 2J + 1 ask for J + 1 distinct rules, each built once
+    # degrees 0 .. 2J + 1 ask for J + 1 distinct product rules, each built
+    # once; the symmetric family starts at half-degree 1, so it builds J
     built = []
     for name in ("_product_rule", "_symmetric_rule"):
         build = getattr(quadrature, name)
@@ -120,7 +124,8 @@ def test_every_degree_builds_one_rule_per_half_degree(monkeypatch, n):
             QuadratureRule.sphere(n, d)
     finally:
         quadrature._rule_arrays.cache_clear()
-    assert built == [(n, j) for j in range(J + 1)]
+    first = 1 if n >= quadrature.SYMMETRIC_FROM else 0
+    assert built == [(n, j) for j in range(first, J + 1)]
 
 
 def random_homogeneous(n, deg, rng):
