@@ -337,8 +337,8 @@ def _series_pieces(poly: MultiPoly, LO: int):
     for k, gk in grads.items():
         for l, gl in grads.items():
             if k <= l and k + l <= 2 - LO:
-                dot = sum((a * b for a, b in zip(gk, gl)), MultiPoly.zero(n))
-                G_terms.append((4 - 2 * (k + l), dot.scale(2 - (k == l))))
+                dot = MultiPoly.dot(n, zip(gk, gl), weights=[2 - (k == l)] * n)
+                G_terms.append((4 - 2 * (k + l), dot))
     G = SphericalSeries.canonicalize(n, G_terms, LO, 0)
     one = SphericalSeries.one(n, LO, 0)
     eps = (f_ser * f_ser).shift(2).with_window(LO, 0)

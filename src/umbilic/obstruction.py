@@ -32,6 +32,7 @@ from .polyjet import (
     SphericalSeries,
     poly_divexact,
     poly_to_json,
+    r2_power,
     series_to_json,
     unpack_exponent,
 )
@@ -104,14 +105,12 @@ def eta_over_rho_series(f: Jet, W: int = 3) -> SphericalSeries:
 def _hessian_norm(geo: JetGeometry) -> Jet:
     # tr((g^{-1} F)^2) = tr F^2 - 2 w |F grad f|^2 + w^2 (grad f . F grad f)^2
     # with w = 1/(1+|grad f|^2), by applying g^{-1} = I - w grad f grad f^T twice.
-    n, w, hess, Fg = len(geo.grad), geo.inv_w2, geo.hess, geo.hess_grad
-    zero = Jet.const(w.n, 0, w.order)
-    trF2 = sum(
-        ((1 if a == c else 2) * (hess[a][c] * hess[a][c]) for a in range(n) for c in range(a, n)),
-        zero,
-    )
-    Fg_sq = sum((v * v for v in Fg), zero)
-    b = sum((geo.grad[a] * Fg[a] for a in range(n)), zero)
+    n, W, w, hess, Fg = len(geo.grad), geo.inv_w2.order, geo.inv_w2, geo.hess, geo.hess_grad
+    upper = [(a, c) for a in range(n) for c in range(a, n)]
+    trF2 = Jet.dot(n, W, ((hess[a][c], hess[a][c]) for a, c in upper),
+                   [1 if a == c else 2 for a, c in upper])
+    Fg_sq = Jet.dot(n, W, zip(Fg, Fg))
+    b = Jet.dot(n, W, zip(geo.grad, Fg))
     return trF2 - 2 * w * Fg_sq + w * w * b * b
 
 
@@ -136,12 +135,10 @@ def script_R_series(f: Jet, W: int = 3) -> SphericalSeries:
 
 def _hessian_sq(A: MultiPoly) -> MultiPoly:
     """|Hess A|^2 = sum_ij (d_i d_j A)^2, each off-diagonal product once."""
-    grad, out = A.grad(), MultiPoly.zero(A.n)
-    for i in range(A.n):
-        for j in range(i, A.n):
-            h = grad[i].diff(j)
-            out = out + (h * h if i == j else (h * h).scale(2))
-    return out
+    n, grad = A.n, A.grad()
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    hess = [grad[i].diff(j) for i, j in upper]
+    return MultiPoly.dot(n, zip(hess, hess), weights=[1 if i == j else 2 for i, j in upper])
 
 
 def _cubic_obstruction(A3: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
@@ -252,7 +249,8 @@ def _integrated_identity(
     if A3.is_zero:
         return MultiPoly.zero(n), MultiPoly.zero(n)
     c, a_sq = cubic
-    grad_theta_sq = sum((g * g for g in A3.grad()), MultiPoly.zero(n)) - a_sq.scale(9)
+    grad = A3.grad()
+    grad_theta_sq = MultiPoly.dot(n, zip(grad, grad)) - a_sq.scale(9)
     rhs = sphere_integral(a_sq.scale(n - 1) + grad_theta_sq.scale(3))
     return sphere_integral(c), rhs.scale(n - 6)
 
@@ -286,10 +284,8 @@ def _dim6_check(A3: MultiPoly, cubic: Tuple[MultiPoly, MultiPoly]) -> Dim6Record
         return Dim6Record(A3, True, True, True)
     # the homogenization of C: each part C_d times |x|^(6-d)
     c, sq = cubic
-    r2 = MultiPoly.x_norm_sq(n)
-    residual = sum(
-        (r2 ** ((6 - d) // 2) * Cd for d, Cd in c.homogeneous_parts().items()), MultiPoly.zero(n)
-    )
+    parts = c.homogeneous_parts().items()
+    residual = MultiPoly.dot(n, ((r2_power(n, (6 - d) // 2), Cd) for d, Cd in parts))
     # Lap_theta of the degree-6 square on r = 1
     harmonic = on_sphere(sq.laplacian() - sq.scale(6 * (n + 4))).is_zero
     return Dim6Record(residual, residual.is_zero, poly_divexact(A3) is not None, harmonic)

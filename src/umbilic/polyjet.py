@@ -19,10 +19,14 @@ Three layers:
                    for expansions near a point (orders bounded above) and
                    near infinity (orders bounded below)
 
-Every product runs through one kernel, `MultiPoly.mul_truncated`, with an
-optional degree cap read from a grading by degree that each polynomial
-computes once, on first use; every unit power (1 + s)^e of a jet or a
-series is one binomial series, `_binomial_series`.
+Every product runs through one kernel, the sum of products `MultiPoly.dot`:
+sum_i w_i a_i b_i, small integer weights w_i, in one accumulator over one
+common denominator, with an optional degree cap read from a grading by
+degree that each polynomial computes once, on first use.  `Jet.dot` is its
+form for jets, and `mul_truncated` (which `*` calls) its one-pair case, so
+a wrapper on `mul_truncated` or `__add__` does not see the products and
+sums inside a `dot`.  Every unit power (1 + s)^e of a jet or a series is
+one binomial series, `_binomial_series`.
 
 Inside a polynomial a monomial's spatial exponents are one packed int (see
 `pack_exponent`): the total degree in the top field, then x_1, ..., x_n in
@@ -95,6 +99,7 @@ def _var_key(n: int, i: int) -> int:
     return 1 << n * FIELD_BITS | 1 << (n - 1 - i) * FIELD_BITS
 
 
+@lru_cache(maxsize=None)
 def _merge_params(a: Params, b: Params) -> Params:
     """Product of two nonempty parameter monomials."""
     out: Dict[str, int] = dict(a)
@@ -250,42 +255,74 @@ class MultiPoly:
 
     def mul_truncated(self, other: "MultiPoly", max_degree: Optional[int] = None) -> "MultiPoly":
         """The product, truncated at total spatial degree max_degree unless
-        that is None: the one product kernel, which `*` calls as `_product`
-        (so a wrapper put on this name from outside sees each product once).
-        A cap walks other's degree grading and stops at the first degree past
-        it, so discarded term pairs are never formed; no cap walks other's
-        terms as one group, in their order, and builds no grading.  A product
-        of two monomials is the sum of their packed ints; unless a cap below
-        2**FIELD_BITS bounds every product's degree, the operands' top
-        degrees must add up to less than that."""
-        self._check(other)
-        shift = self.n * FIELD_BITS
-        if (max_degree is None or max_degree >= _FIELD) and self.num and other.num:
-            top = (max(self.num)[0] >> shift) + (max(other.num)[0] >> shift)
-            if top >= _FIELD:
-                raise ValueError(f"product degree {top} does not fit a {FIELD_BITS}-bit field")
-        groups = ((0, other.num),) if max_degree is None else other._grading().items()
-        out: Dict[Packed, int] = {}
-        get = out.get
-        for (ka, pa), ca in self.num.items():
-            room = 0 if max_degree is None else max_degree - (ka >> shift)
-            for db, group in groups:
-                if db > room:
-                    break
-                for (kb, pb), cb in group.items():
-                    k = (ka + kb, _merge_params(pa, pb) if pa and pb else pa or pb)
-                    v = get(k)
-                    if v is None:
-                        out[k] = ca * cb
-                    else:
-                        s = v + ca * cb
-                        if s:
-                            out[k] = s
-                        else:
-                            del out[k]
-        return _lowest(self.n, out, self.den * other.den)
+        that is None: the one-pair case of `dot`, which `*` calls as
+        `_product` (so a wrapper put on this name from outside sees each
+        product once)."""
+        return MultiPoly.dot(self.n, ((self, other),), max_degree)
 
     _product = mul_truncated
+
+    @staticmethod
+    def dot(
+        n: int,
+        pairs: Iterable[Tuple["MultiPoly", "MultiPoly"]],
+        max_degree: Optional[int] = None,
+        weights: Optional[Iterable[int]] = None,
+    ) -> "MultiPoly":
+        """sum_i w_i a_i b_i over the (a_i, b_i) in pairs, truncated at total
+        spatial degree max_degree unless that is None: the one product
+        kernel.  The integer weights w_i (all 1 if None) fold into the
+        numerators; every product lands in one dict over one common
+        denominator, reduced by one gcd at the end.  An empty sum is the
+        zero of dimension n; a factor of another dimension, or a weight
+        count other than the pair count, raises ValueError.
+
+        A cap walks b's degree grading and stops at the first degree past
+        it, so discarded term pairs are never formed; no cap walks b's terms
+        as one group, in their order, and builds no grading.  A product of
+        two monomials is the sum of their packed ints; unless a cap below
+        2**FIELD_BITS bounds every product's degree, each pair's top degrees
+        must add up to less than that."""
+        if weights is None:
+            live = [(a, b, 1) for a, b in pairs]
+        else:
+            live = [(a, b, operator.index(w)) for (a, b), w in zip(pairs, weights, strict=True)]
+        shift = n * FIELD_BITS
+        uncapped = max_degree is None or max_degree >= _FIELD
+        den = 1
+        for a, b, w in live:
+            if a.n != n or b.n != n:
+                raise ValueError(f"dimension mismatch: {n} vs {b.n if a.n == n else a.n}")
+            if uncapped and w and a.num and b.num:
+                top = (max(a.num)[0] >> shift) + (max(b.num)[0] >> shift)
+                if top >= _FIELD:
+                    raise ValueError(f"product degree {top} does not fit a {FIELD_BITS}-bit field")
+            den = math.lcm(den, a.den * b.den)
+        out: Dict[Packed, int] = {}
+        get = out.get
+        for a, b, w in live:
+            if not w:
+                continue
+            f = w * (den // (a.den * b.den))
+            groups = ((0, b.num),) if max_degree is None else b._grading().items()
+            for (ka, pa), ca in a.num.items():
+                room = 0 if max_degree is None else max_degree - (ka >> shift)
+                ca *= f
+                for db, group in groups:
+                    if db > room:
+                        break
+                    for (kb, pb), cb in group.items():
+                        k = (ka + kb, _merge_params(pa, pb) if pa and pb else pa or pb)
+                        v = get(k)
+                        if v is None:
+                            out[k] = ca * cb
+                        else:
+                            s = v + ca * cb
+                            if s:
+                                out[k] = s
+                            else:
+                                del out[k]
+        return _lowest(n, out, den)
 
     def scale(self, c) -> "MultiPoly":
         c = _as_fraction(c)
@@ -403,10 +440,8 @@ class MultiPoly:
         return [self.diff(i) for i in range(self.n)]
 
     def laplacian(self) -> "MultiPoly":
-        out = MultiPoly.zero(self.n)
-        for i in range(self.n):
-            out = out + self.diff(i).diff(i)
-        return out
+        one = MultiPoly.const(self.n, 1)
+        return MultiPoly.dot(self.n, [(self.diff(i).diff(i), one) for i in range(self.n)])
 
     # -- display -------------------------------------------------------------
 
@@ -436,7 +471,11 @@ def poly_divexact(P: MultiPoly) -> Optional[MultiPoly]:
     Parameters ride in the keys and numerators stay over P's denominator.
     On packed keys the quotient term is the key minus x_1^2's, and moving
     x_1^2 to x_j^2 adds a fixed offset that leaves the degree field alone.
+    A nonzero `cone_value` answers None first: the elimination would walk
+    every power of x_1 in P before it found the remainder.
     """
+    if cone_value(P):
+        return None
     n = P.n
     x1_shift = (n - 1) * FIELD_BITS
     drop = 2 * _var_key(n, 0)
@@ -554,17 +593,17 @@ def cone_value(P: MultiPoly) -> int:
 def extract_radial_factors(P: MultiPoly) -> Tuple[int, MultiPoly]:
     """Write P = |x|^(2k) * P' with P' not divisible by |x|^2; return (k, P').
 
-    Each division is attempted only when P vanishes at the cone point."""
-    if P.is_zero:
-        return 0, P
+    Each division asks the cone point first (see `poly_divexact`)."""
     k = 0
-    while cone_value(P) == 0:
-        q = poly_divexact(P)
-        if q is None:
-            break
-        P = q
-        k += 1
+    while not P.is_zero and (q := poly_divexact(P)) is not None:
+        P, k = q, k + 1
     return k, P
+
+
+@lru_cache(maxsize=None)
+def r2_power(n: int, k: int) -> MultiPoly:
+    """|x|^(2k) in n variables, built once per (n, k)."""
+    return MultiPoly.x_norm_sq(n) ** k
 
 
 # -- truncated jets ------------------------------------------------------------
@@ -639,6 +678,19 @@ class Jet:
 
     def __rmul__(self, other):
         return self * other
+
+    @staticmethod
+    def dot(n: int, order: int, pairs: Iterable[Tuple["Jet", "Jet"]],
+            weights: Optional[Iterable[int]] = None) -> "Jet":
+        """sum_i w_i a_i b_i of jets in n variables truncated at order, in
+        one accumulator: `MultiPoly.dot` capped at the order."""
+        polys = []
+        for a, b in pairs:
+            for j in (a, b):
+                if j.order != order:
+                    raise ValueError(f"truncation mismatch: {order} vs {j.order}")
+            polys.append((a.poly, b.poly))
+        return _jet(MultiPoly.dot(n, polys, order, weights), order)
 
     def __eq__(self, other) -> bool:
         return (
@@ -730,17 +782,11 @@ class SphericalSeries:
                     continue
                 buckets.setdefault((w, m & 1), []).append((m, Pd))
         out: List[Tuple[int, int, MultiPoly]] = []
-        r2 = None
         for (w, _parity), entries in buckets.items():
             m0 = min(m for m, _ in entries)
             merged = MultiPoly.zero(n)
             for m, P in entries:
-                if m == m0:
-                    merged = merged + P
-                else:
-                    if r2 is None:
-                        r2 = MultiPoly.x_norm_sq(n)
-                    merged = merged + P * r2 ** ((m - m0) // 2)
+                merged = merged + (P if m == m0 else P * r2_power(n, (m - m0) // 2))
             if merged.is_zero:
                 continue
             k, core = extract_radial_factors(merged)
@@ -896,10 +942,10 @@ class SphericalSeries:
 
     def coefficient(self, order: int) -> "SphericalSeries":
         """The angular coefficient at a total order, as an order-0 series."""
-        picked = [
-            (m - order, P) for m, P in self.terms if m + P.degree() == order
-        ]
-        return SphericalSeries.canonicalize(self.n, picked, 0, 0)
+        # the picked terms are canonical already: homogeneous, |x|^2-free,
+        # one per parity of m, and in order of m
+        picked = tuple((m - order, P) for m, P in self.terms if m + P.degree() == order)
+        return SphericalSeries(self.n, picked, 0, 0)
 
     def radial_derivative(self) -> "SphericalSeries":
         """d/dr at fixed direction: r^w P(theta) -> w r^(w-1) P(theta)."""

@@ -376,10 +376,10 @@ def jet_geometry(poly: MultiPoly, W: int) -> JetGeometry:
     for a in range(n):
         for b in range(a, n):
             hess[a][b] = hess[b][a] = Jet.of(first[a].diff(b), W)
-    inv_w2 = (Jet.const(n, 1, W) + sum((g * g for g in grad), zero)).power_unit(-1)
-    hess_grad = [sum((hess[a][c] * grad[c] for c in range(n)), zero) for a in range(n)]
+    inv_w2 = (Jet.const(n, 1, W) + Jet.dot(n, W, zip(grad, grad))).power_unit(-1)
+    hess_grad = [Jet.dot(n, W, zip(hess[a], grad)) for a in range(n)]
     lap = sum((hess[a][a] for a in range(n)), zero)
-    quad = sum((grad[a] * hess_grad[a] for a in range(n)), zero)
+    quad = Jet.dot(n, W, zip(grad, hess_grad))
     return JetGeometry(grad, hess, inv_w2, hess_grad, lap - inv_w2 * quad)
 
 
@@ -469,15 +469,15 @@ def _verify_rho_symbolic(S: GraphSurface) -> RhoIdentityResiduals:
     f = S.f_jet.rejet(W)
     xs = [Jet.of(MultiPoly.var(n, i), W) for i in range(n)]
 
-    u = f - sum((xs[i] * grad[i] for i in range(n)), zero)  # eta sqrt(1+|grad f|^2)
+    u = f - Jet.dot(n, W, zip(xs, grad))  # eta sqrt(1+|grad f|^2)
     uw = u * w
     rho = Jet.of(MultiPoly.x_norm_sq(n), W) + f * f
     rho_grad = [2 * xs[i] + 2 * f * grad[i] for i in range(n)]
-    graddot = sum((grad[i] * rho_grad[i] for i in range(n)), zero)
+    graddot = Jet.dot(n, W, zip(grad, rho_grad))
     wgd = w * graddot
 
     # |grad_g rho|^2 with g^{-1} = I - w grad f grad f^T.
-    lhs1 = sum((r * r for r in rho_grad), zero) - wgd * graddot
+    lhs1 = Jet.dot(n, W, [*zip(rho_grad, rho_grad), (wgd, graddot)], [1] * n + [-1])
     res1 = lhs1 - (4 * rho - 4 * u * uw)
 
     def mag(j: Jet) -> float:
@@ -487,7 +487,7 @@ def _verify_rho_symbolic(S: GraphSurface) -> RhoIdentityResiduals:
     # Hess_ab = rho_ab - w (grad f . grad rho) f_ab.  The loop also sums
     # tr rho'' and grad f . rho'' grad f for the Laplacian.
     res2_max = 0.0
-    tr_rho_hess, quad = zero, zero
+    tr_rho_hess, quad_pairs, quad_weights = zero, [], []
     for a in range(n):
         for b in range(a, n):
             gg = grad[a] * grad[b]
@@ -495,9 +495,11 @@ def _verify_rho_symbolic(S: GraphSurface) -> RhoIdentityResiduals:
             cov = rho_ab - wgd * hess[a][b]
             g_ab = Jet.const(n, 1 if a == b else 0, W) + gg
             res2_max = max(res2_max, mag(cov - 2 * g_ab - 2 * uw * hess[a][b]))
-            quad = quad + (1 if a == b else 2) * (rho_ab * gg)
+            quad_pairs.append((rho_ab, gg))
+            quad_weights.append(1 if a == b else 2)
             if a == b:
                 tr_rho_hess = tr_rho_hess + rho_ab
+    quad = Jet.dot(n, W, quad_pairs, quad_weights)
 
     # Laplacian: tr_g Cov = tr_g rho'' - w graddot tr_g f'', tr_g M = tr M - w grad f.M grad f.
     lap_lhs = tr_rho_hess - w * quad - wgd * geo.trace

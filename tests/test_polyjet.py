@@ -1,6 +1,7 @@
 """Exact algebra layer: polynomials, jets, spherical series."""
 
 import heapq
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from umbilic.polyjet import (
     unpack_exponent,
 )
 
-from umbilic import asymptotic, obstruction
+from umbilic import asymptotic, mass, obstruction
 from umbilic.surface import BatchPoly, GraphSurface, jet_geometry
 
 from poly_oracle import (
@@ -1087,3 +1088,148 @@ def test_exponents_past_the_field_width_raise():
         assert dict((below * x(n, i)).terms) == {(tuple(e), ()): 1}
         assert (below * x(n, i)).degree() == FIELD - 1
     assert (x(n, 0) ** (FIELD - 1)).degree() == FIELD - 1
+
+
+# -- the sum-of-products kernel ---------------------------------------------------
+
+
+def pairwise_dot(n, pairs, cap, weights):
+    """sum_i w_i (a_i b_i) on the tuple-key oracle, one product and one sum
+    at a time."""
+    total = TuplePoly(n, {})
+    for (a, b), w in zip(pairs, weights):
+        ab = TuplePoly.of(a).mul_truncated(TuplePoly.of(b), cap)
+        total = total + TuplePoly(n, {k: w * c for k, c in ab.num.items()}, ab.den)
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dot_matches_pairwise_sums_on_the_tuple_oracle(data):
+    n = data.draw(st.integers(1, 8))
+    top = data.draw(st.sampled_from([6, FIELD // 2 - 1]))  # every a_i b_i stays in the field
+    pairs = [(data.draw(wide_polys(n, top)), data.draw(wide_polys(n, top)))
+             for _ in range(data.draw(st.integers(0, 4)))]
+    weighted = data.draw(st.booleans())
+    weights = [data.draw(st.sampled_from([0, 0, -1, 1, -2, 3])) if weighted else 1 for _ in pairs]
+    cancel = data.draw(st.sampled_from(["none", "one", "all"]))
+    if cancel == "one" and pairs:
+        # the same product once more, swapped and with the opposite weight
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        pairs.append(pairs[i][::-1])
+        weights.append(-weights[i])
+    elif cancel == "all":
+        pairs += [(b, -a) for a, b in pairs]
+        weights += weights
+    cap = data.draw(st.sampled_from([None, 0, 3, 7, top, FIELD - 1]))
+    got = MultiPoly.dot(n, pairs, cap, None if set(weights) <= {1} else weights)
+    assert_canonical(got)
+    assert dict(got.terms) == pairwise_dot(n, pairs, cap, weights).terms
+    if cancel == "all" or not pairs:
+        assert got == MultiPoly.zero(n)
+    if cap is not None:
+        jets = [(Jet.of(a, cap), Jet.of(b, cap)) for a, b in pairs]
+        assert Jet.dot(n, cap, jets, weights) == Jet(got, cap)
+
+
+def test_dot_rejects_mismatched_factors_and_degrees_past_the_field():
+    a, b = x(3, 0), x(4, 0)
+    for n, pairs in ((3, [(a, a), (a, b)]), (3, [(b, a)]), (4, [(b, b), (b, a)])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            MultiPoly.dot(n, pairs)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            MultiPoly.dot(n, pairs, 2, [0] * len(pairs))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        MultiPoly.dot(4, [(a, a)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        a.mul_truncated(b)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Jet.dot(3, 2, [(Jet.of(a, 2), Jet.of(b, 2))])
+    with pytest.raises(ValueError, match="truncation mismatch"):
+        Jet.dot(3, 2, [(Jet.of(a, 2), Jet.of(a, 3))])
+    for weights in ([1, 2], []):
+        with pytest.raises(ValueError):
+            MultiPoly.dot(3, [(a, a)], weights=weights)
+    with pytest.raises(TypeError):
+        MultiPoly.dot(3, [(a, a)], weights=[Fraction(1, 2)])
+    top = MultiPoly(3, {((0, FIELD - 1, 0), ()): 1})
+    for cap in (None, FIELD):
+        with pytest.raises(ValueError, match="field"):
+            MultiPoly.dot(3, [(a, a), (top, a)], cap)
+        with pytest.raises(ValueError, match="field"):
+            MultiPoly.dot(3, [(top, a), (a, a)], cap, [1, 0])
+    assert MultiPoly.dot(3, [(top, a), (a, a)], FIELD - 1, [1, -1]) == -(a * a)
+    assert MultiPoly.dot(4, []) == MultiPoly.zero(4)
+    # a zero weight adds nothing, not even zero numerators
+    y = x(3, 1) * Fraction(1, 3)
+    for weights, want in (([0], MultiPoly.zero(3)), ([0, 1], y * y), ([1, 0], a * y)):
+        got = MultiPoly.dot(3, [(a, y), (y, y)][:len(weights)], None, weights)
+        assert_canonical(got)
+        assert got == want
+
+
+def test_divexact_asks_the_cone_before_walking_x1_powers():
+    # eliminating x_1^2 from x_1^a would spread it over every x_1^(a-2t)
+    # x_j^2 ... product before finding the remainder; a nonzero cone value
+    # answers at once
+    for n, a in ((8, 41), (6, 61)):
+        P = x(n, 0) ** a
+        assert cone_value(P) != 0
+        assert poly_divexact(P) is None
+        assert extract_radial_factors(P) == (0, P)
+
+
+def corpus_cubic(rng, n, width=10):
+    """A cubic on `width` random monomials with nonzero rational
+    coefficients: the shape of the certification corpora."""
+    monos = list(itertools.combinations_with_replacement(range(n), 3))
+    rng.shuffle(monos)
+    terms = {}
+    for combo in monos[:width]:
+        e = [0] * n
+        for i in combo:
+            e[i] += 1
+        terms[(tuple(e), ())] = Fraction(rng.choice([k for k in range(-9, 10) if k]),
+                                         rng.randint(1, 9))
+    return MultiPoly(n, terms)
+
+
+def generic_form(n, deg, prefix):
+    """The degree-deg form whose every coefficient is its own symbol."""
+    terms = {}
+    for combo in itertools.combinations_with_replacement(range(n), deg):
+        e = [0] * n
+        for i in combo:
+            e[i] += 1
+        terms[(tuple(e), ((prefix + "_" + "".join(map(str, combo)), 1),))] = Fraction(1)
+    return MultiPoly(n, terms)
+
+
+def test_coefficient_equals_the_canonical_form_of_its_terms():
+    # a coefficient's terms are canonical already, so building it directly
+    # gives what canonicalizing them gives, term for term
+    rng = random.Random(39)
+    series = []
+    for n in range(3, 8):
+        H = MultiPoly.param(n, "H")
+        radial = MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n))
+        for _ in range(2):
+            series.append(obstruction.script_R_series(Jet.of(radial + corpus_cubic(rng, n), 7)))
+    n = 6
+    H = MultiPoly.param(n, "H")
+    f = Jet.of(MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n))
+               + generic_form(n, 4, "a") + generic_form(n, 5, "b"), 7)
+    # the certificate's integrand cancels to zero; in the inverted chart it does not
+    series += [mass.mass_integrand_series(f, kind)
+               for kind in (asymptotic.CORRECTED_Z, asymptotic.INVERTED_Y)]
+    assert all(s.terms for s in series[:-2]) and series[-1].terms
+    for s in series:
+        orders = s.orders()
+        for w in range(orders[0] - 1, orders[-1] + 2) if orders else (0,):
+            picked = [(m - w, P) for m, P in s.terms if m + P.degree() == w]
+            got, want = s.coefficient(w), SphericalSeries.canonicalize(s.n, picked, 0, 0)
+            assert got.n == want.n == s.n
+            assert (got.order_min, got.order_max) == (want.order_min, want.order_max) == (0, 0)
+            assert len(got.terms) == len(want.terms)
+            for (m, P), (mw, Pw) in zip(got.terms, want.terms):
+                assert m == mw and list(P.terms.items()) == list(Pw.terms.items())
