@@ -1,14 +1,17 @@
 """Derivative helpers: finite differences of array-valued fields, forward-mode
 dual numbers for closed forms, and curvature of a numerically given metric.
 
-`metric_derivatives` is the one central-difference stencil; every finite
-difference in the package goes through it.  It takes one point: all the
-stencil's points are one array x + h O (O a fixed offset table per
-dimension and order), the field is called once per row, and the
-derivatives come from whole-array expressions on the stacked results.
-`gradient` and `hessian` add one Richardson extrapolation step; second
-derivatives use a larger step than first derivatives because their
-roundoff error scales like eps/h^2.
+`_stencil` is the one central-difference stencil; every finite difference
+in the package goes through it.  Its points are one array x + h O (O a
+fixed offset table per dimension and order, `stencil_points`), and
+`differences` forms the derivatives from the values there in whole-array
+expressions.  `metric_derivatives` joins the two for one point, calling
+the field once per row.  A caller that evaluates many stencils at once
+(the numeric rho check) builds all their points, calls its function once
+on them and hands each stencil's values to `differences` or `richardson`,
+the same formulas.  `gradient` and `hessian` add one Richardson
+extrapolation step; second derivatives use a larger step than first
+derivatives because their roundoff error scales like eps/h^2.
 `Dual` carries a closed form's derivatives exactly, with no step to
 choose, along one parameter or along several directions in one pass.
 Duals may nest: a Dual whose parts are Duals carries second derivatives.
@@ -17,6 +20,7 @@ Both mass fluxes and the decay fits take their metric derivatives from it.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
@@ -105,21 +109,36 @@ def metric_derivatives(F: Callable, x, h: float, order: int = 2):
     derivative axes first: dF[k] = d_k F and ddF[k, l] = d_k d_l F.
     order=1 evaluates F at the 2n points x +- h e_k and returns
     F0 = ddF = None; order=2 also evaluates F(x) and the 2n(n-1) mixed
-    points x +- h e_k +- h e_l.  All of them are one array x + h O, O the
-    fixed offset table of `_stencil`; F is called once per row of it, in
-    that order, and dF and ddF come from the stacked results in
-    whole-array expressions.
+    points x +- h e_k +- h e_l.  F is called once per row of
+    `stencil_points`, in that order, and `differences` forms dF and ddF
+    from the stacked results.
     """
+    x = _one_point(x)
+    return differences(np.array([F(y) for y in stencil_points(x, h, order)], dtype=float), h, order)
+
+
+def stencil_points(x, h, order: int = 2) -> np.ndarray:
+    """The rows x + h O of the stencil, O the offset table of `_stencil`:
+    (m, n) for one point x (n,).  Points x (..., n) with steps h of shape
+    x.shape[:-1] (or one float) give (m, ..., n), each point's stencil
+    at its own step, offset row first."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"metric_derivatives takes one point, not shape {x.shape}")
-    n = x.shape[0]
-    Y = np.array([F(y) for y in x + h * _stencil(n, order)], dtype=float)
-    c = 1 if order == 2 else 0  # rows before the first pair
-    Fp, Fm = Y[c: c + 2 * n: 2], Y[c + 1: c + 2 * n: 2]
-    dF = (Fp - Fm) / (2.0 * h)
+    O = _stencil(x.shape[-1], order)
+    h = np.asarray(h, dtype=float)[..., None]
+    return x + h * O.reshape(O.shape[:1] + (1,) * (x.ndim - 1) + O.shape[1:])
+
+
+def differences(Y, h, order: int = 2):
+    """(F0, dF, ddF) as `metric_derivatives` returns them, from the values
+    Y[i] = F(stencil_points(x, h, order)[i]), stencil row first.  Trailing
+    axes pass through, so Y (m, N) holds the stencils of N points; h is one
+    float or an array that broadcasts against one value, F0."""
+    Y = np.asarray(Y, dtype=float)
     if order == 1:
-        return None, dF, None
+        return None, (Y[0::2] - Y[1::2]) / (2.0 * h), None
+    n = math.isqrt((Y.shape[0] - 1) // 2)
+    Fp, Fm = Y[1: 1 + 2 * n: 2], Y[2: 1 + 2 * n: 2]
+    dF = (Fp - Fm) / (2.0 * h)
     F0 = Y[0]
     ddF = np.empty((n, n) + F0.shape)
     ddF[np.diag_indices(n)] = (Fp - 2.0 * F0 + Fm) / h**2
@@ -127,6 +146,13 @@ def metric_derivatives(F: Callable, x, h: float, order: int = 2):
     Fpp, Fpm, Fmp, Fmm = (Y[1 + 2 * n + j:: 4] for j in range(4))
     ddF[k, l] = ddF[l, k] = (Fpp - Fpm - Fmp + Fmm) / (4.0 * h**2)
     return F0, dF, ddF
+
+
+def _one_point(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"the stencil takes one point, not shape {x.shape}")
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -146,11 +172,25 @@ def _stencil(n: int, order: int) -> np.ndarray:
     return O
 
 
+def richardson_points(x, h, order: int) -> np.ndarray:
+    """The stencil points of one Richardson step: those of step h, then
+    those of step h / 2, as `stencil_points` shapes them."""
+    return np.concatenate([stencil_points(x, h, order), stencil_points(x, h / 2.0, order)])
+
+
+def richardson(Y, h, order: int) -> np.ndarray:
+    """The order-th derivative, extrapolated once, (4 D(h/2) - D(h)) / 3,
+    from the values Y at `richardson_points(x, h, order)`."""
+    Y = np.asarray(Y, dtype=float)
+    coarse, fine = Y[: len(Y) // 2], Y[len(Y) // 2:]
+    return (4.0 * differences(fine, h / 2.0, order)[order]
+            - differences(coarse, h, order)[order]) / 3.0
+
+
 def _richardson(F: Callable, x, h: float, order: int) -> np.ndarray:
-    """The order-th derivative, extrapolated once: (4 D(h/2) - D(h)) / 3."""
-    coarse = metric_derivatives(F, x, h, order)[order]
-    fine = metric_derivatives(F, x, h / 2.0, order)[order]
-    return (4.0 * fine - coarse) / 3.0
+    """`richardson` with F called once per row of its points."""
+    points = richardson_points(_one_point(x), h, order)
+    return richardson(np.array([F(y) for y in points], dtype=float), h, order)
 
 
 def gradient(f: Callable, x, h: float = 1e-5) -> np.ndarray:

@@ -784,9 +784,8 @@ class SphericalSeries:
         out: List[Tuple[int, int, MultiPoly]] = []
         for (w, _parity), entries in buckets.items():
             m0 = min(m for m, _ in entries)
-            merged = MultiPoly.zero(n)
-            for m, P in entries:
-                merged = merged + (P if m == m0 else P * r2_power(n, (m - m0) // 2))
+            lifted = [P if m == m0 else P * r2_power(n, (m - m0) // 2) for m, P in entries]
+            merged = sum(lifted[1:], lifted[0])
             if merged.is_zero:
                 continue
             k, core = extract_radial_factors(merged)

@@ -99,16 +99,19 @@ def _partitions(k: int, parts: int, largest: Optional[int] = None) -> Iterator[T
                 yield (first,) + rest
 
 
-def _distinct_permutations(values: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+@functools.lru_cache(maxsize=None)
+def _distinct_permutations(values: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     """Every distinct ordering of the multiset of values, in lexicographic
-    order: each distinct value in turn, ahead of the orderings of the rest."""
+    order: each distinct value in turn, ahead of the orderings of the rest.
+    Memoized on the tuple: the generators of a rule, and the rules of one
+    dimension, share their tails, whose orderings are then built once."""
     if len(values) <= 1:
-        return [values]
+        return (values,)
     out = []
     for v in sorted(set(values)):
         i = values.index(v)
         out += [(v,) + rest for rest in _distinct_permutations(values[:i] + values[i + 1:])]
-    return out
+    return tuple(out)
 
 
 def _bareiss_solve(a: List[List[int]], b: List[int]) -> Tuple[List[int], int]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
@@ -116,7 +117,13 @@ class BatchPoly:
 
 @dataclass
 class GraphSurface:
-    """A hypersurface given as the graph of f over a neighborhood of 0."""
+    """A hypersurface given as the graph of f over a neighborhood of 0.
+
+    f is an exact jet (f_jet) or a black box (f_num).  f_num takes one
+    point (n,) and returns a float; it may also take a batch (N, n) and
+    return a float array of shape (N,), the values at the rows.  `f_value`
+    on a batch calls it once on the whole batch and, when it does not
+    answer so, once per row (`_f_num_rows`)."""
 
     n: int
     f_jet: Optional[Jet] = None
@@ -246,10 +253,31 @@ class GraphSurface:
             self._cache[order] = BatchPoly(polys)
         return self._cache[order]
 
-    def f_value(self, x) -> float:
+    def f_value(self, x) -> float | np.ndarray:
+        """f at one point x (n,) as a float, or at the rows of x (N, n) as
+        an (N,) array from one call of the order-0 table or of f_num."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return self._sym(0)(x)[:, 0] if self.symbolic else self._f_num_rows(x)
         if self.symbolic:
             return float(self._sym(0)(x)[0, 0])
-        return float(self.f_num(np.asarray(x, dtype=float)))
+        return float(self.f_num(x))
+
+    def _f_num_rows(self, X: np.ndarray) -> np.ndarray:
+        """f_num at the rows of X (N, n): its values on X if they are a
+        float array of shape (N,); any other result, or a TypeError or
+        ValueError, marks a one-point f_num, called once per row instead.
+        The batch call shows no warning, as a one-point f_num may warn on
+        an argument it cannot take."""
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            try:
+                out = self.f_num(X)
+            except (TypeError, ValueError):
+                out = None
+        if isinstance(out, np.ndarray) and out.shape == X.shape[:1] and out.dtype.kind == "f":
+            return out.astype(float)
+        return np.array([float(self.f_num(x)) for x in X])
 
     def f_grad(self, x) -> np.ndarray:
         if self.symbolic:
@@ -333,11 +361,16 @@ def point_geometry(S: GraphSurface, x) -> PointGeometry:
     the f, grad f and Hess f they were computed from."""
     x = np.asarray(x, dtype=float)
     fs, grads, hesses = S.f_derivatives_batch(x, 2)
-    f, grad, hess = float(fs[0]), grads[0], hesses[0]
+    return _geometry(x, float(fs[0]), grads[0], hesses[0])
+
+
+def _geometry(x: np.ndarray, f: float, grad: np.ndarray, hess: np.ndarray) -> PointGeometry:
+    """`point_geometry` from f, grad f and Hess f at x."""
+    n = x.shape[0]
     w2 = 1.0 + float(grad @ grad)
     w = math.sqrt(w2)
-    g = np.eye(S.n) + np.outer(grad, grad)
-    g_inv = np.eye(S.n) - np.outer(grad, grad) / w2
+    g = np.eye(n) + np.outer(grad, grad)
+    g_inv = np.eye(n) - np.outer(grad, grad) / w2
     II = hess / w
     H = float(np.trace(g_inv @ hess)) / w
     B = g_inv @ II
@@ -383,16 +416,6 @@ def jet_geometry(poly: MultiPoly, W: int) -> JetGeometry:
     return JetGeometry(grad, hess, inv_w2, hess_grad, lap - inv_w2 * quad)
 
 
-def _metric_field(S: GraphSurface) -> Callable[[np.ndarray], np.ndarray]:
-    """The induced metric g = I + grad f grad f^T as a function of x."""
-
-    def metric(p):
-        grad = S.f_grad(p)
-        return np.eye(S.n) + np.outer(grad, grad)
-
-    return metric
-
-
 # -- the rho / eta identities ---------------------------------------------------
 
 
@@ -423,29 +446,48 @@ def verify_rho_identities(S: GraphSurface, x) -> RhoIdentityResiduals:
 
 
 def _verify_rho_numeric(S: GraphSurface, x) -> RhoIdentityResiduals:
+    """The identities at x from finite differences of f.  Every point the
+    check needs is known before f is called: x, the Richardson stencils of
+    `f_grad` and `f_hess` at x, and those of `f_grad` around each point of
+    the metric's gradient stencil, each at its own step.  They are one
+    (M, n) batch, M = 20n^2 + 4n + 3, for one `f_value` call; the
+    derivatives come from `numdiff.richardson` on its slices, the formulas
+    of the per-point paths, whose steps they take."""
     x = np.asarray(x, dtype=float)
     if x.shape != (S.n,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x must be one finite point of {S.n} coordinates, got {x!r}")
-    geo = point_geometry(S, x)
+    n, step = S.n, S.fd_step
+    scale = max(1.0, float(np.linalg.norm(x)))
+    h1, h2, hg = step * scale, 0.1 * math.sqrt(step) * scale, 1e-3 * scale
+    outer = numdiff.richardson_points(x, hg, 1)
+    hq = step * np.array([max(1.0, math.sqrt(q.dot(q))) for q in outer])  # f_grad's steps
+    blocks = [x[None], numdiff.richardson_points(x, h1, 1), numdiff.richardson_points(x, h2, 2),
+              numdiff.richardson_points(outer, hq, 1)]
+    values = S.f_value(np.concatenate([b.reshape(-1, n) for b in blocks]))
+    f0, v1, v2, vq = np.split(values, np.cumsum([b.size // n for b in blocks[:-1]]))
+    geo = _geometry(x, float(f0[0]), numdiff.richardson(v1, h1, 1),
+                    numdiff.richardson(v2, h2, 2))
     f, grad, hess = geo.f, geo.grad, geo.hess
 
     rho_grad = 2.0 * x + 2.0 * f * grad
-    rho_hess = 2.0 * np.eye(S.n) + 2.0 * np.outer(grad, grad) + 2.0 * f * hess
+    rho_hess = 2.0 * np.eye(n) + 2.0 * np.outer(grad, grad) + 2.0 * f * hess
 
     # Christoffel symbols from finite differences of the metric field
-    # (independent of the closed-form Gamma used in the symbolic path).
-    # Gamma must come from this nested stencil, not from the product rule
-    # on the Hessian above: the identities are algebraic in the 2-jet, so
-    # with a Gamma built from the same Hessian they hold for any Hessian
-    # (one off by 1e-3 read 5.6e-17 on the n = 3 sphere, against 6.0e-5
-    # with this Gamma) and the check would test nothing.
-    h = 1e-3 * max(1.0, float(np.linalg.norm(x)))
-    gamma = numdiff.christoffel(geo.g, numdiff.gradient(_metric_field(S), x, h))
+    # g = I + grad f grad f^T at the outer points, grad f there itself from
+    # differences of f (independent of the closed-form Gamma used in the
+    # symbolic path).  Gamma must come from this nested stencil, not from
+    # the product rule on the Hessian above: the identities are algebraic
+    # in the 2-jet, so with a Gamma built from the same Hessian they hold
+    # for any Hessian (one off by 1e-3 read 5.6e-17 on the n = 3 sphere,
+    # against 6.0e-5 with this Gamma) and the check would test nothing.
+    gq = numdiff.richardson(vq.reshape(-1, len(outer)), hq, 1).T
+    metric = np.eye(n) + gq[:, :, None] * gq[:, None, :]
+    gamma = numdiff.christoffel(geo.g, numdiff.richardson(metric, hg, 1))
 
     cov_hess = rho_hess - np.einsum("cab,c->ab", gamma, rho_grad)
     res1 = float(rho_grad @ geo.g_inv @ rho_grad) - (4.0 * geo.rho - 4.0 * geo.eta**2)
     res2 = float(np.max(np.abs(cov_hess - 2.0 * geo.g - 2.0 * geo.eta * geo.II)))
-    res3 = float(np.trace(geo.g_inv @ cov_hess)) - (2.0 * S.n + 2.0 * geo.eta * geo.H)
+    res3 = float(np.trace(geo.g_inv @ cov_hess)) - (2.0 * n + 2.0 * geo.eta * geo.H)
     return RhoIdentityResiduals(res1, res2, res3, exact=False)
 
 
@@ -471,8 +513,10 @@ def _verify_rho_symbolic(S: GraphSurface) -> RhoIdentityResiduals:
 
     u = f - Jet.dot(n, W, zip(xs, grad))  # eta sqrt(1+|grad f|^2)
     uw = u * w
+    two_f, two_uw = 2 * f, 2 * uw
+    one, two = Jet.const(n, 1, W), Jet.const(n, 2, W)
     rho = Jet.of(MultiPoly.x_norm_sq(n), W) + f * f
-    rho_grad = [2 * xs[i] + 2 * f * grad[i] for i in range(n)]
+    rho_grad = [2 * xs[i] + two_f * grad[i] for i in range(n)]
     graddot = Jet.dot(n, W, zip(grad, rho_grad))
     wgd = w * graddot
 
@@ -491,10 +535,10 @@ def _verify_rho_symbolic(S: GraphSurface) -> RhoIdentityResiduals:
     for a in range(n):
         for b in range(a, n):
             gg = grad[a] * grad[b]
-            rho_ab = Jet.const(n, 2 if a == b else 0, W) + 2 * gg + 2 * f * hess[a][b]
+            rho_ab = (two if a == b else zero) + 2 * gg + two_f * hess[a][b]
             cov = rho_ab - wgd * hess[a][b]
-            g_ab = Jet.const(n, 1 if a == b else 0, W) + gg
-            res2_max = max(res2_max, mag(cov - 2 * g_ab - 2 * uw * hess[a][b]))
+            g_ab = (one if a == b else zero) + gg
+            res2_max = max(res2_max, mag(cov - 2 * g_ab - two_uw * hess[a][b]))
             quad_pairs.append((rho_ab, gg))
             quad_weights.append(1 if a == b else 2)
             if a == b:

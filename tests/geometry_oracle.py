@@ -1,6 +1,7 @@
 """Independent numeric geometry, kept as test oracles: a sphere given only
 by a black-box height function, the intrinsic scalar curvature of a graph
-from finite differences of its metric alone, and the principal curvatures
+from finite differences of its metric alone, the numeric rho identities
+one point and one f call at a time, and the principal curvatures
 of an inverted cylinder, a closed form checked against a finite-difference
 shape operator.
 """
@@ -12,7 +13,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from umbilic import numdiff
-from umbilic.surface import GraphSurface, _metric_field
+from umbilic.surface import GraphSurface, RhoIdentityResiduals, point_geometry
 
 
 def sphere_numeric(n: int, radius: float = 1.0, fd_step: float = 1e-5) -> GraphSurface:
@@ -27,11 +28,40 @@ def sphere_numeric(n: int, radius: float = 1.0, fd_step: float = 1e-5) -> GraphS
     return GraphSurface(n, f_num=f, fd_step=fd_step, name=f"sphere_num(R={R})")
 
 
+def _metric_field(S: GraphSurface) -> Callable[[np.ndarray], np.ndarray]:
+    """The induced metric g = I + grad f grad f^T as a function of x."""
+
+    def metric(p):
+        grad = S.f_grad(p)
+        return np.eye(S.n) + np.outer(grad, grad)
+
+    return metric
+
+
 def intrinsic_scalar_curvature(S: GraphSurface, x, h: float = 1e-3) -> float:
     """Scalar curvature of the induced metric from its Christoffel symbols /
     Riemann tensor, by finite differences of the metric field.  Cross-check
     for the Gauss-equation value in PointGeometry."""
     return numdiff.scalar_curvature_fd(_metric_field(S), x, h)
+
+
+def rho_residuals_pointwise(S: GraphSurface, x) -> RhoIdentityResiduals:
+    """The numeric rho identities at x from the per-point paths: f, grad f
+    and Hess f from `point_geometry`, Gamma from the Richardson gradient of
+    the metric field, each stencil point one f_num call.  The reference for
+    the batched check in `surface`, which evaluates the same points."""
+    x = np.asarray(x, dtype=float)
+    geo = point_geometry(S, x)
+    f, grad, hess = geo.f, geo.grad, geo.hess
+    rho_grad = 2.0 * x + 2.0 * f * grad
+    rho_hess = 2.0 * np.eye(S.n) + 2.0 * np.outer(grad, grad) + 2.0 * f * hess
+    h = 1e-3 * max(1.0, float(np.linalg.norm(x)))
+    gamma = numdiff.christoffel(geo.g, numdiff.gradient(_metric_field(S), x, h))
+    cov_hess = rho_hess - np.einsum("cab,c->ab", gamma, rho_grad)
+    res1 = float(rho_grad @ geo.g_inv @ rho_grad) - (4.0 * geo.rho - 4.0 * geo.eta**2)
+    res2 = float(np.max(np.abs(cov_hess - 2.0 * geo.g - 2.0 * geo.eta * geo.II)))
+    res3 = float(np.trace(geo.g_inv @ cov_hess)) - (2.0 * S.n + 2.0 * geo.eta * geo.H)
+    return RhoIdentityResiduals(res1, res2, res3, exact=False)
 
 
 @dataclass

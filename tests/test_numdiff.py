@@ -11,10 +11,14 @@ import pytest
 from umbilic.numdiff import (
     Dual,
     christoffel,
+    differences,
     gradient,
     hessian,
     metric_derivatives,
+    richardson,
+    richardson_points,
     scalar_curvature_fd,
+    stencil_points,
 )
 
 RNG = np.random.default_rng(20250101)
@@ -174,6 +178,32 @@ def test_single_point_matches_loop_bitwise(order, n, shape):
                 assert g is None
             else:
                 assert g.shape == w.shape and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_batched_stencils_match_one_point_bitwise(order, n):
+    # the stencils of N points, each at its own step, as one (m, N, n)
+    # array and one call of a batch field: each point's rows, values and
+    # differences equal `metric_derivatives` at that point to the bit, and
+    # the Richardson step equals `gradient` / `hessian`
+    F = Cubic(n, (2,))
+    X = RNG.uniform(-1, 1, (5, n))
+    h = RNG.uniform(1e-4, 1e-2, 5)
+    P = stencil_points(X, h, order)
+    assert P.shape[1:] == (5, n)
+    Y = F(P.reshape(-1, n)).reshape(P.shape[:2] + (2,))
+    F0, dF, ddF = differences(Y, h[:, None], order)
+    R = richardson(F(richardson_points(X, h, order).reshape(-1, n)).reshape(-1, 5, 2),
+                   h[:, None], order)
+    one = gradient if order == 1 else hessian
+    for i, x in enumerate(X):
+        assert np.array_equal(P[:, i], stencil_points(x, h[i], order))
+        want = metric_derivatives(F, x, h[i], order)
+        assert np.array_equal(dF[..., i, :], want[1])
+        if order == 2:
+            assert np.array_equal(F0[i], want[0]) and np.array_equal(ddF[..., i, :], want[2])
+        assert np.array_equal(R[..., i, :], one(F, x, h[i]))
 
 
 def test_vector_and_matrix_valued_fields():

@@ -67,10 +67,36 @@ def test_symmetric_node_counts():
             [(6, 16), (7, 12), (8, 8), (8, 10), (9, 10)]] == [20256, 12642, 2816, 9424, 16722]
 
 
+def recursive_permutations(values):
+    """The distinct orderings by the recursion without a memo, as a list:
+    the reference for the memoized `_distinct_permutations`."""
+    if len(values) <= 1:
+        return [values]
+    out = []
+    for v in sorted(set(values)):
+        i = values.index(v)
+        out += [(v,) + rest for rest in recursive_permutations(values[:i] + values[i + 1:])]
+    return out
+
+
 def test_distinct_permutations_match_the_set_of_permutations():
     for values in [(0,), (1, 0, 0), (2, 1, 1, 0, 0), (3, 1, 0, 2, 1, 0), (1, 1, 1)]:
         perms = quadrature._distinct_permutations(values)
-        assert perms == sorted(set(itertools.permutations(values)))
+        assert list(perms) == sorted(set(itertools.permutations(values)))
+        assert list(perms) == recursive_permutations(values)
+        assert isinstance(perms, tuple) and quadrature._distinct_permutations(values) is perms
+
+
+def test_memoized_rules_match_the_recursive_oracle(monkeypatch):
+    # the memo moves no node and no weight: the symmetric rules of every
+    # rung up to the cap, n = 6, 7, and to half-degree 5, n = 8, 9, against
+    # the same rules built with the recursion without a memo
+    rungs = [(n, j) for n in (6, 7, 8, 9) for j in range(1, quadrature.default_degree(n) // 2 + 1)]
+    memoized = {(n, j): quadrature._symmetric_rule(n, j) for n, j in rungs}
+    monkeypatch.setattr(quadrature, "_distinct_permutations", recursive_permutations)
+    for (n, j), (nodes, weights) in memoized.items():
+        want_nodes, want_weights = quadrature._symmetric_rule(n, j)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
 
 
 def test_bareiss_solve_matches_fractions():

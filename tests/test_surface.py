@@ -2,6 +2,7 @@
 umbilical decomposition, and the inverted-cylinder spectrum."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umbilic import numdiff
 from umbilic.obstruction import NotUmbilical, umbilical_decompose
 from umbilic.polyjet import Jet, MultiPoly
 from umbilic.surface import (
@@ -24,6 +26,7 @@ from geometry_oracle import (
     PlaneCurve,
     cylinder_inversion_curvatures,
     intrinsic_scalar_curvature,
+    rho_residuals_pointwise,
     sphere_numeric,
 )
 from poly_oracle import evaluate
@@ -154,23 +157,107 @@ def test_rho_identities_numeric_sphere():
 def test_rho_identities_numeric_catch_a_wrong_hessian(name, n, monkeypatch):
     # the numeric check takes Gamma from differences of the metric field,
     # not from Hess f, so a Hessian off by 1e-3 in one entry must show.
-    # Measured at x = (0.1, ..., 0.1): 6.0e-5, 7.9e-5 and 6.5e-5, against
-    # 4.2e-9, 1.1e-10 and 9.4e-12 with the right Hessian
+    # The check's one order-2 Richardson step is Hess f at x.  Measured at
+    # x = (0.1, ..., 0.1): 6.0e-5, 7.9e-5 and 6.5e-5, against 4.2e-9,
+    # 1.3e-10 and 9.4e-12 with the right Hessian
     S = sphere_numeric(n) if name == "sphere" else GraphSurface(
         n, f_num=GraphSurface.builtin(name, n).f_value)
     x = np.full(n, 0.1)
     assert verify_rho_identities(S, x).max() < 1e-7
-    f_hess = GraphSurface.f_hess
+    richardson = numdiff.richardson
 
-    def wrong_hess(self, point):
-        hess = f_hess(self, point)
-        if not self.symbolic:
-            hess = hess.copy()
-            hess[0, 0] += 1e-3
-        return hess
+    def wrong_hess(Y, h, order):
+        d = richardson(Y, h, order)
+        if order == 2:
+            d = d.copy()
+            d[0, 0] += 1e-3
+        return d
 
-    monkeypatch.setattr(GraphSurface, "f_hess", wrong_hess)
+    monkeypatch.setattr(numdiff, "richardson", wrong_hess)
     assert verify_rho_identities(S, x).max() > 1e-7
+
+
+def one_point(sym):
+    """sym's f as an f_num that takes one point only: float() refuses a
+    batch with a TypeError."""
+    return lambda p: float(sym.f_value(p))
+
+
+RHO_CORPUS = [GraphSurface.sphere(3, Fraction(2)), GraphSurface.quartic_x1(3),
+              GraphSurface.cubic_x1(3), GraphSurface.sphere(4), GraphSurface.quartic_x1(4),
+              GraphSurface.cubic_x1(4)]
+
+
+@pytest.mark.parametrize("sym", RHO_CORPUS, ids=lambda S: f"{S.name}-{S.n}")
+def test_rho_numeric_batch_matches_the_pointwise_oracle(sym):
+    # the batched check evaluates the oracle's points with its formulas: a
+    # one-point f_num gets the same values, so the residuals agree to the
+    # bit.  A batch f_num (a jet surface's f_value) takes the evaluator's
+    # batch path, which rounds in another order than its one-point path;
+    # measured on these points, the gap was at most 5.8e-12 against
+    # residuals of at most 6.8e-12, and the bound is 5x that.  Past |x| = 1 the steps grow with |x|
+    # and with each inner point's own norm: a polynomial takes one such x
+    rng = np.random.default_rng(sym.n)
+    scalar = GraphSurface(sym.n, f_num=one_point(sym))
+    batch = GraphSurface(sym.n, f_num=sym.f_value)
+    near = [rng.uniform(-0.05, 0.05, size=sym.n) for _ in range(10)]
+    far = [] if sym.name.startswith("sphere") else [np.linspace(0.7, 1.1, sym.n)]
+    for x in near + far:
+        got, want = verify_rho_identities(scalar, x), rho_residuals_pointwise(scalar, x)
+        assert (got.grad_sq, got.hessian, got.laplacian) == (
+            want.grad_sq, want.hessian, want.laplacian)
+    for x in near:
+        got, want = verify_rho_identities(batch, x), rho_residuals_pointwise(batch, x)
+        for a, b in zip((got.grad_sq, got.hessian, got.laplacian),
+                        (want.grad_sq, want.hessian, want.laplacian)):
+            assert abs(a - b) <= 3e-11
+        assert got.max() < 1e-10
+
+
+@pytest.mark.parametrize("n,points", [(3, 195), (4, 339)])
+def test_rho_numeric_calls_f_num_once(n, points):
+    # every point of the check is one batch: a batch f_num is called once;
+    # a one-point f_num refuses it and is called once per point
+    sym = GraphSurface.quartic_x1(n)
+    x = np.full(n, 0.03)
+    for f_num, shapes in ((sym.f_value, [(points, n)]),
+                          (one_point(sym), [(points, n)] + [(n,)] * points)):
+        calls = []
+
+        def counted(p, f_num=f_num):
+            calls.append(np.shape(p))
+            return f_num(p)
+
+        assert verify_rho_identities(GraphSurface(n, f_num=counted), x).max() < 1e-7
+        assert calls == shapes
+
+
+def test_f_value_takes_a_batch():
+    # (N, n) gives (N,) values: one call of the order-0 table on a jet
+    # surface, one f_num call for a batch f_num, else one call per row;
+    # scalar results, wrong shapes and refusals fall back without a
+    # warning, and the values agree with the one-point ones
+    sym = GraphSurface.quartic_x1(3)
+    pts = RNG.uniform(-0.3, 0.3, size=(7, 3))
+    want = np.array([sym.f_value(p) for p in pts])
+
+    def answers(batch):
+        """An f_num giving batch(p) on a batch and f on one point."""
+        return lambda p: batch(p) if np.ndim(p) == 2 else sym.f_value(p)
+
+    f_nums = [sym.f_value, one_point(sym),
+              answers(lambda p: np.full(3, 1.0)),  # another shape
+              answers(lambda p: np.float64(1.0)),  # a scalar
+              answers(lambda p: np.full(7, 1)),  # not floats
+              answers(lambda p: float(np.sqrt(-np.ones(1)) * p))]  # warns, then TypeError
+    for S in [sym] + [GraphSurface(3, f_num=f) for f in f_nums]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = S.f_value(pts)
+        assert isinstance(vals, np.ndarray) and vals.shape == (7,)
+        assert np.max(np.abs(vals - want)) < 1e-15
+        assert S.f_value(pts[:1]).shape == (1,)
+    assert isinstance(sym.f_value(pts[0]), float)
 
 
 @pytest.mark.parametrize("position", range(3))
