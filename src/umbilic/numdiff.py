@@ -1,17 +1,15 @@
 """Derivative helpers: finite differences of array-valued fields, forward-mode
 dual numbers for closed forms, and curvature of a numerically given metric.
 
-`_stencil` is the one central-difference stencil; every finite difference
-in the package goes through it.  Its points are one array x + h O (O a
-fixed offset table per dimension and order, `stencil_points`), and
-`differences` forms the derivatives from the values there in whole-array
-expressions.  `metric_derivatives` joins the two for one point, calling
-the field once per row.  A caller that evaluates many stencils at once
-(the numeric rho check) builds all their points, calls its function once
-on them and hands each stencil's values to `differences` or `richardson`,
-the same formulas.  `gradient` and `hessian` add one Richardson
-extrapolation step; second derivatives use a larger step than first
-derivatives because their roundoff error scales like eps/h^2.
+`_stencil` is the one central-difference stencil.  Its points are one
+array x + h O, O a fixed offset table per dimension and order
+(`stencil_points`, or `richardson_points` for steps h and h / 2), so a
+batch of points, each at its own step, stacks all its stencils; from the
+values there `differences` and `richardson` form the derivatives in
+whole-array expressions.  A numeric surface takes every derivative of f
+this way, from one call of f (`GraphSurface._fd`).  `metric_derivatives`,
+`gradient` and `hessian` call their field once per row of one point's
+stencil: the per-point references for that path.
 `Dual` carries a closed form's derivatives exactly, with no step to
 choose, along one parameter or along several directions in one pass.
 Duals may nest: a Dual whose parts are Duals carries second derivatives.
@@ -102,19 +100,11 @@ def sqrt(u):
 
 
 def metric_derivatives(F: Callable, x, h: float, order: int = 2):
-    """Central differences of an array-valued field F at the point x (n,)
-    with step h.
-
-    F(x) is an array of any shape.  Returns (F0, dF, ddF) with the
-    derivative axes first: dF[k] = d_k F and ddF[k, l] = d_k d_l F.
-    order=1 evaluates F at the 2n points x +- h e_k and returns
-    F0 = ddF = None; order=2 also evaluates F(x) and the 2n(n-1) mixed
-    points x +- h e_k +- h e_l.  F is called once per row of
-    `stencil_points`, in that order, and `differences` forms dF and ddF
-    from the stacked results.
-    """
-    x = _one_point(x)
-    return differences(np.array([F(y) for y in stencil_points(x, h, order)], dtype=float), h, order)
+    """Central differences of an array-valued field F at one point x (n,)
+    with step h: (F0, dF, ddF), derivative axes first, dF[k] = d_k F and
+    ddF[k, l] = d_k d_l F; order 1 gives F0 = ddF = None.  F is called
+    once per row of `stencil_points` and `differences` takes the values."""
+    return differences([F(y) for y in stencil_points(_one_point(x), h, order)], h, order)
 
 
 def stencil_points(x, h, order: int = 2) -> np.ndarray:
@@ -141,10 +131,11 @@ def differences(Y, h, order: int = 2):
     dF = (Fp - Fm) / (2.0 * h)
     F0 = Y[0]
     ddF = np.empty((n, n) + F0.shape)
-    ddF[np.diag_indices(n)] = (Fp - 2.0 * F0 + Fm) / h**2
-    k, l = np.triu_indices(n, 1)
+    ddF[np.diag_indices(n)] = (Fp - 2.0 * F0 + Fm) / (h * h)
     Fpp, Fpm, Fmp, Fmm = (Y[1 + 2 * n + j:: 4] for j in range(4))
-    ddF[k, l] = ddF[l, k] = (Fpp - Fpm - Fmp + Fmm) / (4.0 * h**2)
+    mixed = (Fpp - Fpm - Fmp + Fmm) / (4.0 * (h * h))
+    for (k, l), d in zip(combinations(range(n), 2), mixed):  # np.triu_indices: 14 us a call
+        ddF[k, l] = ddF[l, k] = d
     return F0, dF, ddF
 
 
@@ -187,21 +178,16 @@ def richardson(Y, h, order: int) -> np.ndarray:
             - differences(coarse, h, order)[order]) / 3.0
 
 
-def _richardson(F: Callable, x, h: float, order: int) -> np.ndarray:
-    """`richardson` with F called once per row of its points."""
-    points = richardson_points(_one_point(x), h, order)
-    return richardson(np.array([F(y) for y in points], dtype=float), h, order)
-
-
 def gradient(f: Callable, x, h: float = 1e-5) -> np.ndarray:
-    """Richardson-extrapolated central-difference gradient, d_k f first."""
-    return _richardson(f, x, h, 1)
+    """Richardson-extrapolated central-difference gradient, f called once
+    per row of `richardson_points`."""
+    return richardson([f(y) for y in richardson_points(_one_point(x), h, 1)], h, 1)
 
 
 def hessian(f: Callable, x, h: float = 3e-4) -> np.ndarray:
-    """Richardson-extrapolated central-difference Hessian (step chosen for
-    the eps/h^2 tradeoff)."""
-    return _richardson(f, x, h, 2)
+    """Richardson-extrapolated central-difference Hessian, f called once
+    per row of `richardson_points`."""
+    return richardson([f(y) for y in richardson_points(_one_point(x), h, 2)], h, 2)
 
 
 def _lowered(dg: np.ndarray) -> np.ndarray:

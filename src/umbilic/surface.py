@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
@@ -121,20 +121,22 @@ class GraphSurface:
 
     f is an exact jet (f_jet) or a black box (f_num).  f_num takes one
     point (n,) and returns a float; it may also take a batch (N, n) and
-    return a float array of shape (N,), the values at the rows.  `f_value`
-    on a batch calls it once on the whole batch and, when it does not
-    answer so, once per row (`_f_num_rows`)."""
+    return a float array of shape (N,), the values at the rows
+    (`_f_num_rows` tells the two apart).  A numeric surface's derivatives
+    are finite differences of one `f_value` call (`_fd`)."""
 
     n: int
     f_jet: Optional[Jet] = None
     f_num: Optional[Callable[[np.ndarray], float]] = None
     fd_step: float = 1e-5
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):
         if (self.f_jet is None) == (self.f_num is None):
             raise ValueError("exactly one of f_jet / f_num is required")
+        if not 0.0 < self.fd_step < math.inf:
+            raise ValueError(f"fd_step must be a finite positive number, not {self.fd_step!r}")
         if self.f_jet is not None:
             p = self.f_jet.poly
             if not p.homogeneous_part(0).is_zero or not p.homogeneous_part(1).is_zero:
@@ -212,10 +214,7 @@ class GraphSurface:
         else:
             raise ValueError(f"unknown surface kind {kind!r}")
         if "fd_step" in data:
-            step = float(data["fd_step"])
-            if not 0.0 < step < math.inf:
-                raise ValueError(f"fd_step must be a finite positive number, not {data['fd_step']!r}")
-            s.fd_step = step
+            s = replace(s, fd_step=float(data["fd_step"]))
         return s
 
     def to_json(self) -> dict:
@@ -264,41 +263,59 @@ class GraphSurface:
         return float(self.f_num(x))
 
     def _f_num_rows(self, X: np.ndarray) -> np.ndarray:
-        """f_num at the rows of X (N, n): its values on X if they are a
-        float array of shape (N,); any other result, or a TypeError or
-        ValueError, marks a one-point f_num, called once per row instead.
-        The batch call shows no warning, as a one-point f_num may warn on
-        an argument it cannot take."""
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore")
-            try:
-                out = self.f_num(X)
-            except (TypeError, ValueError):
-                out = None
-        if isinstance(out, np.ndarray) and out.shape == X.shape[:1] and out.dtype.kind == "f":
-            return out.astype(float)
+        """f_num at the rows of X (N, n): one call if f_num takes a batch,
+        else one per row.  The first batch decides, once per surface, padded
+        to n + 1 rows with its first row so that a one-point f_num reading
+        x[0], x[1], ... neither passes on (n, n) nor fails on one row.  A
+        float array of one value per row says batch; any other result, a
+        TypeError or a ValueError says one point; warnings are muted."""
+        if "batch" not in self._cache:
+            pad = self.n + 1 - len(X)
+            probe = np.concatenate([X, np.repeat(X[:1], pad, axis=0)]) if pad > 0 else X
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                try:
+                    out = self.f_num(probe)
+                except (TypeError, ValueError):
+                    out = None
+            self._cache["batch"] = (isinstance(out, np.ndarray) and out.dtype.kind == "f"
+                                    and out.shape == probe.shape[:1])
+            if self._cache["batch"]:
+                return out[: len(X)].astype(float)
+        if self._cache["batch"]:
+            return np.asarray(self.f_num(X), dtype=float)
         return np.array([float(self.f_num(x)) for x in X])
 
+    def _fd(self, *wanted: tuple) -> list:
+        """For each (pts, orders) of wanted, pts (N, n) or (n,): f at the
+        rows for order 0, and for k = 1 or 2 its k-th derivatives there,
+        derivative axes first, all from one `f_value` call.  Each is one
+        Richardson step of max(1, |p|) times fd_step for k = 1, or times
+        0.1 sqrt(fd_step) for k = 2, whose roundoff grows like eps/h^2."""
+        jobs = []
+        for pts, orders in wanted:
+            # |p| from one dot product per row, as np.linalg.norm takes one point
+            scale = np.maximum(1.0, np.sqrt(np.vecdot(pts, pts)))
+            steps = (None, self.fd_step * scale, 0.1 * math.sqrt(self.fd_step) * scale)
+            jobs += [(k, steps[k], numdiff.richardson_points(pts, steps[k], k) if k else pts)
+                     for k in orders]
+        rows = [p.reshape(-1, self.n) for _, _, p in jobs]
+        ends = np.cumsum([len(r) for r in rows[:-1]])
+        values = np.split(self.f_value(np.concatenate(rows)), ends)
+        return [numdiff.richardson(v.reshape(p.shape[:-1]), h, k) if k else v
+                for v, (k, h, p) in zip(values, jobs)]
+
     def f_grad(self, x) -> np.ndarray:
-        if self.symbolic:
-            return self._sym(1)(x)[0, 1: self.n + 1]
-        x = np.asarray(x, dtype=float)
-        h = self.fd_step * max(1.0, float(np.linalg.norm(x)))
-        return numdiff.gradient(self.f_num, x, h)
+        return self.f_derivatives_batch(x, 1)[1][0]
 
     def f_hess(self, x) -> np.ndarray:
-        if self.symbolic:
-            return self._sym(2)(x)[0, self.n + 1:].reshape(self.n, self.n)
-        x = np.asarray(x, dtype=float)
-        scale = max(1.0, float(np.linalg.norm(x)))
-        h2 = 0.1 * math.sqrt(self.fd_step) * scale
-        return numdiff.hessian(self.f_num, x, h2)
+        return self.f_derivatives_batch(x, 2)[2][0]
 
     def f_derivatives_batch(self, pts: np.ndarray, order: int = 1) -> tuple:
         """f, grad f and, up to the order, Hess f and grad^3 f at the rows
         of pts, shaped (N,), (N, n), (N, n, n) and (N, n, n, n): one
         evaluator call on a symbolic surface.  A numeric one takes order 2
-        at most, from per-point finite differences."""
+        at most, from one `f_value` call on all the stencils (`_fd`)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         N, n = pts.shape
         if self.symbolic:
@@ -310,8 +327,9 @@ class GraphSurface:
         elif order > 2:
             raise ValueError("third derivatives need a jet surface")
         else:
-            fns = (self.f_value, self.f_grad, self.f_hess)
-            parts = [np.array([fn(p) for p in pts]) for fn in fns[: order + 1]]
+            # point axis first, C-ordered: einsum may round otherwise downstream
+            parts = [np.ascontiguousarray(np.moveaxis(d, -1, 0))
+                     for d in self._fd((pts, range(order + 1)))]
         return tuple(v.reshape((N,) + (n,) * k) for k, v in enumerate(parts[: order + 1]))
 
     def f_radial_batch(self, pts: np.ndarray) -> tuple:
@@ -319,8 +337,8 @@ class GraphSurface:
         shaped (N,), (N, n), (N,) and (N, n).  Along the ray x = rho xhat
         the last two are rho times the rho-derivatives of the first two.
         One call of the order-1 evaluator on a symbolic surface; on a
-        numeric one they come from per-point finite differences of grad f
-        and Hess f."""
+        numeric one they come from grad f and Hess f of
+        `f_derivatives_batch`, one `f_value` call."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = pts.shape[1]
         if self.symbolic:
@@ -448,26 +466,17 @@ def verify_rho_identities(S: GraphSurface, x) -> RhoIdentityResiduals:
 def _verify_rho_numeric(S: GraphSurface, x) -> RhoIdentityResiduals:
     """The identities at x from finite differences of f.  Every point the
     check needs is known before f is called: x, the Richardson stencils of
-    `f_grad` and `f_hess` at x, and those of `f_grad` around each point of
-    the metric's gradient stencil, each at its own step.  They are one
-    (M, n) batch, M = 20n^2 + 4n + 3, for one `f_value` call; the
-    derivatives come from `numdiff.richardson` on its slices, the formulas
-    of the per-point paths, whose steps they take."""
+    grad f and Hess f at x, and those of grad f around each point of the
+    metric's gradient stencil.  `_fd` takes them, M = 20n^2 + 4n + 3
+    points, in one `f_value` call."""
     x = np.asarray(x, dtype=float)
     if x.shape != (S.n,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x must be one finite point of {S.n} coordinates, got {x!r}")
-    n, step = S.n, S.fd_step
-    scale = max(1.0, float(np.linalg.norm(x)))
-    h1, h2, hg = step * scale, 0.1 * math.sqrt(step) * scale, 1e-3 * scale
+    n = S.n
+    hg = 1e-3 * max(1.0, float(np.linalg.norm(x)))
     outer = numdiff.richardson_points(x, hg, 1)
-    hq = step * np.array([max(1.0, math.sqrt(q.dot(q))) for q in outer])  # f_grad's steps
-    blocks = [x[None], numdiff.richardson_points(x, h1, 1), numdiff.richardson_points(x, h2, 2),
-              numdiff.richardson_points(outer, hq, 1)]
-    values = S.f_value(np.concatenate([b.reshape(-1, n) for b in blocks]))
-    f0, v1, v2, vq = np.split(values, np.cumsum([b.size // n for b in blocks[:-1]]))
-    geo = _geometry(x, float(f0[0]), numdiff.richardson(v1, h1, 1),
-                    numdiff.richardson(v2, h2, 2))
-    f, grad, hess = geo.f, geo.grad, geo.hess
+    (f,), grad, hess, dq = S._fd((x, (0, 1, 2)), (outer, (1,)))
+    geo = _geometry(x, float(f), grad, hess)
 
     rho_grad = 2.0 * x + 2.0 * f * grad
     rho_hess = 2.0 * np.eye(n) + 2.0 * np.outer(grad, grad) + 2.0 * f * hess
@@ -480,7 +489,7 @@ def _verify_rho_numeric(S: GraphSurface, x) -> RhoIdentityResiduals:
     # in the 2-jet, so with a Gamma built from the same Hessian they hold
     # for any Hessian (one off by 1e-3 read 5.6e-17 on the n = 3 sphere,
     # against 6.0e-5 with this Gamma) and the check would test nothing.
-    gq = numdiff.richardson(vq.reshape(-1, len(outer)), hq, 1).T
+    gq = dq.T
     metric = np.eye(n) + gq[:, :, None] * gq[:, None, :]
     gamma = numdiff.christoffel(geo.g, numdiff.richardson(metric, hg, 1))
 

@@ -1,7 +1,7 @@
 """Independent numeric geometry, kept as test oracles: a sphere given only
 by a black-box height function, the intrinsic scalar curvature of a graph
 from finite differences of its metric alone, the numeric rho identities
-one point and one f call at a time, and the principal curvatures
+one point of the metric's stencil at a time, and the principal curvatures
 of an inverted cylinder, a closed form checked against a finite-difference
 shape operator.
 """
@@ -16,16 +16,24 @@ from umbilic import numdiff
 from umbilic.surface import GraphSurface, RhoIdentityResiduals, point_geometry
 
 
-def sphere_numeric(n: int, radius: float = 1.0, fd_step: float = 1e-5) -> GraphSurface:
+def sphere_numeric(n: int, radius: float = 1.0, fd_step: float = 1e-5,
+                   batch: bool = False) -> GraphSurface:
     """The radius-R sphere tangent at the origin, f = R - sqrt(R^2 - |x|^2),
-    as a numeric surface differentiated by finite differences."""
+    as a numeric surface differentiated by finite differences.  Its f
+    takes one point or, with batch, also the rows of an (N, n) batch."""
     R = float(radius)
 
     def f(x):
         x = np.asarray(x, dtype=float)
         return R - math.sqrt(R * R - float(np.dot(x, x)))
 
-    return GraphSurface(n, f_num=f, fd_step=fd_step, name=f"sphere_num(R={R})")
+    def f_rows(x):
+        x = np.asarray(x, dtype=float)
+        v = R - np.sqrt(R * R - np.einsum("...i,...i->...", x, x))
+        return v if v.ndim else float(v)
+
+    return GraphSurface(n, f_num=f_rows if batch else f, fd_step=fd_step,
+                        name=f"sphere_num(R={R})")
 
 
 def _metric_field(S: GraphSurface) -> Callable[[np.ndarray], np.ndarray]:
@@ -47,9 +55,10 @@ def intrinsic_scalar_curvature(S: GraphSurface, x, h: float = 1e-3) -> float:
 
 def rho_residuals_pointwise(S: GraphSurface, x) -> RhoIdentityResiduals:
     """The numeric rho identities at x from the per-point paths: f, grad f
-    and Hess f from `point_geometry`, Gamma from the Richardson gradient of
-    the metric field, each stencil point one f_num call.  The reference for
-    the batched check in `surface`, which evaluates the same points."""
+    and Hess f from `point_geometry`, Gamma from `numdiff.gradient` of the
+    metric field, one `f_grad` call per point of its stencil.  The
+    reference for the batched check in `surface`, which evaluates the same
+    points in one call."""
     x = np.asarray(x, dtype=float)
     geo = point_geometry(S, x)
     f, grad, hess = geo.f, geo.grad, geo.hess

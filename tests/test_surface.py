@@ -260,6 +260,112 @@ def test_f_value_takes_a_batch():
     assert isinstance(sym.f_value(pts[0]), float)
 
 
+def counting(f_num):
+    """f_num and the list of the argument shapes it was called with."""
+    calls = []
+
+    def counted(p):
+        calls.append(np.shape(p))
+        return f_num(p)
+
+    return counted, calls
+
+
+def reads_coordinates(x):
+    """A one-point f that reads x[0] and x[1]: on an (n, n) batch it gets
+    rows and answers with n values, on one row it raises an IndexError."""
+    return x[0] ** 2 + 3 * x[1] ** 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_f_value_decides_the_batch_contract_once(n):
+    # the first batch decides, padded to n + 1 rows: an (n, n) batch used
+    # to return [0.28, 0.52] for [0.13, 0.57] at n = 2, and a 1-row batch
+    # raised an IndexError.  A one-point f_num pays one refused call per
+    # surface; a batch f_num is called once per batch, the first call
+    # (padded when it has n rows or fewer) being the test
+    rows = np.array([[0.3, 0.4, -0.2], [0.2, -0.3, 0.5], [-0.1, 0.2, 0.6], [0.5, 0.1, 0.1]])[:, :n]
+
+    def batch(x):
+        return x[..., 0] ** 2 + 3 * x[..., 1] ** 2
+
+    for N in (1, n, n + 1):
+        X = rows[:N]
+        want = np.array([reads_coordinates(x) for x in X])
+        probe = (max(N, n + 1), n)
+        for f, first, then in ((reads_coordinates, [probe] + [(n,)] * N, [(n,)] * N),
+                               (batch, [probe], [(N, n)])):
+            counted, calls = counting(f)
+            S = GraphSurface(n, f_num=counted)
+            for expect in (first, then):
+                calls.clear()
+                assert np.array_equal(S.f_value(X), want)
+                assert calls == expect
+
+
+@pytest.mark.parametrize("bad", [-1e-5, 0.0, math.nan, math.inf, -math.inf])
+def test_fd_step_must_be_finite_and_positive(bad):
+    # -1e-5 made f_hess and the rho check raise "math domain error", 0.0
+    # warned of a division by zero and NaN gave NaN derivatives silently;
+    # from_json takes the same check
+    with pytest.raises(ValueError, match="fd_step must be a finite positive number"):
+        GraphSurface(3, f_num=reads_coordinates, fd_step=bad)
+    with pytest.raises(ValueError, match="fd_step must be a finite positive number"):
+        GraphSurface.from_json({"n": 3, "kind": "sphere", "fd_step": str(bad)})
+    assert GraphSurface.from_json({"n": 3, "kind": "sphere", "fd_step": "3e-6"}).fd_step == 3e-6
+
+
+def test_numeric_derivatives_call_f_num_once():
+    # every stencil of every point goes to one f_num call: 8 points at
+    # n = 3, order 2, are 8 * 51 = 408 rows (the per-point loops made 408
+    # calls), and f_radial_batch takes the same batch
+    sym = GraphSurface.quartic_x1(3)
+    pts = RNG.uniform(-0.3, 0.3, size=(8, 3))
+    counted, calls = counting(sym.f_value)
+    S = GraphSurface(3, f_num=counted)
+    for order, rows in ((0, 8), (1, 8 * 13), (2, 8 * 51)):
+        calls.clear()
+        S.f_derivatives_batch(pts, order)
+        assert calls == [(rows, 3)]
+    calls.clear()
+    S.f_radial_batch(pts)
+    assert calls == [(408, 3)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_numeric_derivatives_match_the_per_point_reference(n):
+    # with a one-point f_num every stencil value is the one the per-point
+    # path takes, so orders 0 to 2, the radial columns and f_grad / f_hess
+    # equal numdiff.gradient and hessian at fd_step |x| and
+    # 0.1 sqrt(fd_step) |x| (|x| at least 1) to the bit; the points past
+    # |x| = 1 take steps of their own within the batch.  The last point,
+    # s e_0 with |x| = s, is there when some Hessian step's square rounds
+    # otherwise under Python's float ** (libm pow) than as h * h, which is
+    # numpy's square of an array (3 of these 4001 s on glibc)
+    sym = GraphSurface.quartic_x1(n)
+    f_num = one_point(sym)
+    S = GraphSurface(n, f_num=f_num, fd_step=3e-6)
+    h2 = 0.1 * math.sqrt(3e-6)
+    odd = [s * np.eye(n)[0] for s in np.linspace(1.1, 1.9, 4001)
+           if any((h2 * s / d) ** 2 != (h2 * s / d) * (h2 * s / d) for d in (1.0, 2.0))][:1]
+    pts = np.vstack([RNG.uniform(-0.4, 0.4, size=(4, n)), np.linspace(0.7, 1.1, n),
+                     1.6 * RNG.uniform(-1, 1, size=(2, n))] + odd)
+    assert max(np.linalg.norm(pts, axis=1)) > 1.0
+    scale = [max(1.0, float(np.linalg.norm(p))) for p in pts]
+    want = (np.array([f_num(p) for p in pts]),
+            np.array([numdiff.gradient(f_num, p, 3e-6 * s) for p, s in zip(pts, scale)]),
+            np.array([numdiff.hessian(f_num, p, 0.1 * math.sqrt(3e-6) * s)
+                      for p, s in zip(pts, scale)]))
+    for order in (0, 1, 2):
+        got = S.f_derivatives_batch(pts, order)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want[: order + 1]))
+    radial = (want[0], want[1], np.sum(pts * want[1], axis=1),
+              np.einsum("pij,pj->pi", want[2], pts))
+    assert all(np.array_equal(a, b) for a, b in zip(S.f_radial_batch(pts), radial))
+    for p, grad, hess in zip(pts, want[1], want[2]):
+        assert np.array_equal(S.f_grad(p), grad) and np.array_equal(S.f_hess(p), hess)
+
+
 @pytest.mark.parametrize("position", range(3))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rho_residual_max_fails_on_non_finite(position, bad):
@@ -485,7 +591,8 @@ def test_surface_builtins():
 
 def test_batch_matches_pointwise():
     # symbolic surfaces batch through the shared evaluator, numeric ones
-    # loop over the pointwise finite differences
+    # difference one f_value call on the stencils of every point; f_grad
+    # and f_hess are the one-point case of the same path
     sym = GraphSurface.quartic_x1(3)
     pts = RNG.uniform(-0.3, 0.3, size=(8, 3))
     for S in (sym, GraphSurface(3, f_num=sym.f_value)):
