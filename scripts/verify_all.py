@@ -2,7 +2,9 @@
 """Run the exact identity suite over every builtin surface and a seeded
 random cubic corpus, printing one line per check: the curvature-expansion
 identities and the exact squared-distance (rho) identities per builtin,
-then the random cubics.
+then the random cubics, each also taken with H = n as a parameter-free
+surface whose numeric integrability probe must give the exact verdict.
+The exit status is 1 if any check fails.
 
 Usage: python3 scripts/verify_all.py [--seed 0] [--count 5]
 """
@@ -13,7 +15,7 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from umbilic import obstruction
+from umbilic import conformal, obstruction
 from umbilic.polyjet import Jet, MultiPoly
 from umbilic.surface import GraphSurface, verify_rho_identities
 
@@ -60,7 +62,7 @@ def main() -> int:
     for n in range(3, 8):
         rng = random.Random(args.seed + n)
         t0 = time.monotonic()
-        bad = 0
+        bad = agree = 0
         for _ in range(args.count):
             A3 = random_cubic(n, rng)
             H = MultiPoly.param(n, "H")
@@ -74,10 +76,13 @@ def main() -> int:
             lhs, rhs = obstruction.integrated_identity(A3)
             good = good and (lhs - rhs).is_zero
             bad += not good
-        failures += bad
+            S = GraphSurface.polynomial(MultiPoly.x_norm_sq(n).scale(Fraction(1, 2)) + A3)
+            exact = conformal.classify_integrability(n, conformal.leading_order_of_R(S))
+            agree += conformal.integrability_probe(S).verdict == exact
+        failures += bad + args.count - agree
         print(
             f"random cubics n={n}  {args.count - bad}/{args.count} exact  "
-            f"({time.monotonic() - t0:.2f}s)"
+            f"probe agrees {agree}/{args.count}  ({time.monotonic() - t0:.2f}s)"
         )
     print("all checks passed" if failures == 0 else f"{failures} FAILURES")
     return 0 if failures == 0 else 1

@@ -452,9 +452,9 @@ def _report(fit) -> dict:
 
 
 def check_decay_radii(radii: Sequence[float]) -> None:
-    """Raise ValueError unless decay_order_estimate can fit the radii: at
-    least two distinct positive ones, none so large that its square, the
-    chart's |z|^2, overflows float64 and none so small that it underflows."""
+    """Raise ValueError unless the log-log fits (decay_order_estimate, the
+    integrability probe) can take the radii: two distinct positive ones at
+    least, and none whose square overflows or underflows float64."""
     if not all(0.0 < r < math.inf for r in radii):
         raise ValueError("radii must be finite and positive")
     if len(set(radii)) < 2:

@@ -11,6 +11,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import obstruction
+from .asymptotic import check_decay_radii
 from .numdiff import power_law_fit
 from .polyjet import SphericalSeries
 from .quadrature import sphere_area, sphere_directions
@@ -21,10 +22,11 @@ NOT_INTEGRABLE = "not_integrable"
 INCONCLUSIVE = "inconclusive"
 
 
-def _conformal_scalar_at(S: GraphSurface, x) -> Tuple[float, PointGeometry]:
-    """The conformal scalar at x together with the point geometry it used."""
+def _conformal_scalar_at(S: GraphSurface, x) -> Tuple[float | np.ndarray, PointGeometry]:
+    """The conformal scalar at x, one point (n,) or points (N, n), together
+    with the point geometry it used."""
     x = np.asarray(x, dtype=float)
-    if float(x @ x) == 0.0:
+    if np.any(np.vecdot(x, x) == 0.0):
         raise ValueError("the conformal factor is singular at the origin")
     n = S.n
     geo = point_geometry(S, x)
@@ -36,15 +38,17 @@ def _conformal_scalar_at(S: GraphSurface, x) -> Tuple[float, PointGeometry]:
     return scalar, geo
 
 
-def conformal_scalar(S: GraphSurface, x) -> float:
+def conformal_scalar(S: GraphSurface, x) -> float | np.ndarray:
     """Scalar curvature of rho^{-2} g at the surface point over x:
-    rho^2 (R_g + 4(n-1) H eta / rho + 4 n (n-1) eta^2 / rho^2)."""
+    rho^2 (R_g + 4(n-1) H eta / rho + 4 n (n-1) eta^2 / rho^2).  A float
+    for one point (n,), an (N,) array for points (N, n)."""
     return _conformal_scalar_at(S, x)[0]
 
 
-def curvature_density_factor(S: GraphSurface, x) -> float:
+def curvature_density_factor(S: GraphSurface, x) -> float | np.ndarray:
     """Density of (scalar curvature) x (volume) of the conformal metric
-    against the original volume element: rho^{2-n} (R_g + ...)."""
+    against the original volume element: rho^{2-n} (R_g + ...).  A float
+    for one point (n,), an (N,) array for points (N, n)."""
     scalar, geo = _conformal_scalar_at(S, x)
     return geo.rho ** (-S.n) * scalar
 
@@ -105,16 +109,16 @@ def integrability_probe(
     """Numeric divergence test: the shell integral of |density| at radius s
     scales like s^{k+3-n}; the annulus integral converges iff the log-log
     slope exceeds -1.  Slopes within 0.1 of -1 are treated as divergent
-    (marginal orders diverge logarithmically)."""
+    (marginal orders diverge logarithmically).  Each shell is one density
+    call on all the directions; `check_decay_radii` vets the radii first."""
+    check_decay_radii(radii)
     dirs = sphere_directions(S.n, seed=seed)
     area = sphere_area(S.n)
-    shells = []
-    for s in sorted(radii, reverse=True):
-        vals = [abs(curvature_density_factor(S, s * d)) for d in dirs]
-        shells.append(float(np.mean(vals)) * area * s ** (S.n - 1))
     rs = sorted(radii, reverse=True)
+    shells = [float(np.mean(np.abs(curvature_density_factor(S, s * dirs))))
+              * area * s ** (S.n - 1) for s in rs]
     if max(shells) < 1e-13:
-        return IntegrabilityProbe(list(rs), shells, 0.0, 1.0, INCONCLUSIVE)
+        return IntegrabilityProbe(rs, shells, 0.0, 1.0, INCONCLUSIVE)
     slope, _, r2 = power_law_fit(rs, shells)
-    verdict = INTEGRABLE if slope > -0.9 else NOT_INTEGRABLE
-    return IntegrabilityProbe(list(rs), shells, slope, r2, verdict)
+    return IntegrabilityProbe(rs, shells, slope, r2,
+                              INTEGRABLE if slope > -0.9 else NOT_INTEGRABLE)

@@ -42,15 +42,12 @@ class BatchPoly:
     (d <= 2, 4, 8, ...).  Each is the product of its head of degree
     floor(d/2) and its tail of degree ceil(d/2), both on lower levels.
     Rows that are only halves carry zero coefficients in the (rows, K)
-    `coeffs`; zero polynomials alone give no rows.  A batch fills each
-    level with one gather and one multiply, no powers; a single point,
-    (n,) or (1, n), takes one product over each row's coordinate rows,
-    padded with row 0, which is cheaper than three levels at N = 1.  The
-    two multiply in different orders, so a point's values agree with its
-    batch row to rounding, not bit for bit.  The (N, K) values are one
-    matrix product, taken as (K, rows) @ (rows, N) and returned as its
-    transpose: at 4096 points the (N, rows) @ (rows, K) form on the
-    transposed table took 2x (sphere n = 3) to 3.5x (n = 5) as long.
+    `coeffs`; zero polynomials alone give no rows.  Points (N, n) fill
+    each level with one gather and one multiply, no powers; one point
+    (n,) is a batch of one.  The (N, K) values are one matrix product,
+    taken as (K, rows) @ (rows, N) and returned as its transpose: at 4096
+    points the (N, rows) @ (rows, K) form on the transposed table took 2x
+    (sphere n = 3) to 3.5x (n = 5) as long.
     """
 
     def __init__(self, polys: Sequence[MultiPoly]):
@@ -87,20 +84,11 @@ class BatchPoly:
                       [row[m[len(m) // 2:]] for m in group]]
             self.levels.append((start, start + len(group), np.array(halves, dtype=np.intp)))
             start += len(group)
-        width = max((len(m) for m in order), default=0)
-        self.factors = np.array(
-            [m + (0,) * (width - len(m)) for m in order], dtype=np.intp
-        ).reshape(len(order), width)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[-1] != self.n:
             raise ValueError(f"points need {self.n} coordinates, got {pts.shape[-1]}")
-        if pts.ndim == 1 or pts.shape[0] == 1:
-            x = np.empty(self.n + 1)
-            x[0] = 1.0
-            x[1:] = pts.reshape(self.n)
-            return np.multiply.reduce(x[self.factors], axis=1).dot(self.coeffs)[None, :]
         if self.coeffs.size == 0:
             return np.zeros((pts.shape[0], self.coeffs.shape[1]))
         mono = np.empty((self.coeffs.shape[0], pts.shape[0]))
@@ -115,7 +103,7 @@ class BatchPoly:
 # -- the surface ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphSurface:
     """A hypersurface given as the graph of f over a neighborhood of 0.
 
@@ -123,14 +111,16 @@ class GraphSurface:
     point (n,) and returns a float; it may also take a batch (N, n) and
     return a float array of shape (N,), the values at the rows
     (`_f_num_rows` tells the two apart).  A numeric surface's derivatives
-    are finite differences of one `f_value` call (`_fd`)."""
+    are finite differences of one `f_value` call (`_fd`).  The fields are
+    frozen, since the evaluators and the batch decision cached from them
+    would go stale; `dataclasses.replace` makes a changed copy."""
 
     n: int
     f_jet: Optional[Jet] = None
     f_num: Optional[Callable[[np.ndarray], float]] = None
     fd_step: float = 1e-5
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False, init=False)
+    _cache: dict = field(default_factory=dict, repr=False, init=False, compare=False)
 
     def __post_init__(self):
         if (self.f_jet is None) == (self.f_num is None):
@@ -364,39 +354,43 @@ class PointGeometry:
     g: np.ndarray
     g_inv: np.ndarray
     II: np.ndarray
-    H: float
-    R_g: float
-    rho: float
-    eta: float
-    w: float  # sqrt(1 + |grad f|^2)
-    f: float
+    H: float | np.ndarray
+    R_g: float | np.ndarray
+    rho: float | np.ndarray
+    eta: float | np.ndarray
+    w: float | np.ndarray  # sqrt(1 + |grad f|^2)
+    f: float | np.ndarray
     grad: np.ndarray
     hess: np.ndarray
 
 
 def point_geometry(S: GraphSurface, x) -> PointGeometry:
-    """Metric, second fundamental form, curvatures, rho and eta at x, with
-    the f, grad f and Hess f they were computed from."""
+    """Metric, second fundamental form, curvatures, rho and eta at one
+    point x (n,), the scalars floats, or at the points x (..., n), each
+    field with their leading axes in front; with the f, grad f and Hess f
+    they were computed from, all from one `f_derivatives_batch` call."""
     x = np.asarray(x, dtype=float)
-    fs, grads, hesses = S.f_derivatives_batch(x, 2)
-    return _geometry(x, float(fs[0]), grads[0], hesses[0])
+    lead = x.shape[:-1]
+    parts = S.f_derivatives_batch(x.reshape(-1, x.shape[-1]), 2)
+    f, grad, hess = (v.reshape(lead + v.shape[1:]) for v in parts)
+    return _geometry(x, f[()], grad, hess)  # f[()]: a float for one point
 
 
-def _geometry(x: np.ndarray, f: float, grad: np.ndarray, hess: np.ndarray) -> PointGeometry:
-    """`point_geometry` from f, grad f and Hess f at x."""
-    n = x.shape[0]
-    w2 = 1.0 + float(grad @ grad)
-    w = math.sqrt(w2)
-    g = np.eye(n) + np.outer(grad, grad)
-    g_inv = np.eye(n) - np.outer(grad, grad) / w2
-    II = hess / w
-    H = float(np.trace(g_inv @ hess)) / w
+def _geometry(x: np.ndarray, f, grad: np.ndarray, hess: np.ndarray) -> PointGeometry:
+    """`point_geometry` from f, grad f and Hess f at the points x (..., n);
+    a point (n,) with a float f gives float scalars."""
+    eye = np.eye(x.shape[-1])
+    w2 = 1.0 + np.vecdot(grad, grad)
+    w = np.sqrt(w2)
+    outer = grad[..., :, None] * grad[..., None, :]
+    g_inv = eye - outer / w2[..., None, None]
+    II = hess / w[..., None, None]
+    H = np.trace(g_inv @ hess, axis1=-2, axis2=-1) / w
     B = g_inv @ II
-    II_norm_sq = float(np.trace(B @ B))
-    R_g = H * H - II_norm_sq
-    rho = float(x @ x) + f * f
-    eta = (f - float(x @ grad)) / w
-    return PointGeometry(g, g_inv, II, H, R_g, rho, eta, w, f, grad, hess)
+    R_g = H * H - np.trace(B @ B, axis1=-2, axis2=-1)
+    rho = np.vecdot(x, x) + f * f
+    eta = (f - np.vecdot(x, grad)) / w
+    return PointGeometry(eye + outer, g_inv, II, H, R_g, rho, eta, w, f, grad, hess)
 
 
 @dataclass

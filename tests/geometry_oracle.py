@@ -1,9 +1,9 @@
 """Independent numeric geometry, kept as test oracles: a sphere given only
 by a black-box height function, the intrinsic scalar curvature of a graph
 from finite differences of its metric alone, the numeric rho identities
-one point of the metric's stencil at a time, and the principal curvatures
-of an inverted cylinder, a closed form checked against a finite-difference
-shape operator.
+one point of the metric's stencil at a time, the integrability probe one
+point at a time, and the principal curvatures of an inverted cylinder, a
+closed form checked against a finite-difference shape operator.
 """
 
 import math
@@ -12,7 +12,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from umbilic import numdiff
+from umbilic import conformal, numdiff
+from umbilic.quadrature import sphere_area, sphere_directions
 from umbilic.surface import GraphSurface, RhoIdentityResiduals, point_geometry
 
 
@@ -155,3 +156,17 @@ def cylinder_inversion_curvatures(
         sign = -1
         eigs = -eigs
     return CylinderCurvatures(lam, mu, np.sort(eigs), sign)
+
+
+def integrability_probe_pointwise(S: GraphSurface, radii, seed: int = 0):
+    """`conformal.integrability_probe` one density call per point: the
+    reference for the probe, which takes each shell in one call."""
+    dirs = sphere_directions(S.n, seed=seed)
+    rs = sorted(radii, reverse=True)
+    shells = [float(np.mean([abs(conformal.curvature_density_factor(S, s * d)) for d in dirs]))
+              * sphere_area(S.n) * s ** (S.n - 1) for s in rs]
+    if max(shells) < 1e-13:
+        return conformal.IntegrabilityProbe(rs, shells, 0.0, 1.0, conformal.INCONCLUSIVE)
+    slope, _, r2 = numdiff.power_law_fit(rs, shells)
+    verdict = conformal.INTEGRABLE if slope > -0.9 else conformal.NOT_INTEGRABLE
+    return conformal.IntegrabilityProbe(rs, shells, slope, r2, verdict)

@@ -1,6 +1,7 @@
 """Conformal scalar curvature, leading-order extraction, and the
 integrability classifier with its numeric annulus probe."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from umbilic import conformal
 from umbilic.numdiff import scalar_curvature_fd
 from umbilic.polyjet import MultiPoly
 from umbilic.surface import GraphSurface
+
+from geometry_oracle import integrability_probe_pointwise, sphere_numeric
 
 
 def test_flat_conformal_scalar_zero():
@@ -60,6 +63,31 @@ def test_density_consistency():
     assert conformal.curvature_density_factor(S, x) == pytest.approx(
         conformal.conformal_scalar(S, x) * rho ** (-n), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_density_takes_rows(n):
+    # (N, n) gives (N,) values, each its point's to 2e-13 of the largest
+    # (measured: 1.9e-14 on the cubic at n = 6, the rows' rounding grown
+    # by the cancellation among the conformal terms)
+    X = np.random.default_rng(n).uniform(-0.3, 0.3, (5, n))
+    for S in (GraphSurface.cubic_x1(n), sphere_numeric(n, batch=True)):
+        for fn in (conformal.conformal_scalar, conformal.curvature_density_factor):
+            rows = fn(S, X)
+            assert rows.shape == (5,)
+            points = [fn(S, x) for x in X]
+            assert all(isinstance(v, float) for v in points)
+            assert np.allclose(rows, points, rtol=0, atol=2e-13 * np.max(np.abs(rows)))
+
+
+def test_density_batch_with_origin_raises():
+    S = GraphSurface.cubic_x1(3)
+    X = np.array([[0.1, 0.0, 0.2], [0.0, 0.0, 0.0], [0.3, 0.1, 0.0]])
+    for fn in (conformal.conformal_scalar, conformal.curvature_density_factor):
+        with pytest.raises(ValueError, match="singular at the origin"):
+            fn(S, X)
+        with pytest.raises(ValueError, match="singular at the origin"):
+            fn(S, X[1])
 
 
 # -- leading order and classification ----------------------------------------------
@@ -154,3 +182,39 @@ def test_probe_slope_matches_prediction():
     probe = conformal.integrability_probe(S)
     assert probe.slope == pytest.approx(2 + 3 - n, abs=0.15)
     assert probe.r_squared > 0.99
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_probe_matches_pointwise_oracle(n):
+    # one density call per shell against one per point: the shells moved
+    # at most 4.2e-9 relative and the slope 4.9e-10 (seeds 0-5), the small
+    # shells' cancellation amplifying the rows' rounding
+    S = GraphSurface.cubic_x1(n)
+    for seed in (0, 1, 7):
+        probe = conformal.integrability_probe(S, seed=seed)
+        oracle = integrability_probe_pointwise(S, probe.radii, seed=seed)
+        assert probe.verdict == oracle.verdict
+        assert probe.radii == oracle.radii
+        assert np.allclose(probe.shell_values, oracle.shell_values, rtol=2e-8, atol=0)
+        assert probe.slope == pytest.approx(oracle.slope, abs=2e-9)
+
+
+@pytest.mark.parametrize("radii, match", [
+    ((0.1,), "two distinct"),
+    ((0.1, 0.1, 0.1), "two distinct"),
+    ((0.1, -0.01), "finite and positive"),
+    ((0.1, 0.0), "finite and positive"),
+    ((0.1, math.nan), "finite and positive"),
+    ((0.1, math.inf), "finite and positive"),
+], ids=["one", "repeated", "negative", "zero", "nan", "inf"])
+def test_probe_rejects_degenerate_radii(radii, match):
+    # (0.1,) and (0.1, 0.1, 0.1) read not_integrable on the integrable
+    # cubic (slope -1.969, R^2 1.0); a negative or NaN radius raised
+    # LinAlgError from the fit.  The check comes before any evaluation.
+    calls = []
+    S = GraphSurface(5, f_num=lambda x: calls.append(x) or 0.0)
+    with pytest.raises(ValueError, match=match):
+        conformal.integrability_probe(S, radii=radii)
+    assert calls == []
+    with pytest.raises(ValueError, match=match):
+        conformal.integrability_probe(GraphSurface.cubic_x1(5), radii=radii)

@@ -1044,9 +1044,13 @@ def test_packed_json_and_batch_table_match_tuple_oracle(data):
     assert poly_from_json(json.loads(json.dumps(poly_to_json(a))), n) == a
     polys = [data.draw(wide_polys(n, 6, params=((),))) for _ in range(3)]
     batch = BatchPoly(polys)
+    # each row's monomial: 1, the coordinates, then head + tail per level
+    monos = [()] + [(i,) for i in range(1, n + 1)]
+    for _, _, (heads, tails) in batch.levels:
+        monos += [monos[h] + monos[t] for h, t in zip(heads, tails)]
+    assert len(batch.coeffs) in (0, len(monos))
     table = [{} for _ in polys]
-    for row, factors in zip(batch.coeffs, batch.factors):
-        mono = tuple(int(f) for f in factors if f)
+    for row, mono in zip(batch.coeffs, monos):
         for k, c in enumerate(row):
             if c:
                 table[k][mono] = c

@@ -1,6 +1,7 @@
 """Graph-surface geometry: metric, curvatures, position-vector identities,
 umbilical decomposition, and the inverted-cylinder spectrum."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -50,6 +51,29 @@ def random_cubic(n, rng, n_terms=6, with_quadratic=True):
 
 
 # -- point geometry against hand values -------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_point_geometry_rows_match_points(n):
+    # points (N, n) take one evaluation; each row is the point's geometry
+    # to 1e-14 of the field's largest entry (measured: 1.1e-15, on eta of
+    # the sphere jet at n = 6; rows of a numeric surface were bit-identical),
+    # as the BLAS kernels round differently for one row and for N
+    X = RNG.uniform(-0.3, 0.3, (6, n))
+    fields = ("g", "g_inv", "II", "H", "R_g", "rho", "eta", "w", "f", "grad", "hess")
+    for S in (GraphSurface.cubic_x1(n), GraphSurface.sphere(n), sphere_numeric(n),
+              sphere_numeric(n, batch=True)):
+        rows, grid = point_geometry(S, X), point_geometry(S, X.reshape(2, 3, n))
+        for i, x in enumerate(X):
+            one = point_geometry(S, x)
+            assert all(isinstance(getattr(one, k), float) for k in fields[3:9])
+            for k in fields:
+                a, b = getattr(rows, k), getattr(one, k)
+                assert a.shape == (6,) + np.shape(b)
+                assert np.allclose(a[i], b, rtol=0, atol=1e-14 * np.max(np.abs(a)))
+        for k in fields:
+            a = getattr(rows, k)
+            assert np.array_equal(getattr(grid, k), a.reshape((2, 3) + a.shape[1:]))
 
 
 def test_flat_geometry_trivial():
@@ -313,6 +337,22 @@ def test_fd_step_must_be_finite_and_positive(bad):
     with pytest.raises(ValueError, match="fd_step must be a finite positive number"):
         GraphSurface.from_json({"n": 3, "kind": "sphere", "fd_step": str(bad)})
     assert GraphSurface.from_json({"n": 3, "kind": "sphere", "fd_step": "3e-6"}).fd_step == 3e-6
+
+
+def test_surface_fields_are_frozen():
+    # fd_step = -1e-5 after construction made f_hess raise "math domain
+    # error", and a new f_num kept the old function's cached batch decision
+    S = GraphSurface(3, f_num=reads_coordinates)
+    S.f_value(np.full((5, 3), 0.1))
+    for name, value in (("fd_step", -1e-5), ("f_num", lambda x: 0.0), ("n", 4), ("name", "x")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(S, name, value)
+    assert S.fd_step == 1e-5 and S.f_num is reads_coordinates
+    T = dataclasses.replace(S, fd_step=3e-6)
+    assert T.fd_step == 3e-6 and T._cache == {} and T != S
+    jet = GraphSurface.cubic_x1(3)
+    jet._sym(1)
+    assert {jet: 1}[GraphSurface.cubic_x1(3)] == 1 and jet == GraphSurface.cubic_x1(3)
 
 
 def test_numeric_derivatives_call_f_num_once():
@@ -733,10 +773,10 @@ def test_evaluator_rejects_wrong_coordinate_count():
 
 
 @pytest.mark.parametrize("builtin, n", [("sphere", 4), ("quartic_x1", 3), ("cubic_x1", 5)])
-def test_batch_poly_one_point_branch(builtin, n):
-    # (n,) and (1, n) share the one-point branch: one product per monomial
-    # over a flat gather, bit for bit the product formula it replaced.  The
-    # batch rows build monomials by halves, so they agree to rounding only.
+def test_batch_poly_point_is_a_batch_of_one(builtin, n):
+    # (n,) is the batch (1, n): one path, bit for bit.  Its values agree
+    # with its row of a larger batch to rounding only, since the final
+    # matrix product's BLAS kernel depends on the batch size.
     S = GraphSurface.builtin(builtin, n)
     pts = RNG.uniform(-0.5, 0.5, (6, n))
     for P in (S._sym(0), S._sym(1), S._sym(2)):
@@ -745,8 +785,6 @@ def test_batch_poly_one_point_branch(builtin, n):
             one = P(x)
             assert one.shape == (1, P.coeffs.shape[1])
             assert np.array_equal(P(x[None, :]), one)
-            product = np.concatenate(([1.0], x))[P.factors].prod(axis=1).dot(P.coeffs)
-            assert np.array_equal(one[0], product)
             assert np.allclose(one[0], rows[p], rtol=1e-14, atol=1e-15)
         for bad in (np.zeros(n + 1), np.zeros((1, n + 1))):
             with pytest.raises(ValueError, match="coordinates"):
