@@ -11,6 +11,9 @@ normal normalized so that the sphere tangent at the origin has H = +n/R:
     H     = tr_g(II)
     rho   = |x|^2 + f^2
     eta   = (f - x . grad f) / sqrt(1 + |grad f|^2)
+
+The exact counterparts for a jet, `jet_geometry` and the rho identities
+`rho_identity_residuals`, are in `obstruction`.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import numdiff
+from .obstruction import RhoIdentityResiduals, rho_identity_residuals
 from .polyjet import Jet, MultiPoly, poly_from_json, poly_to_json, unpack_exponent
 
 
@@ -393,76 +397,18 @@ def _geometry(x: np.ndarray, f, grad: np.ndarray, hess: np.ndarray) -> PointGeom
     return PointGeometry(eye + outer, g_inv, II, H, R_g, rho, eta, w, f, grad, hess)
 
 
-@dataclass
-class JetGeometry:
-    """Exact graph quantities of f, each a jet truncated at order W.
-
-    With inv_w2 = 1/(1 + |grad f|^2) the inverse metric is
-    g^{-1} = I - inv_w2 grad f grad f^T (Sherman-Morrison), so every
-    g-trace is rational in these jets: tr_g M = tr M - inv_w2 grad f.M grad f.
-    """
-
-    grad: List[Jet]  # grad f
-    hess: List[List[Jet]]  # Hess f; hess[a][b] and hess[b][a] are one jet
-    inv_w2: Jet  # 1/(1 + |grad f|^2)
-    hess_grad: List[Jet]  # Hess f . grad f
-    trace: Jet  # tr_g Hess f = Lap f - inv_w2 grad f . Hess f grad f
-
-
-def jet_geometry(poly: MultiPoly, W: int) -> JetGeometry:
-    """The exact counterpart of `point_geometry`: grad f, Hess f, inv_w2,
-    Hess f . grad f and tr_g Hess f of the polynomial f, truncated at
-    total order W."""
-    n = poly.n
-    zero = Jet.const(n, 0, W)
-    first = poly.grad()
-    grad = [Jet.of(p, W) for p in first]
-    hess = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            hess[a][b] = hess[b][a] = Jet.of(first[a].diff(b), W)
-    inv_w2 = (Jet.const(n, 1, W) + Jet.dot(n, W, zip(grad, grad))).power_unit(-1)
-    hess_grad = [Jet.dot(n, W, zip(hess[a], grad)) for a in range(n)]
-    lap = sum((hess[a][a] for a in range(n)), zero)
-    quad = Jet.dot(n, W, zip(grad, hess_grad))
-    return JetGeometry(grad, hess, inv_w2, hess_grad, lap - inv_w2 * quad)
-
-
 # -- the rho / eta identities ---------------------------------------------------
 
 
-@dataclass
-class RhoIdentityResiduals:
-    """Residuals of the three position-vector identities on M:
-    |grad_g rho|^2 = 4 rho - 4 eta^2,
-    Hess_g rho = 2 g + 2 eta II,
-    Lap_g rho = 2 n + 2 eta H."""
-
-    grad_sq: float
-    hessian: float
-    laplacian: float
-    exact: bool = False
-
-    def max(self) -> float:
-        """The largest |residual|, or NaN if any residual is not finite:
-        a NaN must fail a `max() < tol` check, which Python's max, keeping
-        its first argument, would let it pass."""
-        res = (abs(self.grad_sq), abs(self.hessian), abs(self.laplacian))
-        return max(res) if all(map(math.isfinite, res)) else math.nan
-
-
 def verify_rho_identities(S: GraphSurface, x) -> RhoIdentityResiduals:
+    """The identities exactly on a jet surface, x unread
+    (`obstruction.rho_identity_residuals`), else at x from finite
+    differences of f.  Every point that check needs is known before f is
+    called: x, the Richardson stencils of grad f and Hess f at x, and those
+    of grad f around each point of the metric's gradient stencil.  `_fd`
+    takes them, M = 20n^2 + 4n + 3 points, in one `f_value` call."""
     if S.symbolic:
-        return _verify_rho_symbolic(S)
-    return _verify_rho_numeric(S, x)
-
-
-def _verify_rho_numeric(S: GraphSurface, x) -> RhoIdentityResiduals:
-    """The identities at x from finite differences of f.  Every point the
-    check needs is known before f is called: x, the Richardson stencils of
-    grad f and Hess f at x, and those of grad f around each point of the
-    metric's gradient stencil.  `_fd` takes them, M = 20n^2 + 4n + 3
-    points, in one `f_value` call."""
+        return rho_identity_residuals(S.f_jet)
     x = np.asarray(x, dtype=float)
     if x.shape != (S.n,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x must be one finite point of {S.n} coordinates, got {x!r}")
@@ -492,64 +438,3 @@ def _verify_rho_numeric(S: GraphSurface, x) -> RhoIdentityResiduals:
     res2 = float(np.max(np.abs(cov_hess - 2.0 * geo.g - 2.0 * geo.eta * geo.II)))
     res3 = float(np.trace(geo.g_inv @ cov_hess)) - (2.0 * n + 2.0 * geo.eta * geo.H)
     return RhoIdentityResiduals(res1, res2, res3, exact=False)
-
-
-def _verify_rho_symbolic(S: GraphSurface) -> RhoIdentityResiduals:
-    """Exact jet computation; residuals are identically zero jets when the
-    identities hold to the truncation order.
-
-    f is certified to its jet order D, its Hessian only to D - 2, and
-    products inherit the weakest certification, so everything is computed
-    at W = D - 2.  Truncating at a total degree is a ring homomorphism, so
-    this gives the same certified residuals as working at D.
-
-    Square roots never appear: with w = 1/(1 + |grad f|^2) one has
-    eta^2 = (f - x.grad f)^2 w,  eta II_ab = (f - x.grad f) f_ab w, and
-    eta H = (f - x.grad f) w tr_g(Hess f), all rational in jets.
-    """
-    n, W = S.n, S.f_jet.order - 2
-    geo = jet_geometry(S.f_jet.poly, W)
-    grad, hess, w = geo.grad, geo.hess, geo.inv_w2
-    zero = Jet.const(n, 0, W)
-    f = S.f_jet.rejet(W)
-    xs = [Jet.of(MultiPoly.var(n, i), W) for i in range(n)]
-
-    u = f - Jet.dot(n, W, zip(xs, grad))  # eta sqrt(1+|grad f|^2)
-    uw = u * w
-    two_f, two_uw = 2 * f, 2 * uw
-    one, two = Jet.const(n, 1, W), Jet.const(n, 2, W)
-    rho = Jet.of(MultiPoly.x_norm_sq(n), W) + f * f
-    rho_grad = [2 * xs[i] + two_f * grad[i] for i in range(n)]
-    graddot = Jet.dot(n, W, zip(grad, rho_grad))
-    wgd = w * graddot
-
-    # |grad_g rho|^2 with g^{-1} = I - w grad f grad f^T.
-    lhs1 = Jet.dot(n, W, [*zip(rho_grad, rho_grad), (wgd, graddot)], [1] * n + [-1])
-    res1 = lhs1 - (4 * rho - 4 * u * uw)
-
-    def mag(j: Jet) -> float:
-        return max(map(abs, j.poly.num.values()), default=0) / j.poly.den
-
-    # Gamma^c_ab = (g^{-1} grad f)_c f_ab = w grad_c f_ab, so
-    # Hess_ab = rho_ab - w (grad f . grad rho) f_ab.  The loop also sums
-    # tr rho'' and grad f . rho'' grad f for the Laplacian.
-    res2_max = 0.0
-    tr_rho_hess, quad_pairs, quad_weights = zero, [], []
-    for a in range(n):
-        for b in range(a, n):
-            gg = grad[a] * grad[b]
-            rho_ab = (two if a == b else zero) + 2 * gg + two_f * hess[a][b]
-            cov = rho_ab - wgd * hess[a][b]
-            g_ab = (one if a == b else zero) + gg
-            res2_max = max(res2_max, mag(cov - 2 * g_ab - two_uw * hess[a][b]))
-            quad_pairs.append((rho_ab, gg))
-            quad_weights.append(1 if a == b else 2)
-            if a == b:
-                tr_rho_hess = tr_rho_hess + rho_ab
-    quad = Jet.dot(n, W, quad_pairs, quad_weights)
-
-    # Laplacian: tr_g Cov = tr_g rho'' - w graddot tr_g f'', tr_g M = tr M - w grad f.M grad f.
-    lap_lhs = tr_rho_hess - w * quad - wgd * geo.trace
-    res3 = lap_lhs - (Jet.const(n, 2 * n, W) + 2 * uw * geo.trace)
-
-    return RhoIdentityResiduals(mag(res1), res2_max, mag(res3), exact=True)

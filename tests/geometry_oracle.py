@@ -163,10 +163,15 @@ def integrability_probe_pointwise(S: GraphSurface, radii, seed: int = 0):
     reference for the probe, which takes each shell in one call."""
     dirs = sphere_directions(S.n, seed=seed)
     rs = sorted(radii, reverse=True)
-    shells = [float(np.mean([abs(conformal.curvature_density_factor(S, s * d)) for d in dirs]))
-              * sphere_area(S.n) * s ** (S.n - 1) for s in rs]
-    if max(shells) < 1e-13:
+    shells, fit = [], []
+    for s in rs:
+        pairs = [conformal.curvature_density_factor(S, s * d, scale=True) for d in dirs]
+        mean = float(np.mean([abs(density) for density, _ in pairs]))
+        shells.append(mean * sphere_area(S.n) * s ** (S.n - 1))
+        if mean > conformal.ZERO_SHELL * float(np.mean([size for _, size in pairs])):
+            fit.append((s, shells[-1]))
+    if len({s for s, _ in fit}) < 2:
         return conformal.IntegrabilityProbe(rs, shells, 0.0, 1.0, conformal.INCONCLUSIVE)
-    slope, _, r2 = numdiff.power_law_fit(rs, shells)
+    slope, _, r2 = numdiff.power_law_fit(*zip(*fit))
     verdict = conformal.INTEGRABLE if slope > -0.9 else conformal.NOT_INTEGRABLE
     return conformal.IntegrabilityProbe(rs, shells, slope, r2, verdict)

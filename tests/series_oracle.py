@@ -28,7 +28,7 @@ from umbilic.obstruction import (
     umbilical_decompose,
 )
 from umbilic.polyjet import Jet, MultiPoly, SphericalSeries
-from umbilic.surface import jet_geometry
+from umbilic.obstruction import jet_geometry
 
 
 def on_sphere(P: MultiPoly) -> SphericalSeries:

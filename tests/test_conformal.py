@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from umbilic import conformal
-from umbilic.numdiff import scalar_curvature_fd
+from umbilic.numdiff import power_law_fit, scalar_curvature_fd
 from umbilic.polyjet import MultiPoly
+from umbilic.quadrature import sphere_directions
 from umbilic.surface import GraphSurface
 
 from geometry_oracle import integrability_probe_pointwise, sphere_numeric
@@ -173,6 +174,52 @@ def test_probe_flat_inconclusive():
     S = GraphSurface.flat(3)
     probe = conformal.integrability_probe(S)
     assert probe.verdict == conformal.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_probe_sphere_inconclusive(n):
+    # the sphere's conformal scalar is identically 0: every shell is
+    # rounding noise (an absolute 1e-13 floor read not_integrable at
+    # n = 5, 6, 7, slopes -1.02, -2.28, -3.14), yet each is reported
+    S = GraphSurface.sphere(n)
+    for seed in (0, 1, 7):
+        probe = conformal.integrability_probe(S, seed=seed)
+        assert probe.verdict == conformal.INCONCLUSIVE
+        assert len(probe.shell_values) == len(probe.radii) == 5
+        assert max(probe.shell_values) > 0.0
+
+
+def test_probe_floor_margins():
+    # mean |density| over the mean size of the terms that cancel in it:
+    # <= 5.9e-14 on every sphere shell, >= 1.0e-9 on every cubic_x1 shell
+    def ratios(S):
+        for seed in (0, 1, 7):
+            for s in (1e-1, 10**-1.75, 10**-2.5, 10**-3.25, 1e-4):
+                x = s * sphere_directions(S.n, seed=seed)
+                density, size = conformal.curvature_density_factor(S, x, scale=True)
+                assert np.array_equal(density, conformal.curvature_density_factor(S, x))
+                yield float(np.mean(np.abs(density)) / np.mean(size))
+
+    for n in range(3, 8):
+        assert max(ratios(GraphSurface.sphere(n))) < conformal.ZERO_SHELL / 10
+        assert min(ratios(GraphSurface.cubic_x1(n))) > conformal.ZERO_SHELL * 100
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_probe_agrees_with_classifier_quartic(n):
+    # k = 4, slope 7 - n; the shells at s <= 10^-3.25 are below the floor
+    # and left out of the fit
+    S = GraphSurface.quartic_x1(n)
+    expected = conformal.classify_integrability(n, conformal.leading_order_of_R(S))
+    for seed in (0, 1, 7):
+        probe = conformal.integrability_probe(S, seed=seed)
+        assert probe.verdict == expected
+        assert probe.slope == pytest.approx(7 - n, abs=0.05)
+        slope, _, _ = power_law_fit(probe.radii[:3], probe.shell_values[:3])
+        assert probe.slope == slope
+        oracle = integrability_probe_pointwise(S, probe.radii, seed=seed)
+        assert oracle.verdict == probe.verdict
+        assert oracle.slope == pytest.approx(probe.slope, abs=1e-6)
 
 
 def test_probe_slope_matches_prediction():

@@ -14,7 +14,8 @@ from umbilic import asymptotic as asym
 from umbilic import obstruction as ob
 import series_oracle as so
 from poly_oracle import evaluate, evaluate_series
-from umbilic.surface import GraphSurface, jet_geometry, point_geometry
+from umbilic.obstruction import jet_geometry
+from umbilic.surface import GraphSurface, point_geometry
 
 RNG = np.random.default_rng(411)
 

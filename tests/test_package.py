@@ -21,6 +21,17 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_exact_modules_load_alone():
+    # the exact half (polyjet, obstruction) needs neither numpy nor the
+    # numeric modules, and `import umbilic` loads no submodule
+    code = ("import sys, umbilic.polyjet, umbilic.obstruction; "
+            "print('numpy' in sys.modules, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'umbilic'))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False ['umbilic', 'umbilic.obstruction', 'umbilic.polyjet']"
+
+
 def test_no_source_file_imports_scipy():
     pattern = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
     files = sorted((SRC / "umbilic").rglob("*.py"))

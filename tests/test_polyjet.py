@@ -29,7 +29,8 @@ from umbilic.polyjet import (
 )
 
 from umbilic import asymptotic, mass, obstruction
-from umbilic.surface import BatchPoly, GraphSurface, jet_geometry
+from umbilic.obstruction import jet_geometry
+from umbilic.surface import BatchPoly, GraphSurface
 
 from poly_oracle import (
     TuplePoly,

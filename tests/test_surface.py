@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbilic import numdiff
-from umbilic.obstruction import NotUmbilical, umbilical_decompose
+from umbilic.obstruction import NotUmbilical, jet_geometry, umbilical_decompose
 from umbilic.polyjet import Jet, MultiPoly
 from umbilic.surface import (
     BatchPoly,
     GraphSurface,
     RhoIdentityResiduals,
-    jet_geometry,
     point_geometry,
     verify_rho_identities,
 )
