@@ -6,7 +6,7 @@ L^1-integrability classifier with a numeric annulus probe."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,18 +28,28 @@ INCONCLUSIVE = "inconclusive"
 ZERO_SHELL = 1e-12
 
 
-def _conformal_scalar_at(S: GraphSurface, x) -> tuple:
+def _conformal_scalar_at(
+    S: GraphSurface, x
+) -> Tuple[float | np.ndarray, float | np.ndarray, float | np.ndarray]:
     """The conformal scalar at x, one point (n,) or points (N, n), the sum
     of the absolute values of its three terms, and rho, all from one point
     geometry."""
     x = np.asarray(x, dtype=float)
     if np.any(np.vecdot(x, x) == 0.0):
         raise ValueError("the conformal factor is singular at the origin")
-    n, geo = S.n, point_geometry(S, x)
-    rho, R_g, H, eta = geo.rho, geo.R_g, geo.H, geo.eta
-    scalar = rho**2 * (R_g + 4.0 * (n - 1) * H * eta / rho + 4.0 * n * (n - 1) * eta**2 / rho**2)
-    size = np.abs(rho**2 * R_g) + 4.0 * (n - 1) * np.abs(H * eta) * rho + 4.0 * n * (n - 1) * eta**2
-    return scalar, size, rho
+    n = S.n
+    geo = point_geometry(S, x)
+    scalar = geo.rho**2 * (
+        geo.R_g
+        + 4.0 * (n - 1) * geo.H * geo.eta / geo.rho
+        + 4.0 * n * (n - 1) * geo.eta**2 / geo.rho**2
+    )
+    size = (
+        np.abs(geo.rho**2 * geo.R_g)
+        + 4.0 * (n - 1) * np.abs(geo.H * geo.eta) * geo.rho
+        + 4.0 * n * (n - 1) * geo.eta**2
+    )
+    return scalar, size, geo.rho
 
 
 def conformal_scalar(S: GraphSurface, x) -> float | np.ndarray:
@@ -49,15 +59,17 @@ def conformal_scalar(S: GraphSurface, x) -> float | np.ndarray:
     return _conformal_scalar_at(S, x)[0]
 
 
-def curvature_density_factor(S: GraphSurface, x, scale: bool = False):
+def curvature_density_factor(
+    S: GraphSurface, x
+) -> Tuple[float | np.ndarray, float | np.ndarray]:
     """Density of (scalar curvature) x (volume) of the conformal metric
-    against the original volume element: rho^{2-n} (R_g + ...).  A float
-    for one point (n,), an (N,) array for points (N, n).  With scale, also
-    the size of the terms that cancel in it, rho^{-n} (|rho^2 R_g| +
-    4(n-1)|H eta| rho + 4n(n-1) eta^2), as the pair (density, size)."""
+    against the original volume element, rho^{2-n} (R_g + ...), and the
+    size of the terms that cancel in it, rho^{-n} (|rho^2 R_g| +
+    4(n-1)|H eta| rho + 4n(n-1) eta^2), as the pair (density, size): floats
+    for one point (n,), (N,) arrays for points (N, n)."""
     scalar, size, rho = _conformal_scalar_at(S, x)
     weight = rho ** (-S.n)
-    return (weight * scalar, weight * size) if scale else weight * scalar
+    return weight * scalar, weight * size
 
 
 @dataclass
@@ -126,7 +138,7 @@ def integrability_probe(
     rs = sorted(radii, reverse=True)
     shells, fit = [], []
     for s in rs:
-        density, size = curvature_density_factor(S, s * dirs, scale=True)
+        density, size = curvature_density_factor(S, s * dirs)
         mean = float(np.mean(np.abs(density)))
         shells.append(mean * area * s ** (S.n - 1))
         if mean > ZERO_SHELL * float(np.mean(size)):

@@ -480,11 +480,25 @@ def expansion_coefficients(f: Jet, W: int = 3) -> ObstructionReport:
     ct = on_sphere(cubic[0])
     c2_match = (c2 - ct).is_zero
     if A3.param_names():
-        lhs = rhs = match = None
+        lhs = rhs = None
+        match = None
     else:
         lhs, rhs = _integrated_identity(A3, cubic)
         match = lhs == rhs
     dim6 = _dim6_check(A3, cubic) if n == 6 else None
-    return ObstructionReport(n, W, series, c0, c1, c2, c0.is_zero, c1.is_zero, c2_match,
-                             lhs, rhs, match, dim6)
+    return ObstructionReport(
+        n,
+        W,
+        series,
+        c0,
+        c1,
+        c2,
+        c0.is_zero,
+        c1.is_zero,
+        c2_match,
+        lhs,
+        rhs,
+        match,
+        dim6,
+    )
 

@@ -165,7 +165,7 @@ def integrability_probe_pointwise(S: GraphSurface, radii, seed: int = 0):
     rs = sorted(radii, reverse=True)
     shells, fit = [], []
     for s in rs:
-        pairs = [conformal.curvature_density_factor(S, s * d, scale=True) for d in dirs]
+        pairs = [conformal.curvature_density_factor(S, s * d) for d in dirs]
         mean = float(np.mean([abs(density) for density, _ in pairs]))
         shells.append(mean * sphere_area(S.n) * s ** (S.n - 1))
         if mean > conformal.ZERO_SHELL * float(np.mean([size for _, size in pairs])):
