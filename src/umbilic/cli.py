@@ -97,6 +97,8 @@ def _load_surface(args) -> GraphSurface:
         raise UsageError(f"--order must be at least 2 (the quadratic part), not {order}")
     if args.n is not None and args.n < 2:  # the sphere quadrature's lower bound
         raise UsageError(f"--n must be at least 2, not {args.n}")
+    if args.radius is not None and getattr(args, "builtin", None) != "sphere":
+        raise UsageError("--radius needs --builtin sphere")
     if getattr(args, "poly", None):
         try:
             with open(args.poly) as fh:

@@ -2,7 +2,8 @@
 
 A surface is described by the height function f with f(0) = 0 and
 grad f(0) = 0, either as an exact truncated jet (symbolic mode) or as a
-black-box evaluator differentiated by finite differences (numeric mode).
+black-box evaluator differentiated by finite differences (numeric mode),
+which takes the points (N, n) and returns their N values.
 All curvature quantities follow the graph formulas with the inner-pointing
 normal normalized so that the sphere tangent at the origin has H = +n/R:
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -111,17 +111,15 @@ class BatchPoly:
 class GraphSurface:
     """A hypersurface given as the graph of f over a neighborhood of 0.
 
-    f is an exact jet (f_jet) or a black box (f_num).  f_num takes one
-    point (n,) and returns a float; it may also take a batch (N, n) and
-    return a float array of shape (N,), the values at the rows
-    (`_f_num_rows` tells the two apart).  A numeric surface's derivatives
-    are finite differences of one `f_value` call (`_fd`).  The fields are
-    frozen, since the evaluators and the batch decision cached from them
-    would go stale; `dataclasses.replace` makes a changed copy."""
+    f is an exact jet (f_jet) or a black box (f_num).  f_num takes the
+    points (N, n) and returns their N values.  A numeric surface's
+    derivatives are finite differences of one `f_value` call (`_fd`).  The
+    fields are frozen, since the evaluators cached from them would go
+    stale; `dataclasses.replace` makes a changed copy."""
 
     n: int
     f_jet: Optional[Jet] = None
-    f_num: Optional[Callable[[np.ndarray], float]] = None
+    f_num: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = 1e-5
     name: str = ""
     _cache: dict = field(default_factory=dict, repr=False, init=False, compare=False)
@@ -248,37 +246,18 @@ class GraphSurface:
 
     def f_value(self, x) -> float | np.ndarray:
         """f at one point x (n,) as a float, or at the rows of x (N, n) as
-        an (N,) array from one call of the order-0 table or of f_num."""
+        an (N,) array, from one call of the order-0 table or of f_num on
+        exactly those rows; one point is a batch of one."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return self._sym(0)(x)[:, 0] if self.symbolic else self._f_num_rows(x)
+        rows = np.atleast_2d(x)
         if self.symbolic:
-            return float(self._sym(0)(x)[0, 0])
-        return float(self.f_num(x))
-
-    def _f_num_rows(self, X: np.ndarray) -> np.ndarray:
-        """f_num at the rows of X (N, n): one call if f_num takes a batch,
-        else one per row.  The first batch decides, once per surface, padded
-        to n + 1 rows with its first row so that a one-point f_num reading
-        x[0], x[1], ... neither passes on (n, n) nor fails on one row.  A
-        float array of one value per row says batch; any other result, a
-        TypeError or a ValueError says one point; warnings are muted."""
-        if "batch" not in self._cache:
-            pad = self.n + 1 - len(X)
-            probe = np.concatenate([X, np.repeat(X[:1], pad, axis=0)]) if pad > 0 else X
-            with warnings.catch_warnings(), np.errstate(all="ignore"):
-                warnings.simplefilter("ignore")
-                try:
-                    out = self.f_num(probe)
-                except (TypeError, ValueError):
-                    out = None
-            self._cache["batch"] = (isinstance(out, np.ndarray) and out.dtype.kind == "f"
-                                    and out.shape == probe.shape[:1])
-            if self._cache["batch"]:
-                return out[: len(X)].astype(float)
-        if self._cache["batch"]:
-            return np.asarray(self.f_num(X), dtype=float)
-        return np.array([float(self.f_num(x)) for x in X])
+            values = self._sym(0)(rows)[:, 0]
+        else:
+            values = np.asarray(self.f_num(rows), dtype=float)
+            if values.shape != rows.shape[:1]:
+                raise ValueError(f"f_num took {len(rows)} points and returned shape "
+                                 f"{values.shape}, not ({len(rows)},)")
+        return values if x.ndim == 2 else float(values[0])
 
     def _fd(self, *wanted: tuple) -> list:
         """For each (pts, orders) of wanted, pts (N, n) or (n,): f at the

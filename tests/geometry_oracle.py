@@ -17,24 +17,15 @@ from umbilic.quadrature import sphere_area, sphere_directions
 from umbilic.surface import GraphSurface, RhoIdentityResiduals, point_geometry
 
 
-def sphere_numeric(n: int, radius: float = 1.0, fd_step: float = 1e-5,
-                   batch: bool = False) -> GraphSurface:
+def sphere_numeric(n: int, radius: float = 1.0, fd_step: float = 1e-5) -> GraphSurface:
     """The radius-R sphere tangent at the origin, f = R - sqrt(R^2 - |x|^2),
-    as a numeric surface differentiated by finite differences.  Its f
-    takes one point or, with batch, also the rows of an (N, n) batch."""
+    as a numeric surface differentiated by finite differences."""
     R = float(radius)
 
     def f(x):
-        x = np.asarray(x, dtype=float)
-        return R - math.sqrt(R * R - float(np.dot(x, x)))
+        return R - np.sqrt(R * R - np.einsum("...i,...i->...", x, x))
 
-    def f_rows(x):
-        x = np.asarray(x, dtype=float)
-        v = R - np.sqrt(R * R - np.einsum("...i,...i->...", x, x))
-        return v if v.ndim else float(v)
-
-    return GraphSurface(n, f_num=f_rows if batch else f, fd_step=fd_step,
-                        name=f"sphere_num(R={R})")
+    return GraphSurface(n, f_num=f, fd_step=fd_step, name=f"sphere_num(R={R})")
 
 
 def _metric_field(S: GraphSurface) -> Callable[[np.ndarray], np.ndarray]:

@@ -543,16 +543,22 @@ def test_format_rejected_where_unused(command, flag, value, capsys):
     "decay --builtin sphere --n 3 --radii 10,1e100",
     "decay --builtin sphere --n 3 --radii 10,1e200",
     "mass --builtin sphere --n 3 --chart y --radii 10,31.6,100,316,1e160",
+    "ctheta --builtin cubic_x1 --n 4 --radius 2",
+    "expand --poly {path} --radius -5",
 ], ids=["radius-inf", "fixture-nan", "decay-radius-inf", "verify-window-1",
         "verify-window-0", "verify-window-negative", "expand-window-negative",
         "mass-order-1", "verify-order-1", "sphere-radius-0", "sphere-radius-negative",
         "ctheta-n-0", "verify-n-1", "verify-order-2", "verify-order-4",
         "expand-order-4", "ctheta-order-2", "decay-seed-negative", "decay-ddh-underflow",
-        "decay-step-overflow", "mass-area-overflow"])
-def test_out_of_range_values_are_usage_errors(argv, capsys):
-    # each of these used to exit 0 with a NaN or an empty report, exit 1 on
-    # a false identity failure, or die in a traceback
-    code, out, err = run(argv.split(), capsys)
+        "decay-step-overflow", "mass-area-overflow", "builtin-radius-not-sphere",
+        "poly-radius"])
+def test_out_of_range_values_are_usage_errors(argv, tmp_path, capsys):
+    # each of these used to exit 0 with a NaN or an empty report, an
+    # ignored --radius (any value, off the sphere builtin), exit 1 on a
+    # false identity failure, or die in a traceback
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(GraphSurface.cubic_x1(4).to_json()))
+    code, out, err = run(argv.format(path=path).split(), capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

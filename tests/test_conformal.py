@@ -74,7 +74,7 @@ def test_density_takes_rows(n):
     X = np.random.default_rng(n).uniform(-0.3, 0.3, (5, n))
     density = lambda S, x: conformal.curvature_density_factor(S, x)[0]  # noqa: E731
     size = lambda S, x: conformal.curvature_density_factor(S, x)[1]  # noqa: E731
-    for S in (GraphSurface.cubic_x1(n), sphere_numeric(n, batch=True)):
+    for S in (GraphSurface.cubic_x1(n), sphere_numeric(n)):
         for fn in (conformal.conformal_scalar, density, size):
             rows = fn(S, X)
             assert rows.shape == (5,)
@@ -260,7 +260,7 @@ def test_probe_rejects_degenerate_radii(radii, match):
     # cubic (slope -1.969, R^2 1.0); a negative or NaN radius raised
     # LinAlgError from the fit.  The check comes before any evaluation.
     calls = []
-    S = GraphSurface(5, f_num=lambda x: calls.append(x) or 0.0)
+    S = GraphSurface(5, f_num=lambda x: calls.append(x) or np.zeros(len(x)))
     with pytest.raises(ValueError, match=match):
         conformal.integrability_probe(S, radii=radii)
     assert calls == []

@@ -3,7 +3,6 @@ umbilical decomposition, and the inverted-cylinder spectrum."""
 
 import dataclasses
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -60,8 +59,7 @@ def test_point_geometry_rows_match_points(n):
     # as the BLAS kernels round differently for one row and for N
     X = RNG.uniform(-0.3, 0.3, (6, n))
     fields = ("g", "g_inv", "II", "H", "R_g", "rho", "eta", "w", "f", "grad", "hess")
-    for S in (GraphSurface.cubic_x1(n), GraphSurface.sphere(n), sphere_numeric(n),
-              sphere_numeric(n, batch=True)):
+    for S in (GraphSurface.cubic_x1(n), GraphSurface.sphere(n), sphere_numeric(n)):
         rows, grid = point_geometry(S, X), point_geometry(S, X.reshape(2, 3, n))
         for i, x in enumerate(X):
             one = point_geometry(S, x)
@@ -163,7 +161,7 @@ def test_rho_identities_numeric(n):
     rng = np.random.default_rng(200 + n)
     p = random_cubic(n, rng)
     # The exact polynomial, but exposed to the surface as a black-box evaluator.
-    S = GraphSurface(n, f_num=lambda x: float(evaluate(p, list(x))))
+    S = GraphSurface(n, f_num=one_point(lambda x: evaluate(p, list(x))))
     x = 0.1 * rng.standard_normal(n)
     res = verify_rho_identities(S, x)
     assert not res.exact
@@ -200,10 +198,9 @@ def test_rho_identities_numeric_catch_a_wrong_hessian(name, n, monkeypatch):
     assert verify_rho_identities(S, x).max() > 1e-7
 
 
-def one_point(sym):
-    """sym's f as an f_num that takes one point only: float() refuses a
-    batch with a TypeError."""
-    return lambda p: float(sym.f_value(p))
+def one_point(f):
+    """A function of one point as an f_num: one call of f per row."""
+    return lambda X: np.array([float(f(x)) for x in X])
 
 
 RHO_CORPUS = [GraphSurface.sphere(3, Fraction(2)), GraphSurface.quartic_x1(3),
@@ -213,15 +210,15 @@ RHO_CORPUS = [GraphSurface.sphere(3, Fraction(2)), GraphSurface.quartic_x1(3),
 
 @pytest.mark.parametrize("sym", RHO_CORPUS, ids=lambda S: f"{S.name}-{S.n}")
 def test_rho_numeric_batch_matches_the_pointwise_oracle(sym):
-    # the batched check evaluates the oracle's points with its formulas: a
-    # one-point f_num gets the same values, so the residuals agree to the
-    # bit.  A batch f_num (a jet surface's f_value) takes the evaluator's
-    # batch path, which rounds in another order than its one-point path;
+    # the batched check evaluates the oracle's points with its formulas: an
+    # f_num that evaluates one row at a time gets the same values, so the
+    # residuals agree to the bit.  A jet surface's f_value takes the
+    # evaluator's batch path, which rounds in another order per batch;
     # measured on these points, the gap was at most 5.8e-12 against
     # residuals of at most 6.8e-12, and the bound is 5x that.  Past |x| = 1 the steps grow with |x|
     # and with each inner point's own norm: a polynomial takes one such x
     rng = np.random.default_rng(sym.n)
-    scalar = GraphSurface(sym.n, f_num=one_point(sym))
+    scalar = GraphSurface(sym.n, f_num=one_point(sym.f_value))
     batch = GraphSurface(sym.n, f_num=sym.f_value)
     near = [rng.uniform(-0.05, 0.05, size=sym.n) for _ in range(10)]
     far = [] if sym.name.startswith("sphere") else [np.linspace(0.7, 1.1, sym.n)]
@@ -239,44 +236,22 @@ def test_rho_numeric_batch_matches_the_pointwise_oracle(sym):
 
 @pytest.mark.parametrize("n,points", [(3, 195), (4, 339)])
 def test_rho_numeric_calls_f_num_once(n, points):
-    # every point of the check is one batch: a batch f_num is called once;
-    # a one-point f_num refuses it and is called once per point
+    # every point of the check is one batch, one f_num call
     sym = GraphSurface.quartic_x1(n)
-    x = np.full(n, 0.03)
-    for f_num, shapes in ((sym.f_value, [(points, n)]),
-                          (one_point(sym), [(points, n)] + [(n,)] * points)):
-        calls = []
-
-        def counted(p, f_num=f_num):
-            calls.append(np.shape(p))
-            return f_num(p)
-
-        assert verify_rho_identities(GraphSurface(n, f_num=counted), x).max() < 1e-7
-        assert calls == shapes
+    counted, calls = counting(sym.f_value)
+    assert verify_rho_identities(GraphSurface(n, f_num=counted), np.full(n, 0.03)).max() < 1e-7
+    assert calls == [(points, n)]
 
 
 def test_f_value_takes_a_batch():
-    # (N, n) gives (N,) values: one call of the order-0 table on a jet
-    # surface, one f_num call for a batch f_num, else one call per row;
-    # scalar results, wrong shapes and refusals fall back without a
-    # warning, and the values agree with the one-point ones
+    # (N, n) gives (N,) values from one call of the order-0 table on a jet
+    # surface or of f_num, agreeing with the one-point ones
     sym = GraphSurface.quartic_x1(3)
     pts = RNG.uniform(-0.3, 0.3, size=(7, 3))
     want = np.array([sym.f_value(p) for p in pts])
-
-    def answers(batch):
-        """An f_num giving batch(p) on a batch and f on one point."""
-        return lambda p: batch(p) if np.ndim(p) == 2 else sym.f_value(p)
-
-    f_nums = [sym.f_value, one_point(sym),
-              answers(lambda p: np.full(3, 1.0)),  # another shape
-              answers(lambda p: np.float64(1.0)),  # a scalar
-              answers(lambda p: np.full(7, 1)),  # not floats
-              answers(lambda p: float(np.sqrt(-np.ones(1)) * p))]  # warns, then TypeError
-    for S in [sym] + [GraphSurface(3, f_num=f) for f in f_nums]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            vals = S.f_value(pts)
+    for S in (sym, GraphSurface(3, f_num=sym.f_value),
+              GraphSurface(3, f_num=one_point(sym.f_value))):
+        vals = S.f_value(pts)
         assert isinstance(vals, np.ndarray) and vals.shape == (7,)
         assert np.max(np.abs(vals - want)) < 1e-15
         assert S.f_value(pts[:1]).shape == (1,)
@@ -294,36 +269,56 @@ def counting(f_num):
     return counted, calls
 
 
-def reads_coordinates(x):
-    """A one-point f that reads x[0] and x[1]: on an (n, n) batch it gets
-    rows and answers with n values, on one row it raises an IndexError."""
-    return x[0] ** 2 + 3 * x[1] ** 2
+def quadratic(x):
+    """x_0^2 + 3 x_1^2 at the rows of x."""
+    return x[..., 0] ** 2 + 3 * x[..., 1] ** 2
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_f_value_decides_the_batch_contract_once(n):
-    # the first batch decides, padded to n + 1 rows: an (n, n) batch used
-    # to return [0.28, 0.52] for [0.13, 0.57] at n = 2, and a 1-row batch
-    # raised an IndexError.  A one-point f_num pays one refused call per
-    # surface; a batch f_num is called once per batch, the first call
-    # (padded when it has n rows or fewer) being the test
+def test_f_value_calls_f_num_once_on_the_rows(n):
+    # N = 1, n and n + 1 rows are each one f_num call on exactly those
+    # rows, unpadded, every time; one point (n,) is a batch of one,
+    # returned as a float
     rows = np.array([[0.3, 0.4, -0.2], [0.2, -0.3, 0.5], [-0.1, 0.2, 0.6], [0.5, 0.1, 0.1]])[:, :n]
-
-    def batch(x):
-        return x[..., 0] ** 2 + 3 * x[..., 1] ** 2
-
+    counted, calls = counting(quadratic)
+    S = GraphSurface(n, f_num=counted)
     for N in (1, n, n + 1):
-        X = rows[:N]
-        want = np.array([reads_coordinates(x) for x in X])
-        probe = (max(N, n + 1), n)
-        for f, first, then in ((reads_coordinates, [probe] + [(n,)] * N, [(n,)] * N),
-                               (batch, [probe], [(N, n)])):
-            counted, calls = counting(f)
-            S = GraphSurface(n, f_num=counted)
-            for expect in (first, then):
-                calls.clear()
-                assert np.array_equal(S.f_value(X), want)
-                assert calls == expect
+        for _ in range(2):
+            calls.clear()
+            values = S.f_value(rows[:N])
+            assert isinstance(values, np.ndarray) and values.shape == (N,)
+            assert np.array_equal(values, [quadratic(x) for x in rows[:N]])
+            assert calls == [(N, n)]
+    calls.clear()
+    value = S.f_value(rows[0])
+    assert isinstance(value, float) and value == quadratic(rows[0])
+    assert calls == [(1, n)]
+
+
+@pytest.mark.parametrize("result", [
+    lambda X: np.float64(1.0),
+    lambda X: 1.0,
+    lambda X: np.ones(X.shape[1]),
+    lambda X: np.ones((len(X), 1)),
+    lambda X: np.ones(len(X) + 1),
+], ids=["numpy-scalar", "float", "one-per-coordinate", "column", "one-too-many"])
+def test_f_value_refuses_a_result_of_the_wrong_shape(result):
+    # anything but one value per row is refused, naming its shape.  At
+    # N = 2 rows of n = 3 coordinates, (n,) is not (N,); a single point
+    # must give one value too
+    S = GraphSurface(3, f_num=result)
+    for X in (np.full((2, 3), 0.1), np.full(3, 0.1)):
+        with pytest.raises(ValueError, match=r"returned shape \(.*\), not \(\d,\)"):
+            S.f_value(X)
+
+
+def test_f_value_shows_the_warnings_of_f_num():
+    # f_num's floating-point warnings reach the caller on every call, the
+    # first one included
+    S = GraphSurface(3, f_num=lambda X: np.sqrt(X[:, 0]))
+    for _ in range(2):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            S.f_value(np.full((4, 3), -0.1))
 
 
 @pytest.mark.parametrize("bad", [-1e-5, 0.0, math.nan, math.inf, -math.inf])
@@ -332,7 +327,7 @@ def test_fd_step_must_be_finite_and_positive(bad):
     # warned of a division by zero and NaN gave NaN derivatives silently;
     # from_json takes the same check
     with pytest.raises(ValueError, match="fd_step must be a finite positive number"):
-        GraphSurface(3, f_num=reads_coordinates, fd_step=bad)
+        GraphSurface(3, f_num=quadratic, fd_step=bad)
     with pytest.raises(ValueError, match="fd_step must be a finite positive number"):
         GraphSurface.from_json({"n": 3, "kind": "sphere", "fd_step": str(bad)})
     assert GraphSurface.from_json({"n": 3, "kind": "sphere", "fd_step": "3e-6"}).fd_step == 3e-6
@@ -340,13 +335,13 @@ def test_fd_step_must_be_finite_and_positive(bad):
 
 def test_surface_fields_are_frozen():
     # fd_step = -1e-5 after construction made f_hess raise "math domain
-    # error", and a new f_num kept the old function's cached batch decision
-    S = GraphSurface(3, f_num=reads_coordinates)
+    # error", and a new f_jet would leave the cached evaluators stale
+    S = GraphSurface(3, f_num=quadratic)
     S.f_value(np.full((5, 3), 0.1))
     for name, value in (("fd_step", -1e-5), ("f_num", lambda x: 0.0), ("n", 4), ("name", "x")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(S, name, value)
-    assert S.fd_step == 1e-5 and S.f_num is reads_coordinates
+    assert S.fd_step == 1e-5 and S.f_num is quadratic
     T = dataclasses.replace(S, fd_step=3e-6)
     assert T.fd_step == 3e-6 and T._cache == {} and T != S
     jet = GraphSurface.cubic_x1(3)
@@ -373,17 +368,17 @@ def test_numeric_derivatives_call_f_num_once():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_numeric_derivatives_match_the_per_point_reference(n):
-    # with a one-point f_num every stencil value is the one the per-point
-    # path takes, so orders 0 to 2, the radial columns and f_grad / f_hess
-    # equal numdiff.gradient and hessian at fd_step |x| and
+    # with an f_num that evaluates one row at a time every stencil value is
+    # the one the per-point path takes, so orders 0 to 2, the radial columns
+    # and f_grad / f_hess equal numdiff.gradient and hessian at fd_step |x| and
     # 0.1 sqrt(fd_step) |x| (|x| at least 1) to the bit; the points past
     # |x| = 1 take steps of their own within the batch.  The last point,
     # s e_0 with |x| = s, is there when some Hessian step's square rounds
     # otherwise under Python's float ** (libm pow) than as h * h, which is
     # numpy's square of an array (3 of these 4001 s on glibc)
     sym = GraphSurface.quartic_x1(n)
-    f_num = one_point(sym)
-    S = GraphSurface(n, f_num=f_num, fd_step=3e-6)
+    f = sym.f_value
+    S = GraphSurface(n, f_num=one_point(f), fd_step=3e-6)
     h2 = 0.1 * math.sqrt(3e-6)
     odd = [s * np.eye(n)[0] for s in np.linspace(1.1, 1.9, 4001)
            if any((h2 * s / d) ** 2 != (h2 * s / d) * (h2 * s / d) for d in (1.0, 2.0))][:1]
@@ -391,9 +386,9 @@ def test_numeric_derivatives_match_the_per_point_reference(n):
                      1.6 * RNG.uniform(-1, 1, size=(2, n))] + odd)
     assert max(np.linalg.norm(pts, axis=1)) > 1.0
     scale = [max(1.0, float(np.linalg.norm(p))) for p in pts]
-    want = (np.array([f_num(p) for p in pts]),
-            np.array([numdiff.gradient(f_num, p, 3e-6 * s) for p, s in zip(pts, scale)]),
-            np.array([numdiff.hessian(f_num, p, 0.1 * math.sqrt(3e-6) * s)
+    want = (np.array([f(p) for p in pts]),
+            np.array([numdiff.gradient(f, p, 3e-6 * s) for p, s in zip(pts, scale)]),
+            np.array([numdiff.hessian(f, p, 0.1 * math.sqrt(3e-6) * s)
                       for p, s in zip(pts, scale)]))
     for order in (0, 1, 2):
         got = S.f_derivatives_batch(pts, order)
@@ -423,8 +418,8 @@ def test_rho_numeric_nan_field_fails():
     # the residuals were (-5.4e-20, nan, nan) and max() reported 5.4e-20
     sym = GraphSurface.sphere(3)
 
-    def f(x):
-        return sym.f_value(x) if x[0] <= 0.0102 else math.nan
+    def f(X):
+        return np.where(X[:, 0] <= 0.0102, sym.f_value(X), math.nan)
 
     res = verify_rho_identities(GraphSurface(3, f_num=f), np.array([0.01, 0.0, 0.0]))
     assert math.isnan(res.hessian) and math.isnan(res.laplacian)
@@ -441,7 +436,7 @@ def test_rho_numeric_needs_one_finite_point(x):
 
     def f(p):
         calls.append(p)
-        return 0.0
+        return np.zeros(len(p))
 
     with pytest.raises(ValueError, match="one finite point of 3 coordinates"):
         verify_rho_identities(GraphSurface(3, f_num=f), x)
