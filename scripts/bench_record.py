@@ -11,8 +11,10 @@ sides.  A run that exits with neither 0 nor 1 (no result) stops the script.
 Each tree gets `BENCH_<label>.json` at the repository root: the machine,
 the versions, every run's end-to-end metrics, and per metric the median and
 quartiles over the runs.  A table on stdout compares the two: medians,
-quartiles, and how many pairs the change won; under it go both trees'
-line counts of the Python files under `src/` and their difference.
+quartiles, how many pairs the change won, and a verdict per end-to-end
+metric against its bound in BENCHMARK.json (see `verdict`); under it go
+both trees' line counts of the Python files under `src/` and their
+difference.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 SECONDS = BENCHMARK["run_seconds"]
+END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 PAIRS = 10
 
 
@@ -74,11 +77,32 @@ def summarize(runs: list) -> dict:
     return out
 
 
+def verdict(name: str, b: dict, c: dict, base: list, change: list) -> str:
+    """"worse" when the change's median c is worse than the base's b by more
+    than the metric's bound (for a lower-is-better metric, above the base
+    median times 1 + bound); else "unresolved" when the base's quartile
+    spread exceeds the bound times its median, unless every change run
+    beats every base run; else "ok".  "-" for a metric with no bound."""
+    if name not in END_TO_END:
+        return "-"
+    bound = END_TO_END[name]["bound"]
+    sign = 1 if END_TO_END[name]["better"] == "lower" else -1
+
+    def signed(runs):
+        return [sign * r["metrics"][name] for r in runs if name in r["metrics"]]
+
+    if sign * (c["median"] - b["median"]) > bound * abs(b["median"]):
+        return "worse"
+    if b["q3"] - b["q1"] > bound * abs(b["median"]) and max(signed(change)) >= min(signed(base)):
+        return "unresolved"
+    return "ok"
+
+
 def compare(workload: str, base: list, change: list) -> None:
     sb, sc = summarize(base), summarize(change)
     print(f"## {workload}: {len(base)} pairs, seeds {base[0]['seed']}..{base[-1]['seed']}")
     print(f"{'metric':<12} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} "
-          f"{'wins':>6} {'gap>IQR':>8}")
+          f"{'wins':>6} {'gap>IQR':>8} {'verdict':>10}")
     for name in sb:
         if name == "fail_frac":
             print(f"fail_frac    {sb[name]['value']!r:>30} {sc[name]['value']!r:>30}")
@@ -91,7 +115,8 @@ def compare(workload: str, base: list, change: list) -> None:
                    for rb, rc in zip(base, change))
         gap = abs(c["median"] - b["median"]) > b["q3"] - b["q1"]
         print(f"{name:<12} {b['median']:>12.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
-              f" {c['median']:>12.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {wins:>3}/{len(base)} {gap!s:>8}")
+              f" {c['median']:>12.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {wins:>3}/{len(base)} {gap!s:>8}"
+              f" {verdict(name, b, c, base, change):>10}")
 
 
 def main(argv=None) -> int:

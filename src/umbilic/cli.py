@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import asymptotic, conformal, mass, obstruction
 from .obstruction import NotUmbilical
 from .polyjet import MultiPoly, poly_to_json, series_to_json
-from .surface import GraphSurface, verify_rho_identities
+from .surface import BUILTINS, GraphSurface, verify_rho_identities
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -91,43 +90,38 @@ def _csv_text(rows: Sequence[Sequence[object]]) -> str:
 
 
 def _load_surface(args) -> GraphSurface:
+    """The surface of --poly, or of the same description from --builtin, --n
+    and --radius; NotUmbilical unless it is umbilical at the origin."""
     # mass leaves --order unset, so that --fixture can refuse it
     order = DEFAULT_ORDER if args.order is None else args.order
     if order < 2:
         raise UsageError(f"--order must be at least 2 (the quadratic part), not {order}")
-    if args.n is not None and args.n < 2:  # the sphere quadrature's lower bound
-        raise UsageError(f"--n must be at least 2, not {args.n}")
-    if args.radius is not None and getattr(args, "builtin", None) != "sphere":
-        raise UsageError("--radius needs --builtin sphere")
-    if getattr(args, "poly", None):
+    if args.poly:
+        if args.radius is not None:
+            raise UsageError("--radius needs --builtin sphere")
         try:
             with open(args.poly) as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read surface file {args.poly}: {exc}")
-        try:
-            S = GraphSurface.from_json(data, order=order)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"bad surface description: {exc}")
-        except ZeroDivisionError as exc:
-            raise UsageError(f"bad surface description: zero denominator in {exc}")
-        if args.n is not None and S.n != args.n:
-            raise UsageError("--n disagrees with the surface file")
-        return S
-    if getattr(args, "builtin", None):
+    elif args.builtin:
         if args.n is None:
             raise UsageError("--n is required with --builtin")
-        try:
-            radius = Fraction("1" if args.radius is None else args.radius)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"bad --radius value {args.radius!r}")
-        if radius <= 0:
-            raise UsageError(f"--radius must be positive, not {args.radius}")
-        try:
-            return GraphSurface.builtin(args.builtin, args.n, order=order, radius=radius)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    raise UsageError("one of --builtin or --poly is required")
+        data = {"n": args.n, "kind": "builtin", "name": args.builtin}
+        if args.radius is not None:
+            data["radius"] = args.radius
+    else:
+        raise UsageError("one of --builtin or --poly is required")
+    try:
+        S = GraphSurface.from_json(data, order=order)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"bad surface description: {exc}")
+    except ZeroDivisionError as exc:
+        raise UsageError(f"bad surface description: zero denominator in {exc}")
+    if args.n is not None and S.n != args.n:
+        raise UsageError("--n disagrees with the surface file")
+    obstruction.umbilical_decompose(S.f_jet.poly)
+    return S
 
 
 def _usage(fn, *args, **kwargs):
@@ -277,7 +271,7 @@ def cmd_ctheta(args) -> Tuple[object, bool]:
 
 def _add_surface_flags(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group()
-    source.add_argument("--builtin", choices=["flat", "sphere", "quartic_x1", "cubic_x1"])
+    source.add_argument("--builtin", choices=BUILTINS)
     source.add_argument("--poly", help="surface description JSON file")
     p.add_argument("--radius", help="sphere radius (rational, default 1)")
     p.add_argument("--n", type=int, default=None, help="ambient graph dimension")

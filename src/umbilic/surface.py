@@ -107,6 +107,9 @@ class BatchPoly:
 # -- the surface ------------------------------------------------------------
 
 
+BUILTINS = ("flat", "sphere", "quartic_x1", "cubic_x1")  # GraphSurface constructors
+
+
 @dataclass(frozen=True)
 class GraphSurface:
     """A hypersurface given as the graph of f over a neighborhood of 0.
@@ -172,19 +175,18 @@ class GraphSurface:
 
     @staticmethod
     def builtin(name: str, n: int, order: int = 7, radius=Fraction(1)):
-        table = {
-            "flat": lambda: GraphSurface.flat(n, order),
-            "sphere": lambda: GraphSurface.sphere(n, radius, order),
-            "quartic_x1": lambda: GraphSurface.quartic_x1(n, order),
-            "cubic_x1": lambda: GraphSurface.cubic_x1(n, order),
-        }
-        if name not in table:
+        if name not in BUILTINS:
             raise ValueError(f"unknown builtin surface {name!r}")
-        return table[name]()
+        if name == "sphere":
+            return GraphSurface.sphere(n, radius, order)
+        return getattr(GraphSurface, name)(n, order)
 
     @staticmethod
     def from_json(data: dict, order: int = 7) -> "GraphSurface":
-        """Raises ValueError, KeyError or TypeError on a malformed description."""
+        """The surface of {"n", "kind": "polynomial", "poly", "name"?} or
+        {"n", "kind": "builtin", "name", "radius"? (the sphere's only)}, each
+        with an optional "fd_step": the one check of a surface description.
+        Raises ValueError, KeyError or TypeError on a malformed one."""
         if not isinstance(data, dict):
             raise ValueError("a JSON object is required")
         try:
@@ -195,11 +197,11 @@ class GraphSurface:
             raise ValueError(f"n must be an integer of at least 2, not {data.get('n')!r}")
         n = int(n)
         kind = data["kind"]
+        if "radius" in data and (kind, data.get("name")) != ("builtin", "sphere"):
+            raise ValueError("a radius is allowed only with the builtin sphere")
         if kind == "polynomial":
             poly = poly_from_json(data["poly"], n)
             s = GraphSurface.polynomial(poly, order, name=data.get("name", "poly"))
-        elif kind == "sphere":
-            s = GraphSurface.sphere(n, Fraction(data.get("radius", "1")), order)
         elif kind == "builtin":
             s = GraphSurface.builtin(data["name"], n, order,
                                      Fraction(data.get("radius", "1")))
@@ -277,12 +279,6 @@ class GraphSurface:
         values = np.split(self.f_value(np.concatenate(rows)), ends)
         return [numdiff.richardson(v.reshape(p.shape[:-1]), h, k) if k else v
                 for v, (k, h, p) in zip(values, jobs)]
-
-    def f_grad(self, x) -> np.ndarray:
-        return self.f_derivatives_batch(x, 1)[1][0]
-
-    def f_hess(self, x) -> np.ndarray:
-        return self.f_derivatives_batch(x, 2)[2][0]
 
     def f_derivatives_batch(self, pts: np.ndarray, order: int = 1) -> tuple:
         """f, grad f and, up to the order, Hess f and grad^3 f at the rows

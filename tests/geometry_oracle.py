@@ -32,7 +32,7 @@ def _metric_field(S: GraphSurface) -> Callable[[np.ndarray], np.ndarray]:
     """The induced metric g = I + grad f grad f^T as a function of x."""
 
     def metric(p):
-        grad = S.f_grad(p)
+        grad = S.f_derivatives_batch(p, 1)[1][0]
         return np.eye(S.n) + np.outer(grad, grad)
 
     return metric
@@ -48,7 +48,7 @@ def intrinsic_scalar_curvature(S: GraphSurface, x, h: float = 1e-3) -> float:
 def rho_residuals_pointwise(S: GraphSurface, x) -> RhoIdentityResiduals:
     """The numeric rho identities at x from the per-point paths: f, grad f
     and Hess f from `point_geometry`, Gamma from `numdiff.gradient` of the
-    metric field, one `f_grad` call per point of its stencil.  The
+    metric field, one gradient call per point of its stencil.  The
     reference for the batched check in `surface`, which evaluates the same
     points in one call."""
     x = np.asarray(x, dtype=float)

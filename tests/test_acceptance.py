@@ -14,6 +14,8 @@ from umbilic.polyjet import Jet, MultiPoly
 from umbilic.quadrature import QuadratureRule, default_degree
 from umbilic.surface import GraphSurface, verify_rho_identities
 
+from generic_jets import generic_form, umbilical_jet
+
 
 class criterion:
     """Times a block and prints 'criterion N: PASS/FAIL (t) note', bypassing
@@ -66,13 +68,6 @@ def random_rational_cubic(n: int, rng: random.Random, width: int = 10) -> MultiP
 def cubic_corpus(n: int, count: int = 25, seed: int = 0):
     return [random_rational_cubic(n, random.Random(seed + 1000 * n + k))
             for k in range(count)]
-
-
-def umbilical_jet(n: int, A3: MultiPoly, order: int = 7) -> Jet:
-    H = MultiPoly.param(n, "H")
-    return Jet.of(
-        MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n)) + A3, order
-    )
 
 
 def test_criterion_01_symbolic_coefficients(capsys):
@@ -213,16 +208,8 @@ def test_criterion_08_symbolic_cancellation(capsys):
     with criterion(8, "radial integrand orders -5, -6 cancel exactly, n=6..9", 30.0, capsys):
         for n in range(6, 10):
             H = MultiPoly.param(n, "H")
-            poly = MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n))
-            for deg, prefix in ((4, "a"), (5, "b")):
-                part = MultiPoly.zero(n)
-                for combo in combinations_with_replacement(range(n), deg):
-                    name = prefix + "_" + "".join(map(str, combo))
-                    mono = MultiPoly.param(n, name)
-                    for i in combo:
-                        mono = mono * MultiPoly.var(n, i)
-                    part = part + mono
-                poly = poly + part
+            poly = (MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n))
+                    + generic_form(n, 4, "a") + generic_form(n, 5, "b"))
             integrand = mass.mass_integrand_series(Jet.of(poly, 7))
             assert integrand.coefficient(-5).is_zero
             assert integrand.coefficient(-6).is_zero

@@ -3,7 +3,7 @@ series at infinity, and the numeric decay-order estimator."""
 
 import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,19 +18,8 @@ from umbilic.surface import GraphSurface
 
 import flux_oracle as fo
 import series_oracle as so
+from generic_jets import generic_form
 from poly_oracle import evaluate_series
-
-
-def generic_homogeneous(n: int, deg: int, prefix: str) -> MultiPoly:
-    """Fully generic homogeneous polynomial with one parameter per monomial."""
-    out = MultiPoly.zero(n)
-    for combo in combinations_with_replacement(range(n), deg):
-        name = prefix + "_" + "".join(str(i) for i in combo)
-        mono = MultiPoly.param(n, name)
-        for i in combo:
-            mono = mono * MultiPoly.var(n, i)
-        out = out + mono
-    return out
 
 
 def pure_quadratic_jet(n: int):
@@ -189,7 +178,7 @@ def test_components_match_direct_pullback():
             e[k] = h
             J[:, k] = (x_of(z + e) - x_of(z - e)) / (2.0 * h)
         x = x_of(z)
-        gr = S.f_grad(x)
+        gr = S.f_derivatives_batch(x, 1)[1][0]
         rho = float(x @ x) + S.f_value(x) ** 2
         amb = (np.eye(6) + np.outer(gr, gr)) / rho**2
         assert np.allclose(G, J.T @ amb @ J, rtol=1e-6, atol=1e-9)
@@ -321,7 +310,7 @@ def test_trace_series_matches_gradient_oracle_generic(n, kind, order_min):
     # symbolic H and one parameter per quartic and quintic monomial
     H = MultiPoly.param(n, "H")
     poly = (MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n))
-            + generic_homogeneous(n, 4, "a") + generic_homogeneous(n, 5, "b"))
+            + generic_form(n, 4, "a") + generic_form(n, 5, "b"))
     f = Jet.of(poly, 7)
     assert (asym.ghat_radial_trace_series(f, kind, order_min)
             == so.ghat_radial_trace_series(f, kind, order_min))
@@ -351,8 +340,8 @@ def test_inverse_conformal_profile_generic():
     # pick up -2H/n times the restricted coefficient functions.
     n = 3
     H = MultiPoly.param(n, "H")
-    A4 = generic_homogeneous(n, 4, "a")
-    A5 = generic_homogeneous(n, 5, "b")
+    A4 = generic_form(n, 4, "a")
+    A5 = generic_form(n, 5, "b")
     poly = MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n)) + A4 + A5
     prof = corrected_conformal_profile(Jet.of(poly, 7), -5)
     expected = SphericalSeries.canonicalize(
@@ -410,7 +399,7 @@ def test_trace_series_matches_full_matrix(n, order_min, generic):
     H = MultiPoly.param(n, "H")
     poly = MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n))
     if generic:
-        poly = poly + generic_homogeneous(n, 4, "a") + generic_homogeneous(n, 5, "b")
+        poly = poly + generic_form(n, 4, "a") + generic_form(n, 5, "b")
     else:
         poly = poly + MultiPoly.var(n, 0) ** 4
     f = Jet.of(poly, 7)
@@ -438,8 +427,8 @@ def test_radial_minus_trace_expansion_generic():
     #                              - (2H/n) A5 t^{-5}] + O(t^{-6})
     n = 3
     H = MultiPoly.param(n, "H")
-    A4 = generic_homogeneous(n, 4, "a")
-    A5 = generic_homogeneous(n, 5, "b")
+    A4 = generic_form(n, 4, "a")
+    A5 = generic_form(n, 5, "b")
     poly = MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n)) + A4 + A5
     gtt, tr = asym.ghat_radial_trace_series(Jet.of(poly, 7), asym.CORRECTED_Z, -5)
     diff = gtt - tr

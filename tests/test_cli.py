@@ -573,12 +573,21 @@ def malformed_surface_file(case):
         return [good]
     if case == "poly-entry-not-object":
         return dict(good, poly=[3] + good["poly"][1:])
+    sphere = {"n": 3, "kind": "builtin", "name": "sphere"}
     if case == "sphere-radius-negative":
-        return {"n": 3, "kind": "sphere", "radius": "-1"}
+        return dict(sphere, radius="-1")
     if case == "n-fractional":
-        return {"n": 3.7, "kind": "sphere"}
+        return dict(sphere, n=3.7)
     if case == "fd-step-negative":
-        return {"n": 3, "kind": "sphere", "fd_step": "-1"}
+        return dict(sphere, fd_step="-1")
+    if case == "builtin-radius-off-sphere":
+        return {"n": 4, "kind": "builtin", "name": "cubic_x1", "radius": "-5"}
+    if case == "poly-radius":
+        return dict(good, radius="2")
+    if case == "not-umbilical":  # x1^2 + 2 x2^2 + 3 x3^2
+        x = [MultiPoly.var(3, i) for i in range(3)]
+        return GraphSurface.polynomial(x[0] ** 2 + (x[1] ** 2).scale(2)
+                                       + (x[2] ** 2).scale(3)).to_json()
     last = good["poly"][-1]  # x1^4
     if case == "exp-fractional":
         return dict(good, poly=good["poly"][:-1] + [dict(last, exp=[1.5, 0, 4])])
@@ -588,7 +597,7 @@ def malformed_surface_file(case):
         return dict(good, poly=good["poly"][:-1] + [dict(last, exp=[1 << FIELD_BITS, 0, 0])])
     if case == "num-float":
         return dict(good, poly=good["poly"][:-1] + [dict(last, num=2.7)])
-    return {"n": {"n-1": 1, "n-0": 0}[case], "kind": "sphere"}
+    return dict(sphere, n={"n-1": 1, "n-0": 0}[case])
 
 
 @pytest.mark.parametrize("command,case", [
@@ -606,19 +615,44 @@ def malformed_surface_file(case):
     ("mass", "exp-negative"),
     ("verify", "num-float"),
     ("ctheta", "exp-past-field"),
+    ("ctheta", "builtin-radius-off-sphere"),
+    ("verify", "poly-radius"),
+    ("decay", "not-umbilical"),
 ])
 def test_malformed_surface_files_are_usage_errors(command, case, tmp_path, capsys):
     # each of these used to die in a traceback (exit 1) or, for n < 2, a
     # negative sphere radius, n = 3.7 (run as n = 3), a negative fd_step
     # and exponents or numerators truncated to integers (1.5 -> 1, -1 read
     # as 1, 2.7 -> 2), exit 0 with a report; --n < 2 and --radius -1 were
-    # already refused
+    # already refused.  A radius off the builtin sphere was ignored, and
+    # decay in its default chart y fitted a surface that is not umbilical
     path = tmp_path / "surface.json"
     path.write_text(json.dumps(malformed_surface_file(case)))
     code, out, err = run([command, "--poly", str(path)], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("flat", None), ("sphere", None), ("quartic_x1", None), ("cubic_x1", None),
+    ("sphere", "1/2"),
+])
+def test_flags_and_file_load_the_same_surface(name, radius, tmp_path, capsys):
+    # --builtin, --n and --radius are the description a --poly file holds,
+    # and both reach GraphSurface.from_json
+    flags = ["--builtin", name, "--n", "4"] + (["--radius", radius] if radius else [])
+    desc = {"n": 4, "kind": "builtin", "name": name}
+    if radius:
+        desc["radius"] = radius
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(desc))
+    surface = GraphSurface.builtin(name, 4, radius=Fraction(radius or 1)).to_json()
+    assert GraphSurface.from_json(desc).to_json() == surface
+    for command in ("verify", "decay"):
+        by_flags = run([command] + flags, capsys)
+        assert by_flags == run([command, "--poly", str(path)], capsys)
+        assert by_flags[0] == 0 and load(by_flags[1])["surface"] == surface
 
 
 def test_verify_ignores_negative_seed(capsys):

@@ -42,7 +42,7 @@ def test_conformal_scalar_fd_oracle():
     S = GraphSurface.polynomial(p, order=7)
 
     def ghat(pt):
-        grad = S.f_grad(pt)
+        grad = S.f_derivatives_batch(pt, 1)[1][0]
         f = S.f_value(pt)
         rho = float(pt @ pt) + f * f
         return (np.eye(n) + np.outer(grad, grad)) / rho**2

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -24,18 +24,8 @@ from umbilic.quadrature import QuadratureRule, default_degree, sphere_area
 from umbilic.surface import GraphSurface
 
 import flux_oracle as fo
+from generic_jets import generic_form
 from geometry_oracle import sphere_numeric
-
-
-def generic_homogeneous(n: int, deg: int, prefix: str) -> MultiPoly:
-    out = MultiPoly.zero(n)
-    for combo in combinations_with_replacement(range(n), deg):
-        name = prefix + "_" + "".join(str(i) for i in combo)
-        mono = MultiPoly.param(n, name)
-        for i in combo:
-            mono = mono * MultiPoly.var(n, i)
-        out = out + mono
-    return out
 
 
 def fake_estimates(radii, values, formula=mm.STANDARD, chart=asym.INVERTED_Y):
@@ -811,8 +801,8 @@ def test_integrand_cancellation_generic_dimension_six():
     H = MultiPoly.param(n, "H")
     poly = (
         MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n))
-        + generic_homogeneous(n, 4, "a")
-        + generic_homogeneous(n, 5, "b")
+        + generic_form(n, 4, "a")
+        + generic_form(n, 5, "b")
     )
     report = mm.symbolic_mass_cancellation(Jet.of(poly, 7))
     assert report.t5_coefficient_zero and report.t6_coefficient_zero
@@ -881,9 +871,9 @@ def test_inverted_chart_certifies_every_jet(n):
     H = MultiPoly.param(n, "H")
     poly = (
         MultiPoly.x_norm_sq(n) * H.scale(Fraction(1, 2 * n))
-        + generic_homogeneous(n, 3, "c")
-        + generic_homogeneous(n, 4, "a")
-        + generic_homogeneous(n, 5, "b")
+        + generic_form(n, 3, "c")
+        + generic_form(n, 4, "a")
+        + generic_form(n, 5, "b")
     )
     report = mm.symbolic_mass_cancellation(Jet.of(poly, 7), asym.INVERTED_Y, order_min=-4)
     assert [w for w, P in report.boundary_integrals.items() if not P.is_zero] == [-5]

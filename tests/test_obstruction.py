@@ -4,7 +4,6 @@ dimension-6 divisibility chain."""
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from umbilic.polyjet import Jet, MultiPoly, SphericalSeries, poly_divexact
 from umbilic import asymptotic as asym
 from umbilic import obstruction as ob
 import series_oracle as so
+from generic_jets import generic_form, umbilical_jet
 from poly_oracle import evaluate, evaluate_series
 from umbilic.obstruction import jet_geometry
 from umbilic.surface import GraphSurface, point_geometry
@@ -30,26 +30,6 @@ def random_cubic_form(n, rng, n_terms=8):
         c = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
         p = p + MultiPoly(n, {(tuple(e), ()): Fraction(1)}).scale(c)
     return p.homogeneous_part(3)
-
-
-def generic_cubic(n):
-    """The cubic whose every coefficient is its own symbol: an identity that
-    holds for it holds for every cubic."""
-    out = MultiPoly.zero(n)
-    for combo in combinations_with_replacement(range(n), 3):
-        mono = MultiPoly.param(n, "a_" + "".join(str(i) for i in combo))
-        for i in combo:
-            mono = mono * MultiPoly.var(n, i)
-        out = out + mono
-    return out
-
-
-def umbilical_jet(n, A3, A4=None, symbolic_H=True, order=7):
-    Hq = MultiPoly.param(n, "H") if symbolic_H else MultiPoly.const(n, 2)
-    f = MultiPoly.x_norm_sq(n) * Hq.scale(Fraction(1, 2 * n)) + A3
-    if A4 is not None:
-        f = f + A4
-    return Jet.of(f, order)
 
 
 # -- intermediate expansions against the displayed hand computations -----------------
@@ -128,7 +108,8 @@ def test_series_matches_pointwise_curvature():
     S = GraphSurface(n, f_jet=fj)
     for x in ([0.01, 0.004, -0.006], [0.008, -0.01, 0.003]):
         geo = point_geometry(S, x)
-        w2 = 1.0 + float(S.f_grad(x) @ S.f_grad(x))
+        grad = S.f_derivatives_batch(x, 1)[1][0]
+        w2 = 1.0 + float(grad @ grad)
         direct = w2 * (
             geo.R_g
             + 4 * (n - 1) * geo.H * geo.eta / geo.rho
@@ -373,7 +354,7 @@ def test_c_theta_zero_impossible_off_dim6():
 def test_integrated_identity_generic_cubic(n):
     # a polynomial identity in the coefficient symbols, so it certifies the
     # integrated identity for every cubic, not just a sample
-    lhs, rhs = ob.integrated_identity(generic_cubic(n))
+    lhs, rhs = ob.integrated_identity(generic_form(n, 3, "a"))
     assert lhs == rhs
     assert lhs.is_zero == (n == 6)
 
@@ -402,7 +383,7 @@ def test_c_theta_and_identity_match_series_oracle(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_generic_cubic_matches_series_oracle(n):
-    A3 = generic_cubic(n)
+    A3 = generic_form(n, 3, "a")
     assert ob.c_theta(A3) == so.c_theta(A3)
     assert ob.integrated_identity(A3) == so.integrated_identity(A3)
 

@@ -54,9 +54,9 @@ def readme_steps(workflow: Path) -> dict:
     return jobs
 
 
-def _readme_diff():
-    path = ROOT / "scripts" / "readme_diff.py"
-    spec = importlib.util.spec_from_file_location("readme_diff", path)
+def _script(name: str):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -67,7 +67,7 @@ def test_ci_runs_every_readme_command(capfd, monkeypatch):
     # without --base, which runs every one with RuntimeWarnings as errors
     # and exits 1 if any exits nonzero; the numpy-only job first asserts
     # that the CLI imports no scipy
-    readme_diff = _readme_diff()
+    readme_diff = _script("readme_diff")
     assert len(readme_diff.readme_commands(ROOT / "README.md")) == 9
     steps = readme_steps(ROOT / ".github" / "workflows" / "tests.yml")
     assert set(steps) == {"tests", "runtime-numpy-only"}
@@ -96,7 +96,7 @@ def test_ci_runs_every_readme_command(capfd, monkeypatch):
 
 
 def test_readme_diff_sizes_the_largest_numeric_move():
-    compare = _readme_diff().compare
+    compare = _script("readme_diff").compare
     base = '{"m_inf": 0.0, "sweeps": [{"r": 10, "value": 2.0}, {"r": 100, "value": 4.0}]}'
     change = '{"m_inf": 0.0, "sweeps": [{"r": 10, "value": 2.0}, {"r": 100, "value": 4.0004}]}'
     lines = compare((base, "", 0), (change, "", 1))
@@ -108,6 +108,29 @@ def test_readme_diff_sizes_the_largest_numeric_move():
     assert compare(('{"verdict": "a", "k": 2}', "", 0),
                    ('{"verdict": "b", "k": 2}', "", 0))[-1] == '+{"verdict": "b", "k": 2}'
     assert compare(("r,m\n1,2\n", "", 0), ("r,m\n1,3\n", "", 0))[-1] == "+1,3"
+
+
+def test_bench_record_verdict_per_metric():
+    # worse past the metric's bound; unresolved when the base's own
+    # quartile spread is wider than the bound, unless every change run
+    # beats every base run; else ok
+    record = _script("bench_record")
+    bound = record.END_TO_END["wall_s"]["bound"]
+
+    def verdict(base, change):
+        b, c = ([{"metrics": {"wall_s": v}, "units": {"wall_s": "s"}, "attempted": 1,
+                  "failed": 0} for v in values] for values in (base, change))
+        return record.verdict("wall_s", record.summarize(b)["wall_s"],
+                              record.summarize(c)["wall_s"], b, c)
+
+    steady, spread = [1.0] * 5, [1 - bound, 1.0, 1.0, 1.0, 1 + 2 * bound]
+    assert verdict(steady, [1 + 1.2 * bound] * 5) == "worse"
+    assert verdict(steady, [1 + 0.8 * bound] * 5) == "ok"
+    assert verdict(spread, [1 + 1.2 * bound] * 5) == "worse"
+    spread[1], spread[3] = 1 - 0.6 * bound, 1 + 0.6 * bound  # quartiles 1.2 bound apart
+    assert verdict(spread, [0.9] * 5) == "unresolved"
+    assert verdict(spread, [0.9 - bound] * 5) == "ok"
+    assert record.verdict("attempted", {}, {}, [], []) == "-"
 
 
 def test_benchmark_trace_targets_resolve():

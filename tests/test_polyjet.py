@@ -32,6 +32,7 @@ from umbilic import asymptotic, mass, obstruction
 from umbilic.obstruction import jet_geometry
 from umbilic.surface import BatchPoly, GraphSurface
 
+from generic_jets import generic_form
 from poly_oracle import (
     TuplePoly,
     batch_table,
@@ -1196,17 +1197,6 @@ def corpus_cubic(rng, n, width=10):
             e[i] += 1
         terms[(tuple(e), ())] = Fraction(rng.choice([k for k in range(-9, 10) if k]),
                                          rng.randint(1, 9))
-    return MultiPoly(n, terms)
-
-
-def generic_form(n, deg, prefix):
-    """The degree-deg form whose every coefficient is its own symbol."""
-    terms = {}
-    for combo in itertools.combinations_with_replacement(range(n), deg):
-        e = [0] * n
-        for i in combo:
-            e[i] += 1
-        terms[(tuple(e), ((prefix + "_" + "".join(map(str, combo)), 1),))] = Fraction(1)
     return MultiPoly(n, terms)
 
 

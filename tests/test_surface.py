@@ -323,18 +323,19 @@ def test_f_value_shows_the_warnings_of_f_num():
 
 @pytest.mark.parametrize("bad", [-1e-5, 0.0, math.nan, math.inf, -math.inf])
 def test_fd_step_must_be_finite_and_positive(bad):
-    # -1e-5 made f_hess and the rho check raise "math domain error", 0.0
-    # warned of a division by zero and NaN gave NaN derivatives silently;
-    # from_json takes the same check
+    # -1e-5 made the Hessian and the rho check raise "math domain error",
+    # 0.0 warned of a division by zero and NaN gave NaN derivatives
+    # silently; from_json takes the same check
+    sphere = {"n": 3, "kind": "builtin", "name": "sphere"}
     with pytest.raises(ValueError, match="fd_step must be a finite positive number"):
         GraphSurface(3, f_num=quadratic, fd_step=bad)
     with pytest.raises(ValueError, match="fd_step must be a finite positive number"):
-        GraphSurface.from_json({"n": 3, "kind": "sphere", "fd_step": str(bad)})
-    assert GraphSurface.from_json({"n": 3, "kind": "sphere", "fd_step": "3e-6"}).fd_step == 3e-6
+        GraphSurface.from_json(dict(sphere, fd_step=str(bad)))
+    assert GraphSurface.from_json(dict(sphere, fd_step="3e-6")).fd_step == 3e-6
 
 
 def test_surface_fields_are_frozen():
-    # fd_step = -1e-5 after construction made f_hess raise "math domain
+    # fd_step = -1e-5 after construction made the Hessian raise "math domain
     # error", and a new f_jet would leave the cached evaluators stale
     S = GraphSurface(3, f_num=quadratic)
     S.f_value(np.full((5, 3), 0.1))
@@ -370,12 +371,13 @@ def test_numeric_derivatives_call_f_num_once():
 def test_numeric_derivatives_match_the_per_point_reference(n):
     # with an f_num that evaluates one row at a time every stencil value is
     # the one the per-point path takes, so orders 0 to 2, the radial columns
-    # and f_grad / f_hess equal numdiff.gradient and hessian at fd_step |x| and
-    # 0.1 sqrt(fd_step) |x| (|x| at least 1) to the bit; the points past
-    # |x| = 1 take steps of their own within the batch.  The last point,
-    # s e_0 with |x| = s, is there when some Hessian step's square rounds
-    # otherwise under Python's float ** (libm pow) than as h * h, which is
-    # numpy's square of an array (3 of these 4001 s on glibc)
+    # and one point's gradient and Hessian alone equal numdiff.gradient and
+    # hessian at fd_step |x| and 0.1 sqrt(fd_step) |x| (|x| at least 1) to
+    # the bit; the points past |x| = 1 take steps of their own within the
+    # batch.  The last point, s e_0 with |x| = s, is there when some Hessian
+    # step's square rounds otherwise under Python's float ** (libm pow) than
+    # as h * h, which is numpy's square of an array (3 of these 4001 s on
+    # glibc)
     sym = GraphSurface.quartic_x1(n)
     f = sym.f_value
     S = GraphSurface(n, f_num=one_point(f), fd_step=3e-6)
@@ -397,7 +399,8 @@ def test_numeric_derivatives_match_the_per_point_reference(n):
               np.einsum("pij,pj->pi", want[2], pts))
     assert all(np.array_equal(a, b) for a, b in zip(S.f_radial_batch(pts), radial))
     for p, grad, hess in zip(pts, want[1], want[2]):
-        assert np.array_equal(S.f_grad(p), grad) and np.array_equal(S.f_hess(p), hess)
+        assert np.array_equal(S.f_derivatives_batch(p, 1)[1][0], grad)
+        assert np.array_equal(S.f_derivatives_batch(p, 2)[2][0], hess)
 
 
 @pytest.mark.parametrize("position", range(3))
@@ -625,8 +628,8 @@ def test_surface_builtins():
 
 def test_batch_matches_pointwise():
     # symbolic surfaces batch through the shared evaluator, numeric ones
-    # difference one f_value call on the stencils of every point; f_grad
-    # and f_hess are the one-point case of the same path
+    # difference one f_value call on the stencils of every point; one point
+    # alone is a batch of one on the same path
     sym = GraphSurface.quartic_x1(3)
     pts = RNG.uniform(-0.3, 0.3, size=(8, 3))
     for S in (sym, GraphSurface(3, f_num=sym.f_value)):
@@ -639,8 +642,8 @@ def test_batch_matches_pointwise():
                 assert np.max(np.abs(a - b)) < 1e-14
         for i, p in enumerate(pts):
             assert vals[i] == pytest.approx(S.f_value(p), abs=1e-14)
-            assert np.max(np.abs(grads[i] - S.f_grad(p))) < 1e-14
-            assert np.max(np.abs(hesses[i] - S.f_hess(p))) < 1e-14
+            assert np.max(np.abs(grads[i] - S.f_derivatives_batch(p, 1)[1][0])) < 1e-14
+            assert np.max(np.abs(hesses[i] - S.f_derivatives_batch(p, 2)[2][0])) < 1e-14
 
 
 def test_radial_evaluator_is_x_dot_grad():
@@ -751,7 +754,8 @@ def test_batch_evaluator_matches_exact(name, n):
     f, gr, ef, egr = S.f_radial_batch(pts)
     assert_close(np.column_stack([f, gr, ef, egr])[checked], exact_radial)
     for r, i in enumerate(checked[:8]):
-        one = np.concatenate([[S.f_value(pts[i])], S.f_grad(pts[i]), S.f_hess(pts[i]).ravel()])
+        one = np.concatenate([[S.f_value(pts[i])], S.f_derivatives_batch(pts[i], 1)[1][0],
+                              S.f_derivatives_batch(pts[i], 2)[2][0].ravel()])
         assert_close(one[None, :], exact, [r])
 
 
